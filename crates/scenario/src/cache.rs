@@ -3,7 +3,7 @@
 //!
 //! [`ScenarioCache::get_or_compile`] is the only way work enters the
 //! engine. Requests whose specs canonicalize to the same
-//! [`ScenarioHash`](crate::ScenarioHash) share one
+//! [`ScenarioHash`] share one
 //! `Arc<CompiledScenario>`; when several arrive while that artifact is
 //! still being compiled, exactly **one** thread compiles and the rest
 //! block on a condvar until the slot flips from in-flight to ready
@@ -13,6 +13,11 @@
 //! Validation happens *before* a slot is claimed, so compilation inside
 //! the cache cannot fail for spec reasons — a claimed slot always
 //! resolves, and waiters never deadlock on an abandoned entry.
+//!
+//! Equal hashes only make equal specs likely (FNV-1a collisions are
+//! cheap to construct), so every hit also compares the request's
+//! canonical JSON with the artifact's. A spec whose hash collides with
+//! a cached one is compiled and served without touching the cache.
 //!
 //! # Example
 //!
@@ -35,7 +40,7 @@
 //! ```
 
 use crate::compile::CompiledScenario;
-use crate::spec::{ScenarioError, ScenarioSpec};
+use crate::spec::{ScenarioError, ScenarioHash, ScenarioSpec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -48,7 +53,9 @@ pub struct CacheStats {
     pub compiles: u64,
     /// Requests served from a ready entry.
     pub hits: u64,
-    /// Requests that found no entry and claimed the compile.
+    /// Requests not served from the cache: they found no entry and
+    /// claimed the compile, or found another spec under their hash and
+    /// compiled uncached.
     pub misses: u64,
     /// Ready entries evicted by the LRU bound.
     pub evictions: u64,
@@ -124,7 +131,8 @@ impl ScenarioCache {
 
     /// Returns the compiled artifact for `spec` and whether it was a
     /// cache hit, compiling at most once per canonical hash however
-    /// many threads ask concurrently.
+    /// many threads ask concurrently. A hit is served only when the
+    /// cached artifact's canonical JSON equals `spec`'s.
     ///
     /// # Errors
     ///
@@ -140,7 +148,20 @@ impl ScenarioCache {
         spec: &ScenarioSpec,
     ) -> Result<(Arc<CompiledScenario>, bool), ScenarioError> {
         spec.validate()?;
-        let hash = spec.hash().0;
+        let canonical = spec.canonical_json();
+        let hash = ScenarioHash::of(canonical.as_bytes()).0;
+        self.get_or_compile_at(hash, spec, canonical)
+    }
+
+    /// [`get_or_compile`](Self::get_or_compile) for a validated `spec`
+    /// and its canonical JSON, under slot key `hash` — which unit tests
+    /// force to collide.
+    fn get_or_compile_at(
+        &self,
+        hash: u64,
+        spec: &ScenarioSpec,
+        canonical: String,
+    ) -> Result<(Arc<CompiledScenario>, bool), ScenarioError> {
         {
             enum Action {
                 Hit(Arc<CompiledScenario>),
@@ -156,6 +177,15 @@ impl ScenarioCache {
                     None => Action::Claim,
                 };
                 match action {
+                    Action::Hit(artifact) if artifact.canonical_json() != canonical => {
+                        // Another spec owns this hash: compile this one
+                        // outside the cache, leaving the slot alone.
+                        drop(state);
+                        self.misses.fetch_add(1, Ordering::Relaxed);
+                        let artifact = CompiledScenario::lower(spec, canonical)?;
+                        self.compiles.fetch_add(1, Ordering::Relaxed);
+                        return Ok((artifact, false));
+                    }
                     Action::Hit(artifact) => {
                         state.tick += 1;
                         let tick = state.tick;
@@ -182,7 +212,7 @@ impl ScenarioCache {
         }
         // Compile outside the lock; the spec is already validated, so
         // this cannot fail and the in-flight slot always resolves.
-        let artifact = CompiledScenario::compile(spec)?;
+        let artifact = CompiledScenario::lower(spec, canonical)?;
         self.compiles.fetch_add(1, Ordering::Relaxed);
         let mut state = self.state.lock().expect("scenario cache poisoned");
         state.tick += 1;
@@ -313,6 +343,26 @@ mod tests {
         assert!(hit_a, "a was kept");
         let (_, hit_b) = cache.get_or_compile(&spec("b", 5)).unwrap();
         assert!(!hit_b, "b was evicted and recompiled");
+    }
+
+    #[test]
+    fn colliding_hashes_never_serve_another_specs_artifact() {
+        let cache = ScenarioCache::new(4);
+        let (a, b) = (spec("a", 5), spec("b", 5));
+        let forced = |s: &ScenarioSpec| cache.get_or_compile_at(7, s, s.canonical_json());
+        let (first, hit) = forced(&a).unwrap();
+        assert!(!hit);
+        // `b` lands on `a`'s slot: it must get its own artifact, uncached.
+        let (other, hit) = forced(&b).unwrap();
+        assert!(!hit);
+        assert_eq!(other.canonical_json(), b.canonical_json());
+        assert_eq!(other.hash(), b.hash());
+        // `a` still owns the slot and still hits it.
+        let (again, hit) = forced(&a).unwrap();
+        assert!(hit && Arc::ptr_eq(&first, &again));
+        let stats = cache.stats();
+        assert_eq!((stats.compiles, stats.hits, stats.misses), (2, 1, 2));
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -82,7 +82,15 @@ impl CompiledScenario {
     /// already passed [`ScenarioSpec::validate`] always compiles.
     pub fn compile(spec: &ScenarioSpec) -> Result<Arc<Self>, ScenarioError> {
         spec.validate()?;
-        let canonical = spec.canonical_json();
+        Self::lower(spec, spec.canonical_json())
+    }
+
+    /// Lowers a validated `spec` whose canonical rendering the caller
+    /// has already made (the compile cache keys and compares on it).
+    pub(crate) fn lower(
+        spec: &ScenarioSpec,
+        canonical: String,
+    ) -> Result<Arc<Self>, ScenarioError> {
         let hash = ScenarioHash::of(canonical.as_bytes());
         let network = spec.network.to_network_config();
         let faults = spec.fault_spec()?;

@@ -1021,6 +1021,14 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("faults"), "{err}");
+        // Fault durations the generator cannot draw: compiling them
+        // would panic inside the cache's claimed slot.
+        for faults in ["outage=0.2:0", "link=0.3:-2", "outage=0.2:nan"] {
+            let mut spec = ScenarioSpec::from_json_str(minimal()).unwrap();
+            spec.faults = Some(faults.into());
+            let err = spec.validate().unwrap_err();
+            assert!(err.to_string().contains("duration"), "{faults}: {err}");
+        }
         // Uppercase name.
         let err = ScenarioSpec::from_json_str(
             r#"{"name":"T","rounds":1,"topology":{"kind":"grid","side":3,"spacing_m":30},"workload":{"kind":"gathering","strategy":"minimum_energy"}}"#,

@@ -25,7 +25,7 @@
 //! [`crate::obs::PacketCounters`]). Round loops that would pay those
 //! O(events) scans per query compile the schedule into a
 //! [`FaultTimeline`] once and advance a monotone cursor instead — same
-//! answers (pinned by tests), O(1) per query.
+//! answers (pinned by tests), no scan and no hashing per query.
 //!
 //! [`node_down`]: FaultSchedule::node_down
 //! [`link_down`]: FaultSchedule::link_down
@@ -250,11 +250,20 @@ impl FaultSchedule {
 /// [`compile`](Self::compile) flattens the schedule into round-sorted
 /// up/down transitions; [`advance_to`](Self::advance_to) applies the
 /// transitions due by a round (a monotone cursor, O(transitions) over a
-/// whole run); the point queries then read a counter in O(1). Counters
-/// make overlapping windows additive, so the answers match the event
-/// scan exactly — pinned by unit tests against the scan on arbitrary
+/// whole run); the point queries then read counters. Counters make
+/// overlapping windows additive, so the answers match the event scan
+/// exactly — pinned by unit tests against the scan on arbitrary
 /// schedules — and the whole structure allocates nothing after
-/// `compile` (link keys are pre-inserted).
+/// `compile`.
+///
+/// Link state is laid out for the walkers' per-hop query, which almost
+/// always answers "up": a model's link windows join uniformly drawn
+/// peers, so hardly any lies on a route edge. Each deduplicated link
+/// key owns one active-window counter; each node owns a CSR row of its
+/// incident links sorted by peer, plus a count of its open incident
+/// windows. [`link_down`](Self::link_down) reads that count for the
+/// sender and, only when it is non-zero, searches the sender's row —
+/// no hashing on any hop.
 ///
 /// # Example
 ///
@@ -263,26 +272,40 @@ impl FaultSchedule {
 ///
 /// let schedule = FaultSchedule::new(vec![
 ///     FaultEvent::NodeOutage { node: 3, from: 2, until: 5 },
+///     FaultEvent::LinkOutage { a: 6, b: 1, from: 4, until: 7 },
 /// ]);
 /// let mut timeline = FaultTimeline::compile(&schedule, 8);
 /// timeline.advance_to(2);
 /// assert!(timeline.node_down(3));
+/// assert!(!timeline.link_down(1, 6));
 /// timeline.advance_to(5);
 /// assert!(!timeline.node_down(3)); // rebooted
+/// assert!(timeline.link_down(1, 6) && timeline.link_down(6, 1));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FaultTimeline {
     /// Round-sorted node transitions: `(round, node, becomes_down)`.
     node_transitions: Vec<(u64, u32, bool)>,
-    /// Round-sorted link transitions: `(round, normalized key, down)`.
-    link_transitions: Vec<(u64, (usize, usize), bool)>,
+    /// Round-sorted link transitions: `(round, link, becomes_down)`,
+    /// where `link` indexes `links`.
+    link_transitions: Vec<(u64, u32, bool)>,
     node_cursor: usize,
     link_cursor: usize,
     /// Active down-windows per node; down while > 0.
     node_active: Vec<u32>,
-    /// Active down-windows per normalized link key; keys are
-    /// pre-inserted at compile time so advancing never allocates.
-    link_active: std::collections::HashMap<(usize, usize), u32>,
+    /// The deduplicated link keys `(low, high)`, sorted.
+    links: Vec<(u32, u32)>,
+    /// Active down-windows per link key; down while > 0.
+    link_active: Vec<u32>,
+    /// CSR row starts (`nodes + 1` entries): node `n`'s incident links
+    /// are `incident[incident_start[n]..incident_start[n + 1]]`.
+    incident_start: Vec<u32>,
+    /// `(peer, link)` per incident link, sorted by peer within a row.
+    incident: Vec<(u32, u32)>,
+    /// Open incident windows per node (a self-link's count twice).
+    /// Empty, like `incident_start`, when no link window was compiled —
+    /// the one check a link-fault-free round pays per hop.
+    open_incident: Vec<u32>,
     /// Highest round advanced to, enforcing cursor monotonicity.
     advanced_to: u64,
 }
@@ -290,42 +313,89 @@ pub struct FaultTimeline {
 impl FaultTimeline {
     /// Compiles `schedule` for a `nodes`-node run.
     ///
-    /// Node events naming ids at or beyond `nodes` are dropped — the
-    /// simulators never query them. Deaths become a single down
-    /// transition (permanent); outages pair a down transition at `from`
-    /// with an up transition at `until`, matching the half-open windows
-    /// of the event scan.
+    /// Node and link events naming ids at or beyond `nodes` are dropped
+    /// — the simulators never query them, and
+    /// [`link_down`](Self::link_down) answers `false` for such ids.
+    /// Deaths become a single down transition (permanent); outages pair
+    /// a down transition at `from` with an up transition at `until`,
+    /// matching the half-open windows of the event scan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` exceeds `u32::MAX`.
     pub fn compile(schedule: &FaultSchedule, nodes: usize) -> Self {
+        assert!(u32::try_from(nodes).is_ok(), "node ids must fit in u32");
+        let id = |node: usize| node as u32;
         let mut node_transitions = Vec::new();
-        let mut link_transitions = Vec::new();
-        let mut link_active = std::collections::HashMap::new();
+        let mut windows = Vec::new();
         for event in schedule.events() {
             match *event {
                 FaultEvent::NodeDeath { node, round } if node < nodes => {
-                    node_transitions.push((round, node as u32, true));
+                    node_transitions.push((round, id(node), true));
                 }
                 FaultEvent::NodeOutage { node, from, until } if node < nodes => {
-                    node_transitions.push((from, node as u32, true));
-                    node_transitions.push((until, node as u32, false));
+                    node_transitions.push((from, id(node), true));
+                    node_transitions.push((until, id(node), false));
                 }
-                FaultEvent::LinkOutage { a, b, from, until } => {
-                    let key = if a <= b { (a, b) } else { (b, a) };
-                    link_transitions.push((from, key, true));
-                    link_transitions.push((until, key, false));
-                    link_active.insert(key, 0);
+                FaultEvent::LinkOutage { a, b, from, until } if a < nodes && b < nodes => {
+                    windows.push(((id(a.min(b)), id(a.max(b))), from, until));
                 }
                 _ => {}
             }
         }
         node_transitions.sort_by_key(|&(round, ..)| round);
+
+        // Sorting the windows by key lets one pass number the distinct
+        // keys. Same-round transitions lose their event order, which is
+        // harmless: a window's `from` precedes its `until`, so no
+        // counter underflows whatever order they apply in.
+        windows.sort_unstable_by_key(|&(key, ..)| key);
+        let mut links: Vec<(u32, u32)> = Vec::new();
+        let mut link_transitions = Vec::with_capacity(2 * windows.len());
+        for &(key, from, until) in &windows {
+            if links.last() != Some(&key) {
+                links.push(key);
+            }
+            let link = (links.len() - 1) as u32;
+            link_transitions.push((from, link, true));
+            link_transitions.push((until, link, false));
+        }
         link_transitions.sort_by_key(|&(round, ..)| round);
+
+        // Each link appears in both endpoints' rows (once for a
+        // self-link); sorting (node, peer, link) triples lays the rows
+        // out contiguously, each sorted by peer.
+        let mut rows: Vec<(u32, u32, u32)> = Vec::with_capacity(2 * links.len());
+        for (link, &(low, high)) in links.iter().enumerate() {
+            rows.push((low, high, link as u32));
+            if low != high {
+                rows.push((high, low, link as u32));
+            }
+        }
+        rows.sort_unstable();
+        let (incident_start, open_incident) = if links.is_empty() {
+            (Vec::new(), Vec::new())
+        } else {
+            let mut start = vec![0u32; nodes + 1];
+            for &(node, ..) in &rows {
+                start[node as usize + 1] += 1;
+            }
+            for n in 0..nodes {
+                start[n + 1] += start[n];
+            }
+            (start, vec![0; nodes])
+        };
         Self {
             node_transitions,
             link_transitions,
             node_cursor: 0,
             link_cursor: 0,
             node_active: vec![0; nodes],
-            link_active,
+            link_active: vec![0; links.len()],
+            links,
+            incident_start,
+            incident: rows.iter().map(|&(_, peer, link)| (peer, link)).collect(),
+            open_incident,
             advanced_to: 0,
         }
     }
@@ -343,23 +413,24 @@ impl FaultTimeline {
             self.advanced_to
         );
         self.advanced_to = round;
+        fn step(active: &mut u32, down: bool) {
+            *active = if down { *active + 1 } else { *active - 1 };
+        }
         while let Some(&(at, node, down)) = self.node_transitions.get(self.node_cursor) {
             if at > round {
                 break;
             }
-            let active = &mut self.node_active[node as usize];
-            *active = if down { *active + 1 } else { *active - 1 };
+            step(&mut self.node_active[node as usize], down);
             self.node_cursor += 1;
         }
-        while let Some(&(at, key, down)) = self.link_transitions.get(self.link_cursor) {
+        while let Some(&(at, link, down)) = self.link_transitions.get(self.link_cursor) {
             if at > round {
                 break;
             }
-            let active = self
-                .link_active
-                .get_mut(&key)
-                .expect("link keys pre-inserted at compile");
-            *active = if down { *active + 1 } else { *active - 1 };
+            let (low, high) = self.links[link as usize];
+            step(&mut self.link_active[link as usize], down);
+            step(&mut self.open_incident[low as usize], down);
+            step(&mut self.open_incident[high as usize], down);
             self.link_cursor += 1;
         }
     }
@@ -370,13 +441,19 @@ impl FaultTimeline {
     }
 
     /// Whether the link between `x` and `y` (either order) is down at
-    /// the round last advanced to. O(1).
+    /// the round last advanced to; `false` when either id is at or
+    /// beyond the compiled node count.
+    ///
+    /// One array read when `x` has no open link window; otherwise a
+    /// binary search of `x`'s incident links.
     pub fn link_down(&self, x: usize, y: usize) -> bool {
-        if self.link_active.is_empty() {
+        if matches!(self.open_incident.get(x), None | Some(0)) {
             return false;
         }
-        let key = if x <= y { (x, y) } else { (y, x) };
-        self.link_active.get(&key).is_some_and(|&active| active > 0)
+        let row =
+            &self.incident[self.incident_start[x] as usize..self.incident_start[x + 1] as usize];
+        row.binary_search_by_key(&y, |&(peer, _)| peer as usize)
+            .is_ok_and(|k| self.link_active[row[k].1 as usize] > 0)
     }
 
     /// Whether the compiled schedule has any node or link windows at
@@ -579,10 +656,17 @@ impl FaultSpec {
     /// # Errors
     ///
     /// Returns a message naming the offending clause on unknown keys,
-    /// malformed numbers, missing sub-values or out-of-range rates.
+    /// malformed numbers, missing sub-values, out-of-range rates, or a
+    /// duration that is not finite or is below one round while its rate
+    /// is non-zero (a zero rate accepts any duration).
     pub fn parse(spec: &str) -> Result<Self, String> {
         let mut model = FaultModel::none();
         let mut seed = 0u64;
+        // Durations as written, checked once the rates are known: the
+        // `u64` conversion would turn NaN, negative and sub-round values
+        // into 0, which `FaultModel::schedule` rejects by panicking.
+        let mut outage_duration = 1.0;
+        let mut link_duration = 1.0;
         for clause in spec.split(',') {
             let clause = clause.trim();
             if clause.is_empty() {
@@ -603,11 +687,13 @@ impl FaultSpec {
                 "death" => model.death_rate = next_f64("rate")?,
                 "outage" => {
                     model.outage_rate = next_f64("rate")?;
-                    model.outage_rounds = next_f64("duration")? as u64;
+                    outage_duration = next_f64("duration")?;
+                    model.outage_rounds = outage_duration as u64;
                 }
                 "link" => {
                     model.link_outage_rate = next_f64("rate")?;
-                    model.link_outage_rounds = next_f64("duration")? as u64;
+                    link_duration = next_f64("duration")?;
+                    model.link_outage_rounds = link_duration as u64;
                 }
                 "fade" => {
                     model.fade_rate = next_f64("rate")?;
@@ -630,6 +716,16 @@ impl FaultSpec {
         ] {
             if !(0.0..=1.0).contains(&rate) {
                 return Err(format!("{label} rate {rate} outside [0, 1]"));
+            }
+        }
+        for (label, rate, duration) in [
+            ("outage", model.outage_rate, outage_duration),
+            ("link", model.link_outage_rate, link_duration),
+        ] {
+            if rate != 0.0 && !(duration.is_finite() && duration >= 1.0) {
+                return Err(format!(
+                    "{label} duration {duration} must be a finite number of rounds >= 1"
+                ));
             }
         }
         if !(model.fade_factor > 0.0 && model.fade_factor <= 1.0) {
@@ -838,6 +934,38 @@ mod tests {
         assert_eq!(on_node_3(&small), on_node_3(&large));
     }
 
+    /// Advances a compiled timeline round by round and checks every
+    /// in-range node and (ordered) link query against the event scan;
+    /// link queries naming an id at or beyond `nodes` must answer false.
+    fn assert_timeline_matches_scan(
+        schedule: &FaultSchedule,
+        nodes: usize,
+        rounds: u64,
+        case: &str,
+    ) {
+        let mut timeline = FaultTimeline::compile(schedule, nodes);
+        for round in 0..rounds {
+            timeline.advance_to(round);
+            for node in 0..nodes {
+                assert_eq!(
+                    timeline.node_down(node),
+                    schedule.node_down(node, round),
+                    "{case}: node {node} round {round}"
+                );
+            }
+            for x in 0..nodes + 2 {
+                for y in 0..nodes + 2 {
+                    let want = x < nodes && y < nodes && schedule.link_down(x, y, round);
+                    assert_eq!(
+                        timeline.link_down(x, y),
+                        want,
+                        "{case}: link {x}-{y} round {round}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn timeline_matches_the_event_scan_on_model_schedules() {
         // The compiled cursor must answer every (node, link, round)
@@ -856,27 +984,44 @@ mod tests {
         let rounds = 60;
         for seed in 0..25u64 {
             let schedule = model.schedule(seed, nodes, rounds);
-            let mut timeline = FaultTimeline::compile(&schedule, nodes);
-            for round in 0..rounds {
-                timeline.advance_to(round);
-                for node in 0..nodes {
-                    assert_eq!(
-                        timeline.node_down(node),
-                        schedule.node_down(node, round),
-                        "seed {seed} node {node} round {round}"
-                    );
-                }
-                for x in 0..nodes {
-                    for y in 0..nodes {
-                        assert_eq!(
-                            timeline.link_down(x, y),
-                            schedule.link_down(x, y, round),
-                            "seed {seed} link {x}-{y} round {round}"
-                        );
-                    }
-                }
-            }
+            assert_timeline_matches_scan(&schedule, nodes, rounds, &format!("seed {seed}"));
         }
+    }
+
+    #[test]
+    fn timeline_links_match_the_event_scan_on_hand_built_cases() {
+        let link = |a, b, from, until| FaultEvent::LinkOutage { a, b, from, until };
+        let nodes = 10;
+        let cases = [
+            // Overlapping windows on one link, keyed in both orders.
+            vec![link(2, 5, 1, 6), link(5, 2, 4, 9), link(2, 5, 8, 11)],
+            // A self-link, beside a link of the same node.
+            vec![link(3, 3, 2, 7), link(3, 4, 5, 9)],
+            // One node with several links, opening and closing apart.
+            vec![
+                link(1, 0, 0, 4),
+                link(1, 9, 2, 6),
+                link(7, 1, 3, 5),
+                link(1, 4, 5, 12),
+                link(4, 1, 1, 3),
+            ],
+            // Endpoints at or beyond `nodes` answer false, and their
+            // windows leave the in-range endpoint's state untouched.
+            vec![
+                link(2, 10, 0, 12),
+                link(12, 6, 1, 5),
+                link(11, 11, 0, 3),
+                link(6, 2, 3, 4),
+            ],
+        ];
+        for (k, events) in cases.into_iter().enumerate() {
+            let schedule = FaultSchedule::new(events);
+            assert_timeline_matches_scan(&schedule, nodes, 14, &format!("case {k}"));
+        }
+        // A schedule whose only link window is out of range compiles to
+        // no link state at all.
+        let outside = FaultSchedule::new(vec![link(2, 10, 0, 12)]);
+        assert!(FaultTimeline::compile(&outside, nodes).is_trivial());
     }
 
     #[test]
@@ -972,6 +1117,35 @@ mod tests {
         assert!(FaultSpec::parse("death=1.5").is_err()); // rate out of range
         assert!(FaultSpec::parse("fade=0.5:0.0").is_err()); // factor out of range
         assert!(FaultSpec::parse("bogus=1").is_err());
+    }
+
+    #[test]
+    fn spec_rejects_durations_the_generator_cannot_draw() {
+        for bad in [
+            "outage=0.2:0",
+            "outage=0.2:0.5",
+            "outage=0.2:nan",
+            "outage=0.2:inf",
+            "link=0.3:-2",
+            "link=0.3:nan",
+            "death=0.1,link=1:0",
+        ] {
+            let err = FaultSpec::parse(bad).expect_err(bad);
+            assert!(err.contains("duration"), "{bad}: {err}");
+        }
+        // A zero rate draws nothing, so any duration stays valid; every
+        // accepted spec then schedules without panicking.
+        for good in ["outage=0:0", "link=0:nan", "outage=0.2:1", "link=0.3:2.5"] {
+            let spec = FaultSpec::parse(good).expect(good);
+            let _ = spec.schedule_for(7, 12, 20);
+        }
+        assert_eq!(
+            FaultSpec::parse("link=0.3:2.5")
+                .unwrap()
+                .model
+                .link_outage_rounds,
+            2
+        );
     }
 
     #[test]

@@ -142,24 +142,25 @@ impl Service {
         result
     }
 
-    /// Executes a batch, collapsing requests that share a canonical
-    /// hash to **one compile and one execution**; every batch-mate gets
-    /// the identical manifest. Responses come back in request order,
-    /// each spec failing validation on its own.
+    /// Executes a batch, collapsing requests with equal canonical JSON
+    /// to **one compile and one execution**; every batch-mate gets the
+    /// identical manifest. Responses come back in request order, each
+    /// spec failing validation on its own.
     pub fn submit_batch(&self, requests: &[RunRequest]) -> Vec<Result<RunResponse, ScenarioError>> {
         self.batches.fetch_add(1, Ordering::Relaxed);
         let depth = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
         let mut responses: Vec<Option<Result<RunResponse, ScenarioError>>> =
             (0..requests.len()).map(|_| None).collect();
-        // (hash, index of the request that ran it)
-        let mut executed: Vec<(ami_scenario::ScenarioHash, usize)> = Vec::new();
+        // (canonical JSON, index of the request that ran it): equal
+        // hashes alone would not prove equal specs.
+        let mut executed: Vec<(String, usize)> = Vec::new();
         for (k, request) in requests.iter().enumerate() {
             if request.spec.validate().is_err() {
                 responses[k] = Some(self.execute(request, depth));
                 continue;
             }
-            let hash = request.spec.hash();
-            if let Some(&(_, leader)) = executed.iter().find(|&&(h, _)| h == hash) {
+            let canonical = request.spec.canonical_json();
+            if let Some(&(_, leader)) = executed.iter().find(|(c, _)| *c == canonical) {
                 let led = responses[leader]
                     .as_ref()
                     .expect("leader executed before its batch-mates")
@@ -174,7 +175,7 @@ impl Service {
                 continue;
             }
             responses[k] = Some(self.execute(request, depth));
-            executed.push((hash, k));
+            executed.push((canonical, k));
         }
         self.in_flight.fetch_sub(1, Ordering::SeqCst);
         responses
@@ -305,6 +306,23 @@ mod tests {
         ]);
         assert!(responses[0].is_ok());
         assert!(responses[1].is_err());
+    }
+
+    #[test]
+    fn undrawable_fault_durations_fail_every_submit() {
+        // Were such a spec to pass validation, compile would panic
+        // inside the cache's claimed in-flight slot, and an identical
+        // second request would wait on that slot forever.
+        let service = Service::new(4);
+        let mut bad = spec(5);
+        bad.faults = Some("outage=0.2:0".into());
+        for id in ["first", "second"] {
+            let err = service
+                .submit(&RunRequest::new(id, bad.clone()))
+                .unwrap_err();
+            assert!(err.to_string().contains("duration"), "{id}: {err}");
+        }
+        assert_eq!(service.cache_stats().misses, 0);
     }
 
     #[test]
