@@ -7,8 +7,8 @@
 use ami_bench::BENCH_SEED;
 use ami_net::{
     build_routes, replicate_gathering_faulted_observed_threads, set_par_min_nodes_per_worker,
-    simulate_gathering, simulate_gathering_par, simulate_lossy_gathering,
-    simulate_lossy_gathering_par, LossyConfig, NetworkConfig, RoutingStrategy, Topology,
+    simulate_gathering, simulate_lossy_gathering, simulate_lossy_gathering_par, LossyConfig,
+    NetworkConfig, RoutingStrategy, Topology,
 };
 use ami_sim::fault::FaultSpec;
 use ami_units::Length;
@@ -70,41 +70,6 @@ fn bench_gather_round(c: &mut Criterion) {
     group.finish();
 }
 
-/// The region-parallel PDES engine on the same healthy workload —
-/// mirrors the snapshot's `gather_round_par` city rows at criterion
-/// scale. Worker counts are explicit (1 = engine bookkeeping overhead
-/// vs the serial `gather_round` group, 8 = the parallel win on a
-/// multi-core box). The criterion sizes sit below the engine's
-/// nodes-per-worker floor, so the group force-engages it — the point
-/// is to time the engine, not the dispatch heuristic.
-fn bench_gather_round_par(c: &mut Criterion) {
-    let config = NetworkConfig::sensor_default();
-    let par_floor = set_par_min_nodes_per_worker(Some(0));
-    let mut group = c.benchmark_group("gather_round_par");
-    for n in SIZES {
-        let topo = field(n);
-        for threads in [1usize, 8] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("healthy_10_rounds_t{threads}"), n),
-                &topo,
-                |b, topo| {
-                    b.iter(|| {
-                        simulate_gathering_par(
-                            black_box(topo),
-                            RoutingStrategy::MinimumEnergy,
-                            &config,
-                            GATHER_ROUNDS,
-                            threads,
-                        )
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-    set_par_min_nodes_per_worker(par_floor);
-}
-
 fn bench_lossy_round(c: &mut Criterion) {
     let config = LossyConfig::bruised_channel();
     let mut group = c.benchmark_group("lossy_round");
@@ -118,9 +83,12 @@ fn bench_lossy_round(c: &mut Criterion) {
 }
 
 /// The rollback-free region-parallel lossy engine on the same ARQ
-/// workload — mirrors the snapshot's `lossy_round_par` city rows.
-/// Force-engaged past the nodes-per-worker floor like
-/// `gather_round_par` above.
+/// workload — mirrors the snapshot's `lossy_round_par` city rows at
+/// criterion scale. Worker counts are explicit (1 = engine bookkeeping
+/// overhead vs the serial `lossy_round` group, 8 = the parallel win on
+/// a multi-core box). The criterion sizes sit below the engine's
+/// nodes-per-worker floor, so the group force-engages it — the point
+/// is to time the engine, not the dispatch heuristic.
 fn bench_lossy_round_par(c: &mut Criterion) {
     let config = LossyConfig::bruised_channel();
     let par_floor = set_par_min_nodes_per_worker(Some(0));
@@ -177,7 +145,6 @@ criterion_group!(
     benches,
     bench_route_build,
     bench_gather_round,
-    bench_gather_round_par,
     bench_lossy_round,
     bench_lossy_round_par,
     bench_faulted_replication

@@ -27,15 +27,15 @@
 //! [`LossySession`]): the warm-up iteration performs the route build
 //! and sizes the scratch, so the timed iterations isolate per-round
 //! kernel cost from the build (which `route_build` prices separately).
-//! `gather_round_par` repeats the city-scale gathering runs on the
-//! region-parallel PDES engine at `AMBIENCE_THREADS` workers and
-//! carries `threads`/`cpus` fields plus a `speedup` field (serial mean
-//! / parallel mean — expect >1× on a multi-core box; when `cpus` is 1
-//! the `_par` rows time engine overhead on a single core, so `speedup`
-//! is advisory and CI treats it that way). `lossy_round_par` times the
-//! rollback-free region-parallel lossy engine the same way. The `_par`
-//! rows force-engage the engines past the small-n serial fallback —
-//! the snapshot times the engine, not the dispatch heuristic.
+//! `lossy_round_par` repeats the city-scale lossy runs on the
+//! rollback-free region-parallel engine at `AMBIENCE_THREADS` workers
+//! and carries `threads`/`cpus` fields plus a `speedup` field (serial
+//! mean / parallel mean — expect >1× on a multi-core box; when `cpus`
+//! is 1 the rows time engine overhead on a single core, so `speedup` is
+//! advisory and CI treats it that way). The rows force-engage the
+//! engine past the small-n serial fallback — the snapshot times the
+//! engine, not the dispatch heuristic. Gathering has no parallel rows:
+//! its runs use the serial aggregated kernel at every thread count.
 //!
 //! `BENCH_SIM.json` (schema `ambience-bench-sim/v1`) — the `ami-sim`
 //! kernel and sweep layer (labels mirrored by the `sim_hotpath`
@@ -66,9 +66,8 @@ use ami_core::design_space::explore_cs1;
 use ami_experiments::banner;
 use ami_net::{
     build_routes, replicate_gathering_faulted_observed_threads, set_par_min_nodes_per_worker,
-    simulate_gathering, simulate_gathering_par, simulate_lossy_gathering,
-    simulate_lossy_gathering_par, GatherSession, LossyConfig, LossySession, NetworkConfig,
-    RoutingStrategy, Topology,
+    simulate_gathering, simulate_lossy_gathering, simulate_lossy_gathering_par, GatherSession,
+    LossyConfig, LossySession, NetworkConfig, RoutingStrategy, Topology,
 };
 use ami_sim::fault::FaultSpec;
 use ami_sim::{replicate_par, sim_rng, EnergyMeter, EventQueue};
@@ -116,7 +115,7 @@ struct Entry {
     wall_ns_min: u128,
     ops_per_sec: f64,
     /// Serial mean / this entry's mean, for rows that re-run a serial
-    /// workload on the intra-run parallel engine (`gather_round_par`).
+    /// workload on the intra-run parallel engine (`lossy_round_par`).
     speedup: Option<f64>,
     /// Worker threads the `_par` engine ran with (absent on serial rows).
     threads: Option<usize>,
@@ -254,8 +253,8 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
         ));
     }
 
-    // The city-scale `_par` rows must time the region-parallel engines
-    // themselves: at n = 10 000 the nodes-per-worker floor would route
+    // The city-scale `_par` rows must time the region-parallel engine
+    // itself: at n = 10 000 the nodes-per-worker floor would route
     // an 8-worker run back to the serial kernel, turning `speedup`
     // into a measurement of the dispatch heuristic. Results are
     // bit-identical either way, so engagement is purely a timing
@@ -293,31 +292,6 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
                 black_box(session.run(GATHER_ROUNDS_LARGE));
             },
         ));
-        let serial_mean = entries
-            .last()
-            .expect("serial gather_round row was just pushed")
-            .wall_ns_mean;
-        let threads = ami_sim::runner::thread_count();
-        let mut par = measure(
-            format!("gather_round_par/n{n}"),
-            "gather_round_par",
-            n,
-            GATHER_ROUNDS_LARGE,
-            quick,
-            || {
-                black_box(simulate_gathering_par(
-                    black_box(&topo),
-                    RoutingStrategy::MinimumEnergy,
-                    &net_config,
-                    GATHER_ROUNDS_LARGE,
-                    threads,
-                ));
-            },
-        );
-        par.speedup = Some(serial_mean as f64 / par.wall_ns_mean as f64);
-        par.threads = Some(threads);
-        par.cpus = Some(available_cpus());
-        entries.push(par);
 
         let mut lossy_session = LossySession::new(&topo, &lossy_config);
         entries.push(measure(
@@ -334,6 +308,7 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
             .last()
             .expect("serial lossy_round row was just pushed")
             .wall_ns_mean;
+        let threads = ami_sim::runner::thread_count();
         let mut lossy_par = measure(
             format!("lossy_round_par/n{n}"),
             "lossy_round_par",

@@ -6,13 +6,10 @@
 //! of all N, yet produces the scan's adjacency bit for bit; under a
 //! churn mix every usable-set transition after round 0 is absorbed by
 //! an incremental repair (never a full rebuild), and the repaired run
-//! is report-identical to the retired full-rebuild oracle. The repaired
-//! runs execute on the region-parallel PDES engine at
-//! `AMBIENCE_THREADS` workers (the oracle runs stay on the serial
-//! kernel), so the identity column also witnesses the parallel ≡ serial
-//! contract. Everything printed is a count and the engine is
-//! bit-identical at any worker count, so the output is byte-stable at
-//! any `AMBIENCE_THREADS`.
+//! is report-identical to the retired full-rebuild oracle. Both sides
+//! run single-threaded on the serial gathering kernel, so the identity
+//! column compares route repair with full rebuilds and nothing else,
+//! and the output does not depend on `AMBIENCE_THREADS`.
 //!
 //! The sizes, density, seed, rounds and churn mix load from the
 //! checked-in `scenarios/f15_city_scale.scenario.json` through the
@@ -25,12 +22,11 @@ use ami_net::routing::{
     set_route_repair_enabled,
 };
 use ami_net::{
-    simulate_gathering_faulted, simulate_gathering_faulted_par, CsrAdjacency, NetworkConfig,
-    NetworkReport, Position, RoutingStrategy, Topology,
+    simulate_gathering_faulted, CsrAdjacency, NetworkConfig, NetworkReport, Position,
+    RoutingStrategy, Topology,
 };
 use ami_scenario::ScenarioSpec;
 use ami_sim::fault::{FaultSchedule, FaultSpec};
-use ami_sim::runner::thread_count;
 use ami_units::Length;
 
 const SCENARIO: &str = "crates/experiments/scenarios/f15_city_scale.scenario.json";
@@ -51,31 +47,17 @@ fn field(n: usize, density: f64, seed: u64) -> Topology {
 }
 
 /// One faulted run, returning the report plus the (build, repair)
-/// counter deltas it cost. `threads: None` runs the serial kernel (the
-/// oracle side); `Some(t)` runs the region-parallel PDES engine on `t`
-/// workers — bit-identical by contract, so the printed counts agree.
+/// counter deltas it cost.
 fn faulted_run(
     topo: &Topology,
     config: &NetworkConfig,
     faults: &FaultSchedule,
     rounds: u64,
-    threads: Option<usize>,
 ) -> (NetworkReport, u64, u64) {
     reset_route_build_count();
     reset_route_repair_count();
-    let report = match threads {
-        Some(threads) => simulate_gathering_faulted_par(
-            topo,
-            RoutingStrategy::MinimumEnergy,
-            config,
-            rounds,
-            faults,
-            threads,
-        ),
-        None => {
-            simulate_gathering_faulted(topo, RoutingStrategy::MinimumEnergy, config, rounds, faults)
-        }
-    };
+    let report =
+        simulate_gathering_faulted(topo, RoutingStrategy::MinimumEnergy, config, rounds, faults);
     (report, route_build_count(), route_repair_count())
 }
 
@@ -120,14 +102,11 @@ fn main() {
             let faults = spec.schedule_for(seed, n, rounds);
 
             // Oracle first: the retired full-rebuild-per-transition
-            // path, on the serial kernel. The repaired run then takes
-            // the region-parallel engine at `AMBIENCE_THREADS`.
+            // path. The repaired run then takes incremental repairs.
             set_route_repair_enabled(false);
-            let (oracle_report, oracle_builds, _) =
-                faulted_run(&topo, &config, &faults, rounds, None);
+            let (oracle_report, oracle_builds, _) = faulted_run(&topo, &config, &faults, rounds);
             set_route_repair_enabled(true);
-            let (report, builds, repairs) =
-                faulted_run(&topo, &config, &faults, rounds, Some(thread_count()));
+            let (report, builds, repairs) = faulted_run(&topo, &config, &faults, rounds);
 
             let offered = rounds * (n as u64 - 1);
             vec![

@@ -167,50 +167,37 @@ fn f13_scenario_pins_the_manifest_constants() {
     );
 }
 
-/// The lossy `parallel_rounds` knob round-trips through the scenario
-/// grammar and compiles; typos are caught by the unknown-field wall;
-/// and the checked-in (knob-free) F13 scenario keeps its canonical
-/// form — and hence its compile-cache hash — unchanged.
+/// The lossy `parallel_rounds` field is gone — the region engine alone
+/// decides by size whether a lossy run goes parallel — so a spec that
+/// still carries it is rejected by the unknown-field wall, by name.
+/// The checked-in F13 scenario never carried it: its canonical form,
+/// and hence its compile-cache hash, is unchanged.
 #[test]
-fn lossy_scenario_parallel_rounds_field_validates() {
+fn lossy_scenario_rejects_the_retired_parallel_rounds_field() {
     let base = load_scenario("f13_lossy_network.scenario.json");
     assert!(
         !base.canonical_json().contains("parallel_rounds"),
         "the checked-in F13 spec must stay knob-free (hash stability)"
     );
-    for forced in [true, false] {
-        let doc = format!(
-            r#"{{
-                "name": "f13-knob",
-                "seed": 2003,
-                "rounds": 30,
-                "topology": {{"kind": "grid", "side": 5, "spacing_m": 30.0}},
-                "workload": {{"kind": "lossy", "ber": 0.001, "arq_attempts": 4,
-                              "parallel_rounds": {forced}}}
-            }}"#
-        );
-        let spec = ScenarioSpec::from_json_str(&doc).expect("knobbed lossy spec parses");
-        let WorkloadSpec::Lossy {
-            parallel_rounds, ..
-        } = spec.workload
-        else {
-            panic!("lossy workload expected");
-        };
-        assert_eq!(parallel_rounds, Some(forced));
-        CompiledScenario::compile(&spec).expect("knobbed lossy spec compiles");
-    }
-    // A typo is an unknown field, not a silent default.
+    assert_eq!(
+        base.hash().to_string(),
+        "2e8112c6c8a06c5b",
+        "the F13 canonical form moved"
+    );
     let err = ScenarioSpec::from_json_str(
         r#"{
-            "name": "f13-typo",
+            "name": "f13-knob",
+            "seed": 2003,
             "rounds": 30,
             "topology": {"kind": "grid", "side": 5, "spacing_m": 30.0},
             "workload": {"kind": "lossy", "ber": 0.001, "arq_attempts": 4,
-                         "parallel_round": true}
+                         "parallel_rounds": true}
         }"#,
     )
-    .expect_err("typoed knob rejected");
-    assert!(err.to_string().contains("unknown field"), "{err}");
+    .expect_err("a retired field is an unknown field");
+    let message = err.to_string();
+    assert!(message.contains("unknown field"), "{message}");
+    assert!(message.contains("parallel_rounds"), "{message}");
 }
 
 /// F15's scenario pins the bench-snapshot churn mix and the

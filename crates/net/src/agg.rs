@@ -1,7 +1,7 @@
 //! The O(N)-per-round aggregated charge kernel for the gathering
 //! simulation.
 //!
-//! [`GatherState::idle_and_send`] walks every packet hop by hop and
+//! `GatherState::idle_and_send` walks every packet hop by hop and
 //! charges budgets as it goes — O(N·avg_hops) pointer-chasing per round,
 //! the super-linearity that makes 100k–1M-node runs intractable
 //! (ROADMAP item 1). This module replaces the mid-round phase with a
@@ -30,14 +30,12 @@
 //!    is discarded untouched and the oracle re-runs it (mid-round
 //!    death makes packet fates order-dependent). Budgets only decrease
 //!    within a round, so all-positive finals prove the serial kernel
-//!    never saw an exhausted hop — the same optimistic argument the
-//!    region-parallel engine in [`crate::pdes`] validates with.
+//!    never saw an exhausted hop.
 //!
 //! Commitment then swaps the scratch finals in, folds the memoized
 //! spent stream in serial charge order, and replays ledger charges and
-//! packet counters per cell — the commit-order contract established by
-//! the PDES engine (ledger and counter *totals* are position-invariant;
-//! per-accumulator sequences are preserved).
+//! packet counters per cell (ledger and counter *totals* are
+//! position-invariant; per-accumulator sequences are preserved).
 //!
 //! The hop-walk kernel is retained verbatim as the differential oracle:
 //! `AMBIENCE_AGG=0` (or [`set_aggregated_rounds`]`(Some(false))`) pins
@@ -400,10 +398,9 @@ impl GatherState<'_> {
     }
 
     /// Commits a validated aggregated round: budgets, the spent fold,
-    /// the delivered count, then the recorder replay in the fixed
-    /// per-cell order the region-parallel engine established (idle
-    /// charges ascending, then each cell's Tx and RxRelay charges;
-    /// packet counters as whole-round tallies).
+    /// the delivered count, then the recorder replay in a fixed
+    /// per-cell order (idle charges ascending, then each cell's Tx and
+    /// RxRelay charges; packet counters as whole-round tallies).
     fn commit_aggregated<R: Recorder>(
         &mut self,
         scratch: &mut AggScratch,

@@ -253,13 +253,12 @@ pub(crate) enum PacketFate {
 /// serial charge loops), [`end_round`](Self::end_round) (death sweep)
 /// and [`finish`](Self::finish) (residuals + report).
 ///
-/// [`simulate_gathering_faulted_with`] drives these phases in a plain
-/// loop — that *is* the serial kernel, op for op the historical
-/// implementation. The region-parallel engine in [`crate::pdes`] drives
-/// `begin_round`/`end_round` unchanged and replaces `idle_and_send`
-/// with an optimistic parallel round that falls back to this exact
-/// serial phase whenever its energy-margin validation fails — sharing
-/// the state machine is what keeps the two bit-identical.
+/// [`simulate_gathering_faulted_with`] and [`GatherSession`] drive
+/// these phases in a plain loop. The mid-round phase runs on the
+/// aggregated kernel ([`crate::agg`]), which falls back to
+/// `idle_and_send` — op for op the historical implementation — on
+/// rounds its energy-margin checks reject; sharing the state machine is
+/// what keeps the two bit-identical.
 pub(crate) struct GatherState<'a> {
     pub(crate) topology: &'a Topology,
     pub(crate) strategy: RoutingStrategy,
@@ -345,7 +344,7 @@ impl<'a> GatherState<'a> {
     }
 
     /// Fault-state refresh and (if dirty) route re-resolution — the
-    /// start-of-round phase shared by the serial and parallel kernels.
+    /// start-of-round phase shared by both charge kernels.
     pub(crate) fn begin_round(&mut self, round: u64) {
         if self.faults_active {
             self.timeline.advance_to(round);
@@ -375,9 +374,9 @@ impl<'a> GatherState<'a> {
 
     /// The serial mid-round phase: idle charges, then one report per
     /// live, funded, powered-on node, walked hop by hop with per-hop
-    /// exhaustion checks. This is the pinned oracle the region-parallel
-    /// engine must match bit for bit (and falls back to on rounds its
-    /// energy-margin validation rejects).
+    /// exhaustion checks. This is the pinned oracle the aggregated
+    /// kernel must match bit for bit (and falls back to on rounds its
+    /// energy-margin checks reject).
     pub(crate) fn idle_and_send<R: Recorder>(&mut self, recorder: &mut R) {
         // Idle/listening cost for every live, powered-on sensor node.
         for id in self.topology.sensor_ids() {

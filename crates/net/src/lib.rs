@@ -20,13 +20,13 @@
 //!   link outages, capacity fade); routing re-resolves around downed
 //!   nodes and fault losses are attributed to the `dropped_fault`
 //!   counter cause;
-//! * [`pdes`] — conservative region-parallel execution of single runs:
-//!   [`simulate_gathering_par`] (rollback on energy-margin violations)
-//!   and [`pdes::simulate_lossy_gathering_par`] (rollback-free — the
+//! * [`pdes`] — region-parallel execution of single lossy runs:
+//!   [`simulate_lossy_gathering_par`] and friends (rollback-free — the
 //!   lossy kernel draws per-packet counter randomness via
-//!   [`ami_sim::rng::packet_rng`], so packets commute), both
-//!   bit-identical to their serial kernels at any thread count, with a
-//!   serial fallback below a nodes-per-worker floor.
+//!   [`ami_sim::rng::packet_rng`], so packets commute), bit-identical
+//!   to the serial kernel at any thread count, with a serial fallback
+//!   below a nodes-per-worker floor. Gathering runs have one engine,
+//!   the serial aggregated kernel ([`agg`]), at every thread count.
 //!
 //! # Example
 //!
@@ -67,14 +67,11 @@ pub use gather::{
 pub use lossy::{
     simulate_lossy_gathering, simulate_lossy_gathering_faulted,
     simulate_lossy_gathering_faulted_observed, simulate_lossy_gathering_faulted_with,
-    simulate_lossy_gathering_observed, simulate_lossy_gathering_seqstream, LossyConfig,
-    LossyReport, LossySession,
+    simulate_lossy_gathering_observed, LossyConfig, LossyReport, LossySession,
 };
 pub use pdes::{
     par_engaged_count, par_min_nodes_per_worker, par_serial_fallback_count,
     reset_par_engagement_counters, set_par_min_nodes_per_worker,
-    simulate_gathering_faulted_observed_par, simulate_gathering_faulted_par,
-    simulate_gathering_faulted_par_with, simulate_gathering_observed_par, simulate_gathering_par,
     simulate_lossy_gathering_faulted_observed_par, simulate_lossy_gathering_faulted_par,
     simulate_lossy_gathering_faulted_par_with, simulate_lossy_gathering_par,
     PAR_MIN_NODES_PER_WORKER,

@@ -1,99 +1,67 @@
 //! Conservative parallel discrete-event execution *inside* a single
-//! gathering run — region-partitioned rounds, bit-identical to the
-//! serial kernel.
+//! lossy/ARQ run — region-partitioned rounds, bit-identical to the
+//! serial counter-RNG kernel.
 //!
 //! The seed-partitioned runner parallelizes *across* replications; a
 //! single city-scale run still pinned one core. This module partitions
 //! the node id space into contiguous regions
 //! ([`RegionPartition`], cut by the same
-//! spatial grid the CSR construction buckets with), executes each
-//! round's per-node work region-parallel on an
-//! [`ami_sim::runner::RoundPool`], and synchronizes at round barriers
-//! where cross-region traffic is merged in a **fixed deterministic
-//! reduction order** — region id, then node id, which for contiguous
-//! id regions is exactly ascending global node id, the order the
-//! serial kernel charges in.
+//! spatial grid the CSR construction buckets with), walks each round's
+//! packets region-parallel on an [`ami_sim::runner::RoundPool`], and
+//! commits at the round barrier in a **fixed deterministic reduction
+//! order** — region id, then node id, which for contiguous id regions
+//! is exactly ascending global node id, the order the serial kernel
+//! charges in.
 //!
 //! # Why the result is bit-identical
 //!
-//! A round of the serial kernel charges, per budget cell `c`: one idle
-//! debit, then — sources walked in ascending id — an `(rx, tx)` pair
-//! per packet relayed through `c`, with `c`'s own `tx` interleaved at
-//! its id position. All `tx` debits on a cell carry one value (the
-//! cached per-hop cost) and all `rx` debits another, so the cell's f64
-//! fold is fully determined by three integers: packets arriving from
-//! smaller-id sources, whether `c` sent, and packets from larger-id
-//! sources. The parallel round records exactly those counts (packet
-//! walks are budget-free in a *safe* round — fault truncation depends
-//! only on round-constant state) and replays each cell's fold locally;
-//! the one genuinely order-sensitive global accumulator, total spent
-//! energy, is folded serially from recorded per-source hop paths in
-//! source-id order.
+//! [`simulate_lossy_gathering_faulted_par_with`] needs no rollback
+//! machinery: the lossy model has no energy budgets, so there is no
+//! cross-packet coupling and no margin to check. Every packet draws
+//! from its own counter stream ([`ami_sim::rng::packet_rng`]) and its
+//! fate depends only on round-constant state, so region walks commute
+//! and every round commits. The commit replays the serial folds —
+//! energy subtotals in ascending source order, ledger charges per
+//! `(node, category)` from exactly-merged integer attempt counts. The
+//! differential suite pins `par ≡ serial` at 1/2/8 threads across
+//! random fault schedules.
 //!
-//! # The conservative part
+//! # Why gathering runs stay serial
 //!
-//! The replay above is only valid if no budget hit zero mid-round (a
-//! mid-round exhaustion makes later walks budget-dependent). Budgets
-//! only decrease within a round, so the engine checks its *lookahead
-//! margin* after the fact: if every live powered cell's optimistically
-//! folded budget stays positive, the serial kernel would have made
-//! identical decisions (optimistic finals lower-bound serial finals)
-//! and the round commits. Otherwise the round **rolls back** to its
-//! start-of-round snapshot and re-executes through the serial phase —
-//! the pinned oracle — so death rounds are, by construction, exactly
-//! serial. The empty margin check is cheap (one compare per cell) and
-//! rounds near death are rare, so city-scale healthy rounds stay
-//! parallel.
-//!
-//! The serial loop in [`simulate_gathering_faulted_with`]
-//! (crate::gather) is retained untouched as the pinned oracle, exactly
-//! as the retired BinaryHeap/O(N²)-Dijkstra were; the differential
-//! suite pins `par ≡ serial` at 1/2/8 threads across random fault
-//! schedules.
-//!
-//! # The lossy engine needs no rollback
-//!
-//! [`simulate_lossy_gathering_faulted_par_with`] runs the *lossy*/ARQ
-//! kernel on the same region machinery, and is simpler than the
-//! gathering engine in one essential way: the lossy model has no energy
-//! budgets, so there is no cross-packet coupling and no margin to
-//! check. Every packet draws from its own counter stream
-//! ([`ami_sim::rng::packet_rng`]) and its fate depends only on
-//! round-constant state, so region walks commute and every round
-//! commits. The commit replays the serial folds — energy subtotals in
-//! ascending source order, ledger charges per `(node, category)` from
-//! exactly-merged integer attempt counts.
+//! The budgeted gathering kernel had a region-parallel engine too:
+//! optimistic rounds validated after the fact by an energy margin, and
+//! rolled back to the serial phase when a budget could hit zero
+//! mid-round. It was deleted because it measured no faster than the
+//! serial aggregated kernel ([`crate::agg`]). On a 2-vCPU Xeon KVM
+//! guest, the faulted n = 10⁵ gathering runs of the `city_faulted`
+//! benchmark took 1.23–1.33 s on two workers against 1.25 s serial,
+//! while this lossy engine took 0.90–1.05 s against 1.58 s serial.
+//! Gathering runs use the serial aggregated kernel at every thread
+//! count.
 //!
 //! # When parallelism cannot pay
 //!
 //! Region setup, the split, and the round barrier are pure overhead on
-//! small runs (BENCH_NET measured `gather_round_par` speedups of
-//! 0.75–0.86 below city scale on small hosts), so every `_par` entry
-//! point first checks a cheap nodes-per-worker floor
-//! ([`PAR_MIN_NODES_PER_WORKER`], overridable per thread) and runs the
-//! serial kernel when the run is too small — bit-identical results
-//! either way, observable only through
+//! small runs, so every `_par` entry point first checks a cheap
+//! nodes-per-worker floor ([`PAR_MIN_NODES_PER_WORKER`], overridable
+//! per thread) and runs the serial kernel when the run is too small —
+//! bit-identical results either way, observable only through
 //! [`par_serial_fallback_count`]/[`par_engaged_count`].
-//!
-//! [`simulate_gathering_faulted_with`]: crate::gather::simulate_gathering_faulted_with
 
 use crate::csr::RegionPartition;
-use crate::gather::{GatherState, NetworkConfig, NetworkReport, PacketFate};
 use crate::lossy::{LossyConfig, LossyFate, LossyReport, LossyRoundCtx, LossyState};
-use crate::routing::{PackedRoutes, RoutingStrategy};
 use crate::topology::{NodeId, Position, Topology};
 use ami_sim::fault::FaultSchedule;
 use ami_sim::obs::{EnergyCategory, LedgerRecorder, NullRecorder, Recorder};
 use ami_sim::runner::RoundPool;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Mutex;
 
 /// Default floor on nodes-per-worker below which the `_par` entry
 /// points run the serial kernel instead of spinning up regions: below
 /// city scale the per-round barrier and split overhead outweigh the
 /// work (BENCH_NET measured speedups under 1.0 even at n=10⁴ on small
-/// hosts). Results are bit-identical either way — the engines exist
+/// hosts). Results are bit-identical either way — the engine exists
 /// precisely because parallel ≡ serial — so the threshold is purely a
 /// performance heuristic.
 pub const PAR_MIN_NODES_PER_WORKER: usize = 4096;
@@ -105,7 +73,7 @@ thread_local! {
 }
 
 /// Overrides [`PAR_MIN_NODES_PER_WORKER`] on this thread (`Some(0)`
-/// forces the parallel engines on, `None` restores the default).
+/// forces the parallel engine on, `None` restores the default).
 /// Returns the previous override so callers can scope it. Benchmarks
 /// force-engage so `_par` rows measure the engine, not the fallback.
 pub fn set_par_min_nodes_per_worker(min: Option<usize>) -> Option<usize> {
@@ -149,44 +117,11 @@ fn note_engaged() {
     PAR_ENGAGED.with(|cell| cell.set(cell.get() + 1));
 }
 
-/// One source's send this round: which node, and how many relay hops
-/// its packet visited (the hop ids live contiguously in the region's
-/// relay list, in walk order, for the spent-energy fold — a send's
-/// energy trace is the same shape whether it was delivered or faulted).
-struct SendRec {
-    src: u32,
-    relays: u32,
-}
-
-/// Per-region scratch, allocated once per run and reused every round.
-#[derive(Default)]
-struct RegionScratch {
-    records: Vec<SendRec>,
-    relays: Vec<u32>,
-    offered: u64,
-    disconnected: u64,
-    faulted: u64,
-    delivered: u64,
-    /// Live powered sensors in this region (idle charges this round).
-    alive_count: u64,
-}
-
-impl RegionScratch {
-    fn reset(&mut self) {
-        self.records.clear();
-        self.relays.clear();
-        self.offered = 0;
-        self.disconnected = 0;
-        self.faulted = 0;
-        self.delivered = 0;
-    }
-}
-
-/// Splits `budget` into per-region mutable slices (the partition is
-/// contiguous and ascending, so the split is a plain sequence of
-/// `split_at_mut`s). Each slice is wrapped in a `Mutex` purely to hand
-/// workers `&mut` access through a `Sync` job — one uncontended lock
-/// per region per phase.
+/// Splits a per-node array into per-region mutable slices (the
+/// partition is contiguous and ascending, so the split is a plain
+/// sequence of `split_at_mut`s). Each slice is wrapped in a `Mutex`
+/// purely to hand workers `&mut` access through a `Sync` job — one
+/// uncontended lock per region per round.
 fn split_regions<'b>(mut rest: &'b mut [f64], part: &RegionPartition) -> Vec<Mutex<&'b mut [f64]>> {
     let mut out = Vec::with_capacity(part.regions());
     let mut offset = 0usize;
@@ -198,333 +133,6 @@ fn split_regions<'b>(mut rest: &'b mut [f64], part: &RegionPartition) -> Vec<Mut
         offset = range.end;
     }
     out
-}
-
-/// [`simulate_gathering_faulted_with`](crate::gather::simulate_gathering_faulted_with)
-/// executed region-parallel on `threads` workers — bit-identical to the
-/// serial kernel at any thread count (1 included: the round machinery
-/// runs, jobs execute inline).
-///
-/// # Panics
-///
-/// Panics if `rounds` or `threads` is zero.
-pub fn simulate_gathering_faulted_par_with<R: Recorder>(
-    topology: &Topology,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-    faults: &FaultSchedule,
-    threads: usize,
-    recorder: &mut R,
-) -> NetworkReport {
-    assert!(rounds > 0, "simulate at least one round");
-    assert!(threads > 0, "at least one worker thread");
-    let n = topology.len();
-    if !parallel_pays(n, threads) {
-        note_fallback();
-        return crate::gather::simulate_gathering_faulted_with(
-            topology, strategy, config, rounds, faults, recorder,
-        );
-    }
-    note_engaged();
-    let positions: Vec<Position> = topology.ids().map(|id| topology.position(id)).collect();
-    // One region per worker, cut by spatial-grid candidate weight so
-    // dense districts do not pin one region.
-    let part = RegionPartition::balanced(&positions, config.max_hop, threads);
-
-    let mut state = GatherState::new(topology, strategy, config, faults);
-    let sink_id = state.sink.0;
-    let idle = state.idle_per_round;
-    let rx = state.rx_per_hop;
-
-    // Round-start budget snapshot for rollback.
-    let mut snapshot = vec![0.0f64; n];
-    // Packet arrivals per relay cell, split by source side (below = from
-    // smaller-id sources). Integer adds commute, so atomics stay
-    // deterministic at any schedule.
-    let below: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let above: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let scratch: Vec<Mutex<RegionScratch>> = (0..threads)
-        .map(|_| Mutex::new(RegionScratch::default()))
-        .collect();
-    // Set when the round's energy margin fails: roll back and go serial.
-    let rollback = AtomicBool::new(false);
-    // Flat next-hop image for the phase-2 walks, refreshed when the
-    // route-cache epoch moves.
-    let mut packed = PackedRoutes::new(n);
-
-    RoundPool::scoped(threads, |pool| {
-        for round in 0..rounds {
-            state.begin_round(round);
-            packed.ensure(&state.cache);
-            snapshot.copy_from_slice(&state.budget);
-            rollback.store(false, Ordering::Relaxed);
-
-            {
-                // Disjoint field borrows for the parallel phases.
-                let GatherState {
-                    budget,
-                    alive,
-                    down_now,
-                    cache,
-                    timeline,
-                    ..
-                } = &mut state;
-                let alive = &*alive;
-                let down_now = &*down_now;
-                let cache = &*cache;
-                let timeline = &*timeline;
-                let connected = cache.connected_flags();
-                let parent = packed.parent.as_slice();
-                let slices = split_regions(budget, &part);
-
-                // Phase 1 — idle debits, counter reset, and the S1
-                // margin pre-check: an idle charge that empties a live
-                // cell makes relays through it budget-dependent, so the
-                // whole round must run serial.
-                pool.run(&|w| {
-                    let mut slice = slices[w].lock().expect("region budget slice");
-                    let mut region = scratch[w].lock().expect("region scratch");
-                    region.reset();
-                    let mut alive_count = 0u64;
-                    let mut margin_gone = false;
-                    for (off, id) in part.range(w).enumerate() {
-                        below[id].store(0, Ordering::Relaxed);
-                        above[id].store(0, Ordering::Relaxed);
-                        if id == sink_id {
-                            continue;
-                        }
-                        if alive[id] && !down_now[id] {
-                            slice[off] -= idle;
-                            alive_count += 1;
-                            if slice[off] <= 0.0 {
-                                margin_gone = true;
-                            }
-                        }
-                    }
-                    region.alive_count = alive_count;
-                    if margin_gone {
-                        rollback.store(true, Ordering::Relaxed);
-                    }
-                });
-
-                if !rollback.load(Ordering::Relaxed) {
-                    // Phase 2 — budget-free packet walks. Fault
-                    // truncation depends only on round-constant state
-                    // (down flags, link windows, the route table), so
-                    // every fate and hop path is exact under the S1/S2
-                    // margins; arrivals are tallied per relay cell,
-                    // split by source side.
-                    pool.run(&|w| {
-                        let mut region = scratch[w].lock().expect("region scratch");
-                        let region = &mut *region;
-                        for src in part.range(w) {
-                            if src == sink_id || !alive[src] || down_now[src] {
-                                continue;
-                            }
-                            region.offered += 1;
-                            if !connected[src] {
-                                region.disconnected += 1;
-                                continue;
-                            }
-                            let start = region.relays.len();
-                            let mut from = src;
-                            let mut fate = PacketFate::Delivered;
-                            loop {
-                                let hop = parent[from] as usize;
-                                debug_assert!(
-                                    hop != u32::MAX as usize,
-                                    "connected route reaches the sink"
-                                );
-                                if (hop != sink_id && down_now[hop])
-                                    || timeline.link_down(from, hop)
-                                {
-                                    fate = PacketFate::Fault;
-                                    break;
-                                }
-                                if hop == sink_id {
-                                    break;
-                                }
-                                // The packet landed on relay `hop`.
-                                if src < hop {
-                                    below[hop].fetch_add(1, Ordering::Relaxed);
-                                } else {
-                                    above[hop].fetch_add(1, Ordering::Relaxed);
-                                }
-                                region.relays.push(hop as u32);
-                                from = hop;
-                            }
-                            match fate {
-                                PacketFate::Delivered => region.delivered += 1,
-                                PacketFate::Fault => region.faulted += 1,
-                                PacketFate::DeadHop => unreachable!("walks are budget-free"),
-                            }
-                            region.records.push(SendRec {
-                                src: src as u32,
-                                relays: (region.relays.len() - start) as u32,
-                            });
-                        }
-                    });
-
-                    // Phase 3 — per-cell budget replay and the S2
-                    // margin check. A cell's serial debit sequence is
-                    // `(rx, tx)`×below, own tx, `(rx, tx)`×above, and
-                    // every tx (resp. rx) debit carries one value, so
-                    // this local fold reproduces the serial f64 result
-                    // bit for bit. Budgets are monotone within a round,
-                    // so all-positive optimistic finals prove the
-                    // serial kernel never saw an exhausted hop —
-                    // i.e. it made these exact walks.
-                    let tx_costs = cache.tx_costs();
-                    pool.run(&|w| {
-                        let mut slice = slices[w].lock().expect("region budget slice");
-                        let mut margin_gone = false;
-                        for (off, id) in part.range(w).enumerate() {
-                            if id == sink_id {
-                                continue;
-                            }
-                            let b = below[id].load(Ordering::Relaxed);
-                            let a = above[id].load(Ordering::Relaxed);
-                            let sent = alive[id] && !down_now[id] && connected[id];
-                            if b == 0 && a == 0 && !sent {
-                                continue;
-                            }
-                            let txc = tx_costs[id];
-                            let cell = &mut slice[off];
-                            for _ in 0..b {
-                                *cell -= rx;
-                                *cell -= txc;
-                            }
-                            if sent {
-                                *cell -= txc;
-                            }
-                            for _ in 0..a {
-                                *cell -= rx;
-                                *cell -= txc;
-                            }
-                            if alive[id] && !down_now[id] && *cell <= 0.0 {
-                                margin_gone = true;
-                            }
-                        }
-                        if margin_gone {
-                            rollback.store(true, Ordering::Relaxed);
-                        }
-                    });
-                }
-            }
-
-            if rollback.load(Ordering::Relaxed) {
-                // Conservative fallback: restore the round-start budgets
-                // and run the serial phase — the pinned oracle — so
-                // exhaustion rounds are serial by construction.
-                state.budget.copy_from_slice(&snapshot);
-                state.idle_and_send(recorder);
-            } else {
-                commit_round(&mut state, recorder, &part, &scratch, &below, &above);
-            }
-            state.end_round(round);
-        }
-    });
-
-    state.finish(rounds, recorder)
-}
-
-/// Folds a validated parallel round into the run state in the fixed
-/// reduction order — regions ascending, nodes ascending within each,
-/// which equals ascending global node id, the serial charge order.
-fn commit_round<R: Recorder>(
-    state: &mut GatherState<'_>,
-    recorder: &mut R,
-    part: &RegionPartition,
-    scratch: &[Mutex<RegionScratch>],
-    below: &[AtomicU32],
-    above: &[AtomicU32],
-) {
-    let sink_id = state.sink.0;
-    let idle = state.idle_per_round;
-    let rx = state.rx_per_hop;
-    let GatherState {
-        cache,
-        alive,
-        down_now,
-        spent,
-        delivered,
-        ..
-    } = state;
-    let tx_costs = cache.tx_costs();
-    let connected = cache.connected_flags();
-
-    // Idle energy: the serial kernel adds one identical idle quantum to
-    // `spent` per live powered sensor, ascending — a pure count replay.
-    // The recorder sees the same single charge per cell it would have.
-    let mut offered = 0u64;
-    let mut dropped_disconnected = 0u64;
-    let mut dropped_fault = 0u64;
-    let mut round_delivered = 0u64;
-    let mut alive_total = 0u64;
-    for region in scratch {
-        let region = region.lock().expect("region scratch");
-        alive_total += region.alive_count;
-        offered += region.offered;
-        dropped_disconnected += region.disconnected;
-        dropped_fault += region.faulted;
-        round_delivered += region.delivered;
-    }
-    for _ in 0..alive_total {
-        *spent += idle;
-    }
-    for (id, (&is_alive, &is_down)) in alive.iter().zip(down_now.iter()).enumerate() {
-        if id != sink_id && is_alive && !is_down {
-            recorder.charge(id, EnergyCategory::Idle, idle);
-        }
-    }
-
-    // Total spent energy is the one order-sensitive global fold: replay
-    // the recorded walks source-ascending (region order ⇒ id order),
-    // debiting the exact serial value sequence tx(src), then rx, tx(r)
-    // per visited relay.
-    for region in scratch {
-        let region = region.lock().expect("region scratch");
-        let mut cursor = 0usize;
-        for rec in &region.records {
-            *spent += tx_costs[rec.src as usize];
-            for &relay in &region.relays[cursor..cursor + rec.relays as usize] {
-                *spent += rx;
-                *spent += tx_costs[relay as usize];
-            }
-            cursor += rec.relays as usize;
-        }
-    }
-
-    // Ledger replay, ascending cell id: all tx debits on one cell carry
-    // one value (likewise rx), so per-(cell, category) accumulation is
-    // a count replay of the serial sequence.
-    for r in 0..part.regions() {
-        for id in part.range(r) {
-            if id == sink_id {
-                continue;
-            }
-            let b = below[id].load(Ordering::Relaxed) as u64;
-            let a = above[id].load(Ordering::Relaxed) as u64;
-            let sent = alive[id] && !down_now[id] && connected[id];
-            let tx_count = b + a + u64::from(sent);
-            for _ in 0..tx_count {
-                recorder.charge(id, EnergyCategory::Tx, tx_costs[id]);
-            }
-            for _ in 0..(b + a) {
-                recorder.charge(id, EnergyCategory::RxRelay, rx);
-            }
-        }
-    }
-
-    // Packet tallies are plain counters: bulk-commit the round's sums
-    // (region-ascending). Dead-hop drops cannot occur in a committed
-    // round — that is precisely what the energy margin proved.
-    recorder.packets_offered(offered);
-    recorder.packets_delivered(round_delivered);
-    recorder.packets_dropped_disconnected(dropped_disconnected);
-    recorder.packets_dropped_fault(dropped_fault);
-    *delivered += round_delivered;
 }
 
 /// Per-region scratch of the lossy engine. Walks from region `w` can
@@ -825,272 +433,17 @@ pub fn simulate_lossy_gathering_faulted_observed_par(
     (report, recorder)
 }
 
-/// [`simulate_gathering`](crate::simulate_gathering) executed
-/// region-parallel on `threads` workers. See
-/// [`simulate_gathering_faulted_par_with`].
-///
-/// # Panics
-///
-/// Panics if `rounds` or `threads` is zero.
-pub fn simulate_gathering_par(
-    topology: &Topology,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-    threads: usize,
-) -> NetworkReport {
-    simulate_gathering_faulted_par_with(
-        topology,
-        strategy,
-        config,
-        rounds,
-        &FaultSchedule::empty(),
-        threads,
-        &mut NullRecorder,
-    )
-}
-
-/// [`simulate_gathering_observed`](crate::simulate_gathering_observed)
-/// executed region-parallel on `threads` workers: ledger and counters
-/// are byte-identical to the serial kernel's.
-///
-/// # Panics
-///
-/// Panics if `rounds` or `threads` is zero.
-pub fn simulate_gathering_observed_par(
-    topology: &Topology,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-    threads: usize,
-) -> (NetworkReport, LedgerRecorder) {
-    simulate_gathering_faulted_observed_par(
-        topology,
-        strategy,
-        config,
-        rounds,
-        &FaultSchedule::empty(),
-        threads,
-    )
-}
-
-/// [`simulate_gathering_faulted`](crate::simulate_gathering_faulted)
-/// executed region-parallel on `threads` workers. See
-/// [`simulate_gathering_faulted_par_with`].
-///
-/// # Panics
-///
-/// Panics if `rounds` or `threads` is zero.
-pub fn simulate_gathering_faulted_par(
-    topology: &Topology,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-    faults: &FaultSchedule,
-    threads: usize,
-) -> NetworkReport {
-    simulate_gathering_faulted_par_with(
-        topology,
-        strategy,
-        config,
-        rounds,
-        faults,
-        threads,
-        &mut NullRecorder,
-    )
-}
-
-/// [`simulate_gathering_faulted_observed`](crate::simulate_gathering_faulted_observed)
-/// executed region-parallel on `threads` workers.
-///
-/// # Panics
-///
-/// Panics if `rounds` or `threads` is zero.
-pub fn simulate_gathering_faulted_observed_par(
-    topology: &Topology,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-    faults: &FaultSchedule,
-    threads: usize,
-) -> (NetworkReport, LedgerRecorder) {
-    let mut recorder = LedgerRecorder::with_nodes(topology.len());
-    let report = simulate_gathering_faulted_par_with(
-        topology,
-        strategy,
-        config,
-        rounds,
-        faults,
-        threads,
-        &mut recorder,
-    );
-    (report, recorder)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gather::{simulate_gathering, simulate_gathering_faulted_observed};
     use ami_sim::fault::{FaultEvent, FaultModel};
-    use ami_units::{Energy, Length, Power};
+    use ami_units::Length;
 
-    /// Forces the region engines on for this test thread: the fixtures
+    /// Forces the region engine on for this test thread: the fixtures
     /// here are far below the production nodes-per-worker floor, and
     /// the point is to exercise the engine, not the fallback.
     fn engage_engine() {
         set_par_min_nodes_per_worker(Some(0));
-    }
-
-    #[test]
-    fn healthy_grid_matches_serial_at_every_thread_count() {
-        engage_engine();
-        let topo = Topology::grid(6, Length::from_meters(30.0));
-        let config = NetworkConfig::sensor_default();
-        for strategy in [
-            RoutingStrategy::DirectToSink,
-            RoutingStrategy::MinimumEnergy,
-        ] {
-            let serial = simulate_gathering(&topo, strategy, &config, 60);
-            for threads in [1, 2, 8] {
-                let par = simulate_gathering_par(&topo, strategy, &config, 60, threads);
-                assert_eq!(par, serial, "{strategy:?} at {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn death_rounds_roll_back_and_match_serial_exactly() {
-        // Tiny budgets: nodes die mid-run, exercising S1/S2 rollbacks
-        // and post-death route rebuilds.
-        engage_engine();
-        let mut config = NetworkConfig::sensor_default();
-        config.node_energy = Energy::from_millijoules(40.0);
-        let topo = Topology::grid(4, Length::from_meters(30.0));
-        let serial = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 2000);
-        assert!(serial.first_death_round.is_some(), "the fixture must die");
-        for threads in [1, 2, 8] {
-            let par = simulate_gathering_par(
-                &topo,
-                RoutingStrategy::MinimumEnergy,
-                &config,
-                2000,
-                threads,
-            );
-            assert_eq!(par, serial, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn faulted_observed_run_matches_serial_ledger_bitwise() {
-        engage_engine();
-        let mut config = NetworkConfig::sensor_default();
-        config.idle_power = Power::from_microwatts(40.0);
-        let topo = Topology::grid(5, Length::from_meters(30.0));
-        let model = FaultModel {
-            death_rate: 0.3,
-            outage_rate: 0.3,
-            outage_rounds: 12,
-            link_outage_rate: 0.2,
-            link_outage_rounds: 9,
-            fade_rate: 0.2,
-            fade_factor: 0.6,
-        };
-        let faults = model.schedule(2003, topo.len(), 80);
-        let (serial_report, serial_obs) = simulate_gathering_faulted_observed(
-            &topo,
-            RoutingStrategy::MinimumEnergy,
-            &config,
-            80,
-            &faults,
-        );
-        for threads in [1, 2, 8] {
-            let (report, obs) = simulate_gathering_faulted_observed_par(
-                &topo,
-                RoutingStrategy::MinimumEnergy,
-                &config,
-                80,
-                &faults,
-                threads,
-            );
-            assert_eq!(report, serial_report, "{threads} threads");
-            assert_eq!(obs, serial_obs, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn exhausted_relay_round_is_bit_exact_via_fallback() {
-        // The zombie-relay fixture: node 1's budget dies mid-round, the
-        // canonical case the optimistic replay must NOT commit.
-        engage_engine();
-        let topo = Topology::new(vec![
-            crate::topology::Position::new(0.0, 0.0),
-            crate::topology::Position::new(40.0, 0.0),
-            crate::topology::Position::new(80.0, 0.0),
-        ]);
-        let mut config = NetworkConfig::sensor_default();
-        config.idle_power = Power::ZERO;
-        let bits = config.packet.total_bits();
-        let tx = config
-            .radio
-            .transmit_energy(bits, Length::from_meters(40.0))
-            .as_joules();
-        let rx = config.radio.receive_energy(bits).as_joules();
-        config.node_energy = Energy::from_joules(tx + rx * 0.5);
-        let serial = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, 5);
-        assert_eq!(serial.first_death_round, Some(1));
-        for threads in [1, 2, 8] {
-            let par =
-                simulate_gathering_par(&topo, RoutingStrategy::MinimumEnergy, &config, 5, threads);
-            assert_eq!(par, serial, "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn link_outage_into_the_sink_is_honored() {
-        engage_engine();
-        let topo = Topology::new(vec![
-            crate::topology::Position::new(0.0, 0.0),
-            crate::topology::Position::new(20.0, 0.0),
-        ]);
-        let config = NetworkConfig::sensor_default();
-        let faults = FaultSchedule::new(vec![FaultEvent::LinkOutage {
-            a: 1,
-            b: 0,
-            from: 1,
-            until: 3,
-        }]);
-        let (serial, serial_obs) = simulate_gathering_faulted_observed(
-            &topo,
-            RoutingStrategy::DirectToSink,
-            &config,
-            4,
-            &faults,
-        );
-        for threads in [1, 2] {
-            let (par, obs) = simulate_gathering_faulted_observed_par(
-                &topo,
-                RoutingStrategy::DirectToSink,
-                &config,
-                4,
-                &faults,
-                threads,
-            );
-            assert_eq!(par, serial);
-            assert_eq!(obs, serial_obs);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_threads_rejected() {
-        let topo = Topology::grid(3, Length::from_meters(20.0));
-        let _ = simulate_gathering_par(
-            &topo,
-            RoutingStrategy::MinimumEnergy,
-            &NetworkConfig::sensor_default(),
-            1,
-            0,
-        );
     }
 
     #[test]
@@ -1183,26 +536,10 @@ mod tests {
             set_par_min_nodes_per_worker(None);
             reset_par_engagement_counters();
             let topo = Topology::grid(4, Length::from_meters(30.0));
-            let gather = simulate_gathering_par(
-                &topo,
-                RoutingStrategy::MinimumEnergy,
-                &NetworkConfig::sensor_default(),
-                10,
-                8,
-            );
             let lossy =
                 simulate_lossy_gathering_par(&topo, &LossyConfig::bruised_channel(), 10, 3, 8);
-            assert_eq!(par_serial_fallback_count(), 2);
+            assert_eq!(par_serial_fallback_count(), 1);
             assert_eq!(par_engaged_count(), 0);
-            assert_eq!(
-                gather,
-                simulate_gathering(
-                    &topo,
-                    RoutingStrategy::MinimumEnergy,
-                    &NetworkConfig::sensor_default(),
-                    10
-                )
-            );
             assert_eq!(
                 lossy,
                 simulate_lossy_gathering(&topo, &LossyConfig::bruised_channel(), 10, 3)

@@ -81,10 +81,10 @@ fn note_route_repair() {
 /// # Thread safety
 ///
 /// The counter is **thread-local**: builds performed by worker threads
-/// (the region-parallel PDES engine included — its workers replay routing
-/// on the caller's thread, which is why `expt_f15_city_scale` can read
-/// it) are visible only on the thread that performed them. When a test
-/// needs counts attributable to one simulation rather than one thread,
+/// are visible only on the thread that performed them (the
+/// region-parallel lossy engine resolves routes on the caller's thread,
+/// so its builds count there). When a test needs counts attributable
+/// to one simulation rather than one thread,
 /// prefer the per-cache [`RouteCache::builds`] / [`RouteCache::repairs`]
 /// accessors, which need no global state at all.
 pub fn route_build_count() -> u64 {
@@ -762,8 +762,9 @@ impl RouteCache {
 
     /// All per-node transmit costs, indexed by raw id — the bulk form
     /// of [`tx_cost`](Self::tx_cost) for kernels that fold charges over
-    /// many nodes per round (the region-parallel replay loops index
-    /// this slice directly instead of paying a method call per hop).
+    /// many nodes per round (the lossy charge commits and the packed
+    /// route image index this slice directly instead of paying a method
+    /// call per node).
     pub fn tx_costs(&self) -> &[f64] {
         &self.tx_cost
     }

@@ -10,19 +10,12 @@
 //!   energy ledgers and rendered manifests, across random topologies ×
 //!   random fault schedules, with failures delta-debugged down to a
 //!   1-minimal schedule before reporting,
-//! * **region-parallel rounds ≡ the serial kernel** — the conservative
-//!   PDES engine (`ami_net::pdes`) at 1, 2 and 8 worker threads must
-//!   reproduce the serial run's report, ledger, counter tree, rendered
-//!   manifest *and* route-cache build/repair accounting, across random
-//!   fault schedules with energy deaths provoked mid-run (the rollback
-//!   path), again with ddmin minimization on failure,
 //! * **region-parallel lossy rounds ≡ the serial counter-RNG kernel** —
-//!   the rollback-free lossy engine at 1, 2 and 8 threads must
-//!   reproduce the serial ARQ run's report, ledger and rendered
-//!   manifest across random fault schedules (the per-packet counter
-//!   streams are what make this possible at all; the retired
-//!   sequential-stream kernel is pinned separately by its frozen
-//!   golden in `lossy.rs`).
+//!   the rollback-free lossy engine (`ami_net::pdes`) at 1, 2 and 8
+//!   threads must reproduce the serial ARQ run's report, ledger and
+//!   rendered manifest across random fault schedules (the per-packet
+//!   counter streams are what make this possible at all), again with
+//!   ddmin minimization on failure.
 //!
 //! The `_par` fixtures here sit far below the production
 //! nodes-per-worker floor, so every parallel run force-engages the
@@ -41,10 +34,9 @@ use ami_net::routing::{
 };
 use ami_net::{
     build_routes, build_routes_over, set_par_min_nodes_per_worker, simulate_gathering_faulted,
-    simulate_gathering_faulted_observed, simulate_gathering_faulted_observed_par,
-    simulate_lossy_gathering_faulted_observed, simulate_lossy_gathering_faulted_observed_par,
-    CsrAdjacency, LossyConfig, LossyReport, NetworkConfig, NetworkReport, NodeId, RoutingStrategy,
-    Topology,
+    simulate_gathering_faulted_observed, simulate_lossy_gathering_faulted_observed,
+    simulate_lossy_gathering_faulted_observed_par, CsrAdjacency, LossyConfig, LossyReport,
+    NetworkConfig, NetworkReport, NodeId, RoutingStrategy, Topology,
 };
 use ami_radio::RadioEnergyModel;
 use ami_sim::fault::{FaultSchedule, FaultSpec};
@@ -303,121 +295,6 @@ proptest! {
                 manifest_r == manifest_f,
             );
         }
-    }
-}
-
-/// One faulted, observed region-parallel gathering run at `threads`
-/// workers, plus its rendered manifest and the route-cache transition
-/// accounting it performed — everything the PDES contract pins.
-fn pdes_observed_run(
-    topo: &Topology,
-    config: &NetworkConfig,
-    schedule: &FaultSchedule,
-    rounds: u64,
-    threads: Option<usize>,
-) -> (NetworkReport, LedgerRecorder, String, (u64, u64)) {
-    reset_route_build_count();
-    reset_route_repair_count();
-    let (report, obs) = match threads {
-        Some(threads) => simulate_gathering_faulted_observed_par(
-            topo,
-            RoutingStrategy::MinimumEnergy,
-            config,
-            rounds,
-            schedule,
-            threads,
-        ),
-        None => simulate_gathering_faulted_observed(
-            topo,
-            RoutingStrategy::MinimumEnergy,
-            config,
-            rounds,
-            schedule,
-        ),
-    };
-    let manifest = RunManifest::new("differential")
-        .field("rounds", &rounds)
-        .field("report", &report)
-        .ledger(&obs.ledger)
-        .counters(&obs.packets.tree())
-        .runner()
-        .to_json();
-    (
-        report,
-        obs,
-        manifest,
-        (route_build_count(), route_repair_count()),
-    )
-}
-
-proptest! {
-    /// PDES contract, simulation + manifest + table level: the
-    /// region-parallel engine at 1, 2 and 8 threads is byte-identical
-    /// to the serial kernel — report, ledger, rendered manifest and
-    /// route build/repair counts — under random fault schedules with
-    /// budget deaths provoked mid-run so the S1/S2 rollback path runs.
-    #[test]
-    fn region_parallel_rounds_match_the_serial_kernel(
-        seed in 0u64..40,
-        schedule in fault_schedule(24, 25, 10),
-    ) {
-        set_par_min_nodes_per_worker(Some(0));
-        let topo = Topology::random(24, Length::from_meters(110.0), seed);
-        let mut config = NetworkConfig::sensor_default();
-        // ~12 rounds of idle budget: energy deaths mid-run force
-        // optimistic rounds to roll back to the serial oracle.
-        config.node_energy = Energy::from_joules(0.015);
-        let diverges = |s: &FaultSchedule| {
-            let serial = pdes_observed_run(&topo, &config, s, 25, None);
-            [1usize, 2, 8]
-                .iter()
-                .any(|&t| pdes_observed_run(&topo, &config, s, 25, Some(t)) != serial)
-        };
-        if diverges(&schedule) {
-            let minimized =
-                minimize_failing_schedule(schedule.events(), |s| diverges(s));
-            let serial = pdes_observed_run(&topo, &config, &minimized, 25, None);
-            let par = pdes_observed_run(&topo, &config, &minimized, 25, Some(8));
-            panic!(
-                "region-parallel run diverged from serial (seed {seed})\n\
-                 minimized schedule: {:?}\nserial report: {:?}\n\
-                 parallel report: {:?}\nmanifests equal: {}\n\
-                 serial (builds, repairs): {:?} parallel: {:?}",
-                minimized.events(),
-                serial.0,
-                par.0,
-                serial.2 == par.2,
-                serial.3,
-                par.3,
-            );
-        }
-    }
-}
-
-#[test]
-fn region_parallel_rounds_match_serial_at_n1600_under_the_bench_fault_mix() {
-    // Acceptance-scale spot check: one n=1600 faulted run, serial vs
-    // region-parallel at 1/2/8 threads, bit-identical reports and
-    // identical transition accounting. (The n=100k differential lives
-    // in `scale_smoke` behind `--ignored`.)
-    set_par_min_nodes_per_worker(Some(0));
-    let n = 1600;
-    let side = Length::from_meters(25.0 * (n as f64).sqrt());
-    let spec = FaultSpec::parse("death=0.1,outage=0.2:10,link=0.1:8").expect("bench fault mix");
-    let config = NetworkConfig::sensor_default();
-    let topo = Topology::random(n, side, 2003);
-    let faults = spec.schedule_for(2003, n, 30);
-    let serial = pdes_observed_run(&topo, &config, &faults, 30, None);
-    assert!(
-        serial.0.delivered_packets > 0,
-        "the faulted network still delivers"
-    );
-    for threads in [1usize, 2, 8] {
-        let par = pdes_observed_run(&topo, &config, &faults, 30, Some(threads));
-        assert_eq!(par.0, serial.0, "report at {threads} threads");
-        assert_eq!(par.1, serial.1, "ledger at {threads} threads");
-        assert_eq!(par.2, serial.2, "manifest at {threads} threads");
-        assert_eq!(par.3, serial.3, "build/repair counts at {threads} threads");
     }
 }
 

@@ -7,20 +7,19 @@
 //! is only admissible because it changes *nothing*: the S1/S2 energy
 //! margins prove, per round, that the serial kernel would have seen no
 //! mid-round budget death, and every f64 fold replays the serial charge
-//! order. These tests pin that contract the same way the repair and
-//! PDES layers are pinned — random topologies × random fault schedules
-//! with budget deaths provoked mid-run, bit equality on all artifacts,
-//! failures delta-debugged to a 1-minimal schedule — plus targeted
-//! regressions for the fallback machinery itself (death rounds must
-//! route through the retained hop-walk oracle and be counted).
+//! order. These tests pin that contract the same way the repair layer
+//! is pinned — random topologies × random fault schedules with budget
+//! deaths provoked mid-run, bit equality on all artifacts, failures
+//! delta-debugged to a 1-minimal schedule — plus targeted regressions
+//! for the fallback machinery itself (death rounds must route through
+//! the retained hop-walk oracle and be counted).
 
 mod common;
 
 use ami_net::{
     agg_engaged_count, agg_fallback_count, reset_agg_counters, set_aggregated_rounds,
-    set_par_min_nodes_per_worker, simulate_gathering, simulate_gathering_faulted_observed,
-    simulate_gathering_faulted_observed_par, GatherSession, NetworkConfig, NetworkReport,
-    RoutingStrategy, Topology,
+    simulate_gathering, simulate_gathering_faulted_observed, GatherSession, NetworkConfig,
+    NetworkReport, RoutingStrategy, Topology,
 };
 use ami_sim::fault::{FaultEvent, FaultSchedule};
 use ami_sim::obs::{LedgerRecorder, RunManifest};
@@ -110,44 +109,12 @@ proptest! {
     }
 }
 
-proptest! {
-    /// The region-parallel engine must agree with the *aggregated*
-    /// serial kernel too (its rollback path replays the hop walk, its
-    /// clean path the same S1/S2-margined sweep): reports, ledgers and
-    /// manifests at 1, 2 and 8 workers equal the serial aggregated run.
-    #[test]
-    fn region_parallel_matches_the_aggregated_serial_kernel(
-        seed in 0u64..20,
-        schedule in fault_schedule(24, 20, 8),
-    ) {
-        let _mode = AggMode::set(true);
-        set_par_min_nodes_per_worker(Some(0));
-        let topo = Topology::random(24, Length::from_meters(110.0), seed);
-        let mut config = NetworkConfig::sensor_default();
-        config.node_energy = Energy::from_joules(0.015);
-        let serial = observed_run(&topo, &config, &schedule, 20, true);
-        for threads in [1usize, 2, 8] {
-            let (report, obs) = simulate_gathering_faulted_observed_par(
-                &topo,
-                RoutingStrategy::MinimumEnergy,
-                &config,
-                20,
-                &schedule,
-                threads,
-            );
-            prop_assert_eq!(&report, &serial.0, "report at {} threads", threads);
-            prop_assert_eq!(&obs, &serial.1, "ledger at {} threads", threads);
-        }
-    }
-}
-
 #[test]
 fn death_rounds_fall_back_to_the_hop_walk_and_are_counted() {
     // ~6 idle rounds of budget: relays die mid-run, so some rounds must
     // fail the S1/S2 margin and route through the retained oracle. The
-    // engaged/fallback counters mirror the PDES engagement counters —
-    // CI and tests assert the fast path actually ran, not just that
-    // results matched.
+    // engaged/fallback counters let CI and tests assert the fast path
+    // actually ran, not just that results matched.
     let _mode = AggMode::set(true);
     let topo = Topology::random(64, Length::from_meters(180.0), 7);
     let mut config = NetworkConfig::sensor_default();
@@ -282,7 +249,10 @@ fn session_faulted_runs_match_the_one_shot_entry_point() {
     }]);
     let clean = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, rounds);
 
-    for (label, schedule) in [("link-only", &link_only), ("round-0 outage", &round0_outage)] {
+    for (label, schedule) in [
+        ("link-only", &link_only),
+        ("round-0 outage", &round0_outage),
+    ] {
         let mut session = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config);
         // Warm the session: this memoizes the fault-free round image.
         assert_eq!(session.run(rounds), clean, "warm-up run ({label})");

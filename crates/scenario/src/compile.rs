@@ -42,8 +42,7 @@ use crate::spec::{ScenarioError, ScenarioHash, ScenarioSpec, WorkloadSpec};
 use ami_core::case_studies::cs1::{cs1_energy_ledger, sweep_check_interval, Cs1Config};
 use ami_net::{
     replicate_gathering_faulted_observed_threads, replicate_gathering_observed_threads,
-    simulate_gathering_faulted_observed, simulate_gathering_faulted_observed_par,
-    simulate_lossy_gathering_faulted, simulate_lossy_gathering_faulted_par, LossyConfig,
+    simulate_gathering_faulted_observed, simulate_lossy_gathering_faulted_par, LossyConfig,
     NetworkConfig, Topology,
 };
 use ami_radio::StopAndWaitArq;
@@ -51,12 +50,6 @@ use ami_sim::fault::{FaultSchedule, FaultSpec, FaultTimeline};
 use ami_sim::obs::{CounterTree, RunManifest};
 use ami_units::TimeSpan;
 use std::sync::Arc;
-
-/// Node count from which single gathering runs switch to the
-/// region-parallel PDES kernel when more than one worker is available
-/// (bit-identical to the serial kernel by contract — the threshold is a
-/// performance knob, never a results knob).
-pub const PDES_MIN_NODES: usize = 512;
 
 /// An immutable, pre-lowered scenario: everything shareable between
 /// runs, behind one [`Arc`]. See the [module docs](self).
@@ -95,9 +88,7 @@ impl CompiledScenario {
         let network = spec.network.to_network_config();
         let faults = spec.fault_spec()?;
         let lossy = match spec.workload {
-            WorkloadSpec::Lossy {
-                ber, arq_attempts, ..
-            } => {
+            WorkloadSpec::Lossy { ber, arq_attempts } => {
                 let mut config = LossyConfig::bruised_channel();
                 config.ber = ber;
                 config.arq = StopAndWaitArq::new(arq_attempts);
@@ -197,9 +188,11 @@ impl CompiledScenario {
     /// The manifest embeds the canonical spec and hash, the runner
     /// policy stanza, and the workload's results (ledger, counters,
     /// headline figures). It is **byte-identical at any `threads`**:
-    /// replications merge in seed order and the PDES kernel is
-    /// bit-identical to the serial one, so thread count is pure
-    /// mechanism.
+    /// replications merge in seed order, single gathering runs execute
+    /// on the serial aggregated kernel at every thread count, and the
+    /// region-parallel lossy engine is bit-identical to the serial one
+    /// (it engages only when [`ami_net::pdes`]'s nodes-per-worker floor
+    /// says the run is big enough), so thread count is pure mechanism.
     ///
     /// # Panics
     ///
@@ -221,24 +214,13 @@ impl CompiledScenario {
                         .expect("validated gathering spec pins a topology");
                     let empty = FaultSchedule::empty();
                     let schedule = self.schedule.as_ref().unwrap_or(&empty);
-                    let (report, obs) = if threads > 1 && topo.len() >= PDES_MIN_NODES {
-                        simulate_gathering_faulted_observed_par(
-                            topo,
-                            strategy,
-                            &self.network,
-                            rounds,
-                            schedule,
-                            threads,
-                        )
-                    } else {
-                        simulate_gathering_faulted_observed(
-                            topo,
-                            strategy,
-                            &self.network,
-                            rounds,
-                            schedule,
-                        )
-                    };
+                    let (report, obs) = simulate_gathering_faulted_observed(
+                        topo,
+                        strategy,
+                        &self.network,
+                        rounds,
+                        schedule,
+                    );
                     manifest
                         .field("delivered_packets", &report.delivered_packets)
                         .field("alive_nodes", &(report.alive_nodes as u64))
@@ -285,9 +267,7 @@ impl CompiledScenario {
                         .counters(&obs.packets.tree())
                 }
             }
-            WorkloadSpec::Lossy {
-                parallel_rounds, ..
-            } => {
+            WorkloadSpec::Lossy { .. } => {
                 let topo = self
                     .topology
                     .as_ref()
@@ -298,33 +278,18 @@ impl CompiledScenario {
                     .expect("lossy workloads compile a LossyConfig");
                 let empty = FaultSchedule::empty();
                 let schedule = self.schedule.as_ref().unwrap_or(&empty);
-                // The spec's knob wins; unset, single runs go parallel
-                // at PDES scale exactly like gathering. Either path is
-                // bit-identical — the counter-RNG kernel's contract —
-                // so this only chooses execution, never results.
-                let use_par = threads > 1
-                    && match parallel_rounds {
-                        Some(parallel) => *parallel,
-                        None => topo.len() >= PDES_MIN_NODES,
-                    };
-                let report = if use_par {
-                    simulate_lossy_gathering_faulted_par(
-                        topo,
-                        config,
-                        self.spec.rounds,
-                        self.spec.seed,
-                        schedule,
-                        threads,
-                    )
-                } else {
-                    simulate_lossy_gathering_faulted(
-                        topo,
-                        config,
-                        self.spec.rounds,
-                        self.spec.seed,
-                        schedule,
-                    )
-                };
+                // The region engine decides by size whether to engage
+                // (it runs the serial kernel below its nodes-per-worker
+                // floor); either path is bit-identical — the
+                // counter-RNG kernel's contract.
+                let report = simulate_lossy_gathering_faulted_par(
+                    topo,
+                    config,
+                    self.spec.rounds,
+                    self.spec.seed,
+                    schedule,
+                    threads,
+                );
                 let counters = CounterTree::branch([
                     (
                         "packets",
@@ -453,50 +418,42 @@ mod tests {
     }
 
     #[test]
-    fn lossy_parallel_rounds_knob_only_moves_execution() {
-        // Whatever the knob says — forced on, forced off, or unset —
-        // the manifest is byte-identical at every worker count: the
-        // PDES lossy engine's contract, surfaced at the scenario layer.
-        // (The 9-node grid sits under the engine's nodes-per-worker
-        // floor, so force-engage it for the `true` runs.)
-        ami_net::set_par_min_nodes_per_worker(Some(0));
-        let docs = [
-            "",
-            r#", "parallel_rounds": true"#,
-            r#", "parallel_rounds": false"#,
-        ];
-        let manifests: Vec<String> = docs
-            .iter()
-            .map(|extra| {
-                let spec = ScenarioSpec::from_json_str(&format!(
-                    r#"{{
-                        "name": "t-lossy",
-                        "rounds": 20,
-                        "topology": {{"kind": "grid", "side": 3, "spacing_m": 30.0}},
-                        "workload": {{"kind": "lossy", "ber": 0.001, "arq_attempts": 4{extra}}}
-                    }}"#
-                ))
-                .unwrap();
-                let compiled = CompiledScenario::compile(&spec).unwrap();
-                let one = compiled.run_threads(1).to_json();
-                let four = compiled.run_threads(4).to_json();
-                assert_eq!(one, four, "thread-variant manifest with {extra:?}");
-                one
-            })
-            .collect();
-        ami_net::set_par_min_nodes_per_worker(None);
-        // The knob is spelled in the canonical spec (hence the hash and
-        // the manifest header) when set, so strip nothing: compare the
-        // *numbers* by checking the knob-free and knob-forced runs agree
-        // on counters and energy lines.
-        let body = |m: &str| {
-            m.lines()
-                .filter(|l| l.contains("total_energy_j") || l.contains("counters"))
-                .collect::<Vec<_>>()
-                .join("\n")
+    fn only_lossy_runs_engage_the_region_engine() {
+        // With the nodes-per-worker floor forced to zero, every
+        // multi-worker lossy run engages the region engine, while
+        // gathering runs stay on the serial aggregated kernel at any
+        // worker count. The manifest is byte-identical either way.
+        let floor = ami_net::set_par_min_nodes_per_worker(Some(0));
+        let spec = |name: &str, side: u32, workload: &str| {
+            ScenarioSpec::from_json_str(&format!(
+                r#"{{
+                    "name": "{name}",
+                    "rounds": 20,
+                    "topology": {{"kind": "grid", "side": {side}, "spacing_m": 30.0}},
+                    "workload": {workload}
+                }}"#
+            ))
+            .unwrap()
         };
-        assert_eq!(body(&manifests[0]), body(&manifests[1]));
-        assert_eq!(body(&manifests[0]), body(&manifests[2]));
+        let gathering = r#"{"kind": "gathering", "strategy": "minimum_energy"}"#;
+        let lossy = r#"{"kind": "lossy", "ber": 0.001, "arq_attempts": 4}"#;
+        for (spec, engaged) in [
+            (spec("t-gather", 23, gathering), 0),
+            (spec("t-lossy", 3, lossy), 1),
+        ] {
+            let compiled = CompiledScenario::compile(&spec).unwrap();
+            let before = ami_net::par_engaged_count();
+            let one = compiled.run_threads(1).to_json();
+            let four = compiled.run_threads(4).to_json();
+            assert_eq!(
+                ami_net::par_engaged_count() - before,
+                engaged,
+                "{}: region-engine engagements",
+                spec.name
+            );
+            assert_eq!(one, four, "{}: thread-variant manifest", spec.name);
+        }
+        ami_net::set_par_min_nodes_per_worker(floor);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod json;
 pub mod spec;
 
 pub use cache::{CacheStats, ScenarioCache};
-pub use compile::{CompiledScenario, PDES_MIN_NODES};
+pub use compile::CompiledScenario;
 pub use json::{JsonError, JsonValue};
 pub use spec::{
     NetworkParams, ScenarioError, ScenarioHash, ScenarioSpec, SweepAxis, TopologySpec,

@@ -208,14 +208,6 @@ pub enum WorkloadSpec {
         ber: f64,
         /// Stop-and-wait retransmission budget per hop.
         arq_attempts: u32,
-        /// Region-parallel round execution: `Some(true)` forces the
-        /// PDES lossy engine on (when more than one worker is
-        /// available), `Some(false)` pins the run serial, `None` (the
-        /// default, and the only canonical-form spelling for old specs)
-        /// lets the runner decide by size. Results are bit-identical
-        /// either way — the counter-RNG kernel guarantees it — so this
-        /// knob only moves wall-clock time.
-        parallel_rounds: Option<bool>,
     },
     /// The CS1 single-node duty-cycle study (harvest vs load across the
     /// MAC check interval; needs a `check_interval_s` sweep axis).
@@ -418,9 +410,7 @@ impl ScenarioSpec {
                     return spec_err("gathering workloads require `rounds` >= 1");
                 }
             }
-            WorkloadSpec::Lossy {
-                ber, arq_attempts, ..
-            } => {
+            WorkloadSpec::Lossy { ber, arq_attempts } => {
                 if self.topology.is_none() {
                     return spec_err("lossy workloads require a `topology`");
                 }
@@ -647,18 +637,6 @@ impl<'a> Fields<'a> {
         }
     }
 
-    fn bool_field(&mut self, key: &str) -> Result<Option<bool>, ScenarioError> {
-        match self.take(key) {
-            None => Ok(None),
-            Some(JsonValue::Bool(flag)) => Ok(Some(*flag)),
-            Some(other) => spec_err(format!(
-                "`{}.{key}` must be a boolean, found {}",
-                self.context,
-                other.type_name()
-            )),
-        }
-    }
-
     fn required_f64(&mut self, key: &str) -> Result<f64, ScenarioError> {
         self.f64_field(key)?.ok_or_else(|| {
             ScenarioError::Spec(format!(
@@ -778,7 +756,6 @@ fn workload_from_value(value: &JsonValue) -> Result<WorkloadSpec, ScenarioError>
         "lossy" => WorkloadSpec::Lossy {
             ber: fields.required_f64("ber")?,
             arq_attempts: fields.required_u64("arq_attempts")? as u32,
-            parallel_rounds: fields.bool_field("parallel_rounds")?,
         },
         "cs1_duty_cycle" => WorkloadSpec::Cs1DutyCycle {
             ledger_days: fields.required_f64("ledger_days")?,
@@ -886,19 +863,10 @@ impl Serialize for WorkloadSpec {
                     },
                 )?;
             }
-            WorkloadSpec::Lossy {
-                ber,
-                arq_attempts,
-                parallel_rounds,
-            } => {
+            WorkloadSpec::Lossy { ber, arq_attempts } => {
                 s.serialize_field("kind", "lossy")?;
                 s.serialize_field("ber", ber)?;
                 s.serialize_field("arq_attempts", arq_attempts)?;
-                // Only spelled when set: the canonical form (and hence
-                // the content hash) of every pre-knob spec is unchanged.
-                if let Some(parallel) = parallel_rounds {
-                    s.serialize_field("parallel_rounds", parallel)?;
-                }
             }
             WorkloadSpec::Cs1DutyCycle { ledger_days } => {
                 s.serialize_field("kind", "cs1_duty_cycle")?;
@@ -1060,60 +1028,6 @@ mod tests {
             ..a.clone()
         };
         assert_ne!(a.hash(), c.hash());
-    }
-
-    fn lossy_doc(extra: &str) -> String {
-        format!(
-            r#"{{
-                "name": "t",
-                "rounds": 5,
-                "topology": {{"kind": "grid", "side": 3, "spacing_m": 30.0}},
-                "workload": {{"kind": "lossy", "ber": 0.001, "arq_attempts": 4{extra}}}
-            }}"#
-        )
-    }
-
-    #[test]
-    fn lossy_parallel_rounds_knob_parses_and_round_trips() {
-        for (extra, want) in [
-            ("", None),
-            (r#", "parallel_rounds": true"#, Some(true)),
-            (r#", "parallel_rounds": false"#, Some(false)),
-        ] {
-            let spec = ScenarioSpec::from_json_str(&lossy_doc(extra)).unwrap();
-            let WorkloadSpec::Lossy {
-                parallel_rounds, ..
-            } = spec.workload
-            else {
-                panic!("lossy workload expected");
-            };
-            assert_eq!(parallel_rounds, want, "{extra:?}");
-            let reparsed = ScenarioSpec::from_json_str(&spec.canonical_json()).unwrap();
-            assert_eq!(spec, reparsed, "{extra:?}");
-        }
-    }
-
-    #[test]
-    fn lossy_parallel_rounds_must_be_boolean() {
-        let err = ScenarioSpec::from_json_str(&lossy_doc(r#", "parallel_rounds": 1"#)).unwrap_err();
-        assert!(err.to_string().contains("boolean"), "{err}");
-    }
-
-    #[test]
-    fn unset_parallel_rounds_leaves_old_hashes_untouched() {
-        // The knob must not be spelled in the canonical form when
-        // unset, or every pre-knob scenario's content hash (the
-        // compile-cache key) would silently move.
-        let plain = ScenarioSpec::from_json_str(&lossy_doc("")).unwrap();
-        assert!(
-            !plain.canonical_json().contains("parallel_rounds"),
-            "unset knob must stay unspelled: {}",
-            plain.canonical_json()
-        );
-        let forced =
-            ScenarioSpec::from_json_str(&lossy_doc(r#", "parallel_rounds": false"#)).unwrap();
-        assert!(forced.canonical_json().contains("parallel_rounds"));
-        assert_ne!(plain.hash(), forced.hash(), "a set knob is a real knob");
     }
 
     #[test]
