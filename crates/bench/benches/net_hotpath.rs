@@ -6,11 +6,11 @@
 
 use ami_bench::BENCH_SEED;
 use ami_net::{
-    build_routes, replicate_gathering_faulted_observed_threads, set_par_min_nodes_per_worker,
-    simulate_gathering, simulate_lossy_gathering, simulate_lossy_gathering_par, LossyConfig,
-    NetworkConfig, RoutingStrategy, Topology,
+    build_routes, replicate_gathering_observed, set_par_min_nodes_per_worker, simulate_gathering,
+    simulate_lossy_gathering, LossyConfig, LossySession, NetworkConfig, RoutingStrategy, Topology,
 };
-use ami_sim::fault::FaultSpec;
+use ami_sim::fault::{FaultSchedule, FaultSpec};
+use ami_sim::obs::NullRecorder;
 use ami_units::Length;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -83,12 +83,14 @@ fn bench_lossy_round(c: &mut Criterion) {
 }
 
 /// The rollback-free region-parallel lossy engine on the same ARQ
-/// workload — mirrors the snapshot's `lossy_round_par` city rows at
-/// criterion scale. Worker counts are explicit (1 = engine bookkeeping
-/// overhead vs the serial `lossy_round` group, 8 = the parallel win on
-/// a multi-core box). The criterion sizes sit below the engine's
-/// nodes-per-worker floor, so the group force-engages it — the point
-/// is to time the engine, not the dispatch heuristic.
+/// workload, one fresh session per iteration like the `lossy_round`
+/// group — mirrors the snapshot's `lossy_round_par` city rows at
+/// criterion scale. Worker counts are explicit: `t1` runs the serial
+/// loop (the engine needs more than one worker), so it re-times the
+/// `lossy_round` group through the session's dispatch; `t8` is the
+/// parallel win on a multi-core box. The criterion sizes sit below the
+/// engine's nodes-per-worker floor, so the group force-engages it — the
+/// point is to time the engine, not the dispatch heuristic.
 fn bench_lossy_round_par(c: &mut Criterion) {
     let config = LossyConfig::bruised_channel();
     let par_floor = set_par_min_nodes_per_worker(Some(0));
@@ -101,12 +103,12 @@ fn bench_lossy_round_par(c: &mut Criterion) {
                 &topo,
                 |b, topo| {
                     b.iter(|| {
-                        simulate_lossy_gathering_par(
-                            black_box(topo),
-                            &config,
+                        LossySession::new(black_box(topo), &config).run_faulted_with(
                             LOSSY_ROUNDS,
                             BENCH_SEED,
+                            &FaultSchedule::empty(),
                             threads,
+                            &mut NullRecorder,
                         )
                     })
                 },
@@ -125,7 +127,7 @@ fn bench_faulted_replication(c: &mut Criterion) {
         let side = Length::from_meters(25.0 * (n as f64).sqrt());
         group.bench_with_input(BenchmarkId::new("3x30_rounds", n), &n, |b, &n| {
             b.iter(|| {
-                replicate_gathering_faulted_observed_threads(
+                replicate_gathering_observed(
                     1, // pinned worker: time the simulator, not the pool
                     FAULT_REPS,
                     BENCH_SEED,

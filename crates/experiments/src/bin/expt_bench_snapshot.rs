@@ -27,15 +27,19 @@
 //! [`LossySession`]): the warm-up iteration performs the route build
 //! and sizes the scratch, so the timed iterations isolate per-round
 //! kernel cost from the build (which `route_build` prices separately).
-//! `lossy_round_par` repeats the city-scale lossy runs on the
-//! rollback-free region-parallel engine at `AMBIENCE_THREADS` workers
-//! and carries `threads`/`cpus` fields plus a `speedup` field (serial
-//! mean / parallel mean — expect >1× on a multi-core box; when `cpus`
-//! is 1 the rows time engine overhead on a single core, so `speedup` is
-//! advisory and CI treats it that way). The rows force-engage the
-//! engine past the small-n serial fallback — the snapshot times the
-//! engine, not the dispatch heuristic. Gathering has no parallel rows:
-//! its runs use the serial aggregated kernel at every thread count.
+//! `lossy_round_par` repeats the city-scale lossy rounds the same way,
+//! on a warm [`LossySession`] at `AMBIENCE_THREADS` workers, and carries
+//! `threads`/`cpus` fields plus a `speedup` field (serial mean /
+//! parallel mean — expect >1× on a multi-core box). The rows
+//! force-engage the rollback-free region-parallel engine past the
+//! small-n floor — the snapshot times the engine, not the dispatch
+//! heuristic — but the engine needs more than one worker: at
+//! `threads` = 1 the session runs the serial loop, so the row re-times
+//! the `lossy_round` run and `speedup` ≈ 1. When `cpus` is 1 a
+//! multi-worker row times engine overhead on a single core, so
+//! `speedup` is advisory and CI treats it that way. Gathering has no
+//! parallel rows: its runs use the serial aggregated kernel at every
+//! thread count.
 //!
 //! `BENCH_SIM.json` (schema `ambience-bench-sim/v1`) — the `ami-sim`
 //! kernel and sweep layer (labels mirrored by the `sim_hotpath`
@@ -65,11 +69,12 @@ use ami_core::case_studies::cs1_trace::trace_one_day;
 use ami_core::design_space::explore_cs1;
 use ami_experiments::banner;
 use ami_net::{
-    build_routes, replicate_gathering_faulted_observed_threads, set_par_min_nodes_per_worker,
-    simulate_gathering, simulate_lossy_gathering, simulate_lossy_gathering_par, GatherSession,
-    LossyConfig, LossySession, NetworkConfig, RoutingStrategy, Topology,
+    build_routes, replicate_gathering_observed, set_par_min_nodes_per_worker, simulate_gathering,
+    simulate_lossy_gathering, GatherSession, LossyConfig, LossySession, NetworkConfig,
+    RoutingStrategy, Topology,
 };
-use ami_sim::fault::FaultSpec;
+use ami_sim::fault::{FaultSchedule, FaultSpec};
+use ami_sim::obs::NullRecorder;
 use ami_sim::{replicate_par, sim_rng, EnergyMeter, EventQueue};
 use ami_tech::{TechnologyNode, VariationModel};
 use ami_units::{Area, Length, Power, Temperature, TimeSpan};
@@ -239,7 +244,7 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
             FAULT_REPS as u64,
             quick,
             || {
-                black_box(replicate_gathering_faulted_observed_threads(
+                black_box(replicate_gathering_observed(
                     1, // pinned worker: the snapshot times the simulator, not the pool
                     FAULT_REPS,
                     SEED,
@@ -308,7 +313,10 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
             .last()
             .expect("serial lossy_round row was just pushed")
             .wall_ns_mean;
+        // The same marginal rounds on `threads` workers: a warm session
+        // too, so the row is divided by a like-for-like serial mean.
         let threads = ami_sim::runner::thread_count();
+        let mut par_session = LossySession::new(&topo, &lossy_config);
         let mut lossy_par = measure(
             format!("lossy_round_par/n{n}"),
             "lossy_round_par",
@@ -316,12 +324,12 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
             LOSSY_ROUNDS_LARGE,
             quick,
             || {
-                black_box(simulate_lossy_gathering_par(
-                    black_box(&topo),
-                    &lossy_config,
+                black_box(par_session.run_faulted_with(
                     LOSSY_ROUNDS_LARGE,
                     SEED,
+                    &FaultSchedule::empty(),
                     threads,
+                    &mut NullRecorder,
                 ));
             },
         );

@@ -14,12 +14,11 @@
 
 use ami_experiments::manifests::{emit_when_requested, f13_faulted_manifest_with, f13_manifest};
 use ami_experiments::{banner, print_table, section};
-use ami_net::{
-    simulate_lossy_gathering, simulate_lossy_gathering_faulted, LossyConfig, LossyReport,
-};
+use ami_net::{simulate_lossy_gathering, LossyConfig, LossyReport, LossySession};
 use ami_radio::StopAndWaitArq;
 use ami_scenario::ScenarioSpec;
 use ami_sim::fault::{FaultModel, FaultSpec, FAULTS_ENV};
+use ami_sim::obs::NullRecorder;
 
 const SCENARIO: &str = "crates/experiments/scenarios/f13_lossy_network.scenario.json";
 
@@ -120,7 +119,13 @@ fn main() {
             ..FaultModel::none()
         };
         let faults = model.schedule(seed, topo.len(), rounds);
-        let report = simulate_lossy_gathering_faulted(&topo, &config, rounds, seed, &faults);
+        let report = LossySession::new(&topo, &config).run_faulted_with(
+            rounds,
+            seed,
+            &faults,
+            1,
+            &mut NullRecorder,
+        );
         vec![
             format!("{:.0}%", 100.0 * rate),
             report.offered.to_string(),

@@ -22,11 +22,11 @@ use ami_net::routing::{
     set_route_repair_enabled,
 };
 use ami_net::{
-    simulate_gathering_faulted, CsrAdjacency, NetworkConfig, NetworkReport, Position,
-    RoutingStrategy, Topology,
+    CsrAdjacency, GatherSession, NetworkConfig, NetworkReport, Position, RoutingStrategy, Topology,
 };
 use ami_scenario::ScenarioSpec;
 use ami_sim::fault::{FaultSchedule, FaultSpec};
+use ami_sim::obs::NullRecorder;
 use ami_units::Length;
 
 const SCENARIO: &str = "crates/experiments/scenarios/f15_city_scale.scenario.json";
@@ -56,8 +56,11 @@ fn faulted_run(
 ) -> (NetworkReport, u64, u64) {
     reset_route_build_count();
     reset_route_repair_count();
-    let report =
-        simulate_gathering_faulted(topo, RoutingStrategy::MinimumEnergy, config, rounds, faults);
+    let report = GatherSession::new(topo, RoutingStrategy::MinimumEnergy, config).run_faulted_with(
+        rounds,
+        faults,
+        &mut NullRecorder,
+    );
     (report, route_build_count(), route_repair_count())
 }
 

@@ -9,12 +9,13 @@
 use ami_experiments::manifests::{emit_when_requested, f6_manifest};
 use ami_experiments::{banner, print_table, section};
 use ami_net::{
-    replicate_gathering, replicate_gathering_faulted_observed, replicate_gathering_observed,
-    simulate_gathering, summarize_reports, NetworkConfig, RoutingStrategy, Topology,
+    replicate_gathering, replicate_gathering_observed, simulate_gathering, summarize_reports,
+    NetworkConfig, RoutingStrategy, Topology,
 };
 use ami_scenario::TopologySpec;
-use ami_sim::fault::FaultSpec;
+use ami_sim::fault::{FaultSchedule, FaultSpec};
 use ami_sim::obs::EnergyCategory;
+use ami_sim::runner::thread_count;
 use ami_units::{Energy, Length};
 
 const SCENARIO: &str = "crates/experiments/scenarios/f6_network_scaling.scenario.json";
@@ -43,10 +44,7 @@ fn main() {
         .expect("F6 scenario carries a fault mix");
 
     banner("F6", "network scaling and the multi-hop crossover");
-    println!(
-        "[runner: {} worker thread(s)]",
-        ami_sim::runner::thread_count()
-    );
+    println!("[runner: {} worker thread(s)]", thread_count());
     let config = scenario.network.to_network_config();
     let rounds = scenario.rounds;
     let base_seed = scenario.seed;
@@ -113,6 +111,7 @@ fn main() {
     let n_nodes = nodes as usize;
     let reports_of = |strategy| {
         replicate_gathering(
+            thread_count(),
             replications,
             base_seed,
             |seed| Topology::random(n_nodes, field, seed),
@@ -123,9 +122,11 @@ fn main() {
     };
     let direct = reports_of(RoutingStrategy::DirectToSink);
     let (multi, obs) = replicate_gathering_observed(
+        thread_count(),
         replications,
         base_seed,
         |seed| Topology::random(n_nodes, field, seed),
+        |_| FaultSchedule::empty(),
         RoutingStrategy::MinimumEnergy,
         &config,
         rounds,
@@ -192,7 +193,8 @@ fn main() {
     // schedule, so the comparison is paired: same fields, with and
     // without exogenous churn.
     let spec = FaultSpec::parse(&fault_mix).expect("frozen spec parses");
-    let (faulted, fobs) = replicate_gathering_faulted_observed(
+    let (faulted, fobs) = replicate_gathering_observed(
+        thread_count(),
         replications,
         base_seed,
         |seed| Topology::random(n_nodes, field, seed),

@@ -10,18 +10,19 @@
 //!
 //! Manifests are byte-identical at any `AMBIENCE_THREADS` — replication
 //! ledgers merge in seed order — which `tests/determinism.rs` enforces
-//! and `golden/f3_manifest.json` freezes for CI.
+//! and `golden/f3_manifest.json` and `golden/f6_manifest.json` freeze
+//! for CI.
 
 use ami_core::case_studies::cs1::{cs1_energy_ledger, sweep_check_interval, Cs1Config};
 use ami_net::{
-    replicate_gathering_faulted_observed_threads, replicate_gathering_observed_threads,
-    LossyConfig, NetworkConfig, RoutingStrategy, Topology,
+    replicate_gathering_observed, LossyConfig, LossySession, NetworkConfig, RoutingStrategy,
+    Topology,
 };
 use ami_radio::{
     CsmaMac, MacAnalysis, MacProtocol, PreambleSamplingMac, RadioPowerStates, TdmaMac, TrafficLoad,
 };
-use ami_sim::fault::FaultSpec;
-use ami_sim::obs::{CounterTree, RunManifest, MANIFEST_ENV};
+use ami_sim::fault::{FaultSchedule, FaultSpec};
+use ami_sim::obs::{CounterTree, NullRecorder, RunManifest, MANIFEST_ENV};
 use ami_units::{Energy, Length, TimeSpan};
 
 /// The fault mix the F13 resilience study (and its golden manifest)
@@ -94,11 +95,12 @@ pub fn f6_manifest_threads(threads: usize) -> RunManifest {
     let (replications, base_seed, rounds) = (32usize, 2003u64, 500u64);
     let nodes = 40usize;
     let field = Length::from_meters(400.0);
-    let (reports, obs) = replicate_gathering_observed_threads(
+    let (reports, obs) = replicate_gathering_observed(
         threads,
         replications,
         base_seed,
         |seed| Topology::random(nodes, field, seed),
+        |_| FaultSchedule::empty(),
         RoutingStrategy::MinimumEnergy,
         &config,
         rounds,
@@ -173,7 +175,13 @@ pub fn f13_faulted_manifest_with(spec: &str) -> RunManifest {
     let config = LossyConfig::bruised_channel();
     let (rounds, seed) = (300u64, 2003u64);
     let faults = spec.schedule_for(seed, topo.len(), rounds);
-    let report = ami_net::simulate_lossy_gathering_faulted(&topo, &config, rounds, seed, &faults);
+    let report = LossySession::new(&topo, &config).run_faulted_with(
+        rounds,
+        seed,
+        &faults,
+        1,
+        &mut NullRecorder,
+    );
     let channel_losses = report.offered - report.delivered - report.dropped_fault;
     let counters = CounterTree::branch([
         (
@@ -230,7 +238,7 @@ pub fn f6_faulted_manifest_threads(threads: usize) -> RunManifest {
     let (replications, base_seed, rounds) = (32usize, 2003u64, 500u64);
     let nodes = 40usize;
     let field = Length::from_meters(400.0);
-    let (reports, obs) = replicate_gathering_faulted_observed_threads(
+    let (reports, obs) = replicate_gathering_observed(
         threads,
         replications,
         base_seed,

@@ -38,9 +38,9 @@
 //! position-invariant; per-accumulator sequences are preserved).
 //!
 //! The hop-walk kernel is retained verbatim as the differential oracle:
-//! `AMBIENCE_AGG=0` (or [`set_aggregated_rounds`]`(Some(false))`) pins
-//! every round to it, and `tests/differential_agg.rs` pins the two
-//! kernels against each other at report, ledger and manifest level.
+//! [`set_aggregated_rounds`]`(false)` pins every round on the calling
+//! thread to it, and `tests/differential_agg.rs` pins the two kernels
+//! against each other at report, ledger and manifest level.
 
 use crate::gather::GatherState;
 use crate::routing::PackedRoutes;
@@ -56,30 +56,28 @@ use std::cell::Cell;
 const STREAM_VALUE_CAP: usize = 24 << 20;
 
 thread_local! {
-    /// Per-thread override of the `AMBIENCE_AGG` kill switch.
-    static AGG_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
+    /// Whether the aggregated kernel may run rounds on this thread.
+    static AGG_ENABLED: Cell<bool> = const { Cell::new(true) };
     /// Rounds committed by the aggregated kernel on this thread.
     static AGG_ENGAGED: Cell<u64> = const { Cell::new(0) };
     /// Rounds the margin checks handed back to the hop-walk oracle.
     static AGG_FALLBACKS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Overrides the `AMBIENCE_AGG` environment switch for this thread
-/// (`Some(false)` pins every round to the hop-walk oracle, `Some(true)`
-/// force-enables, `None` defers to the environment). Returns the
-/// previous override, mirroring
-/// [`crate::pdes::set_par_min_nodes_per_worker`].
-pub fn set_aggregated_rounds(enabled: Option<bool>) -> Option<bool> {
-    AGG_OVERRIDE.with(|c| c.replace(enabled))
+/// Enables or disables the aggregated kernel on this thread, returning
+/// the previous setting, like
+/// [`crate::routing::set_route_repair_enabled`]. Disabling pins every
+/// gathering round on the thread to the hop-walk oracle the
+/// differential tests diff the kernel against; results are
+/// bit-identical either way.
+pub fn set_aggregated_rounds(enabled: bool) -> bool {
+    AGG_ENABLED.with(|c| c.replace(enabled))
 }
 
-/// Whether the aggregated kernel may run rounds on this thread.
-/// Defaults to enabled; `AMBIENCE_AGG=0` disables it process-wide.
+/// Whether the aggregated kernel may run rounds on this thread
+/// (enabled unless [`set_aggregated_rounds`] turned it off).
 pub fn aggregated_rounds_enabled() -> bool {
-    if let Some(forced) = AGG_OVERRIDE.with(Cell::get) {
-        return forced;
-    }
-    std::env::var("AMBIENCE_AGG").map_or(true, |v| v != "0")
+    AGG_ENABLED.with(Cell::get)
 }
 
 /// Rounds this thread committed through the aggregated kernel.

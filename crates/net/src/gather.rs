@@ -14,28 +14,20 @@
 //! empty keeps its negative residual, and
 //! [`NetworkReport::overdraft`] totals the overshoot instead of hiding it.
 //!
-//! Every simulation entry point is generic over an
-//! [`ami_sim::obs::Recorder`]; [`simulate_gathering`] records nothing
-//! (zero cost), [`simulate_gathering_observed`] fills an energy ledger
-//! and packet counters.
-//!
-//! The `*_faulted` entry points additionally take an
-//! [`ami_sim::fault::FaultSchedule`] of exogenous failures. A fault-downed
-//! node is powered off: it spends nothing, offers nothing, and relays
-//! nothing. Routing detects downed nodes with a one-round lag (the sweep
-//! that notices them re-resolves next hops over the survivors — it never
-//! panics), so packets that hit a freshly downed relay or a downed link
-//! burn the sender's transmit energy and drop with the `dropped_fault`
-//! counter cause. Capacity-fade events scale a node's initial budget;
-//! the unfaulted entry points are the `FaultSchedule::empty()` special
-//! case, bit-exact with the pre-fault implementation.
+//! [`GatherSession`] is the one way to run these rounds. Its
+//! [`run_faulted_with`](GatherSession::run_faulted_with) takes an
+//! exogenous [`ami_sim::fault::FaultSchedule`] and an
+//! [`ami_sim::obs::Recorder`]: [`NullRecorder`] records nothing (zero
+//! cost), [`ami_sim::obs::LedgerRecorder`] fills an energy ledger and
+//! packet counters. [`simulate_gathering`] is the fault-free, unrecorded
+//! run on a fresh session.
 
 use crate::agg::AggScratch;
 use crate::routing::{RouteCache, RoutingStrategy};
 use crate::topology::{NodeId, Topology};
 use ami_radio::{Packet, RadioEnergyModel};
 use ami_sim::fault::{FaultSchedule, FaultTimeline};
-use ami_sim::obs::{EnergyCategory, LedgerRecorder, NullRecorder, Recorder};
+use ami_sim::obs::{EnergyCategory, NullRecorder, Recorder};
 use ami_units::{DataVolume, Energy, EnergyPerBit, Length, Power, TimeSpan};
 use serde::{Deserialize, Serialize};
 
@@ -133,8 +125,8 @@ impl NetworkReport {
     }
 }
 
-/// Runs `rounds` reporting rounds of `topology` under `strategy`,
-/// recording nothing. See [`simulate_gathering_with`].
+/// Runs `rounds` fault-free reporting rounds of `topology` under
+/// `strategy` on a fresh [`GatherSession`], recording nothing.
 ///
 /// # Panics
 ///
@@ -145,98 +137,7 @@ pub fn simulate_gathering(
     config: &NetworkConfig,
     rounds: u64,
 ) -> NetworkReport {
-    simulate_gathering_with(topology, strategy, config, rounds, &mut NullRecorder)
-}
-
-/// [`simulate_gathering`] with a [`LedgerRecorder`] attached: returns
-/// the report plus the per-node energy ledger (rows indexed by raw node
-/// id — the sink's row 0 stays zero) and end-to-end packet counters.
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero.
-pub fn simulate_gathering_observed(
-    topology: &Topology,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-) -> (NetworkReport, LedgerRecorder) {
-    let mut recorder = LedgerRecorder::with_nodes(topology.len());
-    let report = simulate_gathering_with(topology, strategy, config, rounds, &mut recorder);
-    (report, recorder)
-}
-
-/// [`simulate_gathering`] under an exogenous [`FaultSchedule`],
-/// recording nothing. See [`simulate_gathering_faulted_with`].
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero.
-pub fn simulate_gathering_faulted(
-    topology: &Topology,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-    faults: &FaultSchedule,
-) -> NetworkReport {
-    simulate_gathering_faulted_with(
-        topology,
-        strategy,
-        config,
-        rounds,
-        faults,
-        &mut NullRecorder,
-    )
-}
-
-/// [`simulate_gathering_faulted`] with a [`LedgerRecorder`] attached:
-/// fault-caused losses land in the recorder's `dropped_fault` counter.
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero.
-pub fn simulate_gathering_faulted_observed(
-    topology: &Topology,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-    faults: &FaultSchedule,
-) -> (NetworkReport, LedgerRecorder) {
-    let mut recorder = LedgerRecorder::with_nodes(topology.len());
-    let report =
-        simulate_gathering_faulted_with(topology, strategy, config, rounds, faults, &mut recorder);
-    (report, recorder)
-}
-
-/// Runs `rounds` reporting rounds of `topology` under `strategy`,
-/// charging every event through `recorder`.
-///
-/// Routes are rebuilt over the surviving nodes whenever a node dies.
-/// A node participates (sends, relays) only while its budget is
-/// positive: exhaustion stops it at the very next hop, so a depleted
-/// relay cannot keep forwarding traffic for free until the end-of-round
-/// death sweep. Packets that abort on an exhausted hop count as
-/// `dropped_dead_hop`; packets generated with no route to the sink
-/// count as `dropped_disconnected`.
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero.
-pub fn simulate_gathering_with<R: Recorder>(
-    topology: &Topology,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-    recorder: &mut R,
-) -> NetworkReport {
-    simulate_gathering_faulted_with(
-        topology,
-        strategy,
-        config,
-        rounds,
-        &FaultSchedule::empty(),
-        recorder,
-    )
+    GatherSession::new(topology, strategy, config).run(rounds)
 }
 
 /// How one packet's trip through the route table ended.
@@ -253,8 +154,8 @@ pub(crate) enum PacketFate {
 /// serial charge loops), [`end_round`](Self::end_round) (death sweep)
 /// and [`finish`](Self::finish) (residuals + report).
 ///
-/// [`simulate_gathering_faulted_with`] and [`GatherSession`] drive
-/// these phases in a plain loop. The mid-round phase runs on the
+/// [`GatherSession::run_faulted_with`] drives these phases in the one
+/// gathering round loop. The mid-round phase runs on the
 /// aggregated kernel ([`crate::agg`]), which falls back to
 /// `idle_and_send` — op for op the historical implementation — on
 /// rounds its energy-margin checks reject; sharing the state machine is
@@ -290,11 +191,14 @@ pub(crate) struct GatherState<'a> {
 }
 
 impl<'a> GatherState<'a> {
+    /// A fresh run state over `cache`, which the state adopts as is: a
+    /// warm cache whose usable set still matches skips the first build.
     pub(crate) fn new(
         topology: &'a Topology,
         strategy: RoutingStrategy,
         config: &'a NetworkConfig,
         faults: &FaultSchedule,
+        cache: RouteCache,
     ) -> Self {
         let n = topology.len();
         let sink = topology.sink();
@@ -331,7 +235,7 @@ impl<'a> GatherState<'a> {
             down_now: vec![false; n],
             down_prev: vec![false; n],
             usable: vec![true; n],
-            cache: RouteCache::new(n),
+            cache,
             // Usable-set epoch: routes re-resolve only on rounds where a
             // death or a fault transition actually changed what routing
             // can see. Starts dirty so the first round performs the
@@ -469,7 +373,7 @@ impl<'a> GatherState<'a> {
     }
 
     /// Residual recording and the final report.
-    pub(crate) fn finish<R: Recorder>(self, rounds: u64, recorder: &mut R) -> NetworkReport {
+    pub(crate) fn finish<R: Recorder>(&self, rounds: u64, recorder: &mut R) -> NetworkReport {
         for id in self.topology.sensor_ids() {
             recorder.record_residual(id.0, self.budget[id.0]);
         }
@@ -501,61 +405,16 @@ impl<'a> GatherState<'a> {
     }
 }
 
-/// Runs `rounds` reporting rounds of `topology` under `strategy` and
-/// the exogenous `faults` schedule, charging every event through
-/// `recorder`.
-///
-/// Fault semantics, chosen so the empty schedule degenerates bit-exactly
-/// to [`simulate_gathering_with`]:
-///
-/// * a fault-downed node (death or mid-outage) is powered off: no idle
-///   charge, no report, no relaying; its remaining budget survives a
-///   transient outage;
-/// * routing observes fault state with a **one-round lag** — the network
-///   cannot know a relay died until traffic through it fails — and then
-///   re-resolves next hops over the usable nodes instead of panicking;
-/// * a packet that hits a freshly downed relay or a downed link burns
-///   the sender's transmit energy (the sender cannot know), charges the
-///   downed receiver nothing, and drops as `dropped_fault`;
-/// * capacity-fade events scale the node's *initial* budget;
-/// * budget exhaustion keeps its existing semantics: per-hop stop,
-///   `dropped_dead_hop` attribution, and `first_death_round` counts
-///   energy deaths only (exogenous faults are not "lifetime").
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero.
-pub fn simulate_gathering_faulted_with<R: Recorder>(
-    topology: &Topology,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-    faults: &FaultSchedule,
-    recorder: &mut R,
-) -> NetworkReport {
-    assert!(rounds > 0, "simulate at least one round");
-    // All scratch lives in the state and the aggregation scratch and is
-    // reused across rounds — the round loop stays allocation-steady.
-    let mut state = GatherState::new(topology, strategy, config, faults);
-    let mut scratch = AggScratch::new(topology.len());
-    for round in 0..rounds {
-        state.begin_round(round);
-        state.round_charges(&mut scratch, recorder);
-        state.end_round(round);
-    }
-    state.finish(rounds, recorder)
-}
-
-/// A reusable gathering harness: routes are resolved once and kept warm
+/// The gathering harness: routes are resolved once and kept warm
 /// across runs, together with the aggregated kernel's scratch (packed
 /// route arrays and, on fault-free epochs, the memoized charge stream).
 ///
-/// [`simulate_gathering`] pays one route build per call; a session pays
-/// it once and then measures what city-scale studies actually repeat —
-/// marginal rounds. Results are bit-identical to the one-shot entry
-/// points: the session drives the same round phases over the same
-/// cache, it just keeps the cache (and its route epoch counters) alive
-/// between runs.
+/// Every gathering run goes through a session; [`simulate_gathering`]
+/// is one run on a fresh one. A warm session pays the route build once
+/// and then measures what city-scale studies actually repeat — marginal
+/// rounds. Each run starts from a fresh network state and is
+/// bit-identical to the same run on a fresh session: the session only
+/// keeps the cache (and its route epoch counters) alive between runs.
 pub struct GatherSession<'a> {
     topology: &'a Topology,
     strategy: RoutingStrategy,
@@ -581,7 +440,7 @@ impl<'a> GatherSession<'a> {
     }
 
     /// Runs `rounds` fault-free rounds from a fresh network state,
-    /// recording nothing. Bit-identical to [`simulate_gathering`].
+    /// recording nothing.
     ///
     /// # Panics
     ///
@@ -590,9 +449,34 @@ impl<'a> GatherSession<'a> {
         self.run_faulted_with(rounds, &FaultSchedule::empty(), &mut NullRecorder)
     }
 
-    /// Runs `rounds` rounds under `faults` from a fresh network state,
-    /// charging every event through `recorder`. Bit-identical to
-    /// [`simulate_gathering_faulted_with`].
+    /// Runs `rounds` reporting rounds from a fresh network state under
+    /// the exogenous `faults` schedule, charging every event through
+    /// `recorder`.
+    ///
+    /// Routes are re-resolved over the surviving nodes whenever a node
+    /// dies. A node participates (sends, relays) only while its budget
+    /// is positive: exhaustion stops it at the very next hop, so a
+    /// depleted relay cannot keep forwarding traffic for free until the
+    /// end-of-round death sweep. Packets that abort on an exhausted hop
+    /// count as `dropped_dead_hop`; packets generated with no route to
+    /// the sink count as `dropped_disconnected`.
+    ///
+    /// Fault semantics, chosen so the empty schedule degenerates
+    /// bit-exactly to the unfaulted run:
+    ///
+    /// * a fault-downed node (death or mid-outage) is powered off: no idle
+    ///   charge, no report, no relaying; its remaining budget survives a
+    ///   transient outage;
+    /// * routing observes fault state with a **one-round lag** — the network
+    ///   cannot know a relay died until traffic through it fails — and then
+    ///   re-resolves next hops over the usable nodes instead of panicking;
+    /// * a packet that hits a freshly downed relay or a downed link burns
+    ///   the sender's transmit energy (the sender cannot know), charges the
+    ///   downed receiver nothing, and drops as `dropped_fault`;
+    /// * capacity-fade events scale the node's *initial* budget;
+    /// * budget exhaustion keeps its existing semantics: per-hop stop,
+    ///   `dropped_dead_hop` attribution, and `first_death_round` counts
+    ///   energy deaths only (exogenous faults are not "lifetime").
     ///
     /// # Panics
     ///
@@ -604,24 +488,27 @@ impl<'a> GatherSession<'a> {
         recorder: &mut R,
     ) -> NetworkReport {
         assert!(rounds > 0, "simulate at least one round");
-        let mut state = GatherState::new(self.topology, self.strategy, self.config, faults);
-        // Adopt the session's warm cache; `begin_round`'s `ensure` call
-        // no-ops when the usable set still matches what it was built
-        // over, which is what amortizes the build across runs.
-        state.cache = std::mem::replace(&mut self.cache, RouteCache::new(0));
+        // The state adopts the session's warm cache; `begin_round`'s
+        // `ensure` call no-ops when the usable set still matches what it
+        // was built over, which is what amortizes the build across runs.
+        let cache = std::mem::replace(&mut self.cache, RouteCache::new(0));
+        let mut state = GatherState::new(self.topology, self.strategy, self.config, faults, cache);
         // The warm cache keeps the route-epoch counter alive across
         // runs, but this run's fault schedule may differ from the one
         // the scratch memoized under at the same epoch — drop the
         // memoized round image and hop probe so every run re-derives
         // them from its own walks.
         self.scratch.invalidate_run_memo();
+        // All scratch lives in the state and the aggregation scratch and
+        // is reused across rounds — the round loop stays allocation-steady.
         for round in 0..rounds {
             state.begin_round(round);
             state.round_charges(&mut self.scratch, recorder);
             state.end_round(round);
         }
-        self.cache = std::mem::replace(&mut state.cache, RouteCache::new(0));
-        state.finish(rounds, recorder)
+        let report = state.finish(rounds, recorder);
+        self.cache = state.cache;
+        report
     }
 }
 
@@ -630,6 +517,21 @@ mod tests {
     use super::*;
     use crate::routing::build_routes_over;
     use crate::topology::Position;
+    use ami_sim::obs::LedgerRecorder;
+
+    /// One run on a fresh session under `faults`, with a ledger attached.
+    fn observed_run(
+        topo: &Topology,
+        strategy: RoutingStrategy,
+        config: &NetworkConfig,
+        rounds: u64,
+        faults: &FaultSchedule,
+    ) -> (NetworkReport, LedgerRecorder) {
+        let mut obs = LedgerRecorder::with_nodes(topo.len());
+        let report =
+            GatherSession::new(topo, strategy, config).run_faulted_with(rounds, faults, &mut obs);
+        (report, obs)
+    }
 
     // The historical compact-rebuild oracle and the test pinning
     // `build_routes_over` against it moved to `tests/common/oracle.rs`
@@ -782,8 +684,13 @@ mod tests {
         // stale alive flag let node2's packet through, so round 1
         // delivered 2 packets instead of 1.
         let (topo, config) = relay_line(0.5);
-        let (report, obs) =
-            simulate_gathering_observed(&topo, RoutingStrategy::MinimumEnergy, &config, 5);
+        let (report, obs) = observed_run(
+            &topo,
+            RoutingStrategy::MinimumEnergy,
+            &config,
+            5,
+            &FaultSchedule::empty(),
+        );
         assert_eq!(report.delivered_packets, 1);
         assert_eq!(report.first_death_round, Some(1));
         assert_eq!(obs.packets.offered, 6); // node1 once, node2 every round
@@ -796,8 +703,13 @@ mod tests {
     #[test]
     fn overdraft_is_reported_not_clamped() {
         let (topo, config) = relay_line(0.5);
-        let (report, obs) =
-            simulate_gathering_observed(&topo, RoutingStrategy::MinimumEnergy, &config, 5);
+        let (report, obs) = observed_run(
+            &topo,
+            RoutingStrategy::MinimumEnergy,
+            &config,
+            5,
+            &FaultSchedule::empty(),
+        );
         let rx = config
             .radio
             .receive_energy(config.packet.total_bits())
@@ -821,8 +733,14 @@ mod tests {
             RoutingStrategy::MinimumEnergy,
         ] {
             let plain = simulate_gathering(&small_grid(), strategy, &config, 25);
-            let (observed, _) = simulate_gathering_observed(&small_grid(), strategy, &config, 25);
-            assert_eq!(plain, observed);
+            let (recorded, _) = observed_run(
+                &small_grid(),
+                strategy,
+                &config,
+                25,
+                &FaultSchedule::empty(),
+            );
+            assert_eq!(plain, recorded);
         }
     }
 
@@ -831,8 +749,13 @@ mod tests {
         let mut config = NetworkConfig::sensor_default();
         config.node_energy = Energy::from_millijoules(40.0); // force deaths
         let topo = Topology::grid(4, Length::from_meters(30.0));
-        let (report, obs) =
-            simulate_gathering_observed(&topo, RoutingStrategy::MinimumEnergy, &config, 2000);
+        let (report, obs) = observed_run(
+            &topo,
+            RoutingStrategy::MinimumEnergy,
+            &config,
+            2000,
+            &FaultSchedule::empty(),
+        );
         let total = report.total_energy.as_joules();
         // Ledger categories partition the report's total energy.
         assert!((obs.ledger.total().as_joules() - total).abs() <= 1e-9 * total);
@@ -867,7 +790,7 @@ mod tests {
 
     mod faulted {
         use super::*;
-        use ami_sim::fault::{FaultEvent, FaultModel, FaultSchedule};
+        use ami_sim::fault::{FaultEvent, FaultModel};
 
         #[test]
         fn empty_schedule_is_bit_exact_with_the_unfaulted_path() {
@@ -878,13 +801,8 @@ mod tests {
                 RoutingStrategy::MinimumEnergy,
             ] {
                 let plain = simulate_gathering(&topo, strategy, &config, 40);
-                let (faulted, obs) = simulate_gathering_faulted_observed(
-                    &topo,
-                    strategy,
-                    &config,
-                    40,
-                    &FaultSchedule::empty(),
-                );
+                let (faulted, obs) =
+                    observed_run(&topo, strategy, &config, 40, &FaultSchedule::empty());
                 assert_eq!(plain, faulted);
                 assert_eq!(obs.packets.dropped_fault, 0);
             }
@@ -907,13 +825,8 @@ mod tests {
                 fade_factor: 0.6,
             };
             let faults = model.schedule(2003, topo.len(), 100);
-            let (report, obs) = simulate_gathering_faulted_observed(
-                &topo,
-                RoutingStrategy::MinimumEnergy,
-                &config,
-                100,
-                &faults,
-            );
+            let (report, obs) =
+                observed_run(&topo, RoutingStrategy::MinimumEnergy, &config, 100, &faults);
             assert!(obs.packets.is_conserved());
             assert!(obs.packets.dropped_fault > 0, "faults must cost packets");
             assert!(
@@ -940,13 +853,8 @@ mod tests {
             let mut config = NetworkConfig::sensor_default();
             config.idle_power = Power::ZERO;
             let faults = FaultSchedule::new(vec![FaultEvent::NodeDeath { node: 1, round: 2 }]);
-            let (report, obs) = simulate_gathering_faulted_observed(
-                &topo,
-                RoutingStrategy::MinimumEnergy,
-                &config,
-                6,
-                &faults,
-            );
+            let (report, obs) =
+                observed_run(&topo, RoutingStrategy::MinimumEnergy, &config, 6, &faults);
             // Rounds 0–1: both nodes deliver. Round 2: node 1 is off (no
             // offer), node 2 drops on the dead relay. Rounds 3–5: node 2
             // is disconnected.
@@ -971,13 +879,8 @@ mod tests {
                 from: 2,
                 until: 5,
             }]);
-            let (report, obs) = simulate_gathering_faulted_observed(
-                &topo,
-                RoutingStrategy::DirectToSink,
-                &config,
-                8,
-                &faults,
-            );
+            let (report, obs) =
+                observed_run(&topo, RoutingStrategy::DirectToSink, &config, 8, &faults);
             // Offered in rounds 0, 1, 5, 6, 7.
             assert_eq!(obs.packets.offered, 5);
             // Routing notices the reboot one round late: the round-5
@@ -1006,13 +909,8 @@ mod tests {
                 from: 1,
                 until: 3,
             }]);
-            let (report, obs) = simulate_gathering_faulted_observed(
-                &topo,
-                RoutingStrategy::DirectToSink,
-                &config,
-                4,
-                &faults,
-            );
+            let (report, obs) =
+                observed_run(&topo, RoutingStrategy::DirectToSink, &config, 4, &faults);
             // The node keeps transmitting into the dead link (it cannot
             // know): 4 tx spent, rounds 1 and 2 lost to the fault.
             assert_eq!(obs.packets.offered, 4);
@@ -1034,13 +932,8 @@ mod tests {
                 factor: 0.25,
             }]);
             let plain = simulate_gathering(&topo, RoutingStrategy::DirectToSink, &config, 3);
-            let faded = simulate_gathering_faulted(
-                &topo,
-                RoutingStrategy::DirectToSink,
-                &config,
-                3,
-                &faults,
-            );
+            let (faded, _) =
+                observed_run(&topo, RoutingStrategy::DirectToSink, &config, 3, &faults);
             // Same spend, but the faded node starts 75% lower.
             assert_eq!(plain.total_energy, faded.total_energy);
             let lost = 0.75 * config.node_energy.as_joules();

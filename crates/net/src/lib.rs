@@ -7,26 +7,32 @@
 //! * [`Topology`] — grid, uniform-random and star node layouts;
 //! * [`RoutingStrategy`] — direct-to-sink versus minimum-energy multi-hop
 //!   (Dijkstra on the first-order radio energy metric);
-//! * [`simulate_gathering`] — round-based data gathering that charges
+//! * [`GatherSession`] — round-based data gathering that charges
 //!   every transmit, relay and idle-listening joule against each node's
 //!   energy budget and reports delivered information, network lifetime
 //!   and the energy cost per delivered bit (experiments F6/A3);
-//! * [`simulate_gathering_observed`] — the same run with an
-//!   [`ami_sim::obs`] energy ledger and packet counters attached, for
-//!   per-category energy attribution and run manifests;
-//! * [`simulate_gathering_faulted`] and
-//!   [`simulate_lossy_gathering_faulted`] — the same runs under an
-//!   exogenous [`ami_sim::fault::FaultSchedule`] (node death, outages,
-//!   link outages, capacity fade); routing re-resolves around downed
-//!   nodes and fault losses are attributed to the `dropped_fault`
-//!   counter cause;
-//! * [`pdes`] — region-parallel execution of single lossy runs:
-//!   [`simulate_lossy_gathering_par`] and friends (rollback-free — the
-//!   lossy kernel draws per-packet counter randomness via
-//!   [`ami_sim::rng::packet_rng`], so packets commute), bit-identical
-//!   to the serial kernel at any thread count, with a serial fallback
-//!   below a nodes-per-worker floor. Gathering runs have one engine,
-//!   the serial aggregated kernel ([`agg`]), at every thread count.
+//! * [`LossySession`] — the same rounds over lossy links with
+//!   stop-and-wait retransmission (experiment F13);
+//! * the sessions are the one way to run a round. A session keeps its
+//!   routes warm across runs, and each run takes an exogenous
+//!   [`ami_sim::fault::FaultSchedule`] (node death, outages, link
+//!   outages, capacity fade; routing re-resolves around downed nodes
+//!   and fault losses are attributed to the `dropped_fault` counter
+//!   cause) and an [`ami_sim::obs`] recorder (an energy ledger and
+//!   packet counters for per-category attribution and run manifests,
+//!   or nothing at zero cost); [`simulate_gathering`] and
+//!   [`simulate_lossy_gathering`] are one fault-free, unrecorded run on
+//!   a fresh session;
+//! * [`replicate_gathering`] and [`replicate_gathering_observed`] —
+//!   one fresh gathering session per seeded topology, on the parallel
+//!   runner, merged in seed order;
+//! * [`pdes`] — region-parallel execution of single lossy runs
+//!   (rollback-free — the lossy kernel draws per-packet counter
+//!   randomness via [`ami_sim::rng::packet_rng`], so packets commute),
+//!   bit-identical to the serial loop at any thread count; a lossy
+//!   session run engages it when its `threads` cover a nodes-per-worker
+//!   floor. Gathering runs have one engine, the serial aggregated kernel
+//!   ([`agg`]), at every thread count.
 //!
 //! # Example
 //!
@@ -59,27 +65,12 @@ pub use agg::{
 pub use aggregate::{analyze_aggregation, AggregationReport};
 pub use cluster::{simulate_clustered, ClusterConfig, ClusterReport};
 pub use csr::{CsrAdjacency, RegionPartition};
-pub use gather::{
-    simulate_gathering, simulate_gathering_faulted, simulate_gathering_faulted_observed,
-    simulate_gathering_faulted_with, simulate_gathering_observed, simulate_gathering_with,
-    GatherSession, NetworkConfig, NetworkReport,
-};
-pub use lossy::{
-    simulate_lossy_gathering, simulate_lossy_gathering_faulted,
-    simulate_lossy_gathering_faulted_observed, simulate_lossy_gathering_faulted_with,
-    simulate_lossy_gathering_observed, LossyConfig, LossyReport, LossySession,
-};
+pub use gather::{simulate_gathering, GatherSession, NetworkConfig, NetworkReport};
+pub use lossy::{simulate_lossy_gathering, LossyConfig, LossyReport, LossySession};
 pub use pdes::{
     par_engaged_count, par_min_nodes_per_worker, par_serial_fallback_count,
-    reset_par_engagement_counters, set_par_min_nodes_per_worker,
-    simulate_lossy_gathering_faulted_observed_par, simulate_lossy_gathering_faulted_par,
-    simulate_lossy_gathering_faulted_par_with, simulate_lossy_gathering_par,
-    PAR_MIN_NODES_PER_WORKER,
+    reset_par_engagement_counters, set_par_min_nodes_per_worker, PAR_MIN_NODES_PER_WORKER,
 };
-pub use replicate::{
-    replicate_gathering, replicate_gathering_faulted_observed,
-    replicate_gathering_faulted_observed_threads, replicate_gathering_observed,
-    replicate_gathering_observed_threads, replicate_gathering_threads, summarize_reports,
-};
+pub use replicate::{replicate_gathering, replicate_gathering_observed, summarize_reports};
 pub use routing::{build_routes, build_routes_over, RouteCache, RoutingStrategy};
 pub use topology::{NeighborsWithin, NodeId, Position, Topology};

@@ -8,7 +8,9 @@
 //! (bounded), and all the retry energy is charged to the transmitting and
 //! receiving nodes. Deterministic in a seed.
 //!
-//! [`simulate_lossy_gathering_faulted`] layers an
+//! [`LossySession`] is the one way to run these rounds;
+//! [`simulate_lossy_gathering`] is the fault-free, unrecorded run on a
+//! fresh session. [`LossySession::run_faulted_with`] layers an
 //! [`ami_sim::fault::FaultSchedule`] on top: fault-downed relays and
 //! downed links waste the sender's full ARQ budget and count the packet
 //! as `dropped_fault`. Fault handling consumes **no randomness**, so a
@@ -25,12 +27,12 @@
 //! fate is therefore a pure function of round-constant state (the route
 //! table, fault windows) and its own key, independent of when or where
 //! any *other* packet executes. That is the property the region-parallel
-//! engine in [`pdes`](crate::pdes) exploits: sources execute
-//! region-parallel, and the commit replays counters and energy in fixed
-//! ascending-id order — bit-identical to this serial kernel at any
-//! thread count (no rollback machinery is needed, because unlike the
-//! budgeted perfect-link kernel there is no cross-packet coupling:
-//! links are lossy but energy is not finite in this model).
+//! engine in [`pdes`] exploits: sources execute region-parallel, and the
+//! commit replays counters and energy in fixed ascending-id order —
+//! bit-identical to this serial kernel at any thread count (no rollback
+//! machinery is needed, because unlike the budgeted perfect-link kernel
+//! there is no cross-packet coupling: links are lossy but energy is not
+//! finite in this model).
 //!
 //! The float discipline backing that equality: each packet accumulates
 //! its energy in a private subtotal, and subtotals fold into the run
@@ -38,11 +40,12 @@
 //! committed once per round per `(node, category)` from integer attempt
 //! counts times the (round-constant) per-attempt cost.
 
+use crate::pdes;
 use crate::routing::{PackedRoutes, RouteCache, RoutingStrategy};
 use crate::topology::{NodeId, Topology};
 use ami_radio::{Packet, RadioEnergyModel, StopAndWaitArq};
 use ami_sim::fault::{FaultSchedule, FaultTimeline};
-use ami_sim::obs::{EnergyCategory, LedgerRecorder, NullRecorder, Recorder};
+use ami_sim::obs::{EnergyCategory, NullRecorder, Recorder};
 use ami_sim::rng::packet_rng;
 use ami_units::{DataVolume, Energy, EnergyPerBit, Length};
 use rand::RngExt;
@@ -228,8 +231,9 @@ pub(crate) fn walk_packet(
 }
 
 /// Run state of the counter-RNG lossy kernel, shared between the serial
-/// loop and the region-parallel engine in [`crate::pdes`] (which
-/// borrows the fields disjointly for its worker phases).
+/// loop in [`LossySession::run_faulted_with`] and the region-parallel
+/// engine in [`crate::pdes`] (which borrows the fields disjointly for
+/// its worker phases).
 pub(crate) struct LossyState<'a> {
     pub topology: &'a Topology,
     pub sink: NodeId,
@@ -265,18 +269,17 @@ pub(crate) struct LossyState<'a> {
 }
 
 impl<'a> LossyState<'a> {
+    /// A fresh run state over `cache` and its packed image `packed`,
+    /// which the state adopts as they are: a warm pair whose usable set
+    /// still matches skips the first build and repack.
     pub fn new(
         topology: &'a Topology,
         config: &'a LossyConfig,
-        rounds: u64,
         seed: u64,
         faults: &FaultSchedule,
+        cache: RouteCache,
+        packed: PackedRoutes,
     ) -> Self {
-        assert!(rounds > 0, "simulate at least one round");
-        assert!(
-            (0.0..=0.5).contains(&config.ber),
-            "BER must lie in [0, 0.5]"
-        );
         let n = topology.len();
         let bits = config.packet.total_bits();
         Self {
@@ -300,8 +303,8 @@ impl<'a> LossyState<'a> {
             down_now: vec![false; n],
             down_prev: vec![false; n],
             usable: vec![true; n],
-            cache: RouteCache::new(n),
-            packed: PackedRoutes::new(n),
+            cache,
+            packed,
             routes_dirty: true,
             tx_attempts: vec![0; n],
             rx_attempts: vec![0; n],
@@ -413,7 +416,9 @@ impl<'a> LossyState<'a> {
     /// Commits the round's attempt counts to the recorder — one charge
     /// per `(node, category)` in ascending node order, integer count
     /// times the round-constant per-attempt cost — and clears them.
-    /// This is the serial definition the parallel engine replays.
+    /// The region-parallel engine merges its region counts into the
+    /// state and commits through here too, so this is the one place the
+    /// Tx-then-RxRelay charge order is written.
     pub fn commit_charges<R: Recorder>(&mut self, recorder: &mut R) {
         let tx_costs = self.cache.tx_costs();
         for (id, count) in self.tx_attempts.iter_mut().enumerate() {
@@ -440,7 +445,7 @@ impl<'a> LossyState<'a> {
     }
 
     /// Final report.
-    pub fn finish(self) -> LossyReport {
+    pub fn finish(&self) -> LossyReport {
         LossyReport {
             offered: self.offered,
             delivered: self.delivered,
@@ -451,8 +456,9 @@ impl<'a> LossyState<'a> {
     }
 }
 
-/// Runs `rounds` of minimum-energy gathering over lossy links,
-/// deterministic in `seed`.
+/// Runs `rounds` of fault-free minimum-energy gathering over lossy
+/// links on a fresh [`LossySession`], deterministic in `seed`,
+/// recording nothing.
 ///
 /// # Panics
 ///
@@ -463,67 +469,15 @@ pub fn simulate_lossy_gathering(
     rounds: u64,
     seed: u64,
 ) -> LossyReport {
-    simulate_lossy_gathering_faulted(topology, config, rounds, seed, &FaultSchedule::empty())
+    LossySession::new(topology, config).run(rounds, seed)
 }
 
-/// [`simulate_lossy_gathering`] under an exogenous [`FaultSchedule`].
-///
-/// Fault semantics mirror the gather simulator's (one-round routing
-/// lag, `dropped_fault` attribution) with one ARQ-specific twist: a
-/// sender facing a fault-downed receiver or a downed link gets no ACK
-/// on any attempt, so it burns its **entire retransmission budget**
-/// before giving up. A downed receiver spends nothing (it is powered
-/// off); a downed link charges both powered ends per attempt. Fault
-/// handling consumes no random draws, and packets own their streams, so
-/// every packet a fault does not touch sees channel draws identical to
-/// the unfaulted run at the same seed. The empty schedule is bit-exact
-/// with [`simulate_lossy_gathering`].
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero or the BER is outside `[0, 0.5]`.
-pub fn simulate_lossy_gathering_faulted(
-    topology: &Topology,
-    config: &LossyConfig,
-    rounds: u64,
-    seed: u64,
-    faults: &FaultSchedule,
-) -> LossyReport {
-    simulate_lossy_gathering_faulted_with(topology, config, rounds, seed, faults, &mut NullRecorder)
-}
-
-/// [`simulate_lossy_gathering_faulted`] with a [`Recorder`] attached:
-/// per-node `Tx`/`RxRelay` charges (ARQ attempt counts times the
-/// per-attempt cost, committed once per round per node) and the packet
-/// counters (`offered`, `delivered`, `dropped_fault`; channel losses
-/// are the remainder). The un-instrumented entry points pass
-/// [`NullRecorder`], which monomorphizes the hooks away.
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero or the BER is outside `[0, 0.5]`.
-pub fn simulate_lossy_gathering_faulted_with<R: Recorder>(
-    topology: &Topology,
-    config: &LossyConfig,
-    rounds: u64,
-    seed: u64,
-    faults: &FaultSchedule,
-    recorder: &mut R,
-) -> LossyReport {
-    let mut state = LossyState::new(topology, config, rounds, seed, faults);
-    for round in 0..rounds {
-        state.begin_round(round);
-        state.send_all(round, recorder);
-        state.end_round(round);
-    }
-    state.finish()
-}
-
-/// Reusable lossy-run session over one `(topology, config)` pair: the
-/// route cache and its packed next-hop image persist across runs, so
-/// every run after the first skips the Dijkstra build (the dominant
-/// fixed cost at city scale) and measures marginal round work only.
-/// Each run is bit-identical to the matching one-shot entry point.
+/// The lossy-run harness over one `(topology, config)` pair: the route
+/// cache and its packed next-hop image persist across runs, so every
+/// run after the first skips the Dijkstra build (the dominant fixed cost
+/// at city scale) and measures marginal round work only. Each run
+/// starts from a fresh run state and is bit-identical to the same run
+/// on a fresh session.
 pub struct LossySession<'a> {
     topology: &'a Topology,
     config: &'a LossyConfig,
@@ -542,99 +496,113 @@ impl<'a> LossySession<'a> {
         }
     }
 
-    /// Runs `rounds` fault-free rounds from a fresh run state,
-    /// recording nothing. Bit-identical to
-    /// [`simulate_lossy_gathering`].
+    /// Runs `rounds` fault-free rounds from a fresh run state on the
+    /// calling thread, recording nothing.
     ///
     /// # Panics
     ///
     /// Panics if `rounds` is zero or the BER is outside `[0, 0.5]`.
     pub fn run(&mut self, rounds: u64, seed: u64) -> LossyReport {
-        self.run_faulted_with(rounds, seed, &FaultSchedule::empty(), &mut NullRecorder)
+        self.run_faulted_with(rounds, seed, &FaultSchedule::empty(), 1, &mut NullRecorder)
     }
 
-    /// Runs `rounds` rounds under `faults` from a fresh run state,
-    /// charging every event through `recorder`. Bit-identical to
-    /// [`simulate_lossy_gathering_faulted_with`].
+    /// Runs `rounds` rounds from a fresh run state under the exogenous
+    /// `faults` schedule on up to `threads` workers, charging every
+    /// event through `recorder`.
+    ///
+    /// Fault semantics mirror the gather simulator's (one-round routing
+    /// lag, `dropped_fault` attribution) with one ARQ-specific twist: a
+    /// sender facing a fault-downed receiver or a downed link gets no ACK
+    /// on any attempt, so it burns its **entire retransmission budget**
+    /// before giving up. A downed receiver spends nothing (it is powered
+    /// off); a downed link charges both powered ends per attempt. Fault
+    /// handling consumes no random draws, and packets own their streams,
+    /// so every packet a fault does not touch sees channel draws
+    /// identical to the unfaulted run at the same seed. The empty
+    /// schedule is bit-exact with [`run`](Self::run).
+    ///
+    /// The recorder sees per-node `Tx`/`RxRelay` charges (ARQ attempt
+    /// counts times the per-attempt cost, committed once per round per
+    /// node) and the packet counters (`offered`, `delivered`,
+    /// `dropped_fault`; channel losses are the remainder).
+    /// [`NullRecorder`] monomorphizes the hooks away.
+    ///
+    /// The region-parallel engine ([`pdes`]) runs the rounds when the run
+    /// covers its nodes-per-worker floor on more than one worker
+    /// ([`pdes::par_engaged_count`]); every other run takes the serial
+    /// loop on the calling thread ([`pdes::par_serial_fallback_count`]).
+    /// Both are bit-identical, so `threads` never changes a result.
     ///
     /// # Panics
     ///
-    /// Panics if `rounds` is zero or the BER is outside `[0, 0.5]`.
+    /// Panics if `rounds` or `threads` is zero, or the BER is outside
+    /// `[0, 0.5]`.
     pub fn run_faulted_with<R: Recorder>(
         &mut self,
         rounds: u64,
         seed: u64,
         faults: &FaultSchedule,
+        threads: usize,
         recorder: &mut R,
     ) -> LossyReport {
-        let mut state = LossyState::new(self.topology, self.config, rounds, seed, faults);
-        // Adopt the session's warm cache and packed image;
+        assert!(threads > 0, "at least one worker thread");
+        assert!(rounds > 0, "simulate at least one round");
+        assert!(
+            (0.0..=0.5).contains(&self.config.ber),
+            "BER must lie in [0, 0.5]"
+        );
+        // The state adopts the session's warm cache and packed image;
         // `begin_round` no-ops both when the usable set still matches
         // what the cache was built over.
-        state.cache = std::mem::replace(&mut self.cache, RouteCache::new(0));
-        state.packed = std::mem::replace(&mut self.packed, PackedRoutes::new(0));
-        for round in 0..rounds {
-            state.begin_round(round);
-            state.send_all(round, recorder);
-            state.end_round(round);
+        let cache = std::mem::replace(&mut self.cache, RouteCache::new(0));
+        let packed = std::mem::replace(&mut self.packed, PackedRoutes::new(0));
+        let mut state = LossyState::new(self.topology, self.config, seed, faults, cache, packed);
+        if pdes::engage(self.topology.len(), threads) {
+            pdes::run_region_rounds(&mut state, rounds, threads, recorder);
+        } else {
+            for round in 0..rounds {
+                state.begin_round(round);
+                state.send_all(round, recorder);
+                state.end_round(round);
+            }
         }
-        self.cache = std::mem::replace(&mut state.cache, RouteCache::new(0));
-        self.packed = std::mem::replace(&mut state.packed, PackedRoutes::new(0));
-        state.finish()
+        let report = state.finish();
+        self.cache = state.cache;
+        self.packed = state.packed;
+        report
     }
-}
-
-/// [`simulate_lossy_gathering`] with the standard instrumented
-/// recorder: returns the report plus the energy ledger and packet
-/// counters of the run.
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero or the BER is outside `[0, 0.5]`.
-pub fn simulate_lossy_gathering_observed(
-    topology: &Topology,
-    config: &LossyConfig,
-    rounds: u64,
-    seed: u64,
-) -> (LossyReport, LedgerRecorder) {
-    simulate_lossy_gathering_faulted_observed(
-        topology,
-        config,
-        rounds,
-        seed,
-        &FaultSchedule::empty(),
-    )
-}
-
-/// [`simulate_lossy_gathering_faulted`] with the standard instrumented
-/// recorder. See [`simulate_lossy_gathering_observed`].
-///
-/// # Panics
-///
-/// Panics if `rounds` is zero or the BER is outside `[0, 0.5]`.
-pub fn simulate_lossy_gathering_faulted_observed(
-    topology: &Topology,
-    config: &LossyConfig,
-    rounds: u64,
-    seed: u64,
-    faults: &FaultSchedule,
-) -> (LossyReport, LedgerRecorder) {
-    let mut recorder = LedgerRecorder::with_nodes(topology.len());
-    let report = simulate_lossy_gathering_faulted_with(
-        topology,
-        config,
-        rounds,
-        seed,
-        faults,
-        &mut recorder,
-    );
-    (report, recorder)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::routing::{build_routes, route_to_sink};
+    use ami_sim::obs::LedgerRecorder;
+
+    /// One run on a fresh session under `faults`, on the calling thread.
+    fn faulted_run(
+        topo: &Topology,
+        config: &LossyConfig,
+        rounds: u64,
+        seed: u64,
+        faults: &FaultSchedule,
+    ) -> LossyReport {
+        LossySession::new(topo, config).run_faulted_with(rounds, seed, faults, 1, &mut NullRecorder)
+    }
+
+    /// [`faulted_run`] with a ledger attached.
+    fn observed_run(
+        topo: &Topology,
+        config: &LossyConfig,
+        rounds: u64,
+        seed: u64,
+        faults: &FaultSchedule,
+    ) -> (LossyReport, LedgerRecorder) {
+        let mut obs = LedgerRecorder::with_nodes(topo.len());
+        let report =
+            LossySession::new(topo, config).run_faulted_with(rounds, seed, faults, 1, &mut obs);
+        (report, obs)
+    }
 
     fn topo() -> Topology {
         Topology::grid(4, Length::from_meters(30.0))
@@ -770,7 +738,7 @@ mod tests {
     #[test]
     fn observed_run_carries_the_report_energy_in_the_ledger() {
         let config = LossyConfig::bruised_channel();
-        let (report, obs) = simulate_lossy_gathering_observed(&topo(), &config, 60, 5);
+        let (report, obs) = observed_run(&topo(), &config, 60, 5, &FaultSchedule::empty());
         // Charges are committed per (node, round, category) while the
         // report folds per packet, so the totals agree to rounding, not
         // bitwise.
@@ -802,13 +770,7 @@ mod tests {
         fn empty_schedule_is_bit_exact_with_the_unfaulted_path() {
             let config = LossyConfig::bruised_channel();
             let plain = simulate_lossy_gathering(&topo(), &config, 100, 11);
-            let faulted = simulate_lossy_gathering_faulted(
-                &topo(),
-                &config,
-                100,
-                11,
-                &FaultSchedule::empty(),
-            );
+            let faulted = faulted_run(&topo(), &config, 100, 11, &FaultSchedule::empty());
             assert_eq!(plain, faulted);
             assert_eq!(faulted.dropped_fault, 0);
         }
@@ -826,8 +788,8 @@ mod tests {
                 fade_factor: 1.0,
             };
             let faults = model.schedule(5, topo().len(), 80);
-            let a = simulate_lossy_gathering_faulted(&topo(), &config, 80, 9, &faults);
-            let b = simulate_lossy_gathering_faulted(&topo(), &config, 80, 9, &faults);
+            let a = faulted_run(&topo(), &config, 80, 9, &faults);
+            let b = faulted_run(&topo(), &config, 80, 9, &faults);
             assert_eq!(a, b);
             assert!(a.dropped_fault > 0, "the fault mix must cost packets");
             assert!(a.delivered > 0, "the network must degrade, not die");
@@ -853,7 +815,7 @@ mod tests {
                 until,
             }]);
             let plain = simulate_lossy_gathering(&star, &config, rounds, seed);
-            let faulted = simulate_lossy_gathering_faulted(&star, &config, rounds, seed, &faults);
+            let faulted = faulted_run(&star, &config, rounds, seed, &faults);
             let mut leaf1_lost = 0u64;
             for round in from..until {
                 let mut rng = packet_rng(seed, round, 1);
@@ -884,7 +846,7 @@ mod tests {
             let mut config = LossyConfig::bruised_channel();
             config.ber = 0.0;
             let faults = FaultSchedule::new(vec![FaultEvent::NodeDeath { node: 1, round: 1 }]);
-            let report = simulate_lossy_gathering_faulted(&line, &config, 4, 3, &faults);
+            let report = faulted_run(&line, &config, 4, 3, &faults);
             // Round 0: both deliver (3 hops total). Round 1: node 2
             // faults out. Rounds 2–3: node 2 is routeless, nothing sent.
             assert_eq!(report.offered, 3);
@@ -905,7 +867,7 @@ mod tests {
                 from: 1,
                 until: 2,
             }]);
-            let report = simulate_lossy_gathering_faulted(&pair, &config, 3, 3, &faults);
+            let report = faulted_run(&pair, &config, 3, 3, &faults);
             assert_eq!(report.offered, 3);
             assert_eq!(report.delivered, 2);
             assert_eq!(report.dropped_fault, 1);
@@ -937,8 +899,7 @@ mod tests {
                 from: 1,
                 until: 2,
             }]);
-            let (report, obs) =
-                simulate_lossy_gathering_faulted_observed(&pair, &config, 3, 3, &faults);
+            let (report, obs) = observed_run(&pair, &config, 3, 3, &faults);
             assert_eq!(report.dropped_fault, 1);
             assert_eq!(obs.packets.dropped_fault, 1);
             let bits = config.packet.total_bits();

@@ -13,11 +13,16 @@
 //! is exactly ascending global node id, the order the serial kernel
 //! charges in.
 //!
+//! [`LossySession::run_faulted_with`](crate::LossySession::run_faulted_with)
+//! decides per run whether this engine or the serial loop runs the
+//! rounds; the engine is a crate-private round driver over the
+//! session's run state, so it has no entry point of its own.
+//!
 //! # Why the result is bit-identical
 //!
-//! [`simulate_lossy_gathering_faulted_par_with`] needs no rollback
-//! machinery: the lossy model has no energy budgets, so there is no
-//! cross-packet coupling and no margin to check. Every packet draws
+//! The engine needs no rollback machinery: the lossy model has no
+//! energy budgets, so there is no cross-packet coupling and no margin
+//! to check. Every packet draws
 //! from its own counter stream ([`ami_sim::rng::packet_rng`]) and its
 //! fate depends only on round-constant state, so region walks commute
 //! and every round commits. The commit replays the serial folds —
@@ -42,23 +47,22 @@
 //! # When parallelism cannot pay
 //!
 //! Region setup, the split, and the round barrier are pure overhead on
-//! small runs, so every `_par` entry point first checks a cheap
+//! small runs, so every lossy session run first checks a cheap
 //! nodes-per-worker floor ([`PAR_MIN_NODES_PER_WORKER`], overridable
-//! per thread) and runs the serial kernel when the run is too small —
-//! bit-identical results either way, observable only through
-//! [`par_serial_fallback_count`]/[`par_engaged_count`].
+//! per thread) and runs the serial loop when the run is too small or
+//! has one worker — bit-identical results either way, observable only
+//! through [`par_serial_fallback_count`]/[`par_engaged_count`].
 
 use crate::csr::RegionPartition;
-use crate::lossy::{LossyConfig, LossyFate, LossyReport, LossyRoundCtx, LossyState};
-use crate::topology::{NodeId, Position, Topology};
-use ami_sim::fault::FaultSchedule;
-use ami_sim::obs::{EnergyCategory, LedgerRecorder, NullRecorder, Recorder};
+use crate::lossy::{LossyFate, LossyRoundCtx, LossyState};
+use crate::topology::{NodeId, Position};
+use ami_sim::obs::Recorder;
 use ami_sim::runner::RoundPool;
 use std::cell::Cell;
 use std::sync::Mutex;
 
-/// Default floor on nodes-per-worker below which the `_par` entry
-/// points run the serial kernel instead of spinning up regions: below
+/// Default floor on nodes-per-worker below which a lossy session run
+/// takes the serial loop instead of spinning up regions: below
 /// city scale the per-round barrier and split overhead outweigh the
 /// work (BENCH_NET measured speedups under 1.0 even at n=10⁴ on small
 /// hosts). Results are bit-identical either way — the engine exists
@@ -87,12 +91,13 @@ pub fn par_min_nodes_per_worker() -> usize {
         .unwrap_or(PAR_MIN_NODES_PER_WORKER)
 }
 
-/// How many `_par` calls on this thread fell back to the serial kernel.
+/// How many lossy session runs on this thread took the serial loop:
+/// every run the region engine did not take, one-worker runs included.
 pub fn par_serial_fallback_count() -> u64 {
     PAR_FALLBACKS.with(Cell::get)
 }
 
-/// How many `_par` calls on this thread engaged the region engine.
+/// How many lossy session runs on this thread the region engine took.
 pub fn par_engaged_count() -> u64 {
     PAR_ENGAGED.with(Cell::get)
 }
@@ -109,12 +114,14 @@ fn parallel_pays(n: usize, threads: usize) -> bool {
     threads > 1 && n >= par_min_nodes_per_worker().saturating_mul(threads)
 }
 
-fn note_fallback() {
-    PAR_FALLBACKS.with(|cell| cell.set(cell.get() + 1));
-}
-
-fn note_engaged() {
-    PAR_ENGAGED.with(|cell| cell.set(cell.get() + 1));
+/// Decides by [`parallel_pays`] whether a lossy run over `n` nodes on
+/// `threads` workers takes the region engine, and counts the decision:
+/// one engagement or one serial fallback per run.
+pub(crate) fn engage(n: usize, threads: usize) -> bool {
+    let pays = parallel_pays(n, threads);
+    let counter = if pays { &PAR_ENGAGED } else { &PAR_FALLBACKS };
+    counter.with(|cell| cell.set(cell.get() + 1));
+    pays
 }
 
 /// Splits a per-node array into per-region mutable slices (the
@@ -170,52 +177,32 @@ impl LossyRegionScratch {
     }
 }
 
-/// [`simulate_lossy_gathering_faulted_with`](crate::lossy::simulate_lossy_gathering_faulted_with)
-/// executed region-parallel on `threads` workers — bit-identical to the
-/// serial counter-RNG kernel at any thread count.
+/// Runs `rounds` rounds of `state` region-parallel on `threads`
+/// workers — bit-identical to the serial loop at any thread count.
 ///
 /// No rollback machinery exists here, because none is needed: the lossy
 /// model has no energy budgets, so a packet's fate depends only on
 /// round-constant state (routes, fault windows) and its own counter
 /// stream ([`ami_sim::rng::packet_rng`]) — never on another packet's
 /// execution. Each worker walks its region's sources with
-/// [`walk_packet`](crate::lossy) — the same function the serial kernel
+/// [`walk_packet`](crate::lossy) — the same function the serial loop
 /// runs — into region-local scratch; the commit then replays the serial
 /// folds exactly: per-packet energy subtotals added in ascending source
 /// id, per-node ledger charges committed once per `(node, category)`
 /// from the merged (exact, integer) attempt counts, packet tallies
 /// bulk-committed.
 ///
-/// Below [`par_min_nodes_per_worker`]×`threads` nodes the call runs the
-/// serial kernel directly (identical results, less overhead); see
-/// [`set_par_min_nodes_per_worker`].
-///
-/// # Panics
-///
-/// Panics if `rounds` or `threads` is zero, or the BER is outside
-/// `[0, 0.5]`.
-pub fn simulate_lossy_gathering_faulted_par_with<R: Recorder>(
-    topology: &Topology,
-    config: &LossyConfig,
+/// The caller decides engagement with [`engage`].
+pub(crate) fn run_region_rounds<R: Recorder>(
+    state: &mut LossyState<'_>,
     rounds: u64,
-    seed: u64,
-    faults: &FaultSchedule,
     threads: usize,
     recorder: &mut R,
-) -> LossyReport {
-    assert!(threads > 0, "at least one worker thread");
+) {
+    let topology = state.topology;
     let n = topology.len();
-    if !parallel_pays(n, threads) {
-        note_fallback();
-        return crate::lossy::simulate_lossy_gathering_faulted_with(
-            topology, config, rounds, seed, faults, recorder,
-        );
-    }
-    note_engaged();
     let positions: Vec<Position> = topology.ids().map(|id| topology.position(id)).collect();
-    let part = RegionPartition::balanced(&positions, config.max_hop, threads);
-
-    let mut state = LossyState::new(topology, config, rounds, seed, faults);
+    let part = RegionPartition::balanced(&positions, state.max_hop, threads);
     let sink_id = state.sink.0;
     // Per-source packet energy subtotals, one slot per node id; region
     // slices of this are the only f64s workers write.
@@ -275,17 +262,17 @@ pub fn simulate_lossy_gathering_faulted_par_with<R: Recorder>(
                     }
                 });
             }
-            commit_lossy_round(&mut state, recorder, &scratch, &pkt_energy);
+            commit_lossy_round(state, recorder, &scratch, &pkt_energy);
             state.end_round(round);
         }
     });
-    state.finish()
 }
 
 /// Folds a parallel lossy round into the run state by replaying the
-/// serial folds: energy subtotals ascending source id, merged integer
-/// attempt counts charged once per `(node, category)` ascending, packet
-/// tallies bulk-committed region-ascending.
+/// serial folds: energy subtotals ascending source id, region attempt
+/// counts merged into the state and charged by
+/// [`LossyState::commit_charges`], packet tallies bulk-committed
+/// region-ascending.
 fn commit_lossy_round<R: Recorder>(
     state: &mut LossyState<'_>,
     recorder: &mut R,
@@ -308,30 +295,17 @@ fn commit_lossy_round<R: Recorder>(
         }
     }
 
-    // Ledger charges: identical `count as f64 * cost` multiplies as the
-    // serial `commit_charges`, from exactly-merged integer counts. All
-    // Tx charges ascending, then all RxRelay, matching the serial order.
-    let tx_costs = state.cache.tx_costs();
-    for (id, &tx_cost) in tx_costs.iter().enumerate() {
-        let mut count = 0u64;
-        for region in regions.iter_mut() {
-            count += region.tx_attempts[id];
-            region.tx_attempts[id] = 0;
+    // Integer attempt counts merge exactly, so the state's counts equal
+    // the serial loop's and one commit writes the ledger charges.
+    for region in regions.iter_mut() {
+        for (total, count) in state.tx_attempts.iter_mut().zip(&mut region.tx_attempts) {
+            *total += std::mem::take(count);
         }
-        if count > 0 {
-            recorder.charge(id, EnergyCategory::Tx, count as f64 * tx_cost);
+        for (total, count) in state.rx_attempts.iter_mut().zip(&mut region.rx_attempts) {
+            *total += std::mem::take(count);
         }
     }
-    for id in 0..pkt_energy.len() {
-        let mut count = 0u64;
-        for region in regions.iter_mut() {
-            count += region.rx_attempts[id];
-            region.rx_attempts[id] = 0;
-        }
-        if count > 0 {
-            recorder.charge(id, EnergyCategory::RxRelay, count as f64 * state.rx);
-        }
-    }
+    state.commit_charges(recorder);
 
     let mut offered = 0u64;
     let mut delivered = 0u64;
@@ -352,91 +326,13 @@ fn commit_lossy_round<R: Recorder>(
     state.transmissions += transmissions;
 }
 
-/// [`simulate_lossy_gathering`](crate::simulate_lossy_gathering)
-/// executed region-parallel on `threads` workers. See
-/// [`simulate_lossy_gathering_faulted_par_with`].
-///
-/// # Panics
-///
-/// Panics if `rounds` or `threads` is zero, or the BER is outside
-/// `[0, 0.5]`.
-pub fn simulate_lossy_gathering_par(
-    topology: &Topology,
-    config: &LossyConfig,
-    rounds: u64,
-    seed: u64,
-    threads: usize,
-) -> LossyReport {
-    simulate_lossy_gathering_faulted_par(
-        topology,
-        config,
-        rounds,
-        seed,
-        &FaultSchedule::empty(),
-        threads,
-    )
-}
-
-/// [`simulate_lossy_gathering_faulted`](crate::simulate_lossy_gathering_faulted)
-/// executed region-parallel on `threads` workers. See
-/// [`simulate_lossy_gathering_faulted_par_with`].
-///
-/// # Panics
-///
-/// Panics if `rounds` or `threads` is zero, or the BER is outside
-/// `[0, 0.5]`.
-pub fn simulate_lossy_gathering_faulted_par(
-    topology: &Topology,
-    config: &LossyConfig,
-    rounds: u64,
-    seed: u64,
-    faults: &FaultSchedule,
-    threads: usize,
-) -> LossyReport {
-    simulate_lossy_gathering_faulted_par_with(
-        topology,
-        config,
-        rounds,
-        seed,
-        faults,
-        threads,
-        &mut NullRecorder,
-    )
-}
-
-/// [`simulate_lossy_gathering_faulted_observed`](crate::simulate_lossy_gathering_faulted_observed)
-/// executed region-parallel on `threads` workers: ledger and counters
-/// are byte-identical to the serial counter-RNG kernel's.
-///
-/// # Panics
-///
-/// Panics if `rounds` or `threads` is zero, or the BER is outside
-/// `[0, 0.5]`.
-pub fn simulate_lossy_gathering_faulted_observed_par(
-    topology: &Topology,
-    config: &LossyConfig,
-    rounds: u64,
-    seed: u64,
-    faults: &FaultSchedule,
-    threads: usize,
-) -> (LossyReport, LedgerRecorder) {
-    let mut recorder = LedgerRecorder::with_nodes(topology.len());
-    let report = simulate_lossy_gathering_faulted_par_with(
-        topology,
-        config,
-        rounds,
-        seed,
-        faults,
-        threads,
-        &mut recorder,
-    );
-    (report, recorder)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ami_sim::fault::{FaultEvent, FaultModel};
+    use crate::lossy::{simulate_lossy_gathering, LossyConfig, LossyReport, LossySession};
+    use crate::topology::Topology;
+    use ami_sim::fault::{FaultEvent, FaultModel, FaultSchedule};
+    use ami_sim::obs::{LedgerRecorder, NullRecorder};
     use ami_units::Length;
 
     /// Forces the region engine on for this test thread: the fixtures
@@ -446,19 +342,34 @@ mod tests {
         set_par_min_nodes_per_worker(Some(0));
     }
 
+    /// One unrecorded run on a fresh session on `threads` workers.
+    fn run_on(
+        topo: &Topology,
+        config: &LossyConfig,
+        rounds: u64,
+        seed: u64,
+        faults: &FaultSchedule,
+        threads: usize,
+    ) -> LossyReport {
+        LossySession::new(topo, config).run_faulted_with(
+            rounds,
+            seed,
+            faults,
+            threads,
+            &mut NullRecorder,
+        )
+    }
+
     #[test]
     #[should_panic(expected = "at least one worker")]
     fn lossy_zero_threads_rejected() {
         let topo = Topology::grid(3, Length::from_meters(20.0));
-        let _ = simulate_lossy_gathering_par(&topo, &LossyConfig::bruised_channel(), 1, 2003, 0);
+        let config = LossyConfig::bruised_channel();
+        let _ = run_on(&topo, &config, 1, 2003, &FaultSchedule::empty(), 0);
     }
 
     mod lossy_par {
         use super::*;
-        use crate::lossy::{
-            simulate_lossy_gathering, simulate_lossy_gathering_faulted,
-            simulate_lossy_gathering_faulted_observed,
-        };
 
         #[test]
         fn healthy_lossy_grid_matches_serial_at_every_thread_count() {
@@ -468,7 +379,7 @@ mod tests {
             let serial = simulate_lossy_gathering(&topo, &config, 80, 2003);
             assert!(serial.delivered > 0 && serial.delivered < serial.offered);
             for threads in [1, 2, 8] {
-                let par = simulate_lossy_gathering_par(&topo, &config, 80, 2003, threads);
+                let par = run_on(&topo, &config, 80, 2003, &FaultSchedule::empty(), threads);
                 assert_eq!(par, serial, "{threads} threads");
             }
         }
@@ -488,13 +399,16 @@ mod tests {
                 fade_factor: 1.0,
             };
             let faults = model.schedule(5, topo.len(), 80);
-            let (serial_report, serial_obs) =
-                simulate_lossy_gathering_faulted_observed(&topo, &config, 80, 9, &faults);
+            let observed = |threads| {
+                let mut obs = LedgerRecorder::with_nodes(topo.len());
+                let report = LossySession::new(&topo, &config)
+                    .run_faulted_with(80, 9, &faults, threads, &mut obs);
+                (report, obs)
+            };
+            let (serial_report, serial_obs) = observed(1);
             assert!(serial_report.dropped_fault > 0, "fixture must fault");
-            for threads in [1, 2, 8] {
-                let (report, obs) = simulate_lossy_gathering_faulted_observed_par(
-                    &topo, &config, 80, 9, &faults, threads,
-                );
+            for threads in [2, 8] {
+                let (report, obs) = observed(threads);
                 assert_eq!(report, serial_report, "{threads} threads");
                 assert_eq!(obs, serial_obs, "{threads} threads");
             }
@@ -514,10 +428,9 @@ mod tests {
                     until: 20,
                 },
             ]);
-            let serial = simulate_lossy_gathering_faulted(&topo, &config, 40, 7, &faults);
+            let serial = run_on(&topo, &config, 40, 7, &faults, 1);
             for threads in [2, 8] {
-                let par =
-                    simulate_lossy_gathering_faulted_par(&topo, &config, 40, 7, &faults, threads);
+                let par = run_on(&topo, &config, 40, 7, &faults, threads);
                 assert_eq!(par, serial, "{threads} threads");
             }
         }
@@ -525,25 +438,22 @@ mod tests {
 
     mod fallback {
         use super::*;
-        use crate::lossy::simulate_lossy_gathering;
 
         #[test]
         fn small_runs_fall_back_to_serial_and_count_it() {
             // Default heuristic: a 16-node grid can never cover the
-            // per-worker floor, so `_par` must run the serial kernel —
-            // observable only through the counters, because the results
-            // are bit-identical either way.
+            // per-worker floor, so the session must run the serial loop
+            // — observable only through the counters, because the
+            // results are bit-identical either way.
             set_par_min_nodes_per_worker(None);
-            reset_par_engagement_counters();
             let topo = Topology::grid(4, Length::from_meters(30.0));
-            let lossy =
-                simulate_lossy_gathering_par(&topo, &LossyConfig::bruised_channel(), 10, 3, 8);
+            let config = LossyConfig::bruised_channel();
+            let serial = simulate_lossy_gathering(&topo, &config, 10, 3);
+            reset_par_engagement_counters();
+            let lossy = run_on(&topo, &config, 10, 3, &FaultSchedule::empty(), 8);
             assert_eq!(par_serial_fallback_count(), 1);
             assert_eq!(par_engaged_count(), 0);
-            assert_eq!(
-                lossy,
-                simulate_lossy_gathering(&topo, &LossyConfig::bruised_channel(), 10, 3)
-            );
+            assert_eq!(lossy, serial);
         }
 
         #[test]
@@ -551,7 +461,8 @@ mod tests {
             set_par_min_nodes_per_worker(Some(0));
             reset_par_engagement_counters();
             let topo = Topology::grid(3, Length::from_meters(30.0));
-            let _ = simulate_lossy_gathering_par(&topo, &LossyConfig::bruised_channel(), 5, 1, 1);
+            let config = LossyConfig::bruised_channel();
+            let _ = run_on(&topo, &config, 5, 1, &FaultSchedule::empty(), 1);
             assert_eq!(par_serial_fallback_count(), 1);
             assert_eq!(par_engaged_count(), 0);
         }
@@ -561,7 +472,8 @@ mod tests {
             set_par_min_nodes_per_worker(Some(0));
             reset_par_engagement_counters();
             let topo = Topology::grid(3, Length::from_meters(30.0));
-            let _ = simulate_lossy_gathering_par(&topo, &LossyConfig::bruised_channel(), 5, 1, 2);
+            let config = LossyConfig::bruised_channel();
+            let _ = run_on(&topo, &config, 5, 1, &FaultSchedule::empty(), 2);
             assert_eq!(par_engaged_count(), 1);
             assert_eq!(par_serial_fallback_count(), 0);
             let restored = set_par_min_nodes_per_worker(None);

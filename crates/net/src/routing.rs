@@ -127,11 +127,9 @@ pub fn route_repair_enabled() -> bool {
 /// # Thread safety
 ///
 /// The flag is **thread-local**: it affects only [`RouteCache`]s driven
-/// from the calling thread, and caches carrying a per-cache override
-/// ([`RouteCache::set_repair_enabled`]) ignore it entirely. Code that
-/// owns its cache should prefer the per-cache override — it cannot leak
-/// into sibling simulations on the same thread, and restoring it is a
-/// field write rather than a thread-wide toggle.
+/// from the calling thread. Callers that flip it should restore the
+/// returned previous value, so the choice cannot leak into later
+/// simulations on the same thread.
 pub fn set_route_repair_enabled(enabled: bool) -> bool {
     REPAIR_ENABLED.with(|flag| flag.replace(enabled))
 }
@@ -381,11 +379,6 @@ pub struct RouteCache {
     /// Strategy of the current epoch; repair is only sound on top of a
     /// minimum-energy table.
     built_with: Option<RoutingStrategy>,
-    /// Per-cache repair policy: `Some(_)` wins over the thread-local
-    /// default, so one cache can be pinned to the full-rebuild oracle
-    /// without disturbing caches on other threads (or later on this
-    /// one).
-    repair_override: Option<bool>,
     scratch: RepairScratch,
 }
 
@@ -422,30 +415,8 @@ impl RouteCache {
             repairs: 0,
             primed: false,
             built_with: None,
-            repair_override: None,
             scratch: RepairScratch::default(),
         }
-    }
-
-    /// Whether this cache may repair incrementally: the per-cache
-    /// override when one was set via
-    /// [`set_repair_enabled`](Self::set_repair_enabled), else the
-    /// thread-local default ([`route_repair_enabled`]).
-    pub fn repair_enabled(&self) -> bool {
-        self.repair_override.unwrap_or_else(route_repair_enabled)
-    }
-
-    /// Pins this cache's repair policy, returning the previous override.
-    /// `Some(false)` forces every usable-set transition onto the
-    /// historical full-rebuild path (the differential-test oracle);
-    /// `Some(true)` keeps repairs on even if the thread-local default is
-    /// off; `None` restores deference to the thread-local default.
-    ///
-    /// Unlike [`set_route_repair_enabled`] this is scoped to one cache,
-    /// so it composes with worker threads and with other caches on the
-    /// same thread.
-    pub fn set_repair_enabled(&mut self, enabled: Option<bool>) -> Option<bool> {
-        std::mem::replace(&mut self.repair_override, enabled)
     }
 
     /// Makes the cached table current for `usable`, recomputing only
@@ -480,7 +451,7 @@ impl RouteCache {
         let repairable = self.primed
             && strategy == RoutingStrategy::MinimumEnergy
             && self.built_with == Some(RoutingStrategy::MinimumEnergy)
-            && self.repair_enabled();
+            && route_repair_enabled();
         if repairable {
             self.repair(topology, radio, max_hop, usable);
             note_route_repair();
@@ -1028,65 +999,6 @@ mod tests {
         set_route_repair_enabled(previous);
         assert_eq!(cache.builds(), 2, "oracle path rebuilds per transition");
         assert_eq!(cache.repairs(), 0);
-    }
-
-    #[test]
-    fn per_cache_override_beats_the_thread_local_default() {
-        let topo = Topology::grid(4, Length::from_meters(30.0));
-        let bits = ami_radio::Packet::sensor_report().total_bits();
-        let hop = Length::from_meters(45.0);
-        let mut usable = vec![true; topo.len()];
-
-        // Two caches on the same thread: the pinned one stays on the
-        // full-rebuild oracle while its sibling keeps repairing under
-        // the (enabled) thread-local default.
-        let mut oracle = RouteCache::new(topo.len());
-        assert_eq!(oracle.set_repair_enabled(Some(false)), None);
-        assert!(!oracle.repair_enabled());
-        let mut repairing = RouteCache::new(topo.len());
-        assert!(repairing.repair_enabled(), "thread default is on");
-
-        for cache in [&mut oracle, &mut repairing] {
-            cache.ensure(
-                &topo,
-                RoutingStrategy::MinimumEnergy,
-                &radio(),
-                hop,
-                bits,
-                &usable,
-            );
-        }
-        usable[5] = false;
-        for cache in [&mut oracle, &mut repairing] {
-            cache.ensure(
-                &topo,
-                RoutingStrategy::MinimumEnergy,
-                &radio(),
-                hop,
-                bits,
-                &usable,
-            );
-        }
-        assert_eq!((oracle.builds(), oracle.repairs()), (2, 0));
-        assert_eq!((repairing.builds(), repairing.repairs()), (1, 1));
-
-        // `Some(true)` likewise wins over a disabled thread default,
-        // and clearing the override restores deference to it.
-        usable[6] = false;
-        let previous = set_route_repair_enabled(false);
-        assert_eq!(repairing.set_repair_enabled(Some(true)), None);
-        repairing.ensure(
-            &topo,
-            RoutingStrategy::MinimumEnergy,
-            &radio(),
-            hop,
-            bits,
-            &usable,
-        );
-        assert_eq!((repairing.builds(), repairing.repairs()), (1, 2));
-        assert_eq!(repairing.set_repair_enabled(None), Some(true));
-        assert!(!repairing.repair_enabled(), "deference restored");
-        set_route_repair_enabled(previous);
     }
 
     #[test]

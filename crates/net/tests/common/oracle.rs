@@ -10,9 +10,10 @@
 //! * [`rebuild_over_usable`] — the compact-subtopology rebuild that
 //!   `build_routes_over`'s masked walk replaced;
 //! * the full-rebuild-per-transition `RouteCache` path that incremental
-//!   repair replaced is toggled back on via
-//!   `ami_net::routing::set_route_repair_enabled(false)` — it stays in
-//!   the production crate because the cache itself dispatches to it.
+//!   repair replaced is toggled back on for every cache on the calling
+//!   thread via `ami_net::routing::set_route_repair_enabled(false)` (the
+//!   only repair switch) — it stays in the production crate because the
+//!   cache itself dispatches to it.
 
 use ami_net::routing::build_routes;
 use ami_net::{NodeId, RoutingStrategy, Topology};

@@ -11,13 +11,13 @@
 //!   random fault schedules, with failures delta-debugged down to a
 //!   1-minimal schedule before reporting,
 //! * **region-parallel lossy rounds ≡ the serial counter-RNG kernel** —
-//!   the rollback-free lossy engine (`ami_net::pdes`) at 1, 2 and 8
+//!   the rollback-free lossy engine (`ami_net::pdes`) at 2 and 8
 //!   threads must reproduce the serial ARQ run's report, ledger and
 //!   rendered manifest across random fault schedules (the per-packet
 //!   counter streams are what make this possible at all), again with
 //!   ddmin minimization on failure.
 //!
-//! The `_par` fixtures here sit far below the production
+//! The lossy fixtures here sit far below the production
 //! nodes-per-worker floor, so every parallel run force-engages the
 //! region engine via `set_par_min_nodes_per_worker(Some(0))` — without
 //! it the fallback would reduce these tests to serial ≡ serial.
@@ -33,14 +33,13 @@ use ami_net::routing::{
     set_route_repair_enabled, RouteCache,
 };
 use ami_net::{
-    build_routes, build_routes_over, set_par_min_nodes_per_worker, simulate_gathering_faulted,
-    simulate_gathering_faulted_observed, simulate_lossy_gathering_faulted_observed,
-    simulate_lossy_gathering_faulted_observed_par, CsrAdjacency, LossyConfig, LossyReport,
-    NetworkConfig, NetworkReport, NodeId, RoutingStrategy, Topology,
+    build_routes, build_routes_over, set_par_min_nodes_per_worker, CsrAdjacency, GatherSession,
+    LossyConfig, LossyReport, LossySession, NetworkConfig, NetworkReport, NodeId, RoutingStrategy,
+    Topology,
 };
 use ami_radio::RadioEnergyModel;
 use ami_sim::fault::{FaultSchedule, FaultSpec};
-use ami_sim::obs::{LedgerRecorder, RunManifest};
+use ami_sim::obs::{LedgerRecorder, NullRecorder, RunManifest};
 use ami_units::{Energy, Length};
 use common::oracle::{dijkstra_reference_scan, rebuild_over_usable};
 use common::schedule::{fault_schedule, minimize_failing_schedule};
@@ -246,13 +245,9 @@ fn observed_run(
     repair: bool,
 ) -> (NetworkReport, LedgerRecorder, String) {
     let _mode = RepairMode::set(repair);
-    let (report, obs) = simulate_gathering_faulted_observed(
-        topo,
-        RoutingStrategy::MinimumEnergy,
-        config,
-        rounds,
-        schedule,
-    );
+    let mut obs = LedgerRecorder::with_nodes(topo.len());
+    let report = GatherSession::new(topo, RoutingStrategy::MinimumEnergy, config)
+        .run_faulted_with(rounds, schedule, &mut obs);
     let manifest = RunManifest::new("differential")
         .field("rounds", &rounds)
         .field("report", &report)
@@ -298,23 +293,20 @@ proptest! {
     }
 }
 
-/// One faulted, observed lossy/ARQ run at `threads` workers (`None` =
-/// the serial counter-RNG kernel), plus its rendered manifest — the
-/// three artifacts the lossy PDES contract pins.
+/// One faulted, observed lossy/ARQ run at `threads` workers (1 = the
+/// serial counter-RNG loop), plus its rendered manifest — the three
+/// artifacts the lossy PDES contract pins.
 fn lossy_observed_run(
     topo: &Topology,
     config: &LossyConfig,
     schedule: &FaultSchedule,
     rounds: u64,
     seed: u64,
-    threads: Option<usize>,
+    threads: usize,
 ) -> (LossyReport, LedgerRecorder, String) {
-    let (report, obs) = match threads {
-        Some(threads) => simulate_lossy_gathering_faulted_observed_par(
-            topo, config, rounds, seed, schedule, threads,
-        ),
-        None => simulate_lossy_gathering_faulted_observed(topo, config, rounds, seed, schedule),
-    };
+    let mut obs = LedgerRecorder::with_nodes(topo.len());
+    let report =
+        LossySession::new(topo, config).run_faulted_with(rounds, seed, schedule, threads, &mut obs);
     let manifest = RunManifest::new("differential-lossy")
         .field("rounds", &rounds)
         .field("report", &report)
@@ -327,7 +319,7 @@ fn lossy_observed_run(
 
 proptest! {
     /// Lossy PDES contract: the rollback-free region-parallel ARQ
-    /// engine at 1, 2 and 8 threads is byte-identical to the serial
+    /// engine at 2 and 8 threads is byte-identical to the serial
     /// counter-RNG kernel — report, ledger, rendered manifest — under
     /// random fault schedules (downed relays and links burning full
     /// ARQ budgets mid-route), with ddmin minimization on failure.
@@ -340,16 +332,16 @@ proptest! {
         let topo = Topology::random(24, Length::from_meters(110.0), seed);
         let config = LossyConfig::bruised_channel();
         let diverges = |s: &FaultSchedule| {
-            let serial = lossy_observed_run(&topo, &config, s, 25, seed, None);
-            [1usize, 2, 8]
+            let serial = lossy_observed_run(&topo, &config, s, 25, seed, 1);
+            [2usize, 8]
                 .iter()
-                .any(|&t| lossy_observed_run(&topo, &config, s, 25, seed, Some(t)) != serial)
+                .any(|&t| lossy_observed_run(&topo, &config, s, 25, seed, t) != serial)
         };
         if diverges(&schedule) {
             let minimized =
                 minimize_failing_schedule(schedule.events(), |s| diverges(s));
-            let serial = lossy_observed_run(&topo, &config, &minimized, 25, seed, None);
-            let par = lossy_observed_run(&topo, &config, &minimized, 25, seed, Some(8));
+            let serial = lossy_observed_run(&topo, &config, &minimized, 25, seed, 1);
+            let par = lossy_observed_run(&topo, &config, &minimized, 25, seed, 8);
             panic!(
                 "region-parallel lossy run diverged from serial (seed {seed})\n\
                  minimized schedule: {:?}\nserial report: {:?}\n\
@@ -366,7 +358,7 @@ proptest! {
 #[test]
 fn region_parallel_lossy_matches_serial_at_n1600_under_the_bench_fault_mix() {
     // Acceptance-scale spot check for the lossy engine: one n=1600
-    // faulted ARQ run, serial counter-RNG vs region-parallel at 1/2/8
+    // faulted ARQ run, serial counter-RNG vs region-parallel at 2 and 8
     // threads, bit-identical reports, ledgers and manifests. (The
     // n=100k differential lives in `scale_smoke_lossy` behind
     // `--ignored`.)
@@ -377,13 +369,13 @@ fn region_parallel_lossy_matches_serial_at_n1600_under_the_bench_fault_mix() {
     let config = LossyConfig::bruised_channel();
     let topo = Topology::random(n, side, 2003);
     let faults = spec.schedule_for(2003, n, 30);
-    let serial = lossy_observed_run(&topo, &config, &faults, 30, 2003, None);
+    let serial = lossy_observed_run(&topo, &config, &faults, 30, 2003, 1);
     assert!(
         serial.0.delivered > 0 && serial.0.delivered < serial.0.offered,
         "the bruised channel delivers imperfectly"
     );
-    for threads in [1usize, 2, 8] {
-        let par = lossy_observed_run(&topo, &config, &faults, 30, 2003, Some(threads));
+    for threads in [2usize, 8] {
+        let par = lossy_observed_run(&topo, &config, &faults, 30, 2003, threads);
         assert_eq!(par.0, serial.0, "report at {threads} threads");
         assert_eq!(par.1, serial.1, "ledger at {threads} threads");
         assert_eq!(par.2, serial.2, "manifest at {threads} threads");
@@ -407,8 +399,8 @@ fn faulted_replication_at_n1600_repairs_instead_of_rebuilding() {
         let seed = 2003 + rep;
         let topo = Topology::random(n, side, seed);
         let faults = spec.schedule_for(seed, n, 30);
-        let report =
-            simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 30, &faults);
+        let report = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config)
+            .run_faulted_with(30, &faults, &mut NullRecorder);
         delivered += report.delivered_packets;
     }
     assert_eq!(

@@ -13,27 +13,31 @@
 //! delta-debugged to a 1-minimal schedule — plus targeted regressions
 //! for the fallback machinery itself (death rounds must route through
 //! the retained hop-walk oracle and be counted).
+//!
+//! Every run goes through a session, so the memo contract is "a warm
+//! session equals a fresh one": the last tests pin it for hand-built
+//! schedules and for random sequences of session calls.
 
 mod common;
 
 use ami_net::{
     agg_engaged_count, agg_fallback_count, reset_agg_counters, set_aggregated_rounds,
-    simulate_gathering, simulate_gathering_faulted_observed, GatherSession, NetworkConfig,
-    NetworkReport, RoutingStrategy, Topology,
+    set_par_min_nodes_per_worker, simulate_gathering, GatherSession, LossyConfig, LossyReport,
+    LossySession, NetworkConfig, NetworkReport, RoutingStrategy, Topology,
 };
 use ami_sim::fault::{FaultEvent, FaultSchedule};
-use ami_sim::obs::{LedgerRecorder, RunManifest};
+use ami_sim::obs::{LedgerRecorder, NullRecorder, RunManifest};
 use ami_units::{Energy, Length};
 use common::schedule::{fault_schedule, minimize_failing_schedule};
 use proptest::prelude::*;
 
 /// Restores the thread-local aggregation toggle on drop, so a failing
 /// assertion cannot leak kernel choice into later tests on the thread.
-struct AggMode(Option<bool>);
+struct AggMode(bool);
 
 impl AggMode {
     fn set(enabled: bool) -> Self {
-        Self(set_aggregated_rounds(Some(enabled)))
+        Self(set_aggregated_rounds(enabled))
     }
 }
 
@@ -41,6 +45,19 @@ impl Drop for AggMode {
     fn drop(&mut self) {
         set_aggregated_rounds(self.0);
     }
+}
+
+/// One faulted gathering run on a fresh session, with a ledger.
+fn fresh_observed(
+    topo: &Topology,
+    config: &NetworkConfig,
+    schedule: &FaultSchedule,
+    rounds: u64,
+) -> (NetworkReport, LedgerRecorder) {
+    let mut obs = LedgerRecorder::with_nodes(topo.len());
+    let report = GatherSession::new(topo, RoutingStrategy::MinimumEnergy, config)
+        .run_faulted_with(rounds, schedule, &mut obs);
+    (report, obs)
 }
 
 /// One faulted, observed gathering run with the aggregated kernel
@@ -54,13 +71,7 @@ fn observed_run(
     aggregated: bool,
 ) -> (NetworkReport, LedgerRecorder, String) {
     let _mode = AggMode::set(aggregated);
-    let (report, obs) = simulate_gathering_faulted_observed(
-        topo,
-        RoutingStrategy::MinimumEnergy,
-        config,
-        rounds,
-        schedule,
-    );
+    let (report, obs) = fresh_observed(topo, config, schedule, rounds);
     let manifest = manifest_of(rounds, &report, &obs);
     (report, obs, manifest)
 }
@@ -168,12 +179,7 @@ fn mid_round_death_at_the_packet_boundary_is_exact() {
     // mid-round: give the relay one full round plus half its round-2
     // outlay, so it crosses zero between two charge events of round 2.
     let _mode = AggMode::set(false);
-    let (_, probe) = ami_net::simulate_gathering_observed(
-        &topo,
-        RoutingStrategy::MinimumEnergy,
-        &config_probe,
-        1,
-    );
+    let (_, probe) = fresh_observed(&topo, &config_probe, &FaultSchedule::empty(), 1);
     let relay_round = probe.ledger.node_total(1).as_joules();
     assert!(relay_round > 0.0, "the relay must spend in a healthy round");
 
@@ -226,7 +232,10 @@ fn session_faulted_runs_match_the_one_shot_entry_point() {
     // (routing sees faults one round late, and link faults never change
     // the usable set), so only the run-boundary invalidation and the
     // fault-free replay guard keep those rounds off the stale image.
+    // The warm lossy session rides the same schedules on one and two
+    // workers: its cache and packed image carry over between runs too.
     let _mode = AggMode::set(true);
+    let previous_floor = set_par_min_nodes_per_worker(Some(0));
     // 40 m spacing under the 45 m default hop range forces the
     // sink — relay — leaf chain, so both faults sit on a used route.
     let topo = Topology::new(vec![
@@ -235,6 +244,7 @@ fn session_faulted_runs_match_the_one_shot_entry_point() {
         ami_net::Position::new(80.0, 0.0),
     ]);
     let config = NetworkConfig::sensor_default();
+    let lossy = LossyConfig::bruised_channel();
     let rounds = 6;
     let link_only = FaultSchedule::new(vec![FaultEvent::LinkOutage {
         a: 1,
@@ -248,6 +258,7 @@ fn session_faulted_runs_match_the_one_shot_entry_point() {
         until: 3,
     }]);
     let clean = simulate_gathering(&topo, RoutingStrategy::MinimumEnergy, &config, rounds);
+    let lossy_clean = LossySession::new(&topo, &lossy).run(rounds, 5);
 
     for (label, schedule) in [
         ("link-only", &link_only),
@@ -259,13 +270,7 @@ fn session_faulted_runs_match_the_one_shot_entry_point() {
 
         let mut obs = LedgerRecorder::with_nodes(topo.len());
         let report = session.run_faulted_with(rounds, schedule, &mut obs);
-        let (one_report, one_obs) = simulate_gathering_faulted_observed(
-            &topo,
-            RoutingStrategy::MinimumEnergy,
-            &config,
-            rounds,
-            schedule,
-        );
+        let (one_report, one_obs) = fresh_observed(&topo, &config, schedule, rounds);
         assert_eq!(report, one_report, "faulted report ({label})");
         assert_eq!(obs, one_obs, "faulted ledger ({label})");
         assert_eq!(
@@ -278,5 +283,196 @@ fn session_faulted_runs_match_the_one_shot_entry_point() {
         // fault-free run on the same session either (stale hop counts
         // would mis-gate stream memoization).
         assert_eq!(session.run(rounds), clean, "post-fault run ({label})");
+
+        for threads in [1, 2] {
+            let mut warm = LossySession::new(&topo, &lossy);
+            assert_eq!(warm.run(rounds, 5), lossy_clean, "lossy warm-up ({label})");
+            let faulted = |session: &mut LossySession<'_>| {
+                let mut obs = LedgerRecorder::with_nodes(topo.len());
+                let report = session.run_faulted_with(rounds, 5, schedule, threads, &mut obs);
+                (report, obs)
+            };
+            let fresh = faulted(&mut LossySession::new(&topo, &lossy));
+            assert_eq!(
+                faulted(&mut warm),
+                fresh,
+                "lossy ({label}, {threads} threads)"
+            );
+            assert_eq!(
+                warm.run(rounds, 5),
+                lossy_clean,
+                "lossy post-fault run ({label}, {threads} threads)"
+            );
+        }
+    }
+    set_par_min_nodes_per_worker(previous_floor);
+}
+
+/// Rounds, field size and channel seed of the session-sequence fixture.
+const SEQ_ROUNDS: u64 = 25;
+const SEQ_NODES: usize = 24;
+const SEQ_CHANNEL_SEED: u64 = 9;
+
+/// One call on a pair of sessions: a plain `run`, or `run_faulted_with`
+/// under `schedule` with a [`LedgerRecorder`] or a [`NullRecorder`]
+/// (lossy runs on `threads` workers).
+#[derive(Debug, Clone)]
+enum SessionOp {
+    Run,
+    Faulted {
+        schedule: FaultSchedule,
+        ledger: bool,
+        threads: usize,
+    },
+}
+
+fn session_op() -> impl Strategy<Value = SessionOp> {
+    prop_oneof![
+        Just(SessionOp::Run),
+        (fault_schedule(SEQ_NODES, SEQ_ROUNDS, 10), 0u8..2, 0usize..3).prop_map(
+            |(schedule, ledger, threads)| SessionOp::Faulted {
+                schedule,
+                ledger: ledger == 1,
+                threads: [1, 2, 8][threads],
+            }
+        ),
+    ]
+}
+
+/// What one [`SessionOp`] returned from each session; the ledgers are
+/// `None` when the call recorded nothing.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    gather: NetworkReport,
+    gather_ledger: Option<LedgerRecorder>,
+    lossy: LossyReport,
+    lossy_ledger: Option<LedgerRecorder>,
+}
+
+/// A gathering and a lossy session over one field.
+struct Sessions<'a> {
+    gather: GatherSession<'a>,
+    lossy: LossySession<'a>,
+}
+
+impl<'a> Sessions<'a> {
+    fn new(topo: &'a Topology, config: &'a NetworkConfig, lossy: &'a LossyConfig) -> Self {
+        Self {
+            gather: GatherSession::new(topo, RoutingStrategy::MinimumEnergy, config),
+            lossy: LossySession::new(topo, lossy),
+        }
+    }
+
+    fn call(&mut self, op: &SessionOp) -> Outcome {
+        match op {
+            SessionOp::Run => Outcome {
+                gather: self.gather.run(SEQ_ROUNDS),
+                gather_ledger: None,
+                lossy: self.lossy.run(SEQ_ROUNDS, SEQ_CHANNEL_SEED),
+                lossy_ledger: None,
+            },
+            SessionOp::Faulted {
+                schedule,
+                ledger: false,
+                threads,
+            } => Outcome {
+                gather: self
+                    .gather
+                    .run_faulted_with(SEQ_ROUNDS, schedule, &mut NullRecorder),
+                gather_ledger: None,
+                lossy: self.lossy.run_faulted_with(
+                    SEQ_ROUNDS,
+                    SEQ_CHANNEL_SEED,
+                    schedule,
+                    *threads,
+                    &mut NullRecorder,
+                ),
+                lossy_ledger: None,
+            },
+            SessionOp::Faulted {
+                schedule,
+                ledger: true,
+                threads,
+            } => {
+                let mut gather_obs = LedgerRecorder::with_nodes(SEQ_NODES);
+                let mut lossy_obs = LedgerRecorder::with_nodes(SEQ_NODES);
+                Outcome {
+                    gather: self
+                        .gather
+                        .run_faulted_with(SEQ_ROUNDS, schedule, &mut gather_obs),
+                    gather_ledger: Some(gather_obs),
+                    lossy: self.lossy.run_faulted_with(
+                        SEQ_ROUNDS,
+                        SEQ_CHANNEL_SEED,
+                        schedule,
+                        *threads,
+                        &mut lossy_obs,
+                    ),
+                    lossy_ledger: Some(lossy_obs),
+                }
+            }
+        }
+    }
+}
+
+/// Index of the first call in `ops` whose outcome on one warm pair of
+/// sessions differs from the same call on a fresh pair.
+fn first_divergence(
+    topo: &Topology,
+    config: &NetworkConfig,
+    lossy: &LossyConfig,
+    ops: &[SessionOp],
+) -> Option<usize> {
+    let mut warm = Sessions::new(topo, config, lossy);
+    ops.iter()
+        .position(|op| warm.call(op) != Sessions::new(topo, config, lossy).call(op))
+}
+
+proptest! {
+    /// Memo contract: a warm session driven through any sequence of
+    /// `run` / `run_faulted_with` calls — random fault schedules, with
+    /// or without a ledger, lossy runs on 1, 2 or 8 workers with the
+    /// region engine forced on — returns exactly what a fresh session
+    /// returns for each call. With default budgets nothing dies, so the
+    /// warm route epoch survives into the next call (where a memo keyed
+    /// on the epoch alone would leak); drained budgets (~12 idle rounds)
+    /// add energy deaths that move it mid-run. A divergence is reported
+    /// with the diverging call's schedule ddmin-minimized (earlier calls
+    /// replayed unchanged).
+    #[test]
+    fn warm_sessions_match_fresh_sessions_over_random_call_sequences(
+        seed in 0u64..40,
+        drained in 0u8..2,
+        ops in prop::collection::vec(session_op(), 1..7),
+    ) {
+        let previous_floor = set_par_min_nodes_per_worker(Some(0));
+        let topo = Topology::random(SEQ_NODES, Length::from_meters(110.0), seed);
+        let mut config = NetworkConfig::sensor_default();
+        if drained == 1 {
+            config.node_energy = Energy::from_joules(0.015);
+        }
+        let lossy = LossyConfig::bruised_channel();
+        if let Some(k) = first_divergence(&topo, &config, &lossy, &ops) {
+            let minimized = match &ops[k] {
+                SessionOp::Run => None,
+                SessionOp::Faulted { schedule, ledger, threads } => {
+                    Some(minimize_failing_schedule(schedule.events(), |s| {
+                        let mut prefix = ops[..k].to_vec();
+                        prefix.push(SessionOp::Faulted {
+                            schedule: s.clone(),
+                            ledger: *ledger,
+                            threads: *threads,
+                        });
+                        first_divergence(&topo, &config, &lossy, &prefix).is_some()
+                    }))
+                }
+            };
+            panic!(
+                "warm session diverged from a fresh one at call {k} (seed {seed})\n\
+                 calls: {ops:?}\nminimized schedule of call {k}: {:?}",
+                minimized.as_ref().map(FaultSchedule::events),
+            );
+        }
+        set_par_min_nodes_per_worker(previous_floor);
     }
 }

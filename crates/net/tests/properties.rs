@@ -2,10 +2,11 @@
 
 use ami_net::routing::route_to_sink;
 use ami_net::{
-    build_routes, simulate_gathering, simulate_gathering_observed, NetworkConfig, RoutingStrategy,
-    Topology,
+    build_routes, simulate_gathering, GatherSession, NetworkConfig, RoutingStrategy, Topology,
 };
 use ami_radio::RadioEnergyModel;
+use ami_sim::fault::FaultSchedule;
+use ami_sim::obs::LedgerRecorder;
 use ami_units::{Energy, Length};
 use proptest::prelude::*;
 
@@ -90,8 +91,9 @@ proptest! {
         let topo = Topology::random(n, Length::from_meters(80.0), seed);
         let mut config = NetworkConfig::sensor_default();
         config.node_energy = Energy::from_millijoules(budget_mj);
-        let (report, obs) =
-            simulate_gathering_observed(&topo, RoutingStrategy::MinimumEnergy, &config, rounds);
+        let mut obs = LedgerRecorder::with_nodes(topo.len());
+        let report = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config)
+            .run_faulted_with(rounds, &FaultSchedule::empty(), &mut obs);
         prop_assert!(report.delivered_packets <= rounds * (n as u64 - 1));
         prop_assert!(report.total_energy.as_joules() > 0.0);
         prop_assert_eq!(report.rounds, rounds);

@@ -9,10 +9,11 @@ use ami_net::routing::{
     RouteCache,
 };
 use ami_net::{
-    build_routes_over, simulate_gathering, simulate_gathering_faulted, simulate_lossy_gathering,
-    LossyConfig, NetworkConfig, RoutingStrategy, Topology,
+    build_routes_over, simulate_gathering, simulate_lossy_gathering, GatherSession, LossyConfig,
+    NetworkConfig, RoutingStrategy, Topology,
 };
 use ami_sim::fault::{FaultEvent, FaultModel, FaultSchedule};
+use ami_sim::obs::NullRecorder;
 use ami_units::Length;
 use common::schedule::fault_schedule;
 use proptest::prelude::*;
@@ -91,13 +92,7 @@ proptest! {
         let rounds = 40;
         let faults = model.schedule(seed, topo.len(), rounds);
         let config = NetworkConfig::sensor_default();
-        let report = simulate_gathering_faulted(
-            &topo,
-            RoutingStrategy::MinimumEnergy,
-            &config,
-            rounds,
-            &faults,
-        );
+        let report = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run_faulted_with(rounds, &faults, &mut NullRecorder);
         prop_assert!(report.delivered_packets <= rounds * (topo.len() as u64 - 1));
         prop_assert!(report.total_energy.as_joules() >= 0.0);
     }
@@ -144,7 +139,11 @@ fn outage_costs_exactly_two_repairs_and_no_extra_builds() {
     }]);
     reset_route_build_count();
     reset_route_repair_count();
-    let _ = simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 10, &faults);
+    let _ = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run_faulted_with(
+        10,
+        &faults,
+        &mut NullRecorder,
+    );
     assert_eq!(route_build_count(), 1, "only the initial build may be full");
     assert_eq!(
         route_repair_count(),
@@ -173,8 +172,8 @@ fn reboot_landing_with_a_second_death_repairs_once() {
     ]);
     reset_route_build_count();
     reset_route_repair_count();
-    let report =
-        simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 10, &faults);
+    let report = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config)
+        .run_faulted_with(10, &faults, &mut NullRecorder);
     assert_eq!(route_build_count(), 1, "round-0 build only");
     assert_eq!(
         route_repair_count(),

@@ -9,10 +9,9 @@
 use ami_net::routing::{
     reset_route_build_count, reset_route_repair_count, route_build_count, route_repair_count,
 };
-use ami_net::{
-    simulate_gathering, simulate_gathering_faulted, NetworkConfig, RoutingStrategy, Topology,
-};
+use ami_net::{simulate_gathering, GatherSession, NetworkConfig, RoutingStrategy, Topology};
 use ami_sim::fault::{FaultEvent, FaultSchedule};
+use ami_sim::obs::NullRecorder;
 use ami_units::Length;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -116,12 +115,12 @@ fn scale_smoke_100k_nodes_route_repair_and_gather() {
     reset_route_build_count();
     reset_route_repair_count();
     let short = steady_allocations(2, || {
-        let _ =
-            simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 6, &faults);
+        let _ = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config)
+            .run_faulted_with(6, &faults, &mut NullRecorder);
     });
     let long = steady_allocations(2, || {
-        let _ =
-            simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 18, &faults);
+        let _ = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config)
+            .run_faulted_with(18, &faults, &mut NullRecorder);
     });
     assert_eq!(
         short, long,

@@ -8,11 +8,9 @@
 //! holds exactly one test so no concurrent test pollutes the allocation
 //! counter.)
 
-use ami_net::{
-    simulate_lossy_gathering, simulate_lossy_gathering_faulted,
-    simulate_lossy_gathering_faulted_par, LossyConfig, Topology,
-};
+use ami_net::{simulate_lossy_gathering, LossyConfig, LossySession, Topology};
 use ami_sim::fault::{FaultEvent, FaultSchedule};
+use ami_sim::obs::NullRecorder;
 use ami_units::Length;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -107,10 +105,22 @@ fn scale_smoke_lossy_100k_nodes_arq_serial_and_parallel() {
         },
     ]);
     let short = steady_allocations(2, || {
-        let _ = simulate_lossy_gathering_faulted(&topo, &config, 6, 2003, &faults);
+        let _ = LossySession::new(&topo, &config).run_faulted_with(
+            6,
+            2003,
+            &faults,
+            1,
+            &mut NullRecorder,
+        );
     });
     let long = steady_allocations(2, || {
-        let _ = simulate_lossy_gathering_faulted(&topo, &config, 18, 2003, &faults);
+        let _ = LossySession::new(&topo, &config).run_faulted_with(
+            18,
+            2003,
+            &faults,
+            1,
+            &mut NullRecorder,
+        );
     });
     assert_eq!(
         short, long,
@@ -122,9 +132,16 @@ fn scale_smoke_lossy_100k_nodes_arq_serial_and_parallel() {
     // threads must reproduce the serial counter-RNG run bit for bit at
     // city scale (n=100k clears the nodes-per-worker floor, so the
     // engine genuinely engages at 8 threads).
-    let serial = simulate_lossy_gathering_faulted(&topo, &config, 6, 2003, &faults);
+    let serial =
+        LossySession::new(&topo, &config).run_faulted_with(6, 2003, &faults, 1, &mut NullRecorder);
     for threads in [1usize, 8] {
-        let par = simulate_lossy_gathering_faulted_par(&topo, &config, 6, 2003, &faults, threads);
+        let par = LossySession::new(&topo, &config).run_faulted_with(
+            6,
+            2003,
+            &faults,
+            threads,
+            &mut NullRecorder,
+        );
         assert_eq!(
             par, serial,
             "region-parallel lossy n=100k run diverged at {threads} threads"

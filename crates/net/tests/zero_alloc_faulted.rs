@@ -10,11 +10,9 @@
 //! filtered by measuring each workload as a minimum over several
 //! attempts — see [`steady_allocations`].)
 
-use ami_net::{
-    simulate_gathering_faulted, simulate_lossy_gathering_faulted, LossyConfig, NetworkConfig,
-    RoutingStrategy, Topology,
-};
+use ami_net::{GatherSession, LossyConfig, LossySession, NetworkConfig, RoutingStrategy, Topology};
 use ami_sim::fault::{FaultEvent, FaultSchedule};
+use ami_sim::obs::NullRecorder;
 use ami_units::Length;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,24 +91,28 @@ fn faulted_round_loops_allocate_nothing_per_round() {
     let config = NetworkConfig::sensor_default();
     let lossy = LossyConfig::bruised_channel();
     let faults = early_schedule();
+    // Each run on a fresh session, like a one-shot study.
+    let gather_run = |rounds| {
+        GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config).run_faulted_with(
+            rounds,
+            &faults,
+            &mut NullRecorder,
+        )
+    };
+    let lossy_run = |rounds| {
+        LossySession::new(&topo, &lossy).run_faulted_with(rounds, 3, &faults, 1, &mut NullRecorder)
+    };
 
     // Warm the topology's CSR cache so every measured run starts from
     // the same state (the cache builds once per topology, not per run).
-    let _ = simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 1, &faults);
-    let _ = simulate_lossy_gathering_faulted(&topo, &lossy, 1, 3, &faults);
+    let _ = gather_run(1);
+    let _ = lossy_run(1);
 
     let gather_short = steady_allocations(5, || {
-        let _ =
-            simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 10, &faults);
+        let _ = gather_run(10);
     });
     let gather_long = steady_allocations(5, || {
-        let _ = simulate_gathering_faulted(
-            &topo,
-            RoutingStrategy::MinimumEnergy,
-            &config,
-            1000,
-            &faults,
-        );
+        let _ = gather_run(1000);
     });
     assert_eq!(
         gather_short, gather_long,
@@ -119,10 +121,10 @@ fn faulted_round_loops_allocate_nothing_per_round() {
     assert!(gather_short > 0, "the counter must actually be counting");
 
     let lossy_short = steady_allocations(5, || {
-        let _ = simulate_lossy_gathering_faulted(&topo, &lossy, 10, 3, &faults);
+        let _ = lossy_run(10);
     });
     let lossy_long = steady_allocations(5, || {
-        let _ = simulate_lossy_gathering_faulted(&topo, &lossy, 1000, 3, &faults);
+        let _ = lossy_run(1000);
     });
     assert_eq!(
         lossy_short, lossy_long,

@@ -41,13 +41,11 @@
 use crate::spec::{ScenarioError, ScenarioHash, ScenarioSpec, WorkloadSpec};
 use ami_core::case_studies::cs1::{cs1_energy_ledger, sweep_check_interval, Cs1Config};
 use ami_net::{
-    replicate_gathering_faulted_observed_threads, replicate_gathering_observed_threads,
-    simulate_gathering_faulted_observed, simulate_lossy_gathering_faulted_par, LossyConfig,
-    NetworkConfig, Topology,
+    replicate_gathering_observed, GatherSession, LossyConfig, LossySession, NetworkConfig, Topology,
 };
 use ami_radio::StopAndWaitArq;
 use ami_sim::fault::{FaultSchedule, FaultSpec, FaultTimeline};
-use ami_sim::obs::{CounterTree, RunManifest};
+use ami_sim::obs::{CounterTree, LedgerRecorder, NullRecorder, RunManifest};
 use ami_units::TimeSpan;
 use std::sync::Arc;
 
@@ -214,13 +212,9 @@ impl CompiledScenario {
                         .expect("validated gathering spec pins a topology");
                     let empty = FaultSchedule::empty();
                     let schedule = self.schedule.as_ref().unwrap_or(&empty);
-                    let (report, obs) = simulate_gathering_faulted_observed(
-                        topo,
-                        strategy,
-                        &self.network,
-                        rounds,
-                        schedule,
-                    );
+                    let mut obs = LedgerRecorder::with_nodes(topo.len());
+                    let report = GatherSession::new(topo, strategy, &self.network)
+                        .run_faulted_with(rounds, schedule, &mut obs);
                     manifest
                         .field("delivered_packets", &report.delivered_packets)
                         .field("alive_nodes", &(report.alive_nodes as u64))
@@ -237,27 +231,19 @@ impl CompiledScenario {
                     let replications = self.spec.replications as usize;
                     let base_seed = self.spec.seed;
                     let nodes = layout.node_count();
-                    let (reports, obs) = match &self.faults {
-                        Some(fault_spec) => replicate_gathering_faulted_observed_threads(
-                            threads,
-                            replications,
-                            base_seed,
-                            |seed| layout.build(seed),
-                            |seed| fault_spec.schedule_for(seed, nodes, rounds),
-                            strategy,
-                            &self.network,
-                            rounds,
-                        ),
-                        None => replicate_gathering_observed_threads(
-                            threads,
-                            replications,
-                            base_seed,
-                            |seed| layout.build(seed),
-                            strategy,
-                            &self.network,
-                            rounds,
-                        ),
-                    };
+                    let (reports, obs) = replicate_gathering_observed(
+                        threads,
+                        replications,
+                        base_seed,
+                        |seed| layout.build(seed),
+                        |seed| match &self.faults {
+                            Some(fault_spec) => fault_spec.schedule_for(seed, nodes, rounds),
+                            None => FaultSchedule::empty(),
+                        },
+                        strategy,
+                        &self.network,
+                        rounds,
+                    );
                     let delivered: u64 = reports.iter().map(|r| r.delivered_packets).sum();
                     let alive: u64 = reports.iter().map(|r| r.alive_nodes as u64).sum();
                     manifest
@@ -278,17 +264,16 @@ impl CompiledScenario {
                     .expect("lossy workloads compile a LossyConfig");
                 let empty = FaultSchedule::empty();
                 let schedule = self.schedule.as_ref().unwrap_or(&empty);
-                // The region engine decides by size whether to engage
-                // (it runs the serial kernel below its nodes-per-worker
-                // floor); either path is bit-identical — the
-                // counter-RNG kernel's contract.
-                let report = simulate_lossy_gathering_faulted_par(
-                    topo,
-                    config,
+                // The session decides by size whether the region engine
+                // engages (it runs the serial loop below the
+                // nodes-per-worker floor); either path is bit-identical —
+                // the counter-RNG kernel's contract.
+                let report = LossySession::new(topo, config).run_faulted_with(
                     self.spec.rounds,
                     self.spec.seed,
                     schedule,
                     threads,
+                    &mut NullRecorder,
                 );
                 let counters = CounterTree::branch([
                     (

@@ -195,14 +195,14 @@ impl NetworkParams {
 /// What the scenario actually runs.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadSpec {
-    /// Round-based data gathering ([`ami_net::simulate_gathering`] and
-    /// friends; replicable over seeds).
+    /// Round-based data gathering ([`ami_net::GatherSession`];
+    /// replicable over seeds with [`ami_net::replicate_gathering_observed`]).
     Gathering {
         /// Routing strategy.
         strategy: RoutingStrategy,
     },
     /// Gathering over lossy links with per-hop ARQ
-    /// ([`ami_net::simulate_lossy_gathering`]).
+    /// ([`ami_net::LossySession`]).
     Lossy {
         /// Channel bit error rate per hop.
         ber: f64,

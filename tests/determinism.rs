@@ -7,15 +7,12 @@ use ambience::core::case_studies::cs1::{run_cs1, Cs1Config};
 use ambience::core::case_studies::cs2::sweep_battery_life_threads;
 use ambience::core::design_space::{explore_cs1_threads, DesignCell};
 use ambience::dvs::{simulate_taskset, DvsPolicy, TaskSet};
-use ambience::net::{
-    replicate_gathering_faulted_observed_threads, replicate_gathering_observed_threads,
-    replicate_gathering_threads,
-};
+use ambience::net::{replicate_gathering, replicate_gathering_observed};
 use ambience::net::{
     simulate_clustered, simulate_gathering, ClusterConfig, NetworkConfig, RoutingStrategy, Topology,
 };
 use ambience::radio::RadioEnergyModel;
-use ambience::sim::fault::FaultSpec;
+use ambience::sim::fault::{FaultSchedule, FaultSpec};
 use ambience::sim::{replicate, replicate_all, replicate_all_par_threads, replicate_par_threads};
 use ambience::tech::{TechnologyNode, VariationModel};
 use ambience::units::{Area, Energy, Frequency, Length, Power, Temperature, TimeSpan};
@@ -213,10 +210,9 @@ fn parallel_design_space_is_bit_exact_with_serial() {
 fn parallel_gathering_replication_is_bit_exact_with_serial() {
     let config = NetworkConfig::sensor_default();
     let field = |seed| Topology::random(15, Length::from_meters(90.0), seed);
-    let serial =
-        replicate_gathering_threads(1, 12, 7, field, RoutingStrategy::MinimumEnergy, &config, 50);
+    let serial = replicate_gathering(1, 12, 7, field, RoutingStrategy::MinimumEnergy, &config, 50);
     for threads in [2usize, 8] {
-        let parallel = replicate_gathering_threads(
+        let parallel = replicate_gathering(
             threads,
             12,
             7,
@@ -236,21 +232,23 @@ fn observed_replication_ledger_is_bit_exact_across_thread_counts() {
     // charge cell, residual and counter matches `==` at any worker count.
     let config = NetworkConfig::sensor_default();
     let field = |seed| Topology::random(15, Length::from_meters(90.0), seed);
-    let (serial_reports, serial_obs) = replicate_gathering_observed_threads(
+    let (serial_reports, serial_obs) = replicate_gathering_observed(
         1,
         12,
         7,
         field,
+        |_| FaultSchedule::empty(),
         RoutingStrategy::MinimumEnergy,
         &config,
         50,
     );
     for threads in [2usize, 8] {
-        let (reports, obs) = replicate_gathering_observed_threads(
+        let (reports, obs) = replicate_gathering_observed(
             threads,
             12,
             7,
             field,
+            |_| FaultSchedule::empty(),
             RoutingStrategy::MinimumEnergy,
             &config,
             50,
@@ -282,7 +280,7 @@ fn faulted_replication_is_bit_exact_across_thread_counts() {
     let field = |seed| Topology::random(15, Length::from_meters(90.0), seed);
     let spec = FaultSpec::parse("death=0.2,outage=0.3:10,link=0.2:8,seed=9").unwrap();
     let faults = |seed| spec.schedule_for(seed, 15, 50);
-    let (serial_reports, serial_obs) = replicate_gathering_faulted_observed_threads(
+    let (serial_reports, serial_obs) = replicate_gathering_observed(
         1,
         12,
         7,
@@ -298,7 +296,7 @@ fn faulted_replication_is_bit_exact_across_thread_counts() {
     );
     assert!(serial_obs.packets.is_conserved());
     for threads in [2usize, 8] {
-        let (reports, obs) = replicate_gathering_faulted_observed_threads(
+        let (reports, obs) = replicate_gathering_observed(
             threads,
             12,
             7,

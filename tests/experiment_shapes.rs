@@ -269,8 +269,9 @@ fn f15_city_scale_repairs_match_the_oracle() {
         reset_route_build_count, reset_route_repair_count, route_build_count, route_repair_count,
         set_route_repair_enabled,
     };
-    use ambience::net::{simulate_gathering_faulted, CsrAdjacency};
+    use ambience::net::{CsrAdjacency, GatherSession};
     use ambience::sim::fault::FaultSpec;
+    use ambience::sim::obs::NullRecorder;
 
     let n = 400;
     let topo = Topology::random(n, Length::from_meters(25.0 * (n as f64).sqrt()), 2003);
@@ -287,13 +288,13 @@ fn f15_city_scale_repairs_match_the_oracle() {
         .unwrap()
         .schedule_for(2003, n, 30);
     let was_enabled = set_route_repair_enabled(false);
-    let oracle =
-        simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 30, &faults);
+    let oracle = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config)
+        .run_faulted_with(30, &faults, &mut NullRecorder);
     set_route_repair_enabled(true);
     reset_route_build_count();
     reset_route_repair_count();
-    let repaired =
-        simulate_gathering_faulted(&topo, RoutingStrategy::MinimumEnergy, &config, 30, &faults);
+    let repaired = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config)
+        .run_faulted_with(30, &faults, &mut NullRecorder);
     set_route_repair_enabled(was_enabled);
     assert_eq!(repaired, oracle, "repairs must not change the physics");
     assert_eq!(route_build_count(), 1, "only the round-0 build is full");
