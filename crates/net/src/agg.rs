@@ -1,12 +1,14 @@
-//! The O(N)-per-round aggregated charge kernel for the gathering
-//! simulation.
+//! The aggregated charge kernel for the gathering simulation: one
+//! traffic pass per round, with O(N) budget writes.
 //!
 //! `GatherState::idle_and_send` walks every packet hop by hop and
-//! charges budgets as it goes — O(N·avg_hops) pointer-chasing per round,
-//! the super-linearity that makes 100k–1M-node runs intractable
-//! (ROADMAP item 1). This module replaces the mid-round phase with a
-//! traffic-aggregation pass that does the same accounting in three
-//! O(N)-shaped sweeps while staying **bit-exact** with the hop walk:
+//! charges a relay's budget once per transiting packet. This module
+//! replaces the mid-round phase with a traffic-aggregation pass that
+//! does the same accounting in three sweeps, **bit-exact** with the hop
+//! walk. The walk and the per-cell replay are O(total hops): route
+//! depth grows as √N at constant density, so a round folds O(N^1.5)
+//! values (1.9×10⁷ at n = 10⁵, 9.8×10⁷ at 3×10⁵ on the megacity field).
+//! Only the budget writes are O(N).
 //!
 //! 1. **Margin precheck (S1).** A pure read over the budgets proves the
 //!    idle charge alone empties nobody. If it would, fates can depend on
@@ -43,7 +45,6 @@
 //! against each other at report, ledger and manifest level.
 
 use crate::gather::GatherState;
-use crate::routing::PackedRoutes;
 use ami_sim::obs::{EnergyCategory, Recorder};
 use std::cell::Cell;
 
@@ -104,18 +105,15 @@ pub(crate) fn note_fallback() {
     AGG_FALLBACKS.with(|c| c.set(c.get() + 1));
 }
 
-/// Reusable scratch for the aggregated kernel — allocated once per run
-/// (or once per [`crate::GatherSession`], surviving across runs) and
-/// reused by every round, so the round loop stays allocation-steady.
+/// Reusable scratch for the aggregated kernel — allocated once per
+/// [`crate::GatherSession`], surviving across runs, and reused by every
+/// round, so the round loop stays allocation-steady.
 ///
-/// All hot state is struct-of-arrays: the packed route arrays
-/// (`parent`/`tx`) give the traffic pass 4-byte next-hop fetches
-/// instead of 16-byte `Option<NodeId>` reads, and the transit tallies
+/// All hot state is struct-of-arrays: the traffic pass chases the route
+/// cache's flat next-hop and tx-cost columns, and the transit tallies
 /// (`below`/`above`) plus the charge scratch (`finals`) are the flat
 /// per-node columns the per-cell replay streams through.
 pub(crate) struct AggScratch {
-    /// Packed next-hop / tx-cost arrays, refreshed per route epoch.
-    routes: PackedRoutes,
     /// Clean transit arrivals at each node from sources with smaller /
     /// larger ids — the position split the per-cell fold needs because
     /// the node's own transmission sits between the two groups.
@@ -146,7 +144,6 @@ pub(crate) struct AggScratch {
 impl AggScratch {
     pub(crate) fn new(nodes: usize) -> Self {
         Self {
-            routes: PackedRoutes::new(nodes),
             below: vec![0; nodes],
             above: vec![0; nodes],
             finals: vec![0.0; nodes],
@@ -174,10 +171,11 @@ impl AggScratch {
     }
 }
 
-impl GatherState<'_> {
+impl GatherState<'_, '_> {
     /// The mid-round phase with the aggregated kernel in front: commit
-    /// the round through the O(N) pass when the energy margins allow,
-    /// fall back to the serial hop walk otherwise.
+    /// the round through the traffic pass (O(total hops) walk, O(N)
+    /// budget writes) when the energy margins allow, fall back to the
+    /// serial hop walk otherwise.
     pub(crate) fn round_charges<R: Recorder>(
         &mut self,
         scratch: &mut AggScratch,
@@ -201,14 +199,15 @@ impl GatherState<'_> {
         scratch: &mut AggScratch,
         recorder: &mut R,
     ) -> bool {
-        let n = self.topology.len();
+        let core = &*self.core;
+        let (alive, down_now) = (&core.alive[..], &core.down_now[..]);
         let idle = self.idle_per_round;
 
         // S1: the idle charge alone must strand nobody at or below
         // zero. Same rounding as the serial debit: one subtraction.
         let mut powered = 0u64;
-        for v in 1..n {
-            if self.alive[v] && !self.down_now[v] {
+        for v in 1..core.topology.len() {
+            if alive[v] && !down_now[v] {
                 if self.budget[v] - idle <= 0.0 {
                     return false;
                 }
@@ -216,19 +215,15 @@ impl GatherState<'_> {
             }
         }
 
-        let epoch = self.cache.epoch();
-        if scratch.routes.ensure(&self.cache) {
-            scratch.image_epoch = None;
-        }
-
         // The spent fold continues from the live accumulator in serial
         // charge order: the round's idle debits first, then the send
         // phase's tx/rx stream.
+        let epoch = core.cache.epoch();
         let mut spent = self.spent;
         for _ in 0..powered {
             spent += idle;
         }
-        if !self.faults_active && scratch.image_epoch == Some(epoch) {
+        if !core.faults_active && scratch.image_epoch == Some(epoch) {
             // Fault-free steady state: fates, tallies and the value
             // stream are round-constant within a route epoch, so the
             // whole walk collapses to one flat sequential fold. The
@@ -252,17 +247,23 @@ impl GatherState<'_> {
         true
     }
 
-    /// The traffic-aggregation pass: walks each report along the packed
-    /// route arrays, folding the spent stream inline, tallying clean
-    /// transit arrivals per relay, and counting fates. Pure with
+    /// The traffic-aggregation pass: walks each report along the route
+    /// cache's flat columns, folding the spent stream inline, tallying
+    /// clean transit arrivals per relay, and counting fates. Pure with
     /// respect to simulation state. On fault-free rounds whose hop
     /// count fits [`STREAM_VALUE_CAP`], also memoizes the value stream
     /// for the epoch.
     fn walk_and_tally(&self, scratch: &mut AggScratch, epoch: u64, mut spent: f64) -> f64 {
-        let n = self.topology.len();
-        let sink = self.sink.0 as u32;
+        let core = &*self.core;
+        let n = core.topology.len();
+        let sink = core.sink.0 as u32;
         let rx = self.rx_per_hop;
-        let connected = self.cache.connected_flags();
+        let faults_active = core.faults_active;
+        let (alive, down_now) = (&core.alive[..], &core.down_now[..]);
+        let timeline = &core.timeline;
+        let connected = core.cache.connected_flags();
+        let parent = core.cache.parents();
+        let tx_costs = core.cache.tx_costs();
 
         scratch.below[..n].fill(0);
         scratch.above[..n].fill(0);
@@ -270,7 +271,7 @@ impl GatherState<'_> {
         // Record the stream only once the epoch's hop count is known to
         // fit the cap (the first walk of an epoch probes it), so large
         // runs never transiently allocate an over-cap buffer.
-        let record = !self.faults_active
+        let record = !faults_active
             && scratch.hops_epoch == Some(epoch)
             && scratch.hops <= STREAM_VALUE_CAP as u64;
         if record {
@@ -281,14 +282,11 @@ impl GatherState<'_> {
         // pointers — one struct-wide borrow would serialize every
         // `parent` load behind every tally store.
         let AggScratch {
-            routes,
             below,
             above,
             stream,
             ..
         } = scratch;
-        let parent = routes.parent.as_slice();
-        let tx_costs = routes.tx.as_slice();
         let below = below.as_mut_slice();
         let above = above.as_mut_slice();
 
@@ -298,7 +296,7 @@ impl GatherState<'_> {
         let mut disconnected = 0u64;
         let mut faulted = 0u64;
         for (src, &conn) in connected.iter().enumerate().take(n).skip(1) {
-            if !self.alive[src] || self.down_now[src] {
+            if !alive[src] || down_now[src] {
                 continue;
             }
             senders += 1;
@@ -319,9 +317,9 @@ impl GatherState<'_> {
                 if record {
                     stream.push(tx);
                 }
-                if self.faults_active
-                    && ((hop != sink && self.down_now[hop as usize])
-                        || self.timeline.link_down(fu, hop as usize))
+                if faults_active
+                    && ((hop != sink && down_now[hop as usize])
+                        || timeline.link_down(fu, hop as usize))
                 {
                     faulted += 1;
                     break;
@@ -359,13 +357,20 @@ impl GatherState<'_> {
     /// scratch finals, validating S2 as it goes. Returns `false` if any
     /// live powered cell would finish the round at or below zero.
     fn replay_cells(&self, scratch: &mut AggScratch) -> bool {
-        let n = self.topology.len();
+        let core = &*self.core;
+        let (alive, down_now) = (&core.alive[..], &core.down_now[..]);
+        let connected = core.cache.connected_flags();
+        let tx_costs = core.cache.tx_costs();
         let idle = self.idle_per_round;
         let rx = self.rx_per_hop;
-        let connected = self.cache.connected_flags();
         scratch.finals.copy_from_slice(&self.budget);
-        for (v, &conn) in connected.iter().enumerate().take(n).skip(1) {
-            if !self.alive[v] || self.down_now[v] {
+        for (v, &conn) in connected
+            .iter()
+            .enumerate()
+            .take(core.topology.len())
+            .skip(1)
+        {
+            if !alive[v] || down_now[v] {
                 // Powered-off or dead: no idle, no send, and the walk
                 // never tallies arrivals into such a node.
                 debug_assert_eq!(scratch.below[v] + scratch.above[v], 0);
@@ -373,7 +378,7 @@ impl GatherState<'_> {
             }
             let b = scratch.below[v];
             let a = scratch.above[v];
-            let tx = scratch.routes.tx[v];
+            let tx = tx_costs[v];
             let mut cell = scratch.finals[v];
             cell -= idle;
             for _ in 0..b {
@@ -405,26 +410,29 @@ impl GatherState<'_> {
         spent: f64,
         recorder: &mut R,
     ) {
-        let n = self.topology.len();
         std::mem::swap(&mut self.budget, &mut scratch.finals);
         self.spent = spent;
         self.delivered += scratch.delivered;
 
+        let core = &*self.core;
+        let n = core.topology.len();
+        let (alive, down_now) = (&core.alive[..], &core.down_now[..]);
+        let connected = core.cache.connected_flags();
+        let tx_costs = core.cache.tx_costs();
         let idle = self.idle_per_round;
         let rx = self.rx_per_hop;
-        let connected = self.cache.connected_flags();
         for v in 1..n {
-            if self.alive[v] && !self.down_now[v] {
+            if alive[v] && !down_now[v] {
                 recorder.charge(v, EnergyCategory::Idle, idle);
             }
         }
         for (v, &conn) in connected.iter().enumerate().take(n).skip(1) {
-            if !self.alive[v] || self.down_now[v] {
+            if !alive[v] || down_now[v] {
                 continue;
             }
             let relayed = scratch.below[v] + scratch.above[v];
             let tx_count = relayed + u32::from(conn);
-            let tx = scratch.routes.tx[v];
+            let tx = tx_costs[v];
             for _ in 0..tx_count {
                 recorder.charge(v, EnergyCategory::Tx, tx);
             }

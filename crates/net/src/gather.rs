@@ -20,13 +20,16 @@
 //! [`ami_sim::obs::Recorder`]: [`NullRecorder`] records nothing (zero
 //! cost), [`ami_sim::obs::LedgerRecorder`] fills an energy ledger and
 //! packet counters. [`simulate_gathering`] is the fault-free, unrecorded
-//! run on a fresh session.
+//! run on a fresh session. Routes and fault state live in the session's
+//! round core, the one [`crate::lossy`] runs on too; this module adds
+//! the budgets and the charge phases.
 
 use crate::agg::AggScratch;
-use crate::routing::{RouteCache, RoutingStrategy};
-use crate::topology::{NodeId, Topology};
+use crate::round::RoundCore;
+use crate::routing::RoutingStrategy;
+use crate::topology::Topology;
 use ami_radio::{Packet, RadioEnergyModel};
-use ami_sim::fault::{FaultSchedule, FaultTimeline};
+use ami_sim::fault::FaultSchedule;
 use ami_sim::obs::{EnergyCategory, NullRecorder, Recorder};
 use ami_units::{DataVolume, Energy, EnergyPerBit, Length, Power, TimeSpan};
 use serde::{Deserialize, Serialize};
@@ -148,60 +151,43 @@ pub(crate) enum PacketFate {
     Fault,
 }
 
-/// The per-run state of the gathering kernel, with the round split into
-/// its phases: [`begin_round`](Self::begin_round) (fault refresh +
-/// route re-resolution), [`idle_and_send`](Self::idle_and_send) (the
-/// serial charge loops), [`end_round`](Self::end_round) (death sweep)
-/// and [`finish`](Self::finish) (residuals + report).
-///
-/// [`GatherSession::run_faulted_with`] drives these phases in the one
-/// gathering round loop. The mid-round phase runs on the
+/// The per-run state of the gathering kernel over the session's
+/// [`RoundCore`]: budgets, the spent and delivered tallies, and the
+/// charge constants. [`GatherSession::run_faulted_with`] drives each
+/// round as the core's [`begin_round`](RoundCore::begin_round), the
+/// mid-round charges and [`end_round`](Self::end_round) (death sweep),
+/// then [`finish`](Self::finish). The mid-round phase runs on the
 /// aggregated kernel ([`crate::agg`]), which falls back to
-/// `idle_and_send` — op for op the historical implementation — on
-/// rounds its energy-margin checks reject; sharing the state machine is
-/// what keeps the two bit-identical.
-pub(crate) struct GatherState<'a> {
-    pub(crate) topology: &'a Topology,
-    pub(crate) strategy: RoutingStrategy,
-    pub(crate) config: &'a NetworkConfig,
-    pub(crate) sink: NodeId,
-    /// Bits per report packet (routing metric + rx cost driver).
-    pub(crate) bits: DataVolume,
+/// [`idle_and_send`](Self::idle_and_send) — op for op the historical
+/// implementation — on rounds its energy-margin checks reject; sharing
+/// the state machine is what keeps the two bit-identical.
+pub(crate) struct GatherState<'r, 'a> {
+    pub(crate) core: &'r mut RoundCore<'a>,
+    config: &'a NetworkConfig,
     /// Joules of idle listening per round per powered node.
     pub(crate) idle_per_round: f64,
     /// Joules to receive one packet (distance-independent).
     pub(crate) rx_per_hop: f64,
-    pub(crate) faults_active: bool,
-    pub(crate) timeline: FaultTimeline,
     /// Remaining budget per node, joules (unclamped).
     pub(crate) budget: Vec<f64>,
-    /// Budget-alive flags (exogenous downs are *not* deaths).
-    pub(crate) alive: Vec<bool>,
-    /// Fault-down state this round / last round (one-round routing lag).
-    pub(crate) down_now: Vec<bool>,
-    pub(crate) down_prev: Vec<bool>,
-    /// The node set routing can see, rebuilt when `routes_dirty`.
-    pub(crate) usable: Vec<bool>,
-    pub(crate) cache: RouteCache,
-    pub(crate) routes_dirty: bool,
     pub(crate) delivered: u64,
     /// Total energy drawn from sensor budgets, folded in charge order.
     pub(crate) spent: f64,
-    pub(crate) first_death: Option<u64>,
+    first_death: Option<u64>,
 }
 
-impl<'a> GatherState<'a> {
-    /// A fresh run state over `cache`, which the state adopts as is: a
-    /// warm cache whose usable set still matches skips the first build.
+impl<'r, 'a> GatherState<'r, 'a> {
+    /// A fresh run state under `faults` over `core`, whose fault block
+    /// it resets; the core's warm route cache skips the first build
+    /// when the usable set still matches.
     pub(crate) fn new(
-        topology: &'a Topology,
-        strategy: RoutingStrategy,
+        core: &'r mut RoundCore<'a>,
         config: &'a NetworkConfig,
         faults: &FaultSchedule,
-        cache: RouteCache,
     ) -> Self {
-        let n = topology.len();
-        let sink = topology.sink();
+        core.start_run(faults);
+        let n = core.topology.len();
+        let sink = core.sink;
         let capacity = faults.capacity_factors(n);
         let budget: Vec<f64> = (0..n)
             .map(|id| {
@@ -213,11 +199,8 @@ impl<'a> GatherState<'a> {
             })
             .collect();
         Self {
-            topology,
-            strategy,
+            core,
             config,
-            sink,
-            bits: config.packet.total_bits(),
             idle_per_round: (config.idle_power * config.report_interval).as_joules(),
             // Receive energy is distance-independent: one value serves
             // every hop.
@@ -225,54 +208,10 @@ impl<'a> GatherState<'a> {
                 .radio
                 .receive_energy(config.packet.total_bits())
                 .as_joules(),
-            faults_active: !faults.is_empty(),
-            // The compiled timeline answers per-round down queries in
-            // O(1) instead of scanning the event list; its cursor
-            // advances with the round loop and allocates nothing.
-            timeline: FaultTimeline::compile(faults, n),
             budget,
-            alive: vec![true; n],
-            down_now: vec![false; n],
-            down_prev: vec![false; n],
-            usable: vec![true; n],
-            cache,
-            // Usable-set epoch: routes re-resolve only on rounds where a
-            // death or a fault transition actually changed what routing
-            // can see. Starts dirty so the first round performs the
-            // (single) healthy build.
-            routes_dirty: true,
             delivered: 0,
             spent: 0.0,
             first_death: None,
-        }
-    }
-
-    /// Fault-state refresh and (if dirty) route re-resolution — the
-    /// start-of-round phase shared by both charge kernels.
-    pub(crate) fn begin_round(&mut self, round: u64) {
-        if self.faults_active {
-            self.timeline.advance_to(round);
-            for (id, down) in self.down_now.iter_mut().enumerate() {
-                *down = id != self.sink.0 && self.timeline.node_down(id);
-            }
-        }
-
-        // Re-resolve routes when the usable set routing can see (one
-        // round behind on faults) has changed — deaths, outage starts
-        // noticed a round late, reboots rejoining.
-        if self.routes_dirty {
-            for (id, flag) in self.usable.iter_mut().enumerate() {
-                *flag = id == self.sink.0 || (self.alive[id] && !self.down_prev[id]);
-            }
-            self.cache.ensure(
-                self.topology,
-                self.strategy,
-                &self.config.radio,
-                self.config.max_hop,
-                self.bits,
-                &self.usable,
-            );
-            self.routes_dirty = false;
         }
     }
 
@@ -282,24 +221,32 @@ impl<'a> GatherState<'a> {
     /// kernel must match bit for bit (and falls back to on rounds its
     /// energy-margin checks reject).
     pub(crate) fn idle_and_send<R: Recorder>(&mut self, recorder: &mut R) {
+        let core = &*self.core;
+        let (sink, timeline) = (core.sink, &core.timeline);
+        let (alive, down_now) = (&core.alive[..], &core.down_now[..]);
+        let (connected, table) = (core.cache.connected_flags(), core.cache.table());
+        let tx_costs = core.cache.tx_costs();
+        let budget = &mut self.budget[..];
+        let (idle, rx) = (self.idle_per_round, self.rx_per_hop);
+
         // Idle/listening cost for every live, powered-on sensor node.
-        for id in self.topology.sensor_ids() {
-            if self.alive[id.0] && !self.down_now[id.0] {
-                self.budget[id.0] -= self.idle_per_round;
-                self.spent += self.idle_per_round;
-                recorder.charge(id.0, EnergyCategory::Idle, self.idle_per_round);
+        for id in core.topology.sensor_ids() {
+            if alive[id.0] && !down_now[id.0] {
+                budget[id.0] -= idle;
+                self.spent += idle;
+                recorder.charge(id.0, EnergyCategory::Idle, idle);
             }
         }
 
         // Each live, still-funded, powered-on node reports once. (The
         // idle charge above may have emptied a budget; such a node is
         // silent this round and will be buried by the sweep below.)
-        for id in self.topology.sensor_ids() {
-            if !self.alive[id.0] || self.budget[id.0] <= 0.0 || self.down_now[id.0] {
+        for id in core.topology.sensor_ids() {
+            if !alive[id.0] || budget[id.0] <= 0.0 || down_now[id.0] {
                 continue;
             }
             recorder.packet_offered();
-            if !self.cache.is_connected(id) {
+            if !connected[id.0] {
                 recorder.packet_dropped_disconnected();
                 continue; // disconnected this round
             }
@@ -309,36 +256,30 @@ impl<'a> GatherState<'a> {
             // run out mid-round, or gone down to a fault.
             let mut from = id;
             let mut fate = PacketFate::Delivered;
-            while from != self.sink {
-                let hop = self
-                    .cache
-                    .next_hop(from)
-                    .expect("connected route reaches the sink");
-                let from_down = !self.alive[from.0] || self.budget[from.0] <= 0.0;
-                let hop_down =
-                    hop != self.sink && (!self.alive[hop.0] || self.budget[hop.0] <= 0.0);
+            while from != sink {
+                let hop = table[from.0].expect("connected route reaches the sink");
+                let from_down = !alive[from.0] || budget[from.0] <= 0.0;
+                let hop_down = hop != sink && (!alive[hop.0] || budget[hop.0] <= 0.0);
                 if from_down || hop_down {
                     fate = PacketFate::DeadHop;
                     break;
                 }
-                let tx = self.cache.tx_cost(from);
-                self.budget[from.0] -= tx;
+                let tx = tx_costs[from.0];
+                budget[from.0] -= tx;
                 self.spent += tx;
                 recorder.charge(from.0, EnergyCategory::Tx, tx);
                 // A hop onto a fault-downed node or across a downed link
                 // still costs the sender its transmission — it cannot
                 // know in advance — but nothing arrives and the downed
                 // receiver spends nothing.
-                if (hop != self.sink && self.down_now[hop.0])
-                    || self.timeline.link_down(from.0, hop.0)
-                {
+                if (hop != sink && down_now[hop.0]) || timeline.link_down(from.0, hop.0) {
                     fate = PacketFate::Fault;
                     break;
                 }
-                if hop != self.sink {
-                    self.budget[hop.0] -= self.rx_per_hop;
-                    self.spent += self.rx_per_hop;
-                    recorder.charge(hop.0, EnergyCategory::RxRelay, self.rx_per_hop);
+                if hop != sink {
+                    budget[hop.0] -= rx;
+                    self.spent += rx;
+                    recorder.charge(hop.0, EnergyCategory::RxRelay, rx);
                 }
                 from = hop;
             }
@@ -353,28 +294,27 @@ impl<'a> GatherState<'a> {
         }
     }
 
-    /// End-of-round sweep shared by both kernels: bury the budget-dead,
-    /// mark the route epoch dirty on any visible transition, and age the
-    /// fault-down state by one round.
+    /// End-of-round sweep: bury the budget-dead (marking the route
+    /// epoch dirty), then the core's down-state aging.
     pub(crate) fn end_round(&mut self, round: u64) {
-        // Bury the budget-dead; the route re-resolution at the top of
-        // the next round folds them (and this round's fault-downs) in.
-        for id in self.topology.sensor_ids() {
-            if self.alive[id.0] && self.budget[id.0] <= 0.0 {
-                self.alive[id.0] = false;
+        // The route re-resolution at the top of the next round folds the
+        // dead (and this round's fault-downs) in.
+        let core = &mut *self.core;
+        let alive = &mut core.alive[..];
+        for id in core.topology.sensor_ids() {
+            if alive[id.0] && self.budget[id.0] <= 0.0 {
+                alive[id.0] = false;
                 self.first_death.get_or_insert(round + 1);
-                self.routes_dirty = true;
+                core.routes_dirty = true;
             }
         }
-        if self.faults_active && self.down_now != self.down_prev {
-            self.routes_dirty = true;
-        }
-        std::mem::swap(&mut self.down_prev, &mut self.down_now);
+        core.end_round();
     }
 
     /// Residual recording and the final report.
     pub(crate) fn finish<R: Recorder>(&self, rounds: u64, recorder: &mut R) -> NetworkReport {
-        for id in self.topology.sensor_ids() {
+        let core = &*self.core;
+        for id in core.topology.sensor_ids() {
             recorder.record_residual(id.0, self.budget[id.0]);
         }
 
@@ -389,10 +329,10 @@ impl<'a> GatherState<'a> {
             // does not count as part of the surviving network. The
             // timeline already sits at `rounds - 1`, so this is a
             // counter read per node, not an event scan.
-            alive_nodes: self
+            alive_nodes: core
                 .topology
                 .sensor_ids()
-                .filter(|id| self.alive[id.0] && !self.timeline.node_down(id.0))
+                .filter(|id| core.alive[id.0] && !core.timeline.node_down(id.0))
                 .count(),
             residual_energy: self
                 .budget
@@ -405,21 +345,20 @@ impl<'a> GatherState<'a> {
     }
 }
 
-/// The gathering harness: routes are resolved once and kept warm
-/// across runs, together with the aggregated kernel's scratch (packed
-/// route arrays and, on fault-free epochs, the memoized charge stream).
+/// The gathering harness: its round core keeps routes warm across
+/// runs, together with the aggregated kernel's scratch (transit tallies
+/// and, on fault-free epochs, the memoized charge stream).
 ///
 /// Every gathering run goes through a session; [`simulate_gathering`]
 /// is one run on a fresh one. A warm session pays the route build once
 /// and then measures what city-scale studies actually repeat — marginal
 /// rounds. Each run starts from a fresh network state and is
-/// bit-identical to the same run on a fresh session: the session only
-/// keeps the cache (and its route epoch counters) alive between runs.
+/// bit-identical to the same run on a fresh session: the only state a
+/// run inherits is the route cache (and its epoch counters); every
+/// other buffer is reset at run start and reused.
 pub struct GatherSession<'a> {
-    topology: &'a Topology,
-    strategy: RoutingStrategy,
+    core: RoundCore<'a>,
     config: &'a NetworkConfig,
-    cache: RouteCache,
     scratch: AggScratch,
 }
 
@@ -431,10 +370,14 @@ impl<'a> GatherSession<'a> {
         config: &'a NetworkConfig,
     ) -> Self {
         Self {
-            topology,
-            strategy,
+            core: RoundCore::new(
+                topology,
+                strategy,
+                &config.radio,
+                config.max_hop,
+                config.packet.total_bits(),
+            ),
             config,
-            cache: RouteCache::new(topology.len()),
             scratch: AggScratch::new(topology.len()),
         }
     }
@@ -488,27 +431,22 @@ impl<'a> GatherSession<'a> {
         recorder: &mut R,
     ) -> NetworkReport {
         assert!(rounds > 0, "simulate at least one round");
-        // The state adopts the session's warm cache; `begin_round`'s
-        // `ensure` call no-ops when the usable set still matches what it
-        // was built over, which is what amortizes the build across runs.
-        let cache = std::mem::replace(&mut self.cache, RouteCache::new(0));
-        let mut state = GatherState::new(self.topology, self.strategy, self.config, faults, cache);
         // The warm cache keeps the route-epoch counter alive across
         // runs, but this run's fault schedule may differ from the one
         // the scratch memoized under at the same epoch — drop the
         // memoized round image and hop probe so every run re-derives
         // them from its own walks.
         self.scratch.invalidate_run_memo();
-        // All scratch lives in the state and the aggregation scratch and
-        // is reused across rounds — the round loop stays allocation-steady.
+        let mut state = GatherState::new(&mut self.core, self.config, faults);
+        // All scratch lives in the core, the state and the aggregation
+        // scratch and is reused across rounds — the round loop stays
+        // allocation-steady.
         for round in 0..rounds {
-            state.begin_round(round);
+            state.core.begin_round(round);
             state.round_charges(&mut self.scratch, recorder);
             state.end_round(round);
         }
-        let report = state.finish(rounds, recorder);
-        self.cache = state.cache;
-        report
+        state.finish(rounds, recorder)
     }
 }
 

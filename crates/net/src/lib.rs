@@ -13,8 +13,9 @@
 //!   and the energy cost per delivered bit (experiments F6/A3);
 //! * [`LossySession`] — the same rounds over lossy links with
 //!   stop-and-wait retransmission (experiment F13);
-//! * the sessions are the one way to run a round. A session keeps its
-//!   routes warm across runs, and each run takes an exogenous
+//! * the sessions are the one way to run a round. Both run on a
+//!   crate-private round core that keeps the route cache warm across
+//!   runs and resets the fault state per run; each run takes an exogenous
 //!   [`ami_sim::fault::FaultSchedule`] (node death, outages, link
 //!   outages, capacity fade; routing re-resolves around downed nodes
 //!   and fault losses are attributed to the `dropped_fault` counter
@@ -55,6 +56,7 @@ pub mod gather;
 pub mod lossy;
 pub mod pdes;
 pub mod replicate;
+mod round;
 pub mod routing;
 pub mod topology;
 

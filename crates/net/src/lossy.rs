@@ -15,7 +15,10 @@
 //! downed links waste the sender's full ARQ budget and count the packet
 //! as `dropped_fault`. Fault handling consumes **no randomness**, so a
 //! faulted run's channel draws stay aligned with the unfaulted run at
-//! the same seed on every packet a fault does not touch.
+//! the same seed on every packet a fault does not touch. Routes and
+//! fault state live in the session's round core, the one
+//! [`crate::gather`] runs on too; this module adds the ARQ walk and its
+//! tallies.
 //!
 //! # The counter-RNG discipline (why lossy rounds parallelize)
 //!
@@ -41,13 +44,14 @@
 //! counts times the (round-constant) per-attempt cost.
 
 use crate::pdes;
-use crate::routing::{PackedRoutes, RouteCache, RoutingStrategy};
+use crate::round::RoundCore;
+use crate::routing::RoutingStrategy;
 use crate::topology::{NodeId, Topology};
 use ami_radio::{Packet, RadioEnergyModel, StopAndWaitArq};
 use ami_sim::fault::{FaultSchedule, FaultTimeline};
 use ami_sim::obs::{EnergyCategory, NullRecorder, Recorder};
 use ami_sim::rng::packet_rng;
-use ami_units::{DataVolume, Energy, EnergyPerBit, Length};
+use ami_units::{Energy, EnergyPerBit, Length};
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
 
@@ -138,29 +142,50 @@ pub(crate) enum LossyFate {
     Fault,
 }
 
+/// The per-run ARQ constants of the lossy kernel.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ArqConstants {
+    seed: u64,
+    /// Per-hop delivery probability at the configured BER.
+    p_hop: f64,
+    /// Receive energy per attempt (distance-independent).
+    rx: f64,
+    max_transmissions: u32,
+    /// `max_transmissions` as the u64 the fault branches account with.
+    attempts: u64,
+    /// `max_transmissions` as the f64 the fault branches charge with.
+    attempts_f: f64,
+}
+
 /// The round-constant inputs of a packet walk, shared by the serial
 /// kernel and the region-parallel engine so both execute the *same*
 /// code — the bit-exactness argument reduces to "same inputs, same
 /// function, replayed folds".
-pub(crate) struct LossyRoundCtx<'a> {
-    pub sink: NodeId,
-    pub seed: u64,
-    /// Per-hop delivery probability at the configured BER.
-    pub p_hop: f64,
-    /// Receive energy per attempt (distance-independent).
-    pub rx: f64,
-    pub max_transmissions: u32,
-    /// `max_transmissions` as the u64 the fault branches account with.
-    pub attempts: u64,
-    /// `max_transmissions` as the f64 the fault branches charge with.
-    pub attempts_f: f64,
-    /// Packed next-hop table (`u32::MAX` = routeless), flat-indexed by
-    /// node id so the hop chase is two array loads, not a cache probe.
-    pub parent: &'a [u32],
-    /// Packed per-node transmit cost, same indexing.
-    pub tx_costs: &'a [f64],
-    pub timeline: &'a FaultTimeline,
-    pub down_now: &'a [bool],
+pub(crate) struct LossyRoundCtx<'c> {
+    arq: ArqConstants,
+    sink: u32,
+    /// The route cache's flat next-hop column (`u32::MAX` = routeless):
+    /// the hop chase is two array loads per hop, not a cache probe.
+    parent: &'c [u32],
+    /// The route cache's per-node transmit cost, same indexing.
+    tx_costs: &'c [f64],
+    timeline: &'c FaultTimeline,
+    pub(crate) down_now: &'c [bool],
+}
+
+impl<'c> LossyRoundCtx<'c> {
+    /// The context of the round `core` is in: its routes and fault
+    /// state after [`RoundCore::begin_round`].
+    pub(crate) fn new(core: &'c RoundCore<'_>, arq: ArqConstants) -> Self {
+        Self {
+            arq,
+            sink: core.sink.0 as u32,
+            parent: core.cache.parents(),
+            tx_costs: core.cache.tx_costs(),
+            timeline: &core.timeline,
+            down_now: &core.down_now,
+        }
+    }
 }
 
 /// Walks one offered packet from `src` toward the sink, drawing every
@@ -169,7 +194,7 @@ pub(crate) struct LossyRoundCtx<'a> {
 /// counts and the transmission tally are accumulated into the caller's
 /// scratch. Pure in `(ctx, round, src)` — no draw depends on any other
 /// packet, which is what lets callers execute walks in any order.
-pub(crate) fn walk_packet(
+fn walk_packet(
     ctx: &LossyRoundCtx<'_>,
     round: u64,
     src: NodeId,
@@ -177,9 +202,10 @@ pub(crate) fn walk_packet(
     rx_attempts: &mut [u64],
     transmissions: &mut u64,
 ) -> (LossyFate, f64) {
-    let mut rng = packet_rng(ctx.seed, round, src.0 as u64);
+    let arq = &ctx.arq;
+    let mut rng = packet_rng(arq.seed, round, src.0 as u64);
     let mut pkt_energy = 0.0f64;
-    let sink = ctx.sink.0 as u32;
+    let sink = ctx.sink;
     let mut from = src.0 as u32;
     loop {
         let fu = from as usize;
@@ -191,31 +217,31 @@ pub(crate) fn walk_packet(
             // exhausts its ARQ budget; nothing listens on the far end.
             // No random draws — the packet's stream stays aligned with
             // the unfaulted run.
-            *transmissions += ctx.attempts;
-            tx_attempts[fu] += ctx.attempts;
-            pkt_energy += ctx.attempts_f * tx;
+            *transmissions += arq.attempts;
+            tx_attempts[fu] += arq.attempts;
+            pkt_energy += arq.attempts_f * tx;
             return (LossyFate::Fault, pkt_energy);
         }
         if ctx.timeline.link_down(fu, hop as usize) {
             // Downed link between two powered nodes: every attempt
             // costs the sender a transmit and the receiver a listen,
             // but nothing crosses.
-            *transmissions += ctx.attempts;
-            tx_attempts[fu] += ctx.attempts;
-            rx_attempts[hop as usize] += ctx.attempts;
-            pkt_energy += ctx.attempts_f * (tx + ctx.rx);
+            *transmissions += arq.attempts;
+            tx_attempts[fu] += arq.attempts;
+            rx_attempts[hop as usize] += arq.attempts;
+            pkt_energy += arq.attempts_f * (tx + arq.rx);
             return (LossyFate::Fault, pkt_energy);
         }
         let mut hop_ok = false;
-        for _attempt in 0..ctx.max_transmissions {
+        for _attempt in 0..arq.max_transmissions {
             *transmissions += 1;
             tx_attempts[fu] += 1;
             // The receiver listens whether or not the packet survives
             // (it cannot know in advance).
             rx_attempts[hop as usize] += 1;
             pkt_energy += tx;
-            pkt_energy += ctx.rx;
-            if rng.random::<f64>() < ctx.p_hop {
+            pkt_energy += arq.rx;
+            if rng.random::<f64>() < arq.p_hop {
                 hop_ok = true;
                 break;
             }
@@ -230,180 +256,140 @@ pub(crate) fn walk_packet(
     }
 }
 
-/// Run state of the counter-RNG lossy kernel, shared between the serial
-/// loop in [`LossySession::run_faulted_with`] and the region-parallel
-/// engine in [`crate::pdes`] (which borrows the fields disjointly for
-/// its worker phases).
-pub(crate) struct LossyState<'a> {
-    pub topology: &'a Topology,
-    pub sink: NodeId,
-    pub seed: u64,
-    pub p_hop: f64,
-    pub bits: DataVolume,
-    pub rx: f64,
-    pub radio: &'a RadioEnergyModel,
-    pub max_hop: Length,
-    pub max_transmissions: u32,
-    pub attempts: u64,
-    pub attempts_f: f64,
-    pub faults_active: bool,
-    pub timeline: FaultTimeline,
-    pub down_now: Vec<bool>,
-    pub down_prev: Vec<bool>,
-    pub usable: Vec<bool>,
-    pub cache: RouteCache,
-    /// Flat next-hop/cost image of `cache`, refreshed when the cache
-    /// epoch moves; the hop chase reads these, not the cache.
-    pub packed: PackedRoutes,
-    pub routes_dirty: bool,
+/// The counts the lossy kernel accumulates: per-node attempt counts for
+/// the round and packet tallies for the run. The serial state keeps one;
+/// the region-parallel engine ([`crate::pdes`]) keeps one per region
+/// and [`absorb`](Self::absorb)s each into the state's at the round
+/// commit.
+pub(crate) struct LossyTally {
     /// Per-node ARQ attempt counts this round (sender side), committed
     /// to the recorder once per round in ascending node order.
-    pub tx_attempts: Vec<u64>,
+    tx_attempts: Vec<u64>,
     /// Per-node listen counts this round (receiver side).
-    pub rx_attempts: Vec<u64>,
-    pub offered: u64,
-    pub delivered: u64,
-    pub transmissions: u64,
-    pub dropped_fault: u64,
-    pub energy: f64,
+    rx_attempts: Vec<u64>,
+    pub(crate) offered: u64,
+    pub(crate) delivered: u64,
+    transmissions: u64,
+    pub(crate) dropped_fault: u64,
 }
 
-impl<'a> LossyState<'a> {
-    /// A fresh run state over `cache` and its packed image `packed`,
-    /// which the state adopts as they are: a warm pair whose usable set
-    /// still matches skips the first build and repack.
-    pub fn new(
-        topology: &'a Topology,
-        config: &'a LossyConfig,
-        seed: u64,
-        faults: &FaultSchedule,
-        cache: RouteCache,
-        packed: PackedRoutes,
-    ) -> Self {
-        let n = topology.len();
-        let bits = config.packet.total_bits();
+impl LossyTally {
+    pub(crate) fn new(nodes: usize) -> Self {
         Self {
-            topology,
-            sink: topology.sink(),
-            seed,
-            p_hop: config.packet.delivery_probability(config.ber),
-            bits,
-            // Receive energy is distance-independent: one value serves
-            // every hop.
-            rx: config.radio.receive_energy(bits).as_joules(),
-            radio: &config.radio,
-            max_hop: config.max_hop,
-            max_transmissions: config.arq.max_transmissions,
-            attempts: u64::from(config.arq.max_transmissions),
-            attempts_f: f64::from(config.arq.max_transmissions),
-            faults_active: !faults.is_empty(),
-            // Compiled down/link windows: O(1) per query instead of an
-            // event scan, cursor advanced once per round.
-            timeline: FaultTimeline::compile(faults, n),
-            down_now: vec![false; n],
-            down_prev: vec![false; n],
-            usable: vec![true; n],
-            cache,
-            packed,
-            routes_dirty: true,
-            tx_attempts: vec![0; n],
-            rx_attempts: vec![0; n],
+            tx_attempts: vec![0; nodes],
+            rx_attempts: vec![0; nodes],
             offered: 0,
             delivered: 0,
             transmissions: 0,
             dropped_fault: 0,
-            energy: 0.0,
         }
     }
 
-    /// Advances fault state and re-resolves routes when dirty. Routing
-    /// sees fault state with a one-round lag, as in `gather` (no budget
-    /// deaths here — links are lossy but energy is not finite in this
-    /// model).
-    pub fn begin_round(&mut self, round: u64) {
-        if self.faults_active {
-            self.timeline.advance_to(round);
-            for (id, down) in self.down_now.iter_mut().enumerate() {
-                *down = id != self.sink.0 && self.timeline.node_down(id);
-            }
+    /// Offers one packet from `src`, walks it, and counts its fate.
+    /// Returns the fate and the packet's private energy subtotal.
+    pub(crate) fn offer(
+        &mut self,
+        ctx: &LossyRoundCtx<'_>,
+        round: u64,
+        src: NodeId,
+    ) -> (LossyFate, f64) {
+        self.offered += 1;
+        let (fate, energy) = walk_packet(
+            ctx,
+            round,
+            src,
+            &mut self.tx_attempts,
+            &mut self.rx_attempts,
+            &mut self.transmissions,
+        );
+        match fate {
+            LossyFate::Delivered => self.delivered += 1,
+            LossyFate::Fault => self.dropped_fault += 1,
+            LossyFate::Channel => {}
         }
-        if self.routes_dirty {
-            for (id, flag) in self.usable.iter_mut().enumerate() {
-                *flag = id == self.sink.0 || !self.down_prev[id];
-            }
-            self.cache.ensure(
-                self.topology,
-                RoutingStrategy::MinimumEnergy,
-                self.radio,
-                self.max_hop,
-                self.bits,
-                &self.usable,
-            );
-            self.routes_dirty = false;
+        (fate, energy)
+    }
+
+    /// Adds every count of `region` into `self` and zeroes `region`.
+    /// Integer counts merge exactly, so the merged attempt counts equal
+    /// the serial loop's.
+    pub(crate) fn absorb(&mut self, region: &mut LossyTally) {
+        for (total, count) in self.tx_attempts.iter_mut().zip(&mut region.tx_attempts) {
+            *total += std::mem::take(count);
         }
-        self.packed.ensure(&self.cache);
+        for (total, count) in self.rx_attempts.iter_mut().zip(&mut region.rx_attempts) {
+            *total += std::mem::take(count);
+        }
+        self.offered += std::mem::take(&mut region.offered);
+        self.delivered += std::mem::take(&mut region.delivered);
+        self.transmissions += std::mem::take(&mut region.transmissions);
+        self.dropped_fault += std::mem::take(&mut region.dropped_fault);
+    }
+}
+
+/// Run state of the counter-RNG lossy kernel over the session's
+/// [`RoundCore`]: the ARQ constants, the tallies and the energy fold.
+/// Shared between the serial loop in [`LossySession::run_faulted_with`]
+/// and the region-parallel engine in [`crate::pdes`]. Routing sees
+/// fault state with a one-round lag, as in `gather`; the core's `alive`
+/// flags stay all true, because links are lossy but energy is not
+/// finite in this model.
+pub(crate) struct LossyState<'r, 'a> {
+    pub(crate) core: &'r mut RoundCore<'a>,
+    pub(crate) arq: ArqConstants,
+    pub(crate) tally: LossyTally,
+    /// Run-total energy, folded per packet in ascending source order.
+    pub(crate) energy: f64,
+}
+
+impl<'r, 'a> LossyState<'r, 'a> {
+    /// A fresh run state under `faults` over `core`, whose fault block
+    /// it resets; the core's warm route cache skips the first build
+    /// when the usable set still matches.
+    pub(crate) fn new(
+        core: &'r mut RoundCore<'a>,
+        config: &LossyConfig,
+        seed: u64,
+        faults: &FaultSchedule,
+    ) -> Self {
+        core.start_run(faults);
+        let n = core.topology.len();
+        Self {
+            core,
+            arq: ArqConstants {
+                seed,
+                p_hop: config.packet.delivery_probability(config.ber),
+                // Receive energy is distance-independent: one value
+                // serves every hop.
+                rx: config
+                    .radio
+                    .receive_energy(config.packet.total_bits())
+                    .as_joules(),
+                max_transmissions: config.arq.max_transmissions,
+                attempts: u64::from(config.arq.max_transmissions),
+                attempts_f: f64::from(config.arq.max_transmissions),
+            },
+            tally: LossyTally::new(n),
+            energy: 0.0,
+        }
     }
 
     /// The serial round body: every live connected sensor offers one
     /// packet and walks it, ascending source id; the recorder sees the
     /// round's per-node charges afterwards via [`Self::commit_charges`].
-    pub fn send_all<R: Recorder>(&mut self, round: u64, recorder: &mut R) {
-        let Self {
-            topology,
-            sink,
-            seed,
-            p_hop,
-            rx,
-            max_transmissions,
-            attempts,
-            attempts_f,
-            timeline,
-            down_now,
-            cache,
-            packed,
-            tx_attempts,
-            rx_attempts,
-            offered,
-            delivered,
-            transmissions,
-            dropped_fault,
-            energy,
-            ..
-        } = self;
-        let ctx = LossyRoundCtx {
-            sink: *sink,
-            seed: *seed,
-            p_hop: *p_hop,
-            rx: *rx,
-            max_transmissions: *max_transmissions,
-            attempts: *attempts,
-            attempts_f: *attempts_f,
-            parent: &packed.parent,
-            tx_costs: &packed.tx,
-            timeline,
-            down_now,
-        };
-        for id in topology.sensor_ids() {
-            if ctx.down_now[id.0] {
-                continue; // powered off: offers nothing
+    pub(crate) fn send_all<R: Recorder>(&mut self, round: u64, recorder: &mut R) {
+        let ctx = LossyRoundCtx::new(self.core, self.arq);
+        let connected = self.core.cache.connected_flags();
+        for id in self.core.topology.sensor_ids() {
+            if ctx.down_now[id.0] || !connected[id.0] {
+                continue; // powered off or routeless: offers nothing
             }
-            if !cache.is_connected(id) {
-                continue;
-            }
-            *offered += 1;
+            let (fate, pkt_energy) = self.tally.offer(&ctx, round, id);
             recorder.packet_offered();
-            let (fate, pkt_energy) =
-                walk_packet(&ctx, round, id, tx_attempts, rx_attempts, transmissions);
-            *energy += pkt_energy;
+            self.energy += pkt_energy;
             match fate {
-                LossyFate::Delivered => {
-                    *delivered += 1;
-                    recorder.packet_delivered();
-                }
-                LossyFate::Fault => {
-                    *dropped_fault += 1;
-                    recorder.packet_dropped_fault();
-                }
+                LossyFate::Delivered => recorder.packet_delivered(),
+                LossyFate::Fault => recorder.packet_dropped_fault(),
                 // Channel losses are implicit in the counters
                 // (offered − delivered − fault); they are not a
                 // `dropped_*` recorder cause.
@@ -419,39 +405,30 @@ impl<'a> LossyState<'a> {
     /// The region-parallel engine merges its region counts into the
     /// state and commits through here too, so this is the one place the
     /// Tx-then-RxRelay charge order is written.
-    pub fn commit_charges<R: Recorder>(&mut self, recorder: &mut R) {
-        let tx_costs = self.cache.tx_costs();
-        for (id, count) in self.tx_attempts.iter_mut().enumerate() {
+    pub(crate) fn commit_charges<R: Recorder>(&mut self, recorder: &mut R) {
+        let tx_costs = self.core.cache.tx_costs();
+        for (id, count) in self.tally.tx_attempts.iter_mut().enumerate() {
             if *count > 0 {
                 recorder.charge(id, EnergyCategory::Tx, *count as f64 * tx_costs[id]);
                 *count = 0;
             }
         }
-        for (id, count) in self.rx_attempts.iter_mut().enumerate() {
+        for (id, count) in self.tally.rx_attempts.iter_mut().enumerate() {
             if *count > 0 {
-                recorder.charge(id, EnergyCategory::RxRelay, *count as f64 * self.rx);
+                recorder.charge(id, EnergyCategory::RxRelay, *count as f64 * self.arq.rx);
                 *count = 0;
             }
         }
     }
 
-    /// Notices fault transitions (dirty routes next round) and rotates
-    /// the down flags.
-    pub fn end_round(&mut self, _round: u64) {
-        if self.faults_active && self.down_now != self.down_prev {
-            self.routes_dirty = true;
-        }
-        std::mem::swap(&mut self.down_prev, &mut self.down_now);
-    }
-
     /// Final report.
-    pub fn finish(&self) -> LossyReport {
+    pub(crate) fn finish(&self) -> LossyReport {
         LossyReport {
-            offered: self.offered,
-            delivered: self.delivered,
-            transmissions: self.transmissions,
+            offered: self.tally.offered,
+            delivered: self.tally.delivered,
+            transmissions: self.tally.transmissions,
             total_energy: Energy::from_joules(self.energy),
-            dropped_fault: self.dropped_fault,
+            dropped_fault: self.tally.dropped_fault,
         }
     }
 }
@@ -472,27 +449,29 @@ pub fn simulate_lossy_gathering(
     LossySession::new(topology, config).run(rounds, seed)
 }
 
-/// The lossy-run harness over one `(topology, config)` pair: the route
-/// cache and its packed next-hop image persist across runs, so every
-/// run after the first skips the Dijkstra build (the dominant fixed cost
-/// at city scale) and measures marginal round work only. Each run
-/// starts from a fresh run state and is bit-identical to the same run
-/// on a fresh session.
+/// The lossy-run harness over one `(topology, config)` pair: its
+/// round core keeps the route cache warm across runs, so every run
+/// after the first skips the Dijkstra build (the dominant fixed cost at
+/// city scale) and measures marginal round work only. Each run starts
+/// from a fresh run state and is bit-identical to the same run on a
+/// fresh session.
 pub struct LossySession<'a> {
-    topology: &'a Topology,
+    core: RoundCore<'a>,
     config: &'a LossyConfig,
-    cache: RouteCache,
-    packed: PackedRoutes,
 }
 
 impl<'a> LossySession<'a> {
     /// Creates a session; the first run performs the route build.
     pub fn new(topology: &'a Topology, config: &'a LossyConfig) -> Self {
         Self {
-            topology,
+            core: RoundCore::new(
+                topology,
+                RoutingStrategy::MinimumEnergy,
+                &config.radio,
+                config.max_hop,
+                config.packet.total_bits(),
+            ),
             config,
-            cache: RouteCache::new(topology.len()),
-            packed: PackedRoutes::new(topology.len()),
         }
     }
 
@@ -551,25 +530,18 @@ impl<'a> LossySession<'a> {
             (0.0..=0.5).contains(&self.config.ber),
             "BER must lie in [0, 0.5]"
         );
-        // The state adopts the session's warm cache and packed image;
-        // `begin_round` no-ops both when the usable set still matches
-        // what the cache was built over.
-        let cache = std::mem::replace(&mut self.cache, RouteCache::new(0));
-        let packed = std::mem::replace(&mut self.packed, PackedRoutes::new(0));
-        let mut state = LossyState::new(self.topology, self.config, seed, faults, cache, packed);
-        if pdes::engage(self.topology.len(), threads) {
+        let engaged = pdes::engage(self.core.topology.len(), threads);
+        let mut state = LossyState::new(&mut self.core, self.config, seed, faults);
+        if engaged {
             pdes::run_region_rounds(&mut state, rounds, threads, recorder);
         } else {
             for round in 0..rounds {
-                state.begin_round(round);
+                state.core.begin_round(round);
                 state.send_all(round, recorder);
-                state.end_round(round);
+                state.core.end_round();
             }
         }
-        let report = state.finish();
-        self.cache = state.cache;
-        self.packed = state.packed;
-        report
+        state.finish()
     }
 }
 

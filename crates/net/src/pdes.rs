@@ -16,7 +16,9 @@
 //! [`LossySession::run_faulted_with`](crate::LossySession::run_faulted_with)
 //! decides per run whether this engine or the serial loop runs the
 //! rounds; the engine is a crate-private round driver over the
-//! session's run state, so it has no entry point of its own.
+//! session's run state, so it has no entry point of its own. Each
+//! region walks into a tally of the serial state's own type, which the
+//! round commit absorbs into the state's.
 //!
 //! # Why the result is bit-identical
 //!
@@ -54,7 +56,7 @@
 //! through [`par_serial_fallback_count`]/[`par_engaged_count`].
 
 use crate::csr::RegionPartition;
-use crate::lossy::{LossyFate, LossyRoundCtx, LossyState};
+use crate::lossy::{LossyRoundCtx, LossyState, LossyTally};
 use crate::topology::{NodeId, Position};
 use ami_sim::obs::Recorder;
 use ami_sim::runner::RoundPool;
@@ -142,41 +144,6 @@ fn split_regions<'b>(mut rest: &'b mut [f64], part: &RegionPartition) -> Vec<Mut
     out
 }
 
-/// Per-region scratch of the lossy engine. Walks from region `w` can
-/// land ARQ attempts on *any* node (routes cross regions), so each
-/// region keeps full-length attempt arrays; integer counts merge
-/// exactly at commit.
-struct LossyRegionScratch {
-    tx_attempts: Vec<u64>,
-    rx_attempts: Vec<u64>,
-    offered: u64,
-    delivered: u64,
-    faulted: u64,
-    transmissions: u64,
-}
-
-impl LossyRegionScratch {
-    fn new(n: usize) -> Self {
-        Self {
-            tx_attempts: vec![0; n],
-            rx_attempts: vec![0; n],
-            offered: 0,
-            delivered: 0,
-            faulted: 0,
-            transmissions: 0,
-        }
-    }
-
-    /// Clears the round tallies. The attempt arrays are cleared during
-    /// the commit merge, which touches every entry anyway.
-    fn reset_tallies(&mut self) {
-        self.offered = 0;
-        self.delivered = 0;
-        self.faulted = 0;
-        self.transmissions = 0;
-    }
-}
-
 /// Runs `rounds` rounds of `state` region-parallel on `threads`
 /// workers — bit-identical to the serial loop at any thread count.
 ///
@@ -185,50 +152,39 @@ impl LossyRegionScratch {
 /// round-constant state (routes, fault windows) and its own counter
 /// stream ([`ami_sim::rng::packet_rng`]) — never on another packet's
 /// execution. Each worker walks its region's sources with
-/// [`walk_packet`](crate::lossy) — the same function the serial loop
-/// runs — into region-local scratch; the commit then replays the serial
-/// folds exactly: per-packet energy subtotals added in ascending source
-/// id, per-node ledger charges committed once per `(node, category)`
-/// from the merged (exact, integer) attempt counts, packet tallies
-/// bulk-committed.
+/// [`LossyTally::offer`] — the same walk the serial loop runs — into a
+/// region-local tally (walks from any region can land ARQ attempts on
+/// any node, so each region's tally spans every node); the commit then
+/// replays the serial folds exactly: per-packet energy subtotals added
+/// in ascending source id, per-node ledger charges committed once per
+/// `(node, category)` from the merged (exact, integer) attempt counts,
+/// packet tallies bulk-committed.
 ///
 /// The caller decides engagement with [`engage`].
 pub(crate) fn run_region_rounds<R: Recorder>(
-    state: &mut LossyState<'_>,
+    state: &mut LossyState<'_, '_>,
     rounds: u64,
     threads: usize,
     recorder: &mut R,
 ) {
-    let topology = state.topology;
+    let topology = state.core.topology;
     let n = topology.len();
     let positions: Vec<Position> = topology.ids().map(|id| topology.position(id)).collect();
-    let part = RegionPartition::balanced(&positions, state.max_hop, threads);
-    let sink_id = state.sink.0;
+    let part = RegionPartition::balanced(&positions, state.core.max_hop, threads);
+    let sink_id = state.core.sink.0;
     // Per-source packet energy subtotals, one slot per node id; region
     // slices of this are the only f64s workers write.
     let mut pkt_energy = vec![0.0f64; n];
-    let scratch: Vec<Mutex<LossyRegionScratch>> = (0..threads)
-        .map(|_| Mutex::new(LossyRegionScratch::new(n)))
+    let scratch: Vec<Mutex<LossyTally>> = (0..threads)
+        .map(|_| Mutex::new(LossyTally::new(n)))
         .collect();
 
     RoundPool::scoped(threads, |pool| {
         for round in 0..rounds {
-            state.begin_round(round);
+            state.core.begin_round(round);
             {
-                let ctx = LossyRoundCtx {
-                    sink: state.sink,
-                    seed: state.seed,
-                    p_hop: state.p_hop,
-                    rx: state.rx,
-                    max_transmissions: state.max_transmissions,
-                    attempts: state.attempts,
-                    attempts_f: state.attempts_f,
-                    parent: &state.packed.parent,
-                    tx_costs: &state.packed.tx,
-                    timeline: &state.timeline,
-                    down_now: &state.down_now,
-                };
-                let connected = state.cache.connected_flags();
+                let ctx = LossyRoundCtx::new(state.core, state.arq);
+                let connected = state.core.cache.connected_flags();
                 let slices = split_regions(&mut pkt_energy, &part);
 
                 // The single parallel phase: walk every source in the
@@ -237,53 +193,32 @@ pub(crate) fn run_region_rounds<R: Recorder>(
                 pool.run(&|w| {
                     let mut slice = slices[w].lock().expect("region energy slice");
                     let mut region = scratch[w].lock().expect("region scratch");
-                    let region = &mut *region;
-                    region.reset_tallies();
                     for (off, src) in part.range(w).enumerate() {
                         slice[off] = 0.0;
                         if src == sink_id || ctx.down_now[src] || !connected[src] {
                             continue;
                         }
-                        region.offered += 1;
-                        let (fate, energy) = crate::lossy::walk_packet(
-                            &ctx,
-                            round,
-                            NodeId(src),
-                            &mut region.tx_attempts,
-                            &mut region.rx_attempts,
-                            &mut region.transmissions,
-                        );
-                        slice[off] = energy;
-                        match fate {
-                            LossyFate::Delivered => region.delivered += 1,
-                            LossyFate::Fault => region.faulted += 1,
-                            LossyFate::Channel => {}
-                        }
+                        slice[off] = region.offer(&ctx, round, NodeId(src)).1;
                     }
                 });
             }
             commit_lossy_round(state, recorder, &scratch, &pkt_energy);
-            state.end_round(round);
+            state.core.end_round();
         }
     });
 }
 
 /// Folds a parallel lossy round into the run state by replaying the
-/// serial folds: energy subtotals ascending source id, region attempt
-/// counts merged into the state and charged by
-/// [`LossyState::commit_charges`], packet tallies bulk-committed
-/// region-ascending.
+/// serial folds: energy subtotals ascending source id, region tallies
+/// absorbed into the state's and charged by
+/// [`LossyState::commit_charges`], this round's packet counts
+/// bulk-committed.
 fn commit_lossy_round<R: Recorder>(
-    state: &mut LossyState<'_>,
+    state: &mut LossyState<'_, '_>,
     recorder: &mut R,
-    scratch: &[Mutex<LossyRegionScratch>],
+    scratch: &[Mutex<LossyTally>],
     pkt_energy: &[f64],
 ) {
-    let mut regions: Vec<_> = scratch
-        .iter()
-        .map(|region| region.lock().expect("region scratch"))
-        .collect();
-
     // The run-total energy fold: the serial kernel adds each offered
     // packet's private subtotal in ascending source order. Slots of
     // unoffered sources are exactly 0.0 and an offered packet always
@@ -295,35 +230,16 @@ fn commit_lossy_round<R: Recorder>(
         }
     }
 
-    // Integer attempt counts merge exactly, so the state's counts equal
-    // the serial loop's and one commit writes the ledger charges.
-    for region in regions.iter_mut() {
-        for (total, count) in state.tx_attempts.iter_mut().zip(&mut region.tx_attempts) {
-            *total += std::mem::take(count);
-        }
-        for (total, count) in state.rx_attempts.iter_mut().zip(&mut region.rx_attempts) {
-            *total += std::mem::take(count);
-        }
+    let before = &state.tally;
+    let (offered, delivered, faulted) = (before.offered, before.delivered, before.dropped_fault);
+    for region in scratch {
+        let mut region = region.lock().expect("region scratch");
+        state.tally.absorb(&mut region);
     }
     state.commit_charges(recorder);
-
-    let mut offered = 0u64;
-    let mut delivered = 0u64;
-    let mut faulted = 0u64;
-    let mut transmissions = 0u64;
-    for region in regions.iter() {
-        offered += region.offered;
-        delivered += region.delivered;
-        faulted += region.faulted;
-        transmissions += region.transmissions;
-    }
-    recorder.packets_offered(offered);
-    recorder.packets_delivered(delivered);
-    recorder.packets_dropped_fault(faulted);
-    state.offered += offered;
-    state.delivered += delivered;
-    state.dropped_fault += faulted;
-    state.transmissions += transmissions;
+    recorder.packets_offered(state.tally.offered - offered);
+    recorder.packets_delivered(state.tally.delivered - delivered);
+    recorder.packets_dropped_fault(state.tally.dropped_fault - faulted);
 }
 
 #[cfg(test)]

@@ -9,10 +9,11 @@
 //! (`tests` pin this against a reference scan).
 //!
 //! [`RouteCache`] wraps a table in a usable-set epoch: the table is
-//! recomputed only when the usable set actually differs from the one the
-//! routes were last built over, and each build pre-resolves per-node
-//! next-hop transmit costs and sink connectivity so the simulators'
-//! round loops touch no allocator and recompute no distances.
+//! recomputed only when the usable set — or any other route input —
+//! actually differs from the ones the routes were last built from, and
+//! each build pre-resolves per-node next hops (as a flat id column),
+//! transmit costs and sink connectivity so the simulators' round loops
+//! touch no allocator and recompute no distances.
 //!
 //! Since the city-scale work, a usable-set *transition* no longer pays a
 //! full-graph Dijkstra: the cache keeps the final distance labels of the
@@ -331,10 +332,10 @@ pub fn route_to_sink(table: &[Option<NodeId>], topology: &Topology, node: NodeId
 /// The simulators' round loops call [`ensure`](RouteCache::ensure) every
 /// time the usable set *may* have changed; the table is recomputed only
 /// when it *did* change (fault events are sparse, and a healthy run
-/// builds exactly once). Each build also pre-resolves, per node, the
-/// transmit energy to its next hop and whether its route reaches the
-/// sink, so the per-packet hot loop is pure array reads — no `Vec`
-/// allocation, no distance recomputation.
+/// builds exactly once) or when another route input moved. Each build
+/// also pre-resolves, per node, the transmit energy to its next hop and
+/// whether its route reaches the sink, so the per-packet hot loop is
+/// pure array reads — no `Vec` allocation, no distance recomputation.
 ///
 /// A minimum-energy transition after the first build runs as an
 /// **incremental repair** (see the module docs): only the parent-tree
@@ -366,6 +367,9 @@ pub fn route_to_sink(table: &[Option<NodeId>], topology: &Topology, node: NodeId
 #[derive(Debug, Clone)]
 pub struct RouteCache {
     table: Vec<Option<NodeId>>,
+    /// `table` as raw ids, `u32::MAX` for routeless nodes and the sink:
+    /// the flat column the hop-walk loops chase.
+    parent: Vec<u32>,
     routed_over: Vec<bool>,
     connected: Vec<bool>,
     tx_cost: Vec<f64>,
@@ -375,11 +379,19 @@ pub struct RouteCache {
     dist: Vec<f64>,
     builds: u64,
     repairs: u64,
-    primed: bool,
-    /// Strategy of the current epoch; repair is only sound on top of a
-    /// minimum-energy table.
-    built_with: Option<RoutingStrategy>,
+    /// The non-mask inputs of the current epoch (`None` before a build).
+    key: Option<RouteKey>,
     scratch: RepairScratch,
+}
+
+/// Everything besides the usable mask that a [`RouteCache`] epoch is a
+/// function of (the topology is fixed by the cache's construction).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RouteKey {
+    strategy: RoutingStrategy,
+    radio: RadioEnergyModel,
+    max_hop: Length,
+    volume: DataVolume,
 }
 
 /// Reusable buffers for [`RouteCache::repair`] and connectivity
@@ -404,30 +416,45 @@ struct RepairScratch {
 impl RouteCache {
     /// An unprimed cache for an `nodes`-node topology; the first
     /// [`ensure`](RouteCache::ensure) always builds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nodes` exceeds `u32::MAX` (node ids are stored as
+    /// `u32`, with `u32::MAX` marking "no next hop").
     pub fn new(nodes: usize) -> Self {
+        assert!(u32::try_from(nodes).is_ok(), "node ids must fit in u32");
         Self {
             table: vec![None; nodes],
+            parent: vec![u32::MAX; nodes],
             routed_over: vec![false; nodes],
             connected: vec![false; nodes],
             tx_cost: vec![0.0; nodes],
             dist: vec![f64::INFINITY; nodes],
             builds: 0,
             repairs: 0,
-            primed: false,
-            built_with: None,
+            key: None,
             scratch: RepairScratch::default(),
         }
     }
 
-    /// Makes the cached table current for `usable`, recomputing only
-    /// when the set differs from the one routes were last built over.
-    /// Returns whether a recompute (build or repair) happened. `volume`
-    /// sizes the cached per-hop transmit costs (one packet's bits).
+    /// Makes the cached table current for these inputs, recomputing
+    /// only when they differ from the ones the current epoch was built
+    /// from. Returns whether a recompute (build or repair) happened.
+    /// `volume` sizes the cached per-hop transmit costs (one packet's
+    /// bits).
     ///
-    /// Minimum-energy transitions after the first build repair
+    /// A call is a hit — no recompute — only when `strategy`, `radio`,
+    /// `max_hop` and `volume` all equal (`==`) the current epoch's and
+    /// `usable` equals the mask it was built over. `topology` is not
+    /// part of the key: it must be the topology the cache was sized for
+    /// at every call.
+    ///
+    /// When only the mask changed, a minimum-energy table is repaired
     /// incrementally unless [`set_route_repair_enabled`] turned the
-    /// optimization off for this thread; either path yields bit-identical
-    /// tables, costs, and connectivity.
+    /// optimization off for this thread; either path yields
+    /// bit-identical tables, costs, and connectivity. Any other changed
+    /// input forces a full build, since a repair re-relaxes against
+    /// distance labels computed under the old inputs.
     ///
     /// # Panics
     ///
@@ -445,13 +472,18 @@ impl RouteCache {
         let n = self.table.len();
         assert_eq!(topology.len(), n, "topology/cache node count mismatch");
         assert_eq!(usable.len(), n, "usable mask/cache node count mismatch");
-        if self.primed && self.routed_over == usable {
+        let key = RouteKey {
+            strategy,
+            radio: *radio,
+            max_hop,
+            volume,
+        };
+        let same_key = self.key == Some(key);
+        if same_key && self.routed_over == usable {
             return false;
         }
-        let repairable = self.primed
-            && strategy == RoutingStrategy::MinimumEnergy
-            && self.built_with == Some(RoutingStrategy::MinimumEnergy)
-            && route_repair_enabled();
+        let repairable =
+            same_key && strategy == RoutingStrategy::MinimumEnergy && route_repair_enabled();
         if repairable {
             self.repair(topology, radio, max_hop, usable);
             note_route_repair();
@@ -486,16 +518,18 @@ impl RouteCache {
         }
         self.routed_over.copy_from_slice(usable);
         for id in topology.ids() {
-            self.tx_cost[id.0] = match self.table[id.0] {
-                Some(next) => radio
-                    .transmit_energy(volume, topology.distance(id, next))
-                    .as_joules(),
-                None => 0.0,
+            (self.parent[id.0], self.tx_cost[id.0]) = match self.table[id.0] {
+                Some(next) => (
+                    next.0 as u32,
+                    radio
+                        .transmit_energy(volume, topology.distance(id, next))
+                        .as_joules(),
+                ),
+                None => (u32::MAX, 0.0),
             };
         }
         self.resolve_connectivity(topology.sink());
-        self.built_with = Some(strategy);
-        self.primed = true;
+        self.key = Some(key);
         true
     }
 
@@ -733,11 +767,18 @@ impl RouteCache {
 
     /// All per-node transmit costs, indexed by raw id — the bulk form
     /// of [`tx_cost`](Self::tx_cost) for kernels that fold charges over
-    /// many nodes per round (the lossy charge commits and the packed
-    /// route image index this slice directly instead of paying a method
-    /// call per node).
+    /// many nodes per round (the hop walks and the lossy charge commits
+    /// index this slice directly instead of paying a method call per
+    /// node).
     pub fn tx_costs(&self) -> &[f64] {
         &self.tx_cost
+    }
+
+    /// All next hops as raw ids, `u32::MAX` for routeless nodes and the
+    /// sink — the flat form of [`table`](Self::table) the hop walks
+    /// chase: a 4-byte load per hop instead of an `Option<NodeId>` test.
+    pub(crate) fn parents(&self) -> &[u32] {
+        &self.parent
     }
 
     /// All per-node connectivity flags, indexed by raw id — the bulk
@@ -762,48 +803,6 @@ impl RouteCache {
     /// equal epochs on the same cache instance mean an identical table.
     pub fn epoch(&self) -> u64 {
         self.builds + self.repairs
-    }
-}
-
-/// Route arrays packed for hop-walk hot loops: a 4-byte next-hop id and
-/// an 8-byte transmit cost per node, refreshed lazily per route epoch.
-///
-/// The cache's own `table()` stores `Option<NodeId>` (16 bytes, with a
-/// discriminant test per fetch); packing it once per epoch lets the
-/// aggregation, lossy-ARQ and region-parallel walk loops chase routes
-/// through two flat reads per hop. Values are copied verbatim from the
-/// cache, so every consumer stays bit-identical to the method-call
-/// path.
-#[derive(Debug, Clone)]
-pub(crate) struct PackedRoutes {
-    /// Next hop per node; `u32::MAX` = routeless (or the sink).
-    pub(crate) parent: Vec<u32>,
-    /// Transmit cost along the parent edge, joules.
-    pub(crate) tx: Vec<f64>,
-    epoch: Option<u64>,
-}
-
-impl PackedRoutes {
-    pub(crate) fn new(nodes: usize) -> Self {
-        Self {
-            parent: vec![u32::MAX; nodes],
-            tx: vec![0.0; nodes],
-            epoch: None,
-        }
-    }
-
-    /// Repacks from `cache` if its epoch moved since the last call.
-    /// Returns true when a repack happened.
-    pub(crate) fn ensure(&mut self, cache: &RouteCache) -> bool {
-        if self.epoch == Some(cache.epoch()) {
-            return false;
-        }
-        for (slot, hop) in self.parent.iter_mut().zip(cache.table()) {
-            *slot = hop.map_or(u32::MAX, |h| h.0 as u32);
-        }
-        self.tx.copy_from_slice(cache.tx_costs());
-        self.epoch = Some(cache.epoch());
-        true
     }
 }
 
@@ -1037,6 +1036,38 @@ mod tests {
             &usable,
         );
         assert_eq!(cache.table(), fresh.as_slice());
+    }
+
+    #[test]
+    fn a_changed_route_input_misses_on_an_unchanged_mask() {
+        // Every node stays usable, so only the other key inputs can force
+        // the recompute; each must reach a fresh cache's epoch by a build.
+        let topo = Topology::grid(4, Length::from_meters(30.0));
+        let usable = vec![true; topo.len()];
+        type Key = (RoutingStrategy, RadioEnergyModel, Length, DataVolume);
+        let ensure = |cache: &mut RouteCache, (strategy, radio, hop, volume): Key| {
+            cache.ensure(&topo, strategy, &radio, hop, volume, &usable)
+        };
+        let (min, hop) = (RoutingStrategy::MinimumEnergy, Length::from_meters(45.0));
+        let bits = ami_radio::Packet::sensor_report().total_bits();
+        let base = (min, radio(), hop, bits);
+        let double = DataVolume::from_bits(2.0 * bits.as_bits());
+        for (before, after) in [
+            ((RoutingStrategy::DirectToSink, radio(), hop, bits), base),
+            // 25 m hops cannot span the 30 m pitch: a fresh build routes nobody.
+            (base, (min, radio(), Length::from_meters(25.0), bits)),
+            (base, (min, radio(), hop, double)),
+            (base, (min, RadioEnergyModel::multipath_2003(), hop, bits)),
+        ] {
+            let mut cache = RouteCache::new(topo.len());
+            ensure(&mut cache, before);
+            assert!(ensure(&mut cache, after), "{after:?} after {before:?}");
+            let mut fresh = RouteCache::new(topo.len());
+            ensure(&mut fresh, after);
+            assert_eq!(cache.table(), fresh.table());
+            assert_eq!(cache.tx_costs(), fresh.tx_costs());
+            assert_eq!((cache.builds(), cache.repairs()), (2, 0));
+        }
     }
 
     #[test]

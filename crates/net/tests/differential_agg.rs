@@ -233,7 +233,7 @@ fn session_faulted_runs_match_the_one_shot_entry_point() {
     // the usable set), so only the run-boundary invalidation and the
     // fault-free replay guard keep those rounds off the stale image.
     // The warm lossy session rides the same schedules on one and two
-    // workers: its cache and packed image carry over between runs too.
+    // workers: its route cache carries over between runs too.
     let _mode = AggMode::set(true);
     let previous_floor = set_par_min_nodes_per_worker(Some(0));
     // 40 m spacing under the 45 m default hop range forces the
@@ -349,16 +349,22 @@ struct Outcome {
     lossy_ledger: Option<LedgerRecorder>,
 }
 
-/// A gathering and a lossy session over one field.
+/// A gathering session routing with one strategy and a lossy session
+/// over one field.
 struct Sessions<'a> {
     gather: GatherSession<'a>,
     lossy: LossySession<'a>,
 }
 
 impl<'a> Sessions<'a> {
-    fn new(topo: &'a Topology, config: &'a NetworkConfig, lossy: &'a LossyConfig) -> Self {
+    fn new(
+        topo: &'a Topology,
+        strategy: RoutingStrategy,
+        config: &'a NetworkConfig,
+        lossy: &'a LossyConfig,
+    ) -> Self {
         Self {
-            gather: GatherSession::new(topo, RoutingStrategy::MinimumEnergy, config),
+            gather: GatherSession::new(topo, strategy, config),
             lossy: LossySession::new(topo, lossy),
         }
     }
@@ -419,13 +425,14 @@ impl<'a> Sessions<'a> {
 /// sessions differs from the same call on a fresh pair.
 fn first_divergence(
     topo: &Topology,
+    strategy: RoutingStrategy,
     config: &NetworkConfig,
     lossy: &LossyConfig,
     ops: &[SessionOp],
 ) -> Option<usize> {
-    let mut warm = Sessions::new(topo, config, lossy);
+    let mut warm = Sessions::new(topo, strategy, config, lossy);
     ops.iter()
-        .position(|op| warm.call(op) != Sessions::new(topo, config, lossy).call(op))
+        .position(|op| warm.call(op) != Sessions::new(topo, strategy, config, lossy).call(op))
 }
 
 proptest! {
@@ -436,15 +443,23 @@ proptest! {
     /// returns for each call. With default budgets nothing dies, so the
     /// warm route epoch survives into the next call (where a memo keyed
     /// on the epoch alone would leak); drained budgets (~12 idle rounds)
-    /// add energy deaths that move it mid-run. A divergence is reported
-    /// with the diverging call's schedule ddmin-minimized (earlier calls
-    /// replayed unchanged).
+    /// add energy deaths that move it mid-run. The gathering session
+    /// routes with either strategy: direct-to-sink epochs never repair,
+    /// so every usable-set transition takes the full-build branch. A
+    /// divergence is reported with the diverging call's schedule
+    /// ddmin-minimized (earlier calls replayed unchanged).
     #[test]
     fn warm_sessions_match_fresh_sessions_over_random_call_sequences(
         seed in 0u64..40,
         drained in 0u8..2,
+        direct in 0u8..2,
         ops in prop::collection::vec(session_op(), 1..7),
     ) {
+        let strategy = if direct == 1 {
+            RoutingStrategy::DirectToSink
+        } else {
+            RoutingStrategy::MinimumEnergy
+        };
         let previous_floor = set_par_min_nodes_per_worker(Some(0));
         let topo = Topology::random(SEQ_NODES, Length::from_meters(110.0), seed);
         let mut config = NetworkConfig::sensor_default();
@@ -452,7 +467,7 @@ proptest! {
             config.node_energy = Energy::from_joules(0.015);
         }
         let lossy = LossyConfig::bruised_channel();
-        if let Some(k) = first_divergence(&topo, &config, &lossy, &ops) {
+        if let Some(k) = first_divergence(&topo, strategy, &config, &lossy, &ops) {
             let minimized = match &ops[k] {
                 SessionOp::Run => None,
                 SessionOp::Faulted { schedule, ledger, threads } => {
@@ -463,12 +478,12 @@ proptest! {
                             ledger: *ledger,
                             threads: *threads,
                         });
-                        first_divergence(&topo, &config, &lossy, &prefix).is_some()
+                        first_divergence(&topo, strategy, &config, &lossy, &prefix).is_some()
                     }))
                 }
             };
             panic!(
-                "warm session diverged from a fresh one at call {k} (seed {seed})\n\
+                "warm session diverged from a fresh one at call {k} (seed {seed}, {strategy})\n\
                  calls: {ops:?}\nminimized schedule of call {k}: {:?}",
                 minimized.as_ref().map(FaultSchedule::events),
             );

@@ -8,7 +8,8 @@
 //! count difference. (This binary holds exactly one test so no
 //! concurrent *test* pollutes the counter; harness-thread noise is
 //! filtered by measuring each workload as a minimum over several
-//! attempts — see [`steady_allocations`].)
+//! attempts — see [`steady_allocations`].) Warm session reruns are
+//! measured the same way and must also undercut a fresh session.
 
 use ami_net::{GatherSession, LossyConfig, LossySession, NetworkConfig, RoutingStrategy, Topology};
 use ami_sim::fault::{FaultEvent, FaultSchedule};
@@ -129,5 +130,45 @@ fn faulted_round_loops_allocate_nothing_per_round() {
     assert_eq!(
         lossy_short, lossy_long,
         "faulted lossy round loop allocated ({lossy_short} vs {lossy_long} allocations)"
+    );
+
+    // The same runs repeated on one warm session each: the session keeps
+    // its route cache and fault scratch, so a rerun allocates only its
+    // per-run state — flat in the round count, and below a fresh
+    // session's count.
+    let mut gather_session = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config);
+    let mut warm_gather = |rounds| {
+        let _ = gather_session.run_faulted_with(rounds, &faults, &mut NullRecorder);
+    };
+    warm_gather(1);
+    let warm_gather_short = steady_allocations(5, || warm_gather(10));
+    let warm_gather_long = steady_allocations(5, || warm_gather(1000));
+    assert_eq!(
+        warm_gather_short, warm_gather_long,
+        "warm faulted gather reruns allocated per round \
+         ({warm_gather_short} vs {warm_gather_long} allocations)"
+    );
+    assert!(
+        warm_gather_short < gather_short,
+        "a warm gather rerun must allocate less than a fresh session \
+         ({warm_gather_short} vs {gather_short} allocations)"
+    );
+
+    let mut lossy_session = LossySession::new(&topo, &lossy);
+    let mut warm_lossy = |rounds| {
+        let _ = lossy_session.run_faulted_with(rounds, 3, &faults, 1, &mut NullRecorder);
+    };
+    warm_lossy(1);
+    let warm_lossy_short = steady_allocations(5, || warm_lossy(10));
+    let warm_lossy_long = steady_allocations(5, || warm_lossy(1000));
+    assert_eq!(
+        warm_lossy_short, warm_lossy_long,
+        "warm faulted lossy reruns allocated per round \
+         ({warm_lossy_short} vs {warm_lossy_long} allocations)"
+    );
+    assert!(
+        warm_lossy_short < lossy_short,
+        "a warm lossy rerun must allocate less than a fresh session \
+         ({warm_lossy_short} vs {lossy_short} allocations)"
     );
 }
