@@ -1,9 +1,12 @@
-//! Bench snapshot — a fast, machine-readable timing pass over the
-//! network-simulator and simulation-kernel hot paths, for tracking the
-//! perf trajectory across PRs.
-//!
-//! Unlike the criterion benches (`cargo bench -p ami-bench`), this
-//! binary is built to run in CI in seconds and emit two snapshots:
+//! Bench snapshot — the repository's per-kernel timer: a
+//! machine-readable timing pass over the network-simulator and
+//! simulation-kernel hot paths, for tracking the perf trajectory across
+//! changes. (The end-to-end gate is the separate `perfbench/`
+//! benchmark.) A full run takes a few minutes; `--quick` finishes in
+//! seconds for the CI smoke. Each run writes two snapshots, and every
+//! row and `speedup` in a snapshot comes from that one run. Both record
+//! the run's `threads` (`AMBIENCE_THREADS`) and `cpus` (available
+//! parallelism) next to `mode`.
 //!
 //! `BENCH_NET.json` (schema `ambience-bench-net/v1`) — one entry per
 //! (workload, network size), keyed by commit-stable labels
@@ -22,18 +25,22 @@
 //! N ∈ {10 000, 100 000} and at the megacity N = 1 000 000 (fewer
 //! rounds per iteration), pinning the spatial-grid CSR build and the
 //! aggregated round loop where quadratic scans would be unaffordable.
-//! At the city scales and up, `gather_round` and `lossy_round` measure
-//! **marginal rounds** through the session APIs ([`GatherSession`] /
-//! [`LossySession`]): the warm-up iteration performs the route build
-//! and sizes the scratch, so the timed iterations isolate per-round
-//! kernel cost from the build (which `route_build` prices separately).
+//! At the city scales and up, `gather_round` and `lossy_round` time
+//! runs on a warm session ([`GatherSession`] / [`LossySession`]): the
+//! warm-up iteration performs the route build and sizes the scratch,
+//! so the timed iterations exclude the build (which `route_build`
+//! prices separately). Each timed iteration is a new session run of 2
+//! rounds (1 at the megacity). At the city scales a gathering run's
+//! first round probes the route epoch's hop count and its second
+//! records the value-stream memo, so these rows do not time the memo
+//! replay that the later rounds of a longer run take.
 //! `lossy_round_par` repeats the city-scale lossy rounds the same way,
 //! on a warm [`LossySession`] at `AMBIENCE_THREADS` workers, and carries
-//! `threads`/`cpus` fields plus a `speedup` field (serial mean /
-//! parallel mean — expect >1× on a multi-core box). The rows
-//! force-engage the rollback-free region-parallel engine past the
-//! small-n floor — the snapshot times the engine, not the dispatch
-//! heuristic — but the engine needs more than one worker: at
+//! `threads`/`cpus` fields plus a `speedup` field (the same run's
+//! `lossy_round` mean over this row's mean — expect >1× on a multi-core
+//! box). The rows force-engage the rollback-free region-parallel engine
+//! past the small-n floor — the snapshot times the engine, not the
+//! dispatch heuristic — but the engine needs more than one worker: at
 //! `threads` = 1 the session runs the serial loop, so the row re-times
 //! the `lossy_round` run and `speedup` ≈ 1. When `cpus` is 1 a
 //! multi-worker row times engine overhead on a single core, so
@@ -42,8 +49,7 @@
 //! thread count.
 //!
 //! `BENCH_SIM.json` (schema `ambience-bench-sim/v1`) — the `ami-sim`
-//! kernel and sweep layer (labels mirrored by the `sim_hotpath`
-//! criterion group in `ami-bench`):
+//! kernel and sweep layer:
 //!
 //! * `day_sim_cs1` — one full CS1 day simulation (op = simulated day);
 //! * `state_meter_transition` — interned-id meter transitions
@@ -106,7 +112,8 @@ const LOSSY_ROUNDS: u64 = 10;
 const FAULT_REPS: usize = 3;
 const FAULT_ROUNDS: u64 = 30;
 const FAULT_MIX: &str = "death=0.1,outage=0.2:10,link=0.1:8";
-/// Seed for every topology draw (matches `ami_bench::BENCH_SEED`).
+/// Seed for every topology draw, replication base seed and lossy
+/// channel stream, so two runs time exactly the same workload.
 const SEED: u64 = 2003;
 
 /// One measured row of the snapshot.
@@ -507,6 +514,11 @@ fn to_json(schema: &str, entries: &[Entry], quick: bool) -> String {
     out.push_str(&format!(
         "  \"mode\": \"{}\",\n",
         if quick { "quick" } else { "full" }
+    ));
+    out.push_str(&format!(
+        "  \"threads\": {},\n  \"cpus\": {},\n",
+        ami_sim::runner::thread_count(),
+        available_cpus()
     ));
     out.push_str("  \"entries\": [\n");
     for (idx, e) in entries.iter().enumerate() {

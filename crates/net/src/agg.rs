@@ -34,10 +34,12 @@
 //!    within a round, so all-positive finals prove the serial kernel
 //!    never saw an exhausted hop.
 //!
-//! Commitment then swaps the scratch finals in, folds the memoized
-//! spent stream in serial charge order, and replays ledger charges and
-//! packet counters per cell (ledger and counter *totals* are
-//! position-invariant; per-accumulator sequences are preserved).
+//! The `spent` total is folded in serial charge order before the replay
+//! (idle debits, then the walk's inline fold or the memoized stream),
+//! so commitment receives it finished: it swaps the scratch finals in,
+//! stores `spent`, and replays ledger charges and packet counters per
+//! cell (ledger and counter *totals* are position-invariant;
+//! per-accumulator sequences are preserved).
 //!
 //! The hop-walk kernel is retained verbatim as the differential oracle:
 //! [`set_aggregated_rounds`]`(false)` pins every round on the calling
@@ -400,7 +402,7 @@ impl GatherState<'_, '_> {
         true
     }
 
-    /// Commits a validated aggregated round: budgets, the spent fold,
+    /// Commits a validated aggregated round: budgets, the folded `spent`,
     /// the delivered count, then the recorder replay in a fixed
     /// per-cell order (idle charges ascending, then each cell's Tx and
     /// RxRelay charges; packet counters as whole-round tallies).

@@ -26,8 +26,8 @@
 
 use crate::agg::AggScratch;
 use crate::round::RoundCore;
-use crate::routing::RoutingStrategy;
-use crate::topology::Topology;
+use crate::routing::{RoutingStrategy, NO_HOP};
+use crate::topology::{NodeId, Topology};
 use ami_radio::{Packet, RadioEnergyModel};
 use ami_sim::fault::FaultSchedule;
 use ami_sim::obs::{EnergyCategory, NullRecorder, Recorder};
@@ -224,7 +224,7 @@ impl<'r, 'a> GatherState<'r, 'a> {
         let core = &*self.core;
         let (sink, timeline) = (core.sink, &core.timeline);
         let (alive, down_now) = (&core.alive[..], &core.down_now[..]);
-        let (connected, table) = (core.cache.connected_flags(), core.cache.table());
+        let (connected, parent) = (core.cache.connected_flags(), core.cache.parents());
         let tx_costs = core.cache.tx_costs();
         let budget = &mut self.budget[..];
         let (idle, rx) = (self.idle_per_round, self.rx_per_hop);
@@ -251,13 +251,15 @@ impl<'r, 'a> GatherState<'r, 'a> {
                 continue; // disconnected this round
             }
             // Charge the sender and every relay by walking the cached
-            // table directly (the connectivity check above guarantees
-            // the chain reaches the sink); abort when a hop has died,
-            // run out mid-round, or gone down to a fault.
+            // next-hop column directly (the connectivity check above
+            // guarantees the chain reaches the sink); abort when a hop
+            // has died, run out mid-round, or gone down to a fault.
             let mut from = id;
             let mut fate = PacketFate::Delivered;
             while from != sink {
-                let hop = table[from.0].expect("connected route reaches the sink");
+                let next = parent[from.0];
+                assert!(next != NO_HOP, "connected route reaches the sink");
+                let hop = NodeId(next as usize);
                 let from_down = !alive[from.0] || budget[from.0] <= 0.0;
                 let hop_down = hop != sink && (!alive[hop.0] || budget[hop.0] <= 0.0);
                 if from_down || hop_down {

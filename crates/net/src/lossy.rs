@@ -45,7 +45,7 @@
 
 use crate::pdes;
 use crate::round::RoundCore;
-use crate::routing::RoutingStrategy;
+use crate::routing::{RoutingStrategy, NO_HOP};
 use crate::topology::{NodeId, Topology};
 use ami_radio::{Packet, RadioEnergyModel, StopAndWaitArq};
 use ami_sim::fault::{FaultSchedule, FaultTimeline};
@@ -164,7 +164,7 @@ pub(crate) struct ArqConstants {
 pub(crate) struct LossyRoundCtx<'c> {
     arq: ArqConstants,
     sink: u32,
-    /// The route cache's flat next-hop column (`u32::MAX` = routeless):
+    /// The route cache's flat next-hop column (`NO_HOP` = routeless):
     /// the hop chase is two array loads per hop, not a cache probe.
     parent: &'c [u32],
     /// The route cache's per-node transmit cost, same indexing.
@@ -210,7 +210,7 @@ fn walk_packet(
     loop {
         let fu = from as usize;
         let hop = ctx.parent[fu];
-        debug_assert!(hop != u32::MAX, "connected route reaches the sink");
+        debug_assert!(hop != NO_HOP, "connected route reaches the sink");
         let tx = ctx.tx_costs[fu];
         if hop != sink && ctx.down_now[hop as usize] {
             // Powered-off receiver: no ACK ever comes, so the sender

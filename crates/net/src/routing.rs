@@ -39,6 +39,10 @@ use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// A [`RouteCache`] next-hop slot with no next hop: routeless nodes and
+/// the sink.
+pub(crate) const NO_HOP: u32 = u32::MAX;
+
 /// The routing strategies compared in experiment F6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum RoutingStrategy {
@@ -237,7 +241,7 @@ fn dijkstra_to_sink(
 ) -> Vec<Option<NodeId>> {
     let n = topology.len();
     let mut dist = vec![f64::INFINITY; n];
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
+    let mut parent = vec![NO_HOP; n];
     let mut heap: BinaryHeap<Reverse<HeapEntry>> = BinaryHeap::new();
     dijkstra_into(
         topology,
@@ -248,11 +252,17 @@ fn dijkstra_to_sink(
         &mut parent,
         &mut heap,
     );
-    parent
+    parent.iter().map(|&p| next_hop_of(p)).collect()
+}
+
+/// A next-hop slot as an optional id.
+fn next_hop_of(slot: u32) -> Option<NodeId> {
+    (slot != NO_HOP).then_some(NodeId(slot as usize))
 }
 
 /// The Dijkstra core behind [`dijkstra_to_sink`] and the full-build arm
-/// of [`RouteCache`]: resets `dist`/`parent` in place and fills both,
+/// of [`RouteCache`]: resets `dist`/`parent` in place and fills both
+/// (`parent` as raw ids, [`NO_HOP`] where there is no route),
 /// reusing the caller's heap scratch. Stale heap entries are skipped by
 /// the `d > dist[u]` check alone — with strictly positive weights a
 /// node's first pop carries its final distance, so a separate visited
@@ -263,13 +273,13 @@ fn dijkstra_into(
     max_hop: Length,
     usable: Option<&[bool]>,
     dist: &mut [f64],
-    parent: &mut [Option<NodeId>],
+    parent: &mut [u32],
     heap: &mut BinaryHeap<Reverse<HeapEntry>>,
 ) {
     let sink = topology.sink();
     let csr = topology.csr_within(max_hop);
     dist.fill(f64::INFINITY);
-    parent.fill(None);
+    parent.fill(NO_HOP);
     heap.clear();
     dist[sink.0] = 0.0;
     heap.push(Reverse(HeapEntry {
@@ -296,7 +306,7 @@ fn dijkstra_into(
             let candidate = dist[u] + weight;
             if candidate < dist[v] {
                 dist[v] = candidate;
-                parent[v] = Some(NodeId(u));
+                parent[v] = node;
                 heap.push(Reverse(HeapEntry {
                     dist: candidate,
                     node: target,
@@ -366,9 +376,8 @@ pub fn route_to_sink(table: &[Option<NodeId>], topology: &Topology, node: NodeId
 /// ```
 #[derive(Debug, Clone)]
 pub struct RouteCache {
-    table: Vec<Option<NodeId>>,
-    /// `table` as raw ids, `u32::MAX` for routeless nodes and the sink:
-    /// the flat column the hop-walk loops chase.
+    /// The next-hop table as raw ids, [`NO_HOP`] for routeless nodes and
+    /// the sink: the flat column the hop-walk loops chase.
     parent: Vec<u32>,
     routed_over: Vec<bool>,
     connected: Vec<bool>,
@@ -424,8 +433,7 @@ impl RouteCache {
     pub fn new(nodes: usize) -> Self {
         assert!(u32::try_from(nodes).is_ok(), "node ids must fit in u32");
         Self {
-            table: vec![None; nodes],
-            parent: vec![u32::MAX; nodes],
+            parent: vec![NO_HOP; nodes],
             routed_over: vec![false; nodes],
             connected: vec![false; nodes],
             tx_cost: vec![0.0; nodes],
@@ -469,7 +477,7 @@ impl RouteCache {
         volume: DataVolume,
         usable: &[bool],
     ) -> bool {
-        let n = self.table.len();
+        let n = self.parent.len();
         assert_eq!(topology.len(), n, "topology/cache node count mismatch");
         assert_eq!(usable.len(), n, "usable mask/cache node count mismatch");
         let key = RouteKey {
@@ -493,10 +501,10 @@ impl RouteCache {
                 RoutingStrategy::DirectToSink => {
                     let sink = topology.sink();
                     for id in topology.ids() {
-                        self.table[id.0] = if id != sink && usable[id.0] {
-                            Some(sink)
+                        self.parent[id.0] = if id != sink && usable[id.0] {
+                            sink.0 as u32
                         } else {
-                            None
+                            NO_HOP
                         };
                     }
                     self.dist.fill(f64::INFINITY);
@@ -508,7 +516,7 @@ impl RouteCache {
                         max_hop,
                         Some(usable),
                         &mut self.dist,
-                        &mut self.table,
+                        &mut self.parent,
                         &mut self.scratch.heap,
                     );
                 }
@@ -518,14 +526,11 @@ impl RouteCache {
         }
         self.routed_over.copy_from_slice(usable);
         for id in topology.ids() {
-            (self.parent[id.0], self.tx_cost[id.0]) = match self.table[id.0] {
-                Some(next) => (
-                    next.0 as u32,
-                    radio
-                        .transmit_energy(volume, topology.distance(id, next))
-                        .as_joules(),
-                ),
-                None => (u32::MAX, 0.0),
+            self.tx_cost[id.0] = match next_hop_of(self.parent[id.0]) {
+                Some(next) => radio
+                    .transmit_energy(volume, topology.distance(id, next))
+                    .as_joules(),
+                None => 0.0,
             };
         }
         self.resolve_connectivity(topology.sink());
@@ -538,7 +543,7 @@ impl RouteCache {
     ///
     /// Correctness rests on the canonical-parent property of the full
     /// build: with `(dist, id)` heap ordering and strictly positive
-    /// weights, `table[v]` is always the optimal predecessor minimizing
+    /// weights, `parent[v]` is always the optimal predecessor minimizing
     /// `(dist, id)`. Nodes outside the subtrees of changed nodes keep
     /// both labels — removals can only lengthen paths elsewhere, so
     /// their surviving tree path and parent choice stand — while every
@@ -554,7 +559,7 @@ impl RouteCache {
         max_hop: Length,
         usable: &[bool],
     ) {
-        let n = self.table.len();
+        let n = self.parent.len();
         let sink = topology.sink().0;
         let csr = topology.csr_within(max_hop);
         let s = &mut self.scratch;
@@ -563,8 +568,10 @@ impl RouteCache {
         // invalidation is O(subtree) instead of O(N) per changed node.
         s.child_off.clear();
         s.child_off.resize(n + 1, 0);
-        for parent in self.table.iter().flatten() {
-            s.child_off[parent.0 + 1] += 1;
+        for &p in &self.parent {
+            if p != NO_HOP {
+                s.child_off[p as usize + 1] += 1;
+            }
         }
         for p in 0..n {
             s.child_off[p + 1] += s.child_off[p];
@@ -573,11 +580,11 @@ impl RouteCache {
         s.child_cursor.extend_from_slice(&s.child_off[..n]);
         s.child_ids.clear();
         s.child_ids.resize(s.child_off[n] as usize, 0);
-        for (v, parent) in self.table.iter().enumerate() {
-            if let Some(p) = parent {
-                let slot = s.child_cursor[p.0] as usize;
+        for (v, &p) in self.parent.iter().enumerate() {
+            if p != NO_HOP {
+                let slot = s.child_cursor[p as usize] as usize;
                 s.child_ids[slot] = v as u32;
-                s.child_cursor[p.0] += 1;
+                s.child_cursor[p as usize] += 1;
             }
         }
 
@@ -593,7 +600,7 @@ impl RouteCache {
             }
             if !now_usable {
                 self.dist[v] = f64::INFINITY;
-                self.table[v] = None;
+                self.parent[v] = NO_HOP;
             }
             s.in_affected[v] = true;
             s.affected.push(v as u32);
@@ -612,7 +619,7 @@ impl RouteCache {
                 if !s.in_affected[c] {
                     s.in_affected[c] = true;
                     self.dist[c] = f64::INFINITY;
-                    self.table[c] = None;
+                    self.parent[c] = NO_HOP;
                     s.affected.push(c as u32);
                 }
             }
@@ -654,7 +661,7 @@ impl RouteCache {
             }
             if best_pred != usize::MAX {
                 self.dist[v] = best;
-                self.table[v] = Some(NodeId(best_pred));
+                self.parent[v] = best_pred as u32;
                 s.heap.push(Reverse(HeapEntry {
                     dist: best,
                     node: vu,
@@ -686,16 +693,17 @@ impl RouteCache {
                 let dv = self.dist[v];
                 if candidate < dv {
                     self.dist[v] = candidate;
-                    self.table[v] = Some(NodeId(u));
+                    self.parent[v] = node;
                     s.heap.push(Reverse(HeapEntry {
                         dist: candidate,
                         node: target,
                     }));
                 } else if candidate == dv {
-                    if let Some(incumbent) = self.table[v] {
-                        if (du, u) < (self.dist[incumbent.0], incumbent.0) {
-                            self.table[v] = Some(NodeId(u));
-                        }
+                    let incumbent = self.parent[v];
+                    if incumbent != NO_HOP
+                        && (du, u) < (self.dist[incumbent as usize], incumbent as usize)
+                    {
+                        self.parent[v] = node;
                     }
                 }
             }
@@ -706,7 +714,8 @@ impl RouteCache {
     /// node is marked by the verdict of the first already-resolved node
     /// (or the sink / a dead end / the cycle bound) its chain reaches.
     fn resolve_connectivity(&mut self, sink: NodeId) {
-        let n = self.table.len();
+        let n = self.parent.len();
+        let sink = sink.0 as u32;
         let state = &mut self.scratch.conn_state;
         state.clear();
         state.resize(n, 0);
@@ -722,16 +731,16 @@ impl RouteCache {
                     break state[current];
                 }
                 chain.push(current as u32);
-                match self.table[current] {
-                    None => break 2,
-                    Some(next) if next == sink => break 1,
+                match self.parent[current] {
+                    NO_HOP => break 2,
+                    next if next == sink => break 1,
                     // Longer than n hops means a cycle: disconnected,
                     // matching `route_to_sink`'s bounded walk.
-                    Some(next) => {
+                    next => {
                         if chain.len() > n {
                             break 2;
                         }
-                        current = next.0;
+                        current = next as usize;
                     }
                 }
             };
@@ -744,14 +753,9 @@ impl RouteCache {
         }
     }
 
-    /// The cached next-hop table.
-    pub fn table(&self) -> &[Option<NodeId>] {
-        &self.table
-    }
-
     /// Next hop of `node`, `None` when routeless (or the sink).
     pub fn next_hop(&self, node: NodeId) -> Option<NodeId> {
-        self.table[node.0]
+        next_hop_of(self.parent[node.0])
     }
 
     /// Whether `node`'s cached route reaches the sink.
@@ -774,9 +778,9 @@ impl RouteCache {
         &self.tx_cost
     }
 
-    /// All next hops as raw ids, `u32::MAX` for routeless nodes and the
-    /// sink — the flat form of [`table`](Self::table) the hop walks
-    /// chase: a 4-byte load per hop instead of an `Option<NodeId>` test.
+    /// All next hops as raw ids, [`NO_HOP`] for routeless nodes and the
+    /// sink — the bulk form of [`next_hop`](Self::next_hop) the hop
+    /// walks chase: a 4-byte load per hop.
     pub(crate) fn parents(&self) -> &[u32] {
         &self.parent
     }
@@ -812,6 +816,12 @@ mod tests {
 
     fn radio() -> RadioEnergyModel {
         RadioEnergyModel::short_range_2003()
+    }
+
+    /// The cache's next hop for every id, in the form `build_routes`
+    /// returns.
+    fn next_hops(cache: &RouteCache, topo: &Topology) -> Vec<Option<NodeId>> {
+        topo.ids().map(|id| cache.next_hop(id)).collect()
     }
 
     // The historical O(N²) scan-Dijkstra oracle and the tests diffing
@@ -1035,7 +1045,7 @@ mod tests {
             hop,
             &usable,
         );
-        assert_eq!(cache.table(), fresh.as_slice());
+        assert_eq!(next_hops(&cache, &topo), fresh);
     }
 
     #[test]
@@ -1064,7 +1074,7 @@ mod tests {
             assert!(ensure(&mut cache, after), "{after:?} after {before:?}");
             let mut fresh = RouteCache::new(topo.len());
             ensure(&mut fresh, after);
-            assert_eq!(cache.table(), fresh.table());
+            assert_eq!(next_hops(&cache, &topo), next_hops(&fresh, &topo));
             assert_eq!(cache.tx_costs(), fresh.tx_costs());
             assert_eq!((cache.builds(), cache.repairs()), (2, 0));
         }
@@ -1085,6 +1095,7 @@ mod tests {
             bits,
             &usable,
         );
+        let table = next_hops(&cache, &topo);
         for id in topo.ids() {
             match cache.next_hop(id) {
                 Some(next) => {
@@ -1098,7 +1109,7 @@ mod tests {
                     );
                     assert_eq!(
                         cache.is_connected(id),
-                        !route_to_sink(cache.table(), &topo, id).is_empty()
+                        !route_to_sink(&table, &topo, id).is_empty()
                     );
                 }
                 None => assert_eq!(cache.tx_cost(id), 0.0),

@@ -11,7 +11,10 @@
 //! * trailing input after the document is an error;
 //! * only finite numbers are accepted (JSON has no `NaN`/`Infinity`
 //!   literals, and the spec layer wants every knob comparable);
-//! * no extensions — no comments, no trailing commas, no single quotes.
+//! * no extensions — no comments, no trailing commas, no single quotes;
+//! * arrays and objects nest at most 128 levels deep: the parser
+//!   recurses once per level, and a deeper document would exhaust the
+//!   parsing thread's stack instead of returning an error.
 //!
 //! Objects preserve insertion order so error messages can point at the
 //! offending field in file order.
@@ -27,6 +30,11 @@
 //! ```
 
 use std::fmt;
+
+/// Deepest array/object nesting [`parse`] accepts (see the module
+/// docs). The deepest checked-in scenario nests 6 levels and a batch
+/// reply about 8.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,11 +118,13 @@ impl std::error::Error for JsonError {}
 /// # Errors
 ///
 /// Returns a positioned [`JsonError`] on malformed input, duplicate
-/// object keys, non-finite numbers, or trailing content.
+/// object keys, non-finite numbers, trailing content, or arrays and
+/// objects nested more than 128 levels deep.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.value()?;
@@ -128,6 +138,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -182,8 +194,21 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(format!(
+                        "arrays and objects nest deeper than {MAX_DEPTH} levels"
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.keyword("false", JsonValue::Bool(false)),
@@ -451,5 +476,19 @@ mod tests {
             JsonValue::String("é😀".to_owned())
         );
         assert!(parse("\"\\uD800\"").is_err(), "unpaired surrogate");
+    }
+
+    #[test]
+    fn rejects_nesting_deeper_than_the_bound() {
+        let arrays = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(parse(&objects).is_ok());
+        let err = parse(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nest deeper"), "{err}");
+        assert_eq!((err.line, err.column), (1, MAX_DEPTH + 1));
+        // Far past the bound: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 }

@@ -153,8 +153,14 @@ fn malformed_frames_get_an_error_and_keep_the_connection() {
     std::thread::spawn(move || server.serve());
     let mut conn = TcpStream::connect(addr).unwrap();
 
-    let reply = roundtrip(&mut conn, "{not json");
-    assert!(reply.get("error").is_some());
+    // A syntax error, then a well-formed document nested far past the
+    // reader's depth bound (a recursive reader overflows the connection
+    // thread's stack on it and aborts the daemon).
+    let deep = "[".repeat(10_000) + &"]".repeat(10_000);
+    for frame in ["{not json", &deep] {
+        let reply = roundtrip(&mut conn, frame);
+        assert!(reply.get("error").is_some(), "{reply:?}");
+    }
 
     let reply = roundtrip(
         &mut conn,
