@@ -35,10 +35,11 @@
 //! records the value-stream memo, so these rows do not time the memo
 //! replay that the later rounds of a longer run take.
 //! `lossy_round_par` repeats the city-scale lossy rounds the same way,
-//! on a warm [`LossySession`] at `AMBIENCE_THREADS` workers, and carries
-//! `threads`/`cpus` fields plus a `speedup` field (the same run's
-//! `lossy_round` mean over this row's mean — expect >1× on a multi-core
-//! box). The rows force-engage the rollback-free region-parallel engine
+//! on a warm [`LossySession`] at `AMBIENCE_THREADS` workers, timed in
+//! alternating iterations with the serial `lossy_round` row so both see
+//! the same host noise, and carries `threads`/`cpus` fields plus a
+//! `speedup` field (the `lossy_round` median over this row's median —
+//! expect >1× on a multi-core box). The rows force-engage the rollback-free region-parallel engine
 //! past the small-n floor — the snapshot times the engine, not the
 //! dispatch heuristic — but the engine needs more than one worker: at
 //! `threads` = 1 the session runs the serial loop, so the row re-times
@@ -47,6 +48,10 @@
 //! `speedup` is advisory and CI treats it that way. Gathering has no
 //! parallel rows: its runs use the serial aggregated kernel at every
 //! thread count.
+//!
+//! Every row of both files reports its samples' mean, min, median and
+//! p90 (`wall_ns_mean`, `wall_ns_min`, `wall_ns_median`, `wall_ns_p90`;
+//! nearest-rank quantiles) and `ops_per_sec` from the mean.
 //!
 //! `BENCH_SIM.json` (schema `ambience-bench-sim/v1`) — the `ami-sim`
 //! kernel and sweep layer:
@@ -125,9 +130,12 @@ struct Entry {
     iters: u64,
     wall_ns_mean: u128,
     wall_ns_min: u128,
+    wall_ns_median: u128,
+    wall_ns_p90: u128,
     ops_per_sec: f64,
-    /// Serial mean / this entry's mean, for rows that re-run a serial
-    /// workload on the intra-run parallel engine (`lossy_round_par`).
+    /// Serial median / this entry's median, for rows that re-run a
+    /// serial workload on the intra-run parallel engine
+    /// (`lossy_round_par`).
     speedup: Option<f64>,
     /// Worker threads the `_par` engine ran with (absent on serial rows).
     threads: Option<usize>,
@@ -137,9 +145,70 @@ struct Entry {
     cpus: Option<usize>,
 }
 
+impl Entry {
+    /// A row from the timed `samples` of a workload performing
+    /// `ops_per_iter` logical operations per call.
+    fn new(
+        label: String,
+        group: &'static str,
+        n: usize,
+        ops_per_iter: u64,
+        mut samples: Vec<u128>,
+    ) -> Self {
+        samples.sort_unstable();
+        let iters = samples.len() as u64;
+        // Nearest rank: the smallest sample with at least `percent` %
+        // of the samples at or below it.
+        let quantile = |percent: usize| samples[(samples.len() * percent).div_ceil(100).max(1) - 1];
+        let wall_ns_mean = samples.iter().sum::<u128>() / u128::from(iters);
+        Entry {
+            label,
+            group,
+            n,
+            ops_per_iter,
+            iters,
+            wall_ns_mean,
+            wall_ns_min: samples[0],
+            wall_ns_median: quantile(50),
+            wall_ns_p90: quantile(90),
+            ops_per_sec: ops_per_iter as f64 * 1e9 / wall_ns_mean as f64,
+            speedup: None,
+            threads: None,
+            cpus: None,
+        }
+    }
+}
+
+/// Times `works` in alternating iterations after one warm-up call each
+/// (populating caches exactly like a long run would): either exactly two
+/// timed calls of each (quick) or rounds until ~0.5 s of measurement
+/// per workload (full). Alternating puts the same stretch of host noise
+/// on every workload, so ratios between them hold. Returns each
+/// workload's samples in nanoseconds.
+fn sample(quick: bool, works: &mut [&mut dyn FnMut()]) -> Vec<Vec<u128>> {
+    for work in works.iter_mut() {
+        work();
+    }
+    let budget_ns = 500_000_000 * works.len() as u128;
+    let (min_iters, max_iters) = if quick { (2, 2) } else { (3, 50) };
+    let mut samples = vec![Vec::new(); works.len()];
+    let mut elapsed: u128 = 0;
+    let mut rounds = 0;
+    while rounds < max_iters && (rounds < min_iters || elapsed < budget_ns) {
+        for (work, out) in works.iter_mut().zip(&mut samples) {
+            let start = Instant::now();
+            work();
+            let ns = start.elapsed().as_nanos();
+            elapsed += ns;
+            out.push(ns);
+        }
+        rounds += 1;
+    }
+    samples
+}
+
 /// Times `work` (which performs `ops_per_iter` logical operations per
-/// call): one warm-up call, then either exactly two timed iterations
-/// (quick) or iterations until ~0.5 s of measurement (full).
+/// call) on its own, as [`sample`] does.
 fn measure(
     label: String,
     group: &'static str,
@@ -148,35 +217,8 @@ fn measure(
     quick: bool,
     mut work: impl FnMut(),
 ) -> Entry {
-    work(); // warm-up: populates caches exactly like a long run would
-    let budget_ns: u128 = 500_000_000;
-    let (min_iters, max_iters) = if quick { (2, 2) } else { (3, 50) };
-    let mut samples: Vec<u128> = Vec::new();
-    let mut elapsed: u128 = 0;
-    while samples.len() < max_iters && (samples.len() < min_iters || elapsed < budget_ns) {
-        let start = Instant::now();
-        work();
-        let ns = start.elapsed().as_nanos();
-        elapsed += ns;
-        samples.push(ns);
-    }
-    let iters = samples.len() as u64;
-    let wall_ns_mean = elapsed / u128::from(iters);
-    let wall_ns_min = samples.iter().copied().min().expect("at least one sample");
-    let ops_per_sec = ops_per_iter as f64 * 1e9 / wall_ns_mean as f64;
-    Entry {
-        label,
-        group,
-        n,
-        ops_per_iter,
-        iters,
-        wall_ns_mean,
-        wall_ns_min,
-        ops_per_sec,
-        speedup: None,
-        threads: None,
-        cpus: None,
-    }
+    let samples = sample(quick, &mut [&mut work]).remove(0);
+    Entry::new(label, group, n, ops_per_iter, samples)
 }
 
 /// CPUs available to the process (the honesty context for `speedup`).
@@ -305,44 +347,49 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
             },
         ));
 
+        // The serial rounds and the same marginal rounds on `threads`
+        // workers, each on a warm session, timed in alternating
+        // iterations: `speedup` divides medians measured side by side.
+        let threads = ami_sim::runner::thread_count();
         let mut lossy_session = LossySession::new(&topo, &lossy_config);
-        entries.push(measure(
+        let mut par_session = LossySession::new(&topo, &lossy_config);
+        let [serial, par]: [Vec<u128>; 2] = sample(
+            quick,
+            &mut [
+                &mut || {
+                    black_box(lossy_session.run(LOSSY_ROUNDS_LARGE, SEED));
+                },
+                &mut || {
+                    black_box(par_session.run_faulted_with(
+                        LOSSY_ROUNDS_LARGE,
+                        SEED,
+                        &FaultSchedule::empty(),
+                        threads,
+                        &mut NullRecorder,
+                    ));
+                },
+            ],
+        )
+        .try_into()
+        .expect("one sample set per workload");
+        let serial = Entry::new(
             format!("lossy_round/n{n}"),
             "lossy_round",
             n,
             LOSSY_ROUNDS_LARGE,
-            quick,
-            || {
-                black_box(lossy_session.run(LOSSY_ROUNDS_LARGE, SEED));
-            },
-        ));
-        let lossy_serial_mean = entries
-            .last()
-            .expect("serial lossy_round row was just pushed")
-            .wall_ns_mean;
-        // The same marginal rounds on `threads` workers: a warm session
-        // too, so the row is divided by a like-for-like serial mean.
-        let threads = ami_sim::runner::thread_count();
-        let mut par_session = LossySession::new(&topo, &lossy_config);
-        let mut lossy_par = measure(
+            serial,
+        );
+        let mut lossy_par = Entry::new(
             format!("lossy_round_par/n{n}"),
             "lossy_round_par",
             n,
             LOSSY_ROUNDS_LARGE,
-            quick,
-            || {
-                black_box(par_session.run_faulted_with(
-                    LOSSY_ROUNDS_LARGE,
-                    SEED,
-                    &FaultSchedule::empty(),
-                    threads,
-                    &mut NullRecorder,
-                ));
-            },
+            par,
         );
-        lossy_par.speedup = Some(lossy_serial_mean as f64 / lossy_par.wall_ns_mean as f64);
+        lossy_par.speedup = Some(serial.wall_ns_median as f64 / lossy_par.wall_ns_median as f64);
         lossy_par.threads = Some(threads);
         lossy_par.cpus = Some(available_cpus());
+        entries.push(serial);
         entries.push(lossy_par);
     }
     set_par_min_nodes_per_worker(par_floor);
@@ -530,6 +577,8 @@ fn to_json(schema: &str, entries: &[Entry], quick: bool) -> String {
         out.push_str(&format!("\"iters\": {}, ", e.iters));
         out.push_str(&format!("\"wall_ns_mean\": {}, ", e.wall_ns_mean));
         out.push_str(&format!("\"wall_ns_min\": {}, ", e.wall_ns_min));
+        out.push_str(&format!("\"wall_ns_median\": {}, ", e.wall_ns_median));
+        out.push_str(&format!("\"wall_ns_p90\": {}, ", e.wall_ns_p90));
         out.push_str(&format!("\"ops_per_sec\": {:.3}", e.ops_per_sec));
         if let Some(threads) = e.threads {
             out.push_str(&format!(", \"threads\": {threads}"));
@@ -554,17 +603,19 @@ fn to_json(schema: &str, entries: &[Entry], quick: bool) -> String {
 fn emit(entries: &[Entry], schema: &str, quick: bool, out_env: &str, default_path: &str) {
     println!();
     println!(
-        "{:<28} {:>6} {:>7} {:>14} {:>14} {:>14}",
-        "label", "n", "iters", "mean (µs)", "min (µs)", "ops/sec"
+        "{:<28} {:>7} {:>5} {:>14} {:>14} {:>14} {:>14} {:>14}",
+        "label", "n", "iters", "mean (µs)", "min (µs)", "median (µs)", "p90 (µs)", "ops/sec"
     );
     for e in entries {
         println!(
-            "{:<28} {:>6} {:>7} {:>14.1} {:>14.1} {:>14.1}",
+            "{:<28} {:>7} {:>5} {:>14.1} {:>14.1} {:>14.1} {:>14.1} {:>14.1}",
             e.label,
             e.n,
             e.iters,
             e.wall_ns_mean as f64 / 1e3,
             e.wall_ns_min as f64 / 1e3,
+            e.wall_ns_median as f64 / 1e3,
+            e.wall_ns_p90 as f64 / 1e3,
             e.ops_per_sec
         );
     }

@@ -18,14 +18,22 @@
 //!    tallies, for every relay `v`, how many packets from sources below
 //!    `v` and above `v` arrive cleanly (fault-truncated packets stop
 //!    contributing at the downed edge, exactly where the serial walk
-//!    stops charging). On fault-free rounds the pass also memoizes the
+//!    stops charging). The pass walks the route cache's heavy-path
+//!    image (`RouteImage`): sources are taken in ascending id, and each
+//!    route is followed by position — mostly runs of descending
+//!    positions, so the walk streams through the image instead of
+//!    loading a random node id per hop — and tallied by position. The
+//!    fold order is the id-order walk's, so every f64 is unchanged;
+//!    fault queries and the below/above split use the image's stored
+//!    ids. On fault-free rounds the pass also memoizes the
 //!    total-spent **value stream** — the exact sequence of `tx`/`rx`
 //!    joules the serial kernel folds into `spent` — so later rounds of
 //!    the same route epoch skip the walk entirely and replay the fold
 //!    over a flat array (`O(hops)` sequential adds, the latency floor
 //!    set by the bit-exactness contract; see DESIGN.md).
 //! 3. **Per-cell replay + validation (S2).** Each budget cell is
-//!    charged in ascending-id order with the *identical* per-cell
+//!    charged in ascending-id order, reading its tallies and transmit
+//!    cost through `pos`, with the *identical* per-cell
 //!    operation sequence the serial kernel applies — idle, then
 //!    `below`×(rx, tx), own tx, `above`×(rx, tx) — into a scratch
 //!    buffer. If any live powered cell ends at or below zero the round
@@ -47,6 +55,7 @@
 //! against each other at report, ledger and manifest level.
 
 use crate::gather::GatherState;
+use crate::routing::{RouteImage, SINK_POS};
 use ami_sim::obs::{EnergyCategory, Recorder};
 use std::cell::Cell;
 
@@ -111,16 +120,18 @@ pub(crate) fn note_fallback() {
 /// [`crate::GatherSession`], surviving across runs, and reused by every
 /// round, so the round loop stays allocation-steady.
 ///
-/// All hot state is struct-of-arrays: the traffic pass chases the route
-/// cache's flat next-hop and tx-cost columns, and the transit tallies
-/// (`below`/`above`) plus the charge scratch (`finals`) are the flat
-/// per-node columns the per-cell replay streams through.
+/// All hot state is flat arrays: the traffic pass walks the route
+/// cache's heavy-path image, the transit tallies are indexed by image
+/// position like the columns they are walked beside, and the charge
+/// scratch (`finals`) is indexed by id like the budgets.
 pub(crate) struct AggScratch {
-    /// Clean transit arrivals at each node from sources with smaller /
-    /// larger ids — the position split the per-cell fold needs because
-    /// the node's own transmission sits between the two groups.
-    below: Vec<u32>,
-    above: Vec<u32>,
+    /// Clean transit arrivals at each image position, `[below, above]`:
+    /// from sources with smaller / larger ids than the node there — the
+    /// split the per-cell fold needs because the node's own
+    /// transmission sits between the two groups. The pair shares a
+    /// slot so the walk picks its half by index, without a branch on
+    /// the (unpredictable) id comparison.
+    transit: Vec<[u32; 2]>,
     /// Per-cell replay scratch; swapped with the live budgets on commit.
     finals: Vec<f64>,
     /// Memoized spent value stream (fault-free rounds only).
@@ -146,8 +157,7 @@ pub(crate) struct AggScratch {
 impl AggScratch {
     pub(crate) fn new(nodes: usize) -> Self {
         Self {
-            below: vec![0; nodes],
-            above: vec![0; nodes],
+            transit: vec![[0; 2]; nodes],
             finals: vec![0.0; nodes],
             stream: Vec::new(),
             image_epoch: None,
@@ -250,25 +260,27 @@ impl GatherState<'_, '_> {
     }
 
     /// The traffic-aggregation pass: walks each report along the route
-    /// cache's flat columns, folding the spent stream inline, tallying
-    /// clean transit arrivals per relay, and counting fates. Pure with
-    /// respect to simulation state. On fault-free rounds whose hop
-    /// count fits [`STREAM_VALUE_CAP`], also memoizes the value stream
-    /// for the epoch.
+    /// cache's heavy-path image, folding the spent stream inline,
+    /// tallying clean transit arrivals per relay position, and counting
+    /// fates. Pure with respect to simulation state. On fault-free
+    /// rounds whose hop count fits [`STREAM_VALUE_CAP`], also memoizes
+    /// the value stream for the epoch.
     fn walk_and_tally(&self, scratch: &mut AggScratch, epoch: u64, mut spent: f64) -> f64 {
         let core = &*self.core;
         let n = core.topology.len();
-        let sink = core.sink.0 as u32;
         let rx = self.rx_per_hop;
         let faults_active = core.faults_active;
         let (alive, down_now) = (&core.alive[..], &core.down_now[..]);
         let timeline = &core.timeline;
         let connected = core.cache.connected_flags();
-        let parent = core.cache.parents();
-        let tx_costs = core.cache.tx_costs();
+        let RouteImage {
+            pos,
+            parent,
+            tx: tx_costs,
+            id,
+        } = core.cache.image();
 
-        scratch.below[..n].fill(0);
-        scratch.above[..n].fill(0);
+        scratch.transit[..n].fill([0; 2]);
         scratch.stream.clear();
         // Record the stream only once the epoch's hop count is known to
         // fit the cap (the first walk of an epoch probes it), so large
@@ -279,18 +291,14 @@ impl GatherState<'_, '_> {
         if record {
             scratch.stream.reserve_exact(scratch.hops as usize);
         }
-        // Split the scratch into disjoint field borrows so the route
+        // Split the scratch into disjoint field borrows so the image
         // reads and the tally/stream writes carry distinct noalias
         // pointers — one struct-wide borrow would serialize every
         // `parent` load behind every tally store.
         let AggScratch {
-            below,
-            above,
-            stream,
-            ..
+            transit, stream, ..
         } = scratch;
-        let below = below.as_mut_slice();
-        let above = above.as_mut_slice();
+        let transit = transit.as_mut_slice();
 
         let mut hops = 0u64;
         let mut senders = 0u64;
@@ -306,11 +314,11 @@ impl GatherState<'_, '_> {
                 disconnected += 1;
                 continue;
             }
-            let mut from = src as u32;
+            let src_id = src as u32;
+            let mut at = pos[src] as usize;
             loop {
-                let fu = from as usize;
-                let hop = parent[fu];
-                let tx = tx_costs[fu];
+                let hop = parent[at];
+                let tx = tx_costs[at];
                 // The sender pays for its transmission before learning
                 // whether the hop ahead is faulted — mirror the serial
                 // charge-then-check order exactly.
@@ -319,14 +327,15 @@ impl GatherState<'_, '_> {
                 if record {
                     stream.push(tx);
                 }
+                let hop_id = id[hop as usize];
                 if faults_active
-                    && ((hop != sink && down_now[hop as usize])
-                        || timeline.link_down(fu, hop as usize))
+                    && ((hop != SINK_POS && down_now[hop_id as usize])
+                        || timeline.link_down(id[at] as usize, hop_id as usize))
                 {
                     faulted += 1;
                     break;
                 }
-                if hop == sink {
+                if hop == SINK_POS {
                     delivered += 1;
                     break;
                 }
@@ -335,12 +344,9 @@ impl GatherState<'_, '_> {
                 if record {
                     stream.push(rx);
                 }
-                if (src as u32) < hop {
-                    below[hop as usize] += 1;
-                } else {
-                    above[hop as usize] += 1;
-                }
-                from = hop;
+                let hop = hop as usize;
+                transit[hop][usize::from(src_id >= hop_id)] += 1;
+                at = hop;
             }
         }
 
@@ -362,7 +368,9 @@ impl GatherState<'_, '_> {
         let core = &*self.core;
         let (alive, down_now) = (&core.alive[..], &core.down_now[..]);
         let connected = core.cache.connected_flags();
-        let tx_costs = core.cache.tx_costs();
+        let RouteImage {
+            pos, tx: tx_costs, ..
+        } = core.cache.image();
         let idle = self.idle_per_round;
         let rx = self.rx_per_hop;
         scratch.finals.copy_from_slice(&self.budget);
@@ -372,15 +380,15 @@ impl GatherState<'_, '_> {
             .take(core.topology.len())
             .skip(1)
         {
+            let at = pos[v] as usize;
             if !alive[v] || down_now[v] {
                 // Powered-off or dead: no idle, no send, and the walk
                 // never tallies arrivals into such a node.
-                debug_assert_eq!(scratch.below[v] + scratch.above[v], 0);
+                debug_assert_eq!(scratch.transit[at], [0; 2]);
                 continue;
             }
-            let b = scratch.below[v];
-            let a = scratch.above[v];
-            let tx = tx_costs[v];
+            let [b, a] = scratch.transit[at];
+            let tx = tx_costs[at];
             let mut cell = scratch.finals[v];
             cell -= idle;
             for _ in 0..b {
@@ -420,7 +428,9 @@ impl GatherState<'_, '_> {
         let n = core.topology.len();
         let (alive, down_now) = (&core.alive[..], &core.down_now[..]);
         let connected = core.cache.connected_flags();
-        let tx_costs = core.cache.tx_costs();
+        let RouteImage {
+            pos, tx: tx_costs, ..
+        } = core.cache.image();
         let idle = self.idle_per_round;
         let rx = self.rx_per_hop;
         for v in 1..n {
@@ -432,9 +442,11 @@ impl GatherState<'_, '_> {
             if !alive[v] || down_now[v] {
                 continue;
             }
-            let relayed = scratch.below[v] + scratch.above[v];
+            let at = pos[v] as usize;
+            let [below, above] = scratch.transit[at];
+            let relayed = below + above;
             let tx_count = relayed + u32::from(conn);
-            let tx = tx_costs[v];
+            let tx = tx_costs[at];
             for _ in 0..tx_count {
                 recorder.charge(v, EnergyCategory::Tx, tx);
             }

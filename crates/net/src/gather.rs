@@ -225,7 +225,6 @@ impl<'r, 'a> GatherState<'r, 'a> {
         let (sink, timeline) = (core.sink, &core.timeline);
         let (alive, down_now) = (&core.alive[..], &core.down_now[..]);
         let (connected, parent) = (core.cache.connected_flags(), core.cache.parents());
-        let tx_costs = core.cache.tx_costs();
         let budget = &mut self.budget[..];
         let (idle, rx) = (self.idle_per_round, self.rx_per_hop);
 
@@ -251,9 +250,9 @@ impl<'r, 'a> GatherState<'r, 'a> {
                 continue; // disconnected this round
             }
             // Charge the sender and every relay by walking the cached
-            // next-hop column directly (the connectivity check above
-            // guarantees the chain reaches the sink); abort when a hop
-            // has died, run out mid-round, or gone down to a fault.
+            // id-space next-hop column directly (the connectivity check
+            // above guarantees the chain reaches the sink); abort when a
+            // hop has died, run out mid-round, or gone down to a fault.
             let mut from = id;
             let mut fate = PacketFate::Delivered;
             while from != sink {
@@ -266,7 +265,7 @@ impl<'r, 'a> GatherState<'r, 'a> {
                     fate = PacketFate::DeadHop;
                     break;
                 }
-                let tx = tx_costs[from.0];
+                let tx = core.cache.tx_cost(from);
                 budget[from.0] -= tx;
                 self.spent += tx;
                 recorder.charge(from.0, EnergyCategory::Tx, tx);

@@ -42,10 +42,23 @@
 //! total in source-ascending order; per-node ledger charges are
 //! committed once per round per `(node, category)` from integer attempt
 //! counts times the (round-constant) per-attempt cost.
+//!
+//! # Walking the heavy-path image
+//!
+//! A packet walks the route cache's heavy-path image
+//! (`crate::routing::RouteImage`), not the id-space table: it starts at
+//! its source's position and follows parent positions, which along a
+//! heavy path are consecutive, so a route reads a few sequential runs
+//! instead of one random node id per hop. Sources are still offered in
+//! ascending id and each draws from its own stream, so every draw and
+//! every energy fold is the id-order walk's. Attempt counts accumulate
+//! by position, and the round commit reads them back through `pos` in
+//! ascending id. Fault queries use the image's stored ids and run only
+//! when the run has faults.
 
 use crate::pdes;
 use crate::round::RoundCore;
-use crate::routing::{RoutingStrategy, NO_HOP};
+use crate::routing::{RouteImage, RoutingStrategy, NO_HOP, SINK_POS};
 use crate::topology::{NodeId, Topology};
 use ami_radio::{Packet, RadioEnergyModel, StopAndWaitArq};
 use ami_sim::fault::{FaultSchedule, FaultTimeline};
@@ -163,12 +176,11 @@ pub(crate) struct ArqConstants {
 /// function, replayed folds".
 pub(crate) struct LossyRoundCtx<'c> {
     arq: ArqConstants,
-    sink: u32,
-    /// The route cache's flat next-hop column (`NO_HOP` = routeless):
-    /// the hop chase is two array loads per hop, not a cache probe.
-    parent: &'c [u32],
-    /// The route cache's per-node transmit cost, same indexing.
-    tx_costs: &'c [f64],
+    /// Whether the run has faults; without any, the walk skips the
+    /// fault queries (they would all answer "up").
+    faults_active: bool,
+    /// The route cache's heavy-path image: the walk reads positions.
+    image: &'c RouteImage,
     timeline: &'c FaultTimeline,
     pub(crate) down_now: &'c [bool],
 }
@@ -179,21 +191,21 @@ impl<'c> LossyRoundCtx<'c> {
     pub(crate) fn new(core: &'c RoundCore<'_>, arq: ArqConstants) -> Self {
         Self {
             arq,
-            sink: core.sink.0 as u32,
-            parent: core.cache.parents(),
-            tx_costs: core.cache.tx_costs(),
+            faults_active: core.faults_active,
+            image: core.cache.image(),
             timeline: &core.timeline,
             down_now: &core.down_now,
         }
     }
 }
 
-/// Walks one offered packet from `src` toward the sink, drawing every
-/// channel attempt from the packet's own counter stream. Returns the
-/// packet's fate and its private energy subtotal; per-node attempt
-/// counts and the transmission tally are accumulated into the caller's
-/// scratch. Pure in `(ctx, round, src)` — no draw depends on any other
-/// packet, which is what lets callers execute walks in any order.
+/// Walks one offered packet from `src` toward the sink along the
+/// heavy-path image, drawing every channel attempt from the packet's
+/// own counter stream. Returns the packet's fate and its private energy
+/// subtotal; per-position attempt counts and the transmission tally are
+/// accumulated into the caller's scratch. Pure in `(ctx, round, src)` —
+/// no draw depends on any other packet, which is what lets callers
+/// execute walks in any order.
 fn walk_packet(
     ctx: &LossyRoundCtx<'_>,
     round: u64,
@@ -203,42 +215,50 @@ fn walk_packet(
     transmissions: &mut u64,
 ) -> (LossyFate, f64) {
     let arq = &ctx.arq;
+    let RouteImage {
+        pos,
+        parent,
+        tx: tx_costs,
+        id,
+    } = ctx.image;
     let mut rng = packet_rng(arq.seed, round, src.0 as u64);
     let mut pkt_energy = 0.0f64;
-    let sink = ctx.sink;
-    let mut from = src.0 as u32;
+    let mut at = pos[src.0] as usize;
     loop {
-        let fu = from as usize;
-        let hop = ctx.parent[fu];
+        let hop = parent[at];
         debug_assert!(hop != NO_HOP, "connected route reaches the sink");
-        let tx = ctx.tx_costs[fu];
-        if hop != sink && ctx.down_now[hop as usize] {
-            // Powered-off receiver: no ACK ever comes, so the sender
-            // exhausts its ARQ budget; nothing listens on the far end.
-            // No random draws — the packet's stream stays aligned with
-            // the unfaulted run.
-            *transmissions += arq.attempts;
-            tx_attempts[fu] += arq.attempts;
-            pkt_energy += arq.attempts_f * tx;
-            return (LossyFate::Fault, pkt_energy);
-        }
-        if ctx.timeline.link_down(fu, hop as usize) {
-            // Downed link between two powered nodes: every attempt
-            // costs the sender a transmit and the receiver a listen,
-            // but nothing crosses.
-            *transmissions += arq.attempts;
-            tx_attempts[fu] += arq.attempts;
-            rx_attempts[hop as usize] += arq.attempts;
-            pkt_energy += arq.attempts_f * (tx + arq.rx);
-            return (LossyFate::Fault, pkt_energy);
+        let tx = tx_costs[at];
+        let hop = hop as usize;
+        if ctx.faults_active {
+            let hop_id = id[hop] as usize;
+            if hop != SINK_POS as usize && ctx.down_now[hop_id] {
+                // Powered-off receiver: no ACK ever comes, so the sender
+                // exhausts its ARQ budget; nothing listens on the far
+                // end. No random draws — the packet's stream stays
+                // aligned with the unfaulted run.
+                *transmissions += arq.attempts;
+                tx_attempts[at] += arq.attempts;
+                pkt_energy += arq.attempts_f * tx;
+                return (LossyFate::Fault, pkt_energy);
+            }
+            if ctx.timeline.link_down(id[at] as usize, hop_id) {
+                // Downed link between two powered nodes: every attempt
+                // costs the sender a transmit and the receiver a listen,
+                // but nothing crosses.
+                *transmissions += arq.attempts;
+                tx_attempts[at] += arq.attempts;
+                rx_attempts[hop] += arq.attempts;
+                pkt_energy += arq.attempts_f * (tx + arq.rx);
+                return (LossyFate::Fault, pkt_energy);
+            }
         }
         let mut hop_ok = false;
         for _attempt in 0..arq.max_transmissions {
             *transmissions += 1;
-            tx_attempts[fu] += 1;
+            tx_attempts[at] += 1;
             // The receiver listens whether or not the packet survives
             // (it cannot know in advance).
-            rx_attempts[hop as usize] += 1;
+            rx_attempts[hop] += 1;
             pkt_energy += tx;
             pkt_energy += arq.rx;
             if rng.random::<f64>() < arq.p_hop {
@@ -249,23 +269,24 @@ fn walk_packet(
         if !hop_ok {
             return (LossyFate::Channel, pkt_energy);
         }
-        if hop == sink {
+        if hop == SINK_POS as usize {
             return (LossyFate::Delivered, pkt_energy);
         }
-        from = hop;
+        at = hop;
     }
 }
 
-/// The counts the lossy kernel accumulates: per-node attempt counts for
-/// the round and packet tallies for the run. The serial state keeps one;
-/// the region-parallel engine ([`crate::pdes`]) keeps one per region
-/// and [`absorb`](Self::absorb)s each into the state's at the round
-/// commit.
+/// The counts the lossy kernel accumulates: per-position attempt counts
+/// for the round and packet tallies for the run. The serial state keeps
+/// one; the region-parallel engine ([`crate::pdes`]) keeps one per
+/// region and [`absorb`](Self::absorb)s each into the state's at the
+/// round commit.
 pub(crate) struct LossyTally {
-    /// Per-node ARQ attempt counts this round (sender side), committed
-    /// to the recorder once per round in ascending node order.
+    /// ARQ attempt counts this round (sender side), indexed by image
+    /// position, committed to the recorder once per round in ascending
+    /// node id.
     tx_attempts: Vec<u64>,
-    /// Per-node listen counts this round (receiver side).
+    /// Listen counts this round (receiver side), indexed by position.
     rx_attempts: Vec<u64>,
     pub(crate) offered: u64,
     pub(crate) delivered: u64,
@@ -400,25 +421,33 @@ impl<'r, 'a> LossyState<'r, 'a> {
     }
 
     /// Commits the round's attempt counts to the recorder — one charge
-    /// per `(node, category)` in ascending node order, integer count
-    /// times the round-constant per-attempt cost — and clears them.
-    /// The region-parallel engine merges its region counts into the
-    /// state and commits through here too, so this is the one place the
-    /// Tx-then-RxRelay charge order is written.
+    /// per `(node, category)` in ascending node id, read through the
+    /// image's `pos`, integer count times the round-constant
+    /// per-attempt cost — and clears them. The region-parallel engine
+    /// merges its region counts into the state and commits through here
+    /// too, so this is the one place the Tx-then-RxRelay charge order is
+    /// written.
     pub(crate) fn commit_charges<R: Recorder>(&mut self, recorder: &mut R) {
-        let tx_costs = self.core.cache.tx_costs();
-        for (id, count) in self.tally.tx_attempts.iter_mut().enumerate() {
-            if *count > 0 {
-                recorder.charge(id, EnergyCategory::Tx, *count as f64 * tx_costs[id]);
-                *count = 0;
+        let RouteImage { pos, tx, .. } = self.core.cache.image();
+        let LossyTally {
+            tx_attempts,
+            rx_attempts,
+            ..
+        } = &mut self.tally;
+        for (id, &at) in pos.iter().enumerate() {
+            let count = tx_attempts[at as usize];
+            if count > 0 {
+                recorder.charge(id, EnergyCategory::Tx, count as f64 * tx[at as usize]);
             }
         }
-        for (id, count) in self.tally.rx_attempts.iter_mut().enumerate() {
-            if *count > 0 {
-                recorder.charge(id, EnergyCategory::RxRelay, *count as f64 * self.arq.rx);
-                *count = 0;
+        for (id, &at) in pos.iter().enumerate() {
+            let count = rx_attempts[at as usize];
+            if count > 0 {
+                recorder.charge(id, EnergyCategory::RxRelay, count as f64 * self.arq.rx);
             }
         }
+        tx_attempts.fill(0);
+        rx_attempts.fill(0);
     }
 
     /// Final report.

@@ -17,8 +17,10 @@
 //! decides per run whether this engine or the serial loop runs the
 //! rounds; the engine is a crate-private round driver over the
 //! session's run state, so it has no entry point of its own. Each
-//! region walks into a tally of the serial state's own type, which the
-//! round commit absorbs into the state's.
+//! region walks its sources (contiguous in id) along the route cache's
+//! heavy-path image with the serial loop's own packet walk, into a
+//! tally of the serial state's own type — attempt counts indexed by
+//! image position — which the round commit absorbs into the state's.
 //!
 //! # Why the result is bit-identical
 //!
@@ -29,9 +31,10 @@
 //! fate depends only on round-constant state, so region walks commute
 //! and every round commits. The commit replays the serial folds —
 //! energy subtotals in ascending source order, ledger charges per
-//! `(node, category)` from exactly-merged integer attempt counts. The
-//! differential suite pins `par ≡ serial` at 1/2/8 threads across
-//! random fault schedules.
+//! `(node, category)` from exactly-merged integer attempt counts, read
+//! back through the image's `pos` in ascending id. The differential
+//! suite pins `par ≡ serial` at 1/2/8 threads across random fault
+//! schedules, and both against an id-order reference round.
 //!
 //! # Why gathering runs stay serial
 //!

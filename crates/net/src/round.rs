@@ -87,7 +87,8 @@ impl<'a> RoundCore<'a> {
     }
 
     /// The start-of-round phase of both kernels: fault-state refresh
-    /// and, if dirty, route re-resolution over the usable set.
+    /// and, if dirty, route re-resolution over the usable set (which
+    /// also re-lays the heavy-path image both kernels walk).
     pub(crate) fn begin_round(&mut self, round: u64) {
         if self.faults_active {
             self.timeline.advance_to(round);

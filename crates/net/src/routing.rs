@@ -30,6 +30,18 @@
 //! that oracle, reachable via [`set_route_repair_enabled`]. Repairs are
 //! observable through [`route_repair_count`] next to the existing
 //! [`route_build_count`].
+//!
+//! Every build or repair also lays the table out as a **heavy-path
+//! image** (`RouteImage`): a depth-first walk from the sink that visits
+//! the child with the largest subtree first (ties to the lowest id)
+//! numbers the nodes, so every subtree is one contiguous range of
+//! positions, every heavy path is a run of consecutive positions, and a
+//! route crosses at most ⌊log₂ n⌋ light edges. The cache keeps `pos[id]`
+//! plus, per position, the parent's position, the transmit cost and the
+//! original id; the round kernels walk positions, so a route reads a few
+//! sequential runs instead of one random node id per hop. The image is
+//! rebuilt with the table, so it carries no key of its own, and its
+//! transmit-cost column is the only one the cache stores.
 
 use crate::topology::{NodeId, Topology};
 use ami_radio::RadioEnergyModel;
@@ -42,6 +54,10 @@ use std::collections::BinaryHeap;
 /// A [`RouteCache`] next-hop slot with no next hop: routeless nodes and
 /// the sink.
 pub(crate) const NO_HOP: u32 = u32::MAX;
+
+/// The sink's position in every [`RouteImage`]: the depth-first walk
+/// starts there.
+pub(crate) const SINK_POS: u32 = 0;
 
 /// The routing strategies compared in experiment F6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -344,8 +360,10 @@ pub fn route_to_sink(table: &[Option<NodeId>], topology: &Topology, node: NodeId
 /// when it *did* change (fault events are sparse, and a healthy run
 /// builds exactly once) or when another route input moved. Each build
 /// also pre-resolves, per node, the transmit energy to its next hop and
-/// whether its route reaches the sink, so the per-packet hot loop is
-/// pure array reads — no `Vec` allocation, no distance recomputation.
+/// whether its route reaches the sink, and lays the table out as its
+/// heavy-path image (see the module docs), so the per-packet hot loop is
+/// sequential array reads — no `Vec` allocation, no distance
+/// recomputation.
 ///
 /// A minimum-energy transition after the first build runs as an
 /// **incremental repair** (see the module docs): only the parent-tree
@@ -377,11 +395,13 @@ pub fn route_to_sink(table: &[Option<NodeId>], topology: &Topology, node: NodeId
 #[derive(Debug, Clone)]
 pub struct RouteCache {
     /// The next-hop table as raw ids, [`NO_HOP`] for routeless nodes and
-    /// the sink: the flat column the hop-walk loops chase.
+    /// the sink: the id-space column route repair and the hop-walk
+    /// oracle read.
     parent: Vec<u32>,
     routed_over: Vec<bool>,
     connected: Vec<bool>,
-    tx_cost: Vec<f64>,
+    /// The current table's heavy-path image, rebuilt with the table.
+    image: RouteImage,
     /// Final Dijkstra distance labels of the current epoch; the anchor
     /// the repair wave re-relaxes against. Infinity for routeless nodes
     /// and for every node under [`RoutingStrategy::DirectToSink`].
@@ -391,6 +411,28 @@ pub struct RouteCache {
     /// The non-mask inputs of the current epoch (`None` before a build).
     key: Option<RouteKey>,
     scratch: RepairScratch,
+}
+
+/// A route table laid out by a depth-first walk from the sink that
+/// visits the child with the largest subtree first, ties to the lowest
+/// id, numbering nodes in visit order: the sink is position
+/// [`SINK_POS`], every subtree occupies one contiguous range of
+/// positions, and each heavy child sits right after its parent, so a
+/// route toward the sink walks runs of descending positions and crosses
+/// at most ⌊log₂ n⌋ light edges. Nodes the walk does not reach (the
+/// routeless) take the remaining positions in ascending id.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct RouteImage {
+    /// Position of each node, indexed by id.
+    pub(crate) pos: Vec<u32>,
+    /// The next hop's position, indexed by position; [`NO_HOP`] for the
+    /// sink and routeless nodes.
+    pub(crate) parent: Vec<u32>,
+    /// Transmit energy (joules) of one cached-volume packet to the next
+    /// hop, indexed by position; `0.0` without a next hop.
+    pub(crate) tx: Vec<f64>,
+    /// The node id at each position.
+    pub(crate) id: Vec<u32>,
 }
 
 /// Everything besides the usable mask that a [`RouteCache`] epoch is a
@@ -403,23 +445,20 @@ struct RouteKey {
     volume: DataVolume,
 }
 
-/// Reusable buffers for [`RouteCache::repair`] and connectivity
-/// resolution: after the first transition of a run, repairs and rebuilds
-/// touch the allocator not at all (proven by `tests/zero_alloc_faulted`).
+/// Reusable buffers for [`RouteCache::repair`] and the image build:
+/// after the first transition of a run, repairs and rebuilds touch the
+/// allocator not at all (proven by `tests/zero_alloc_faulted`).
 #[derive(Debug, Clone, Default)]
 struct RepairScratch {
     heap: BinaryHeap<Reverse<HeapEntry>>,
-    /// Children CSR over the current parent table: row `p` is
-    /// `child_ids[child_off[p]..child_off[p + 1]]`.
+    /// Children CSR over the current parent table, written by every
+    /// image build: row `p` is `child_ids[child_off[p]..child_off[p + 1]]`,
+    /// heaviest child first. Sized once per cache (`n` ids at most).
     child_off: Vec<u32>,
-    child_cursor: Vec<u32>,
     child_ids: Vec<u32>,
     /// Invalidated (or rebooted) nodes, doubling as the BFS worklist.
     affected: Vec<u32>,
     in_affected: Vec<bool>,
-    /// Connectivity resolution: 0 unresolved, 1 connected, 2 not.
-    conn_state: Vec<u8>,
-    conn_chain: Vec<u32>,
 }
 
 impl RouteCache {
@@ -436,12 +475,22 @@ impl RouteCache {
             parent: vec![NO_HOP; nodes],
             routed_over: vec![false; nodes],
             connected: vec![false; nodes],
-            tx_cost: vec![0.0; nodes],
+            // Sized once here, so image builds never allocate.
+            image: RouteImage {
+                pos: vec![0; nodes],
+                parent: vec![NO_HOP; nodes],
+                tx: vec![0.0; nodes],
+                id: vec![0; nodes],
+            },
             dist: vec![f64::INFINITY; nodes],
             builds: 0,
             repairs: 0,
             key: None,
-            scratch: RepairScratch::default(),
+            scratch: RepairScratch {
+                child_off: vec![0; nodes + 1],
+                child_ids: Vec::with_capacity(nodes),
+                ..RepairScratch::default()
+            },
         }
     }
 
@@ -525,15 +574,7 @@ impl RouteCache {
             self.builds += 1;
         }
         self.routed_over.copy_from_slice(usable);
-        for id in topology.ids() {
-            self.tx_cost[id.0] = match next_hop_of(self.parent[id.0]) {
-                Some(next) => radio
-                    .transmit_energy(volume, topology.distance(id, next))
-                    .as_joules(),
-                None => 0.0,
-            };
-        }
-        self.resolve_connectivity(topology.sink());
+        self.build_image(topology, radio, volume);
         self.key = Some(key);
         true
     }
@@ -564,29 +605,12 @@ impl RouteCache {
         let csr = topology.csr_within(max_hop);
         let s = &mut self.scratch;
 
-        // Children index over the outgoing parent table, so subtree
-        // invalidation is O(subtree) instead of O(N) per changed node.
-        s.child_off.clear();
-        s.child_off.resize(n + 1, 0);
-        for &p in &self.parent {
-            if p != NO_HOP {
-                s.child_off[p as usize + 1] += 1;
-            }
-        }
-        for p in 0..n {
-            s.child_off[p + 1] += s.child_off[p];
-        }
-        s.child_cursor.clear();
-        s.child_cursor.extend_from_slice(&s.child_off[..n]);
-        s.child_ids.clear();
-        s.child_ids.resize(s.child_off[n] as usize, 0);
-        for (v, &p) in self.parent.iter().enumerate() {
-            if p != NO_HOP {
-                let slot = s.child_cursor[p as usize] as usize;
-                s.child_ids[slot] = v as u32;
-                s.child_cursor[p as usize] += 1;
-            }
-        }
+        // The children CSR the last image build left in the scratch
+        // indexes the outgoing parent table (a repair always follows a
+        // recompute under the same key), so subtree invalidation is
+        // O(subtree) instead of O(N) per changed node. Row order is
+        // irrelevant here: the invalidated set is the same in any order,
+        // and the heap settles by (dist, id) alone.
 
         // Diff the epochs. Newly-unusable nodes lose their labels and
         // stay routeless; rebooted nodes join the affected set so the
@@ -710,46 +734,110 @@ impl RouteCache {
         }
     }
 
-    /// Fills `connected` by walking the table with memoization: each
-    /// node is marked by the verdict of the first already-resolved node
-    /// (or the sink / a dead end / the cycle bound) its chain reaches.
-    fn resolve_connectivity(&mut self, sink: NodeId) {
+    /// Lays the current table out as its heavy-path image
+    /// ([`RouteImage`]) and derives connectivity from it: a node's route
+    /// reaches the sink exactly when the walk from the sink reaches the
+    /// node. Prices every next hop with the same expression as the
+    /// inline code, so cached costs are bit-identical. Leaves the
+    /// table's children CSR (rows heaviest child first) in the scratch
+    /// for the next repair. Allocation-free: every buffer is sized in
+    /// [`RouteCache::new`], and the image's own columns double as build
+    /// space before they are filled.
+    fn build_image(&mut self, topology: &Topology, radio: &RadioEnergyModel, volume: DataVolume) {
         let n = self.parent.len();
-        let sink = sink.0 as u32;
-        let state = &mut self.scratch.conn_state;
-        state.clear();
-        state.resize(n, 0);
-        let chain = &mut self.scratch.conn_chain;
-        for start in 0..n {
-            if state[start] != 0 {
-                continue;
-            }
-            chain.clear();
-            let mut current = start;
-            let verdict = loop {
-                if state[current] != 0 {
-                    break state[current];
-                }
-                chain.push(current as u32);
-                match self.parent[current] {
-                    NO_HOP => break 2,
-                    next if next == sink => break 1,
-                    // Longer than n hops means a cycle: disconnected,
-                    // matching `route_to_sink`'s bounded walk.
-                    next => {
-                        if chain.len() > n {
-                            break 2;
-                        }
-                        current = next as usize;
-                    }
-                }
-            };
-            for &id in chain.iter() {
-                state[id as usize] = verdict;
+        let sink = topology.sink().0;
+        let parent = &self.parent[..];
+        let RepairScratch {
+            child_off,
+            child_ids,
+            ..
+        } = &mut self.scratch;
+        let img = &mut self.image;
+
+        // Children CSR over the table, rows in ascending child id, with
+        // `img.pos` as the fill cursor.
+        child_off.fill(0);
+        for &p in parent {
+            if p != NO_HOP {
+                child_off[p as usize + 1] += 1;
             }
         }
-        for (flag, s) in self.connected.iter_mut().zip(state.iter()) {
-            *flag = *s == 1;
+        for p in 0..n {
+            child_off[p + 1] += child_off[p];
+        }
+        img.pos.copy_from_slice(&child_off[..n]);
+        child_ids.clear();
+        child_ids.resize(child_off[n] as usize, 0);
+        for (v, &p) in parent.iter().enumerate() {
+            if p != NO_HOP {
+                let cursor = &mut img.pos[p as usize];
+                child_ids[*cursor as usize] = v as u32;
+                *cursor += 1;
+            }
+        }
+        let row = |u: usize| child_off[u] as usize..child_off[u + 1] as usize;
+
+        // Breadth-first order from the sink, kept in `img.id` until the
+        // columns are written: exactly the nodes whose chain reaches it.
+        let order = &mut img.id;
+        order[0] = sink as u32;
+        let (mut head, mut reached) = (0, 1);
+        while head < reached {
+            let u = order[head] as usize;
+            head += 1;
+            for &c in &child_ids[row(u)] {
+                order[reached] = c;
+                reached += 1;
+            }
+        }
+
+        // Subtree sizes, children before parents, kept by id in
+        // `img.parent` until the columns are written.
+        let size = &mut img.parent;
+        for &v in &order[..reached] {
+            size[v as usize] = 1;
+        }
+        for &v in order[1..reached].iter().rev() {
+            let v = v as usize;
+            size[parent[v] as usize] += size[v];
+        }
+
+        // Heaviest child first, ties to the lowest id; then the walk's
+        // preorder positions follow without a stack: a child's range
+        // starts right after its parent and its elder siblings' ranges.
+        img.pos.fill(NO_HOP);
+        img.pos[sink] = SINK_POS;
+        for &u in &order[..reached] {
+            let u = u as usize;
+            let children = &mut child_ids[row(u)];
+            if children.len() > 1 {
+                children.sort_unstable_by_key(|&c| (Reverse(size[c as usize]), c));
+            }
+            let mut next = img.pos[u] + 1;
+            for &c in children.iter() {
+                img.pos[c as usize] = next;
+                next += size[c as usize];
+            }
+        }
+        let unreached = img.pos.iter_mut().filter(|at| **at == NO_HOP);
+        for (next, at) in (reached as u32..).zip(unreached) {
+            *at = next;
+        }
+
+        // The per-position columns. Size and order scratch is dead now.
+        for (v, &hop) in parent.iter().enumerate() {
+            let at = img.pos[v] as usize;
+            img.id[at] = v as u32;
+            (img.parent[at], img.tx[at]) = match next_hop_of(hop) {
+                Some(next) => (
+                    img.pos[next.0],
+                    radio
+                        .transmit_energy(volume, topology.distance(NodeId(v), next))
+                        .as_joules(),
+                ),
+                None => (NO_HOP, 0.0),
+            };
+            self.connected[v] = v != sink && at < reached;
         }
     }
 
@@ -766,23 +854,20 @@ impl RouteCache {
     /// Transmit energy (joules) for `node` to push one cached-volume
     /// packet to its next hop; `0.0` for routeless nodes.
     pub fn tx_cost(&self, node: NodeId) -> f64 {
-        self.tx_cost[node.0]
-    }
-
-    /// All per-node transmit costs, indexed by raw id — the bulk form
-    /// of [`tx_cost`](Self::tx_cost) for kernels that fold charges over
-    /// many nodes per round (the hop walks and the lossy charge commits
-    /// index this slice directly instead of paying a method call per
-    /// node).
-    pub fn tx_costs(&self) -> &[f64] {
-        &self.tx_cost
+        self.image.tx[self.image.pos[node.0] as usize]
     }
 
     /// All next hops as raw ids, [`NO_HOP`] for routeless nodes and the
-    /// sink — the bulk form of [`next_hop`](Self::next_hop) the hop
-    /// walks chase: a 4-byte load per hop.
+    /// sink — the bulk form of [`next_hop`](Self::next_hop) the
+    /// hop-walk oracle chases.
     pub(crate) fn parents(&self) -> &[u32] {
         &self.parent
+    }
+
+    /// The current table's heavy-path image, the layout the round
+    /// kernels walk.
+    pub(crate) fn image(&self) -> &RouteImage {
+        &self.image
     }
 
     /// All per-node connectivity flags, indexed by raw id — the bulk
@@ -1075,7 +1160,7 @@ mod tests {
             let mut fresh = RouteCache::new(topo.len());
             ensure(&mut fresh, after);
             assert_eq!(next_hops(&cache, &topo), next_hops(&fresh, &topo));
-            assert_eq!(cache.tx_costs(), fresh.tx_costs());
+            assert_eq!(cache.image, fresh.image);
             assert_eq!((cache.builds(), cache.repairs()), (2, 0));
         }
     }
@@ -1113,6 +1198,116 @@ mod tests {
                     );
                 }
                 None => assert_eq!(cache.tx_cost(id), 0.0),
+            }
+        }
+    }
+
+    /// Asserts that `cache`'s image is the heavy-path layout of its
+    /// id-space table: `pos` a permutation with the sink at
+    /// [`SINK_POS`] and `id` its inverse; every routed node's parent
+    /// position is its next hop's; every subtree one contiguous range
+    /// starting at its root, with children in heaviest-first, lowest-id
+    /// order; no route crossing more than ⌊log₂ n⌋ light edges.
+    fn assert_heavy_path_layout(cache: &RouteCache, topo: &Topology) {
+        let n = topo.len();
+        let img = cache.image();
+        assert_eq!(img.pos[topo.sink().0], SINK_POS);
+        let mut seen = vec![false; n];
+        for v in 0..n {
+            let at = img.pos[v] as usize;
+            assert!(at < n && !seen[at], "pos is not a permutation at {v}");
+            seen[at] = true;
+            assert_eq!(img.id[at] as usize, v);
+            let want = cache.next_hop(NodeId(v)).map_or(NO_HOP, |h| img.pos[h.0]);
+            assert_eq!(img.parent[at], want, "parent position of {v}");
+        }
+
+        // Every node whose route reaches the sink counts, with its
+        // position, toward the subtree of each node on that route.
+        let mut size = vec![0u32; n];
+        let mut lo = vec![u32::MAX; n];
+        let mut hi = vec![0u32; n];
+        let limit = (n as f64).log2().floor() as usize;
+        for v in topo
+            .ids()
+            .filter(|&v| v == topo.sink() || cache.is_connected(v))
+        {
+            let at = img.pos[v.0];
+            let mut light = 0;
+            let mut on = v;
+            loop {
+                size[on.0] += 1;
+                lo[on.0] = lo[on.0].min(at);
+                hi[on.0] = hi[on.0].max(at);
+                let Some(next) = cache.next_hop(on) else {
+                    break;
+                };
+                if img.pos[on.0] != img.pos[next.0] + 1 {
+                    light += 1;
+                }
+                on = next;
+            }
+            assert!(light <= limit, "route of {v} crosses {light} light edges");
+        }
+        for v in 0..n {
+            if size[v] > 0 {
+                assert_eq!(lo[v], img.pos[v], "subtree of {v} starts at its root");
+                assert_eq!(hi[v] - lo[v] + 1, size[v], "subtree of {v} is contiguous");
+            }
+        }
+        for u in topo.ids().filter(|&u| size[u.0] > 0) {
+            let mut children: Vec<usize> = topo
+                .ids()
+                .filter(|&c| cache.next_hop(c) == Some(u) && size[c.0] > 0)
+                .map(|c| c.0)
+                .collect();
+            children.sort_by_key(|&c| img.pos[c]);
+            for pair in children.windows(2) {
+                let (a, b) = (pair[0], pair[1]);
+                assert!(
+                    (Reverse(size[a]), a) < (Reverse(size[b]), b),
+                    "children of {u}: {a} precedes {b}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The image over random fields and usable masks, on a warm
+        /// cache driven through several masks (so later epochs are
+        /// repairs under minimum energy) and on a fresh cache built over
+        /// each mask: both are heavy-path layouts, and equal.
+        #[test]
+        fn route_image_is_the_heavy_path_layout_on_built_and_repaired_epochs(
+            seed in 0u64..10_000,
+            n in 3usize..90,
+            mask_seed in 0u64..10_000,
+            strategy_pick in 0u8..4,
+        ) {
+            use rand::RngExt;
+            // A field sparser than the benchmarks' 25·√n m leaves some
+            // nodes out of range, so routeless positions get exercised.
+            let side = Length::from_meters(35.0 * (n as f64).sqrt());
+            let topo = Topology::random(n, side, seed);
+            let strategy = if strategy_pick == 0 {
+                RoutingStrategy::DirectToSink
+            } else {
+                RoutingStrategy::MinimumEnergy
+            };
+            let hop = Length::from_meters(45.0);
+            let bits = ami_radio::Packet::sensor_report().total_bits();
+            let mut rng = ami_sim::sim_rng(mask_seed);
+            let mut warm = RouteCache::new(n);
+            for step in 0..4 {
+                let usable: Vec<bool> = (0..n)
+                    .map(|id| id == 0 || step == 0 || rng.random::<f64>() < 0.8)
+                    .collect();
+                warm.ensure(&topo, strategy, &radio(), hop, bits, &usable);
+                assert_heavy_path_layout(&warm, &topo);
+                let mut fresh = RouteCache::new(n);
+                fresh.ensure(&topo, strategy, &radio(), hop, bits, &usable);
+                proptest::prop_assert_eq!(&warm.image, &fresh.image, "step {}", step);
+                proptest::prop_assert_eq!(&warm.connected, &fresh.connected);
             }
         }
     }

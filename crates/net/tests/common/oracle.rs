@@ -13,12 +13,19 @@
 //!   repair replaced is toggled back on for every cache on the calling
 //!   thread via `ami_net::routing::set_route_repair_enabled(false)` (the
 //!   only repair switch) — it stays in the production crate because the
-//!   cache itself dispatches to it.
+//!   cache itself dispatches to it;
+//! * [`lossy_reference_run`] — the lossy/ARQ round written against the
+//!   public API only, walking every packet by node id, as the kernel did
+//!   before it walked the route cache's heavy-path image.
 
-use ami_net::routing::build_routes;
-use ami_net::{NodeId, RoutingStrategy, Topology};
+use ami_net::routing::{build_routes, RouteCache};
+use ami_net::{LossyConfig, LossyReport, NodeId, RoutingStrategy, Topology};
 use ami_radio::RadioEnergyModel;
-use ami_units::Length;
+use ami_sim::fault::{FaultSchedule, FaultTimeline};
+use ami_sim::obs::{EnergyCategory, Recorder};
+use ami_sim::rng::packet_rng;
+use ami_units::{Energy, Length};
+use rand::RngExt;
 
 /// The historical O(N²) scan Dijkstra, kept verbatim as the
 /// bit-exactness reference for the heap implementation.
@@ -88,4 +95,143 @@ pub fn rebuild_over_usable(
         table[original.0] = compact_table[compact_idx].map(|next| forward[next.0]);
     }
     table
+}
+
+/// An id-order reference for `LossySession::run_faulted_with`, built on
+/// public API only: a fresh `RouteCache` per run (`next_hop`,
+/// `tx_cost`, `is_connected`), one `packet_rng` stream per packet and a
+/// compiled `FaultTimeline`. Round by round it refreshes the down flags,
+/// re-resolves routes over `sink || !down_prev` when the down state
+/// moved (routing sees faults one round late), offers one packet per
+/// powered, connected sensor in ascending id and walks it by node id —
+/// a downed receiver burns the sender's whole ARQ budget, a downed link
+/// charges both ends per attempt, neither draws — then charges the
+/// round's attempt counts, Tx then RxRelay, in ascending id. The
+/// recorder sees what the session's serial loop shows it.
+pub fn lossy_reference_run<R: Recorder>(
+    topology: &Topology,
+    config: &LossyConfig,
+    rounds: u64,
+    seed: u64,
+    faults: &FaultSchedule,
+    recorder: &mut R,
+) -> LossyReport {
+    let n = topology.len();
+    let sink = topology.sink();
+    let p_hop = config.packet.delivery_probability(config.ber);
+    let bits = config.packet.total_bits();
+    let rx = config.radio.receive_energy(bits).as_joules();
+    let attempts = config.arq.max_transmissions;
+    let mut cache = RouteCache::new(n);
+    let mut timeline = FaultTimeline::compile(faults, n);
+    let (mut down_now, mut down_prev) = (vec![false; n], vec![false; n]);
+    let (mut tx_attempts, mut rx_attempts) = (vec![0u64; n], vec![0u64; n]);
+    let mut report = LossyReport {
+        offered: 0,
+        delivered: 0,
+        transmissions: 0,
+        total_energy: Energy::from_joules(0.0),
+        dropped_fault: 0,
+    };
+    let mut energy = 0.0f64;
+    let mut routes_dirty = true;
+    for round in 0..rounds {
+        timeline.advance_to(round);
+        for (id, down) in down_now.iter_mut().enumerate() {
+            *down = id != sink.0 && timeline.node_down(id);
+        }
+        if routes_dirty {
+            let usable: Vec<bool> = (0..n).map(|id| id == sink.0 || !down_prev[id]).collect();
+            cache.ensure(
+                topology,
+                RoutingStrategy::MinimumEnergy,
+                &config.radio,
+                config.max_hop,
+                bits,
+                &usable,
+            );
+            routes_dirty = false;
+        }
+        for src in topology.sensor_ids() {
+            if down_now[src.0] || !cache.is_connected(src) {
+                continue;
+            }
+            report.offered += 1;
+            recorder.packet_offered();
+            let mut rng = packet_rng(seed, round, src.0 as u64);
+            let mut packet = 0.0f64;
+            let mut from = src;
+            // `Some(true)` delivered, `Some(false)` lost to a fault,
+            // `None` lost to the channel.
+            let fate = loop {
+                let hop = cache
+                    .next_hop(from)
+                    .expect("connected route reaches the sink");
+                let tx = cache.tx_cost(from);
+                if hop != sink && down_now[hop.0] {
+                    report.transmissions += u64::from(attempts);
+                    tx_attempts[from.0] += u64::from(attempts);
+                    packet += f64::from(attempts) * tx;
+                    break Some(false);
+                }
+                if timeline.link_down(from.0, hop.0) {
+                    report.transmissions += u64::from(attempts);
+                    tx_attempts[from.0] += u64::from(attempts);
+                    rx_attempts[hop.0] += u64::from(attempts);
+                    packet += f64::from(attempts) * (tx + rx);
+                    break Some(false);
+                }
+                let mut crossed = false;
+                for _ in 0..attempts {
+                    report.transmissions += 1;
+                    tx_attempts[from.0] += 1;
+                    rx_attempts[hop.0] += 1;
+                    packet += tx;
+                    packet += rx;
+                    if rng.random::<f64>() < p_hop {
+                        crossed = true;
+                        break;
+                    }
+                }
+                if !crossed {
+                    break None;
+                }
+                if hop == sink {
+                    break Some(true);
+                }
+                from = hop;
+            };
+            energy += packet;
+            match fate {
+                Some(true) => {
+                    report.delivered += 1;
+                    recorder.packet_delivered();
+                }
+                Some(false) => {
+                    report.dropped_fault += 1;
+                    recorder.packet_dropped_fault();
+                }
+                None => {}
+            }
+        }
+        for (id, count) in tx_attempts.iter_mut().enumerate() {
+            if *count > 0 {
+                let tx = cache.tx_cost(NodeId(id));
+                recorder.charge(id, EnergyCategory::Tx, *count as f64 * tx);
+                *count = 0;
+            }
+        }
+        for (id, count) in rx_attempts.iter_mut().enumerate() {
+            if *count > 0 {
+                recorder.charge(id, EnergyCategory::RxRelay, *count as f64 * rx);
+                *count = 0;
+            }
+        }
+        if down_now != down_prev {
+            routes_dirty = true;
+        }
+        std::mem::swap(&mut down_prev, &mut down_now);
+    }
+    report.total_energy = Energy::from_joules(energy);
+    report
 }

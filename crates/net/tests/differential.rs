@@ -15,7 +15,11 @@
 //!   threads must reproduce the serial ARQ run's report, ledger and
 //!   rendered manifest across random fault schedules (the per-packet
 //!   counter streams are what make this possible at all), again with
-//!   ddmin minimization on failure.
+//!   ddmin minimization on failure,
+//! * **both lossy engines ≡ an id-order reference round** built on the
+//!   public API alone (`common::oracle::lossy_reference_run`), since the
+//!   two engines share one image walk and cannot check it for each
+//!   other.
 //!
 //! The lossy fixtures here sit far below the production
 //! nodes-per-worker floor, so every parallel run force-engages the
@@ -41,7 +45,7 @@ use ami_radio::RadioEnergyModel;
 use ami_sim::fault::{FaultSchedule, FaultSpec};
 use ami_sim::obs::{LedgerRecorder, NullRecorder, RunManifest};
 use ami_units::{Energy, Length};
-use common::oracle::{dijkstra_reference_scan, rebuild_over_usable};
+use common::oracle::{dijkstra_reference_scan, lossy_reference_run, rebuild_over_usable};
 use common::schedule::{fault_schedule, minimize_failing_schedule};
 use proptest::prelude::*;
 
@@ -350,6 +354,46 @@ proptest! {
                 serial.0,
                 par.0,
                 serial.2 == par.2,
+            );
+        }
+    }
+}
+
+proptest! {
+    /// The lossy walk pinned to something independent of it: the serial
+    /// loop (1 worker) and the region engine (2 workers) must both match
+    /// the id-order reference round — report and ledger — on random
+    /// faulted fields, with ddmin minimization on failure.
+    #[test]
+    fn lossy_session_matches_the_id_order_reference_round(
+        seed in 0u64..40,
+        schedule in fault_schedule(40, 25, 12),
+    ) {
+        set_par_min_nodes_per_worker(Some(0));
+        let topo = Topology::random(40, Length::from_meters(150.0), seed);
+        let config = LossyConfig::bruised_channel();
+        let reference = |s: &FaultSchedule| {
+            let mut obs = LedgerRecorder::with_nodes(topo.len());
+            let report = lossy_reference_run(&topo, &config, 25, seed, s, &mut obs);
+            (report, obs)
+        };
+        let diverges = |s: &FaultSchedule| {
+            let want = reference(s);
+            [1usize, 2].iter().any(|&t| {
+                let (report, obs, _) = lossy_observed_run(&topo, &config, s, 25, seed, t);
+                (report, obs) != want
+            })
+        };
+        if diverges(&schedule) {
+            let minimized =
+                minimize_failing_schedule(schedule.events(), |s| diverges(s));
+            let (want, _) = reference(&minimized);
+            let (serial, _, _) = lossy_observed_run(&topo, &config, &minimized, 25, seed, 1);
+            panic!(
+                "lossy session diverged from the id-order reference (seed {seed})\n\
+                 minimized schedule: {:?}\nreference report: {want:?}\n\
+                 serial report: {serial:?}",
+                minimized.events(),
             );
         }
     }
