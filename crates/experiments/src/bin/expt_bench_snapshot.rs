@@ -16,7 +16,9 @@
 //! * `gather_round` — a healthy gathering run (op = simulated round);
 //! * `lossy_round`  — a lossy-link ARQ run (op = simulated round);
 //! * `faulted_replication` — seeded replications under a fault mix on a
-//!   single pinned worker (op = replication).
+//!   single pinned worker (op = replication);
+//! * `faulted_gather_round` / `faulted_lossy_round` — F15's churn mix
+//!   on a city-scale field, gathering and lossy (op = simulated round).
 //!
 //! Network sizes are N ∈ {25, 100, 400, 1600} uniform-random fields at
 //! constant node density (field side 25·√N m, so ~10 neighbours in
@@ -48,6 +50,12 @@
 //! `speedup` is advisory and CI treats it that way. Gathering has no
 //! parallel rows: its runs use the serial aggregated kernel at every
 //! thread count.
+//!
+//! `faulted_gather_round` and `faulted_lossy_round` run at the city
+//! scales only: each iteration is a 10-round run on a warm serial
+//! session under one schedule drawn from F15's fault mix for the field,
+//! so the rows price what faulted rounds add — route repairs, image
+//! rebuilds, the hop-fault mask — on top of the walks.
 //!
 //! Every row of both files reports its samples' mean, min, median and
 //! p90 (`wall_ns_mean`, `wall_ns_min`, `wall_ns_median`, `wall_ns_p90`;
@@ -113,10 +121,13 @@ const ROUNDS_MEGA: u64 = 1;
 /// a realistic share of the work, as in short replication studies).
 const GATHER_ROUNDS: u64 = 10;
 const LOSSY_ROUNDS: u64 = 10;
-/// Faulted-replication workload: replications × rounds under this mix.
+/// Faulted-replication workload: replications × rounds under this mix
+/// (F15's churn mix, which the city-scale faulted rows use too).
 const FAULT_REPS: usize = 3;
 const FAULT_ROUNDS: u64 = 30;
 const FAULT_MIX: &str = "death=0.1,outage=0.2:10,link=0.1:8";
+/// Rounds per faulted city-scale iteration.
+const FAULTED_ROUNDS_LARGE: u64 = 10;
 /// Seed for every topology draw, replication base seed and lossy
 /// channel stream, so two runs time exactly the same workload.
 const SEED: u64 = 2003;
@@ -391,6 +402,43 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
         lossy_par.cpus = Some(available_cpus());
         entries.push(serial);
         entries.push(lossy_par);
+
+        // Faulted rounds on warm serial sessions: the warm-up run sizes
+        // the fault scratch, and every timed run replays the same
+        // schedule from a fresh run state.
+        let faults = spec.schedule_for(SEED, n, FAULTED_ROUNDS_LARGE);
+        let mut session = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &net_config);
+        entries.push(measure(
+            format!("faulted_gather_round/n{n}"),
+            "faulted_gather_round",
+            n,
+            FAULTED_ROUNDS_LARGE,
+            quick,
+            || {
+                black_box(session.run_faulted_with(
+                    FAULTED_ROUNDS_LARGE,
+                    &faults,
+                    &mut NullRecorder,
+                ));
+            },
+        ));
+        let mut session = LossySession::new(&topo, &lossy_config);
+        entries.push(measure(
+            format!("faulted_lossy_round/n{n}"),
+            "faulted_lossy_round",
+            n,
+            FAULTED_ROUNDS_LARGE,
+            quick,
+            || {
+                black_box(session.run_faulted_with(
+                    FAULTED_ROUNDS_LARGE,
+                    SEED,
+                    &faults,
+                    1,
+                    &mut NullRecorder,
+                ));
+            },
+        ));
     }
     set_par_min_nodes_per_worker(par_floor);
 

@@ -24,8 +24,11 @@
 //!    positions, so the walk streams through the image instead of
 //!    loading a random node id per hop — and tallied by position. The
 //!    fold order is the id-order walk's, so every f64 is unchanged;
-//!    fault queries and the below/above split use the image's stored
-//!    ids. On fault-free rounds the pass also memoizes the
+//!    the below/above split uses the image's stored ids. On faulted
+//!    rounds each hop reads its fate from the round core's hop-fault
+//!    mask, one byte per position filled at the start of the round
+//!    (`crate::round`), instead of querying the fault timeline per hop.
+//!    On fault-free rounds the pass also memoizes the
 //!    total-spent **value stream** — the exact sequence of `tx`/`rx`
 //!    joules the serial kernel folds into `spent` — so later rounds of
 //!    the same route epoch skip the walk entirely and replay the fold
@@ -55,6 +58,7 @@
 //! against each other at report, ledger and manifest level.
 
 use crate::gather::GatherState;
+use crate::round::HopFault;
 use crate::routing::{RouteImage, SINK_POS};
 use ami_sim::obs::{EnergyCategory, Recorder};
 use std::cell::Cell;
@@ -269,9 +273,8 @@ impl GatherState<'_, '_> {
         let core = &*self.core;
         let n = core.topology.len();
         let rx = self.rx_per_hop;
-        let faults_active = core.faults_active;
+        let hop_faults = core.hop_faults();
         let (alive, down_now) = (&core.alive[..], &core.down_now[..]);
-        let timeline = &core.timeline;
         let connected = core.cache.connected_flags();
         let RouteImage {
             pos,
@@ -285,7 +288,7 @@ impl GatherState<'_, '_> {
         // Record the stream only once the epoch's hop count is known to
         // fit the cap (the first walk of an epoch probes it), so large
         // runs never transiently allocate an over-cap buffer.
-        let record = !faults_active
+        let record = hop_faults.is_none()
             && scratch.hops_epoch == Some(epoch)
             && scratch.hops <= STREAM_VALUE_CAP as u64;
         if record {
@@ -327,11 +330,10 @@ impl GatherState<'_, '_> {
                 if record {
                     stream.push(tx);
                 }
-                let hop_id = id[hop as usize];
-                if faults_active
-                    && ((hop != SINK_POS && down_now[hop_id as usize])
-                        || timeline.link_down(id[at] as usize, hop_id as usize))
-                {
+                // Either fault — a downed receiver or a downed link —
+                // ends the packet here; the mask resolved both at the
+                // start of the round.
+                if hop_faults.is_some_and(|mask| mask[at] != HopFault::Clear) {
                     faulted += 1;
                     break;
                 }
@@ -345,7 +347,7 @@ impl GatherState<'_, '_> {
                     stream.push(rx);
                 }
                 let hop = hop as usize;
-                transit[hop][usize::from(src_id >= hop_id)] += 1;
+                transit[hop][usize::from(src_id >= id[hop])] += 1;
                 at = hop;
             }
         }

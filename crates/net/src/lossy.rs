@@ -53,15 +53,17 @@
 //! ascending id and each draws from its own stream, so every draw and
 //! every energy fold is the id-order walk's. Attempt counts accumulate
 //! by position, and the round commit reads them back through `pos` in
-//! ascending id. Fault queries use the image's stored ids and run only
-//! when the run has faults.
+//! ascending id. On faulted runs each hop reads its fate from the
+//! round core's hop-fault mask, one byte per position resolved at the
+//! start of the round (`crate::round`): a walk makes no timeline query
+//! and reads no node id. Fault-free runs skip the fault checks.
 
 use crate::pdes;
-use crate::round::RoundCore;
+use crate::round::{HopFault, RoundCore};
 use crate::routing::{RouteImage, RoutingStrategy, NO_HOP, SINK_POS};
 use crate::topology::{NodeId, Topology};
 use ami_radio::{Packet, RadioEnergyModel, StopAndWaitArq};
-use ami_sim::fault::{FaultSchedule, FaultTimeline};
+use ami_sim::fault::FaultSchedule;
 use ami_sim::obs::{EnergyCategory, NullRecorder, Recorder};
 use ami_sim::rng::packet_rng;
 use ami_units::{Energy, EnergyPerBit, Length};
@@ -176,12 +178,11 @@ pub(crate) struct ArqConstants {
 /// function, replayed folds".
 pub(crate) struct LossyRoundCtx<'c> {
     arq: ArqConstants,
-    /// Whether the run has faults; without any, the walk skips the
-    /// fault queries (they would all answer "up").
-    faults_active: bool,
     /// The route cache's heavy-path image: the walk reads positions.
     image: &'c RouteImage,
-    timeline: &'c FaultTimeline,
+    /// This round's hop-fault mask by image position; `None` on a
+    /// fault-free run, whose walks skip every fault check.
+    hop_faults: Option<&'c [HopFault]>,
     pub(crate) down_now: &'c [bool],
 }
 
@@ -191,9 +192,8 @@ impl<'c> LossyRoundCtx<'c> {
     pub(crate) fn new(core: &'c RoundCore<'_>, arq: ArqConstants) -> Self {
         Self {
             arq,
-            faults_active: core.faults_active,
             image: core.cache.image(),
-            timeline: &core.timeline,
+            hop_faults: core.hop_faults(),
             down_now: &core.down_now,
         }
     }
@@ -219,7 +219,7 @@ fn walk_packet(
         pos,
         parent,
         tx: tx_costs,
-        id,
+        ..
     } = ctx.image;
     let mut rng = packet_rng(arq.seed, round, src.0 as u64);
     let mut pkt_energy = 0.0f64;
@@ -229,27 +229,29 @@ fn walk_packet(
         debug_assert!(hop != NO_HOP, "connected route reaches the sink");
         let tx = tx_costs[at];
         let hop = hop as usize;
-        if ctx.faults_active {
-            let hop_id = id[hop] as usize;
-            if hop != SINK_POS as usize && ctx.down_now[hop_id] {
-                // Powered-off receiver: no ACK ever comes, so the sender
-                // exhausts its ARQ budget; nothing listens on the far
-                // end. No random draws — the packet's stream stays
-                // aligned with the unfaulted run.
-                *transmissions += arq.attempts;
-                tx_attempts[at] += arq.attempts;
-                pkt_energy += arq.attempts_f * tx;
-                return (LossyFate::Fault, pkt_energy);
-            }
-            if ctx.timeline.link_down(id[at] as usize, hop_id) {
-                // Downed link between two powered nodes: every attempt
-                // costs the sender a transmit and the receiver a listen,
-                // but nothing crosses.
-                *transmissions += arq.attempts;
-                tx_attempts[at] += arq.attempts;
-                rx_attempts[hop] += arq.attempts;
-                pkt_energy += arq.attempts_f * (tx + arq.rx);
-                return (LossyFate::Fault, pkt_energy);
+        if let Some(mask) = ctx.hop_faults {
+            match mask[at] {
+                HopFault::Clear => {}
+                HopFault::ReceiverDown => {
+                    // Powered-off receiver: no ACK ever comes, so the
+                    // sender exhausts its ARQ budget; nothing listens on
+                    // the far end. No random draws — the packet's stream
+                    // stays aligned with the unfaulted run.
+                    *transmissions += arq.attempts;
+                    tx_attempts[at] += arq.attempts;
+                    pkt_energy += arq.attempts_f * tx;
+                    return (LossyFate::Fault, pkt_energy);
+                }
+                HopFault::LinkDown => {
+                    // Downed link between two powered nodes: every
+                    // attempt costs the sender a transmit and the
+                    // receiver a listen, but nothing crosses.
+                    *transmissions += arq.attempts;
+                    tx_attempts[at] += arq.attempts;
+                    rx_attempts[hop] += arq.attempts;
+                    pkt_energy += arq.attempts_f * (tx + arq.rx);
+                    return (LossyFate::Fault, pkt_energy);
+                }
             }
         }
         let mut hop_ok = false;

@@ -21,6 +21,10 @@
 //! heavy-path image with the serial loop's own packet walk, into a
 //! tally of the serial state's own type — attempt counts indexed by
 //! image position — which the round commit absorbs into the state's.
+//! On faulted runs the walks read the round core's hop-fault mask,
+//! which `begin_round` fills on the calling thread before the parallel
+//! phase starts, so the workers share it read-only and query no fault
+//! timeline.
 //!
 //! # Why the result is bit-identical
 //!

@@ -410,7 +410,22 @@ pub struct RouteCache {
     repairs: u64,
     /// The non-mask inputs of the current epoch (`None` before a build).
     key: Option<RouteKey>,
+    /// Transmit costs carried across recomputes under one key, so an
+    /// image build prices only the nodes whose next hop moved.
+    carried: CarriedCosts,
     scratch: RepairScratch,
+}
+
+/// Id-indexed transmit costs and the next hop each was priced for,
+/// valid under the current [`RouteKey`]. Empty until the cache's first
+/// repair seeds them from the outgoing image (a cache that never
+/// repairs carries no bytes); emptied, capacity kept, by a key change.
+#[derive(Debug, Clone, Default)]
+struct CarriedCosts {
+    /// `cost[v]`: joules of one cached-volume packet from `v` to
+    /// `hop[v]`, `0.0` when `hop[v]` is [`NO_HOP`].
+    cost: Vec<f64>,
+    hop: Vec<u32>,
 }
 
 /// A route table laid out by a depth-first walk from the sink that
@@ -486,6 +501,7 @@ impl RouteCache {
             builds: 0,
             repairs: 0,
             key: None,
+            carried: CarriedCosts::default(),
             scratch: RepairScratch {
                 child_off: vec![0; nodes + 1],
                 child_ids: Vec::with_capacity(nodes),
@@ -539,9 +555,23 @@ impl RouteCache {
         if same_key && self.routed_over == usable {
             return false;
         }
+        if !same_key {
+            // The carried costs were priced under other inputs.
+            self.carried.cost.clear();
+            self.carried.hop.clear();
+        }
         let repairable =
             same_key && strategy == RoutingStrategy::MinimumEnergy && route_repair_enabled();
         if repairable {
+            if self.carried.hop.is_empty() {
+                // Seed from the outgoing epoch, whose image priced every
+                // next hop under this key.
+                let (carried, image) = (&mut self.carried, &self.image);
+                carried.hop.extend_from_slice(&self.parent);
+                carried
+                    .cost
+                    .extend(image.pos.iter().map(|&at| image.tx[at as usize]));
+            }
             self.repair(topology, radio, max_hop, usable);
             note_route_repair();
             self.repairs += 1;
@@ -737,12 +767,15 @@ impl RouteCache {
     /// Lays the current table out as its heavy-path image
     /// ([`RouteImage`]) and derives connectivity from it: a node's route
     /// reaches the sink exactly when the walk from the sink reaches the
-    /// node. Prices every next hop with the same expression as the
-    /// inline code, so cached costs are bit-identical. Leaves the
-    /// table's children CSR (rows heaviest child first) in the scratch
-    /// for the next repair. Allocation-free: every buffer is sized in
-    /// [`RouteCache::new`], and the image's own columns double as build
-    /// space before they are filled.
+    /// node. Prices each next hop with the same expression as the
+    /// inline code, so cached costs are bit-identical — or, once a
+    /// repair has seeded the carried costs, takes the carried cost of
+    /// every node whose next hop has not moved and re-prices only the
+    /// rest. Leaves the table's children CSR (rows heaviest child
+    /// first) in the scratch for the next repair. Allocation-free:
+    /// every buffer is sized in [`RouteCache::new`] or by the first
+    /// repair, and the image's own columns double as build space before
+    /// they are filled.
     fn build_image(&mut self, topology: &Topology, radio: &RadioEnergyModel, volume: DataVolume) {
         let n = self.parent.len();
         let sink = topology.sink().0;
@@ -825,18 +858,27 @@ impl RouteCache {
         }
 
         // The per-position columns. Size and order scratch is dead now.
+        let carried = &mut self.carried;
+        let carry = !carried.hop.is_empty();
         for (v, &hop) in parent.iter().enumerate() {
             let at = img.pos[v] as usize;
             img.id[at] = v as u32;
             (img.parent[at], img.tx[at]) = match next_hop_of(hop) {
                 Some(next) => (
                     img.pos[next.0],
-                    radio
-                        .transmit_energy(volume, topology.distance(NodeId(v), next))
-                        .as_joules(),
+                    if carry && carried.hop[v] == hop {
+                        carried.cost[v]
+                    } else {
+                        radio
+                            .transmit_energy(volume, topology.distance(NodeId(v), next))
+                            .as_joules()
+                    },
                 ),
                 None => (NO_HOP, 0.0),
             };
+            if carry {
+                (carried.hop[v], carried.cost[v]) = (hop, img.tx[at]);
+            }
             self.connected[v] = v != sink && at < reached;
         }
     }
@@ -1276,7 +1318,10 @@ mod tests {
         /// The image over random fields and usable masks, on a warm
         /// cache driven through several masks (so later epochs are
         /// repairs under minimum energy) and on a fresh cache built over
-        /// each mask: both are heavy-path layouts, and equal.
+        /// each mask: both are heavy-path layouts, and equal. Between
+        /// steps the packet volume and the radio may change, so a
+        /// transmit cost carried past a key change shows up as a
+        /// differing image.
         #[test]
         fn route_image_is_the_heavy_path_layout_on_built_and_repaired_epochs(
             seed in 0u64..10_000,
@@ -1295,17 +1340,35 @@ mod tests {
                 RoutingStrategy::MinimumEnergy
             };
             let hop = Length::from_meters(45.0);
-            let bits = ami_radio::Packet::sensor_report().total_bits();
+            let report = ami_radio::Packet::sensor_report().total_bits();
+            let volumes = [report, DataVolume::from_bits(2.0 * report.as_bits())];
+            // The second radio differs only in its amplifier, so most
+            // next hops survive the switch while every cost moves.
+            let radios = [
+                radio(),
+                RadioEnergyModel::new(
+                    ami_units::EnergyPerBit::from_nanojoules_per_bit(50.0),
+                    120e-12,
+                    2.0,
+                ),
+            ];
             let mut rng = ami_sim::sim_rng(mask_seed);
+            let (mut bits, mut model) = (volumes[0], radios[0]);
             let mut warm = RouteCache::new(n);
-            for step in 0..4 {
+            for step in 0..6 {
+                if step > 0 && rng.random::<f64>() < 0.25 {
+                    bits = volumes[usize::from(bits == volumes[0])];
+                }
+                if step > 0 && rng.random::<f64>() < 0.25 {
+                    model = radios[usize::from(model == radios[0])];
+                }
                 let usable: Vec<bool> = (0..n)
                     .map(|id| id == 0 || step == 0 || rng.random::<f64>() < 0.8)
                     .collect();
-                warm.ensure(&topo, strategy, &radio(), hop, bits, &usable);
+                warm.ensure(&topo, strategy, &model, hop, bits, &usable);
                 assert_heavy_path_layout(&warm, &topo);
                 let mut fresh = RouteCache::new(n);
-                fresh.ensure(&topo, strategy, &radio(), hop, bits, &usable);
+                fresh.ensure(&topo, strategy, &model, hop, bits, &usable);
                 proptest::prop_assert_eq!(&warm.image, &fresh.image, "step {}", step);
                 proptest::prop_assert_eq!(&warm.connected, &fresh.connected);
             }

@@ -11,8 +11,11 @@
 //! the cache exceeds its capacity; in-flight slots are never evicted.
 //!
 //! Validation happens *before* a slot is claimed, so compilation inside
-//! the cache cannot fail for spec reasons — a claimed slot always
-//! resolves, and waiters never deadlock on an abandoned entry.
+//! the cache cannot fail for spec reasons. A claimed slot always
+//! resolves all the same: if the compile returns an error or unwinds,
+//! the claim's guard removes the slot and wakes the waiters, which find
+//! no entry and claim the compile themselves — nobody blocks on an
+//! abandoned entry.
 //!
 //! Equal hashes only make equal specs likely (FNV-1a collisions are
 //! cheap to construct), so every hit also compares the request's
@@ -43,7 +46,7 @@ use crate::compile::CompiledScenario;
 use crate::spec::{ScenarioError, ScenarioHash, ScenarioSpec};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// Counters describing cache behavior since construction. Monotonic;
 /// read them via [`ScenarioCache::stats`].
@@ -150,17 +153,19 @@ impl ScenarioCache {
         spec.validate()?;
         let canonical = spec.canonical_json();
         let hash = ScenarioHash::of(canonical.as_bytes()).0;
-        self.get_or_compile_at(hash, spec, canonical)
+        self.get_or_compile_at(hash, spec, canonical, CompiledScenario::lower)
     }
 
     /// [`get_or_compile`](Self::get_or_compile) for a validated `spec`
-    /// and its canonical JSON, under slot key `hash` — which unit tests
-    /// force to collide.
+    /// and its canonical JSON, under slot key `hash`, compiling with
+    /// `compile` — unit tests force hashes to collide and compiles to
+    /// fail.
     fn get_or_compile_at(
         &self,
         hash: u64,
         spec: &ScenarioSpec,
         canonical: String,
+        compile: impl FnOnce(&ScenarioSpec, String) -> Result<Arc<CompiledScenario>, ScenarioError>,
     ) -> Result<(Arc<CompiledScenario>, bool), ScenarioError> {
         {
             enum Action {
@@ -182,7 +187,7 @@ impl ScenarioCache {
                         // outside the cache, leaving the slot alone.
                         drop(state);
                         self.misses.fetch_add(1, Ordering::Relaxed);
-                        let artifact = CompiledScenario::lower(spec, canonical)?;
+                        let artifact = compile(spec, canonical)?;
                         self.compiles.fetch_add(1, Ordering::Relaxed);
                         return Ok((artifact, false));
                     }
@@ -210,23 +215,18 @@ impl ScenarioCache {
                 }
             }
         }
-        // Compile outside the lock; the spec is already validated, so
-        // this cannot fail and the in-flight slot always resolves.
-        let artifact = CompiledScenario::lower(spec, canonical)?;
-        self.compiles.fetch_add(1, Ordering::Relaxed);
-        let mut state = self.state.lock().expect("scenario cache poisoned");
-        state.tick += 1;
-        let tick = state.tick;
-        state.slots.insert(
+        // Compile outside the lock. The claim resolves the slot when it
+        // drops: ready on success, removed if the compile returns an
+        // error or unwinds.
+        let mut claim = Claim {
+            cache: self,
             hash,
-            Slot::Ready {
-                artifact: artifact.clone(),
-                last_used: tick,
-            },
-        );
-        self.evict_over_capacity(&mut state, hash);
-        drop(state);
-        self.ready.notify_all();
+            artifact: None,
+        };
+        let artifact = compile(spec, canonical)?;
+        self.compiles.fetch_add(1, Ordering::Relaxed);
+        claim.artifact = Some(artifact.clone());
+        drop(claim);
         Ok((artifact, false))
     }
 
@@ -291,9 +291,48 @@ impl ScenarioCache {
     }
 }
 
+/// A claimed in-flight slot, resolved when the claim drops: to the
+/// artifact once the compile has stored one, otherwise — an error
+/// return or an unwind — by removing the slot. Either way the waiters
+/// are woken.
+struct Claim<'c> {
+    cache: &'c ScenarioCache,
+    hash: u64,
+    artifact: Option<Arc<CompiledScenario>>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let cache = self.cache;
+        // Never panic here: this may run during an unwind.
+        let mut state = cache.state.lock().unwrap_or_else(PoisonError::into_inner);
+        match self.artifact.take() {
+            Some(artifact) => {
+                state.tick += 1;
+                let last_used = state.tick;
+                state.slots.insert(
+                    self.hash,
+                    Slot::Ready {
+                        artifact,
+                        last_used,
+                    },
+                );
+                cache.evict_over_capacity(&mut state, self.hash);
+            }
+            None => {
+                state.slots.remove(&self.hash);
+            }
+        }
+        drop(state);
+        cache.ready.notify_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     fn spec(name: &str, rounds: u64) -> ScenarioSpec {
         ScenarioSpec::from_json_str(&format!(
@@ -349,7 +388,9 @@ mod tests {
     fn colliding_hashes_never_serve_another_specs_artifact() {
         let cache = ScenarioCache::new(4);
         let (a, b) = (spec("a", 5), spec("b", 5));
-        let forced = |s: &ScenarioSpec| cache.get_or_compile_at(7, s, s.canonical_json());
+        let forced = |s: &ScenarioSpec| {
+            cache.get_or_compile_at(7, s, s.canonical_json(), CompiledScenario::lower)
+        };
         let (first, hit) = forced(&a).unwrap();
         assert!(!hit);
         // `b` lands on `a`'s slot: it must get its own artifact, uncached.
@@ -385,5 +426,76 @@ mod tests {
         // Every other thread is served the ready artifact, whether it
         // arrived before (coalesced wait) or after the compile landed.
         assert_eq!(stats.hits, 7);
+    }
+
+    #[test]
+    fn a_compile_error_releases_its_slot() {
+        let cache = ScenarioCache::new(2);
+        let s = spec("fails", 5);
+        let injected =
+            |_: &ScenarioSpec, _: String| -> Result<Arc<CompiledScenario>, ScenarioError> {
+                Err(ScenarioError::Spec("injected compile failure".into()))
+            };
+        assert!(cache
+            .get_or_compile_at(7, &s, s.canonical_json(), injected)
+            .is_err());
+        assert!(
+            cache.state.lock().unwrap().slots.is_empty(),
+            "no slot left in flight"
+        );
+        // The next request claims the slot afresh and compiles.
+        let (artifact, hit) = cache
+            .get_or_compile_at(7, &s, s.canonical_json(), CompiledScenario::lower)
+            .unwrap();
+        assert!(!hit);
+        assert_eq!(artifact.canonical_json(), s.canonical_json());
+        assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_panicking_compile_releases_its_waiters() {
+        let cache = Arc::new(ScenarioCache::new(2));
+        let s = spec("panics", 5);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let failing = {
+            let (cache, s) = (Arc::clone(&cache), s.clone());
+            std::thread::spawn(move || {
+                cache.get_or_compile_at(7, &s, s.canonical_json(), |_, _| {
+                    started_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    panic!("injected compile panic");
+                })
+            })
+        };
+        started_rx.recv().unwrap();
+
+        // A second request for the same slot waits on the in-flight
+        // compile. Its result comes back over a channel with a timeout,
+        // so a stuck slot fails the test instead of hanging it.
+        let (done_tx, done_rx) = mpsc::channel();
+        let waiter = {
+            let (cache, s) = (Arc::clone(&cache), s.clone());
+            std::thread::spawn(move || {
+                let result =
+                    cache.get_or_compile_at(7, &s, s.canonical_json(), CompiledScenario::lower);
+                done_tx.send(result.map(|(_, hit)| hit)).unwrap();
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while cache.stats().coalesced == 0 {
+            assert!(Instant::now() < deadline, "the second request never waited");
+            std::thread::yield_now();
+        }
+
+        release_tx.send(()).unwrap();
+        assert!(failing.join().is_err(), "the injected compile panics");
+        let hit = done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the waiter is released when the compile unwinds");
+        waiter.join().expect("the waiter finished cleanly");
+        assert!(!hit.unwrap(), "the waiter compiled the spec itself");
+        assert_eq!(cache.stats().compiles, 1);
+        assert_eq!(cache.len(), 1);
     }
 }

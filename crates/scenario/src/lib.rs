@@ -53,7 +53,7 @@ pub use compile::CompiledScenario;
 pub use json::{JsonError, JsonValue};
 pub use spec::{
     NetworkParams, ScenarioError, ScenarioHash, ScenarioSpec, SweepAxis, TopologySpec,
-    WorkloadSpec, DEFAULT_SEED,
+    WorkloadSpec, DEFAULT_SEED, MAX_NODES,
 };
 
 /// Environment variable naming a scenario file that overrides a

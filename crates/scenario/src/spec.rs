@@ -59,6 +59,12 @@ pub const DEFAULT_SEED: u64 = 2003;
 /// through `f64`).
 pub const MAX_EXACT_INT: u64 = 1 << 53;
 
+/// Largest node count, sink included, that a scenario topology may
+/// have: 2²⁰, so the repo's largest field (10⁶ nodes) fits, while a
+/// spec cannot make a compile ask for gigabytes of node positions
+/// (a grid of side 10⁵ is 10¹⁰ nodes) or overflow a capacity.
+pub const MAX_NODES: usize = 1 << 20;
+
 /// Anything that can go wrong loading, validating or compiling a spec.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScenarioError {
@@ -395,6 +401,12 @@ impl ScenarioSpec {
                     }
                     check_positive(radius_m, "topology.radius_m")?;
                 }
+            }
+            let nodes = topology.node_count();
+            if nodes > MAX_NODES {
+                return spec_err(format!(
+                    "topology has {nodes} nodes, above the limit of {MAX_NODES}"
+                ));
             }
         }
         check_positive(self.network.report_interval_s, "network.report_interval_s")?;
@@ -1003,6 +1015,43 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("a-z"), "{err}");
+    }
+
+    #[test]
+    fn topology_sizes_are_bounded() {
+        let sized = |topology| {
+            let mut spec = ScenarioSpec::from_json_str(minimal()).unwrap();
+            spec.topology = Some(topology);
+            spec.validate()
+        };
+        let grid = |side| TopologySpec::Grid {
+            side,
+            spacing_m: 25.0,
+        };
+        let random = |nodes| TopologySpec::Random {
+            nodes,
+            field_m: 500.0,
+        };
+        let star = |leaves| TopologySpec::Star {
+            leaves,
+            radius_m: 30.0,
+        };
+        // 1024² = MAX_NODES: the largest grid that fits.
+        assert!(sized(grid(1024)).is_ok());
+        assert!(sized(random(1_000_000)).is_ok());
+        assert!(sized(star(MAX_NODES as u32 - 1)).is_ok());
+        // `u32::MAX` sides overflowed a capacity inside the compile.
+        for too_big in [
+            grid(1025),
+            grid(100_000),
+            grid(u32::MAX),
+            random(MAX_NODES as u32 + 1),
+            random(u32::MAX),
+            star(MAX_NODES as u32),
+        ] {
+            let err = sized(too_big.clone()).unwrap_err();
+            assert!(err.to_string().contains("limit"), "{too_big:?}: {err}");
+        }
     }
 
     #[test]

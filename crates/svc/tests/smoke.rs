@@ -157,7 +157,17 @@ fn malformed_frames_get_an_error_and_keep_the_connection() {
     // reader's depth bound (a recursive reader overflows the connection
     // thread's stack on it and aborts the daemon).
     let deep = "[".repeat(10_000) + &"]".repeat(10_000);
-    for frame in ["{not json", &deep] {
+    // Grids past the node limit: a side of 2³² − 1 overflowed a
+    // capacity inside the compile (after the cache had claimed the
+    // spec's slot), and a side of 10⁵ asked for 10¹⁰ node positions.
+    let huge = |side: u32| {
+        format!(
+            r#"{{"id": "huge", "threads": 1, "scenario": {{"name": "huge-grid", "rounds": 1,
+                "topology": {{"kind": "grid", "side": {side}, "spacing_m": 25.0}},
+                "workload": {{"kind": "gathering", "strategy": "minimum_energy"}}}}}}"#
+        )
+    };
+    for frame in ["{not json", &deep, &huge(u32::MAX), &huge(100_000)] {
         let reply = roundtrip(&mut conn, frame);
         assert!(reply.get("error").is_some(), "{reply:?}");
     }
