@@ -12,7 +12,11 @@
 //! (workload, network size), keyed by commit-stable labels
 //! (`gather_round/n400`, …) so successive snapshots diff cleanly:
 //!
-//! * `route_build`  — one minimum-energy route-table build (op = build);
+//! * `route_build`  — one minimum-energy route-table build (op = build),
+//!   timed after an untimed warm-up build on the same topology. The
+//!   warm-up builds the topology's cached CSR hop graph and prices its
+//!   per-edge hop weights, so the row excludes both the graph build
+//!   and the edge pricing;
 //! * `gather_round` — a healthy gathering run (op = simulated round);
 //! * `lossy_round`  — a lossy-link ARQ run (op = simulated round);
 //! * `faulted_replication` — seeded replications under a fault mix on a
@@ -78,6 +82,14 @@
 //!
 //! * `--quick` (or `AMBIENCE_BENCH_QUICK=1`): two timed iterations per
 //!   label instead of a 0.5 s budget — the CI smoke mode;
+//! * `--diff PATH` (repeatable): after the run, compare it with the
+//!   snapshot at `PATH` (the run of the same `schema`): one line per
+//!   label with both medians and their ratio (run over snapshot),
+//!   flagged `MOVED` when the medians differ by more than the larger
+//!   `wall_ns_p90 − wall_ns_median` of the two rows, then the labels
+//!   found on one side only. Report-only: flags never change the exit
+//!   status. The file is read before the run, so it may be the snapshot
+//!   the run then overwrites;
 //! * `AMBIENCE_BENCH_OUT`: network snapshot path (default
 //!   `BENCH_NET.json`, `-` = stdout only);
 //! * `AMBIENCE_BENCH_SIM_OUT`: kernel snapshot path (default
@@ -92,6 +104,7 @@ use ami_net::{
     simulate_lossy_gathering, GatherSession, LossyConfig, LossySession, NetworkConfig,
     RoutingStrategy, Topology,
 };
+use ami_scenario::json::{self, JsonValue};
 use ami_sim::fault::{FaultSchedule, FaultSpec};
 use ami_sim::obs::NullRecorder;
 use ami_sim::{replicate_par, sim_rng, EnergyMeter, EventQueue};
@@ -602,6 +615,161 @@ fn run_sim_snapshot(quick: bool) -> Vec<Entry> {
     entries
 }
 
+/// The two snapshot schemas; a `--diff` file must carry one of them.
+const NET_SCHEMA: &str = "ambience-bench-net/v1";
+const SIM_SCHEMA: &str = "ambience-bench-sim/v1";
+
+/// A row's median and noise band as `--diff` compares them: the noise
+/// band is the row's `wall_ns_p90 − wall_ns_median`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Spread {
+    median_ns: f64,
+    noise_ns: f64,
+}
+
+impl Spread {
+    fn new(median_ns: f64, p90_ns: f64) -> Self {
+        Self {
+            median_ns,
+            noise_ns: p90_ns - median_ns,
+        }
+    }
+}
+
+/// Whether a label moved between two snapshots: its medians differ by
+/// more than the larger noise band of its two rows.
+fn moved(before: Spread, after: Spread) -> bool {
+    (after.median_ns - before.median_ns).abs() > before.noise_ns.max(after.noise_ns)
+}
+
+/// A snapshot read back for `--diff`: its path, schema and rows.
+struct Baseline {
+    path: String,
+    schema: String,
+    rows: Vec<(String, Spread)>,
+}
+
+/// Reads a snapshot document of either schema: the schema and each
+/// entry's label, median and p90.
+fn parse_snapshot(text: &str) -> Result<(String, Vec<(String, Spread)>), String> {
+    let doc = json::parse(text).map_err(|err| err.to_string())?;
+    let schema = doc.get("schema").and_then(JsonValue::as_str);
+    let Some(schema @ (NET_SCHEMA | SIM_SCHEMA)) = schema else {
+        return Err(format!(
+            "schema {schema:?} is neither {NET_SCHEMA} nor {SIM_SCHEMA}"
+        ));
+    };
+    let Some(JsonValue::Array(entries)) = doc.get("entries") else {
+        return Err("no \"entries\" array".to_owned());
+    };
+    let rows = entries
+        .iter()
+        .map(|entry| {
+            let label = entry.get("label").and_then(JsonValue::as_str);
+            let number = |key: &str| entry.get(key).and_then(JsonValue::as_f64);
+            match (label, number("wall_ns_median"), number("wall_ns_p90")) {
+                (Some(label), Some(median_ns), Some(p90_ns)) => {
+                    Ok((label.to_owned(), Spread::new(median_ns, p90_ns)))
+                }
+                _ => Err(format!(
+                    "an entry lacks a label, wall_ns_median or wall_ns_p90: {entry:?}"
+                )),
+            }
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((schema.to_owned(), rows))
+}
+
+/// The snapshots named by `--diff PATH` arguments, read before the run;
+/// a missing path or a file that cannot be read or parsed ends the
+/// program with status 2.
+fn read_baselines(args: &[String]) -> Vec<Baseline> {
+    let mut baselines = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if arg != "--diff" {
+            continue;
+        }
+        let read = |path: &String| {
+            let text = std::fs::read_to_string(path).map_err(|err| err.to_string());
+            let (schema, rows) = text
+                .and_then(|text| parse_snapshot(&text))
+                .map_err(|err| format!("{path}: {err}"))?;
+            Ok::<_, String>(Baseline {
+                path: path.clone(),
+                schema,
+                rows,
+            })
+        };
+        match args
+            .next()
+            .ok_or("needs a snapshot path".to_owned())
+            .and_then(read)
+        {
+            Ok(baseline) => baselines.push(baseline),
+            Err(err) => {
+                eprintln!("--diff: {err}");
+                std::process::exit(2);
+            }
+        }
+    }
+    baselines
+}
+
+/// A label with its row in the snapshot and in the run.
+type DiffLine = (String, Option<Spread>, Option<Spread>);
+
+/// One `--diff` line per label: the run's labels first in run order,
+/// then those only the snapshot has.
+fn diff_rows(snapshot: &[(String, Spread)], run: &[(String, Spread)]) -> Vec<DiffLine> {
+    let find = |rows: &[(String, Spread)], label: &str| {
+        rows.iter()
+            .find(|(other, _)| other == label)
+            .map(|&(_, spread)| spread)
+    };
+    let only_in_snapshot = snapshot
+        .iter()
+        .filter(|(label, _)| find(run, label).is_none())
+        .map(|(label, before)| (label.clone(), Some(*before), None));
+    run.iter()
+        .map(|(label, after)| (label.clone(), find(snapshot, label), Some(*after)))
+        .chain(only_in_snapshot)
+        .collect()
+}
+
+/// Prints the `--diff` report of `entries` against `baseline`.
+fn print_diff(baseline: &Baseline, entries: &[Entry]) {
+    let run: Vec<(String, Spread)> = entries
+        .iter()
+        .map(|e| {
+            let spread = Spread::new(e.wall_ns_median as f64, e.wall_ns_p90 as f64);
+            (e.label.clone(), spread)
+        })
+        .collect();
+    println!(
+        "\n[diff against {} ({}): MOVED = medians differ by more than the larger p90 − median]",
+        baseline.path, baseline.schema
+    );
+    println!(
+        "{:<28} {:>16} {:>16} {:>8}",
+        "label", "snapshot (µs)", "run (µs)", "ratio"
+    );
+    for (label, before, after) in diff_rows(&baseline.rows, &run) {
+        match (before, after) {
+            (Some(before), Some(after)) => println!(
+                "{:<28} {:>16.1} {:>16.1} {:>8.3}{}",
+                label,
+                before.median_ns / 1e3,
+                after.median_ns / 1e3,
+                after.median_ns / before.median_ns,
+                if moved(before, after) { "  MOVED" } else { "" }
+            ),
+            (None, _) => println!("{label:<28} only in this run"),
+            (_, None) => println!("{label:<28} only in {}", baseline.path),
+        }
+    }
+}
+
 /// Renders a snapshot as deterministic, diff-stable JSON.
 fn to_json(schema: &str, entries: &[Entry], quick: bool) -> String {
     let mut out = String::from("{\n");
@@ -647,8 +815,16 @@ fn to_json(schema: &str, entries: &[Entry], quick: bool) -> String {
     out
 }
 
-/// Prints one snapshot's table and writes (or streams) its JSON.
-fn emit(entries: &[Entry], schema: &str, quick: bool, out_env: &str, default_path: &str) {
+/// Prints one snapshot's table, writes (or streams) its JSON, and
+/// prints its diff against every `baselines` snapshot of its `schema`.
+fn emit(
+    entries: &[Entry],
+    schema: &str,
+    quick: bool,
+    out_env: &str,
+    default_path: &str,
+    baselines: &[Baseline],
+) {
     println!();
     println!(
         "{:<28} {:>7} {:>5} {:>14} {:>14} {:>14} {:>14} {:>14}",
@@ -678,11 +854,16 @@ fn emit(entries: &[Entry], schema: &str, quick: bool, out_env: &str, default_pat
             .unwrap_or_else(|err| panic!("cannot write snapshot to {target:?}: {err}"));
         println!("\n[snapshot written to {}]", target.to_string_lossy());
     }
+    for baseline in baselines.iter().filter(|b| b.schema == schema) {
+        print_diff(baseline, entries);
+    }
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick")
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let quick = args.iter().any(|a| a == "--quick")
         || std::env::var_os("AMBIENCE_BENCH_QUICK").is_some_and(|v| v == "1");
+    let baselines = read_baselines(&args);
     banner(
         "BENCH",
         "network + simulation-kernel hot-path snapshot (machine-readable trajectory)",
@@ -696,18 +877,78 @@ fn main() {
     let net = run_net_snapshot(quick);
     emit(
         &net,
-        "ambience-bench-net/v1",
+        NET_SCHEMA,
         quick,
         "AMBIENCE_BENCH_OUT",
         "BENCH_NET.json",
+        &baselines,
     );
 
     let sim = run_sim_snapshot(quick);
     emit(
         &sim,
-        "ambience-bench-sim/v1",
+        SIM_SCHEMA,
         quick,
         "AMBIENCE_BENCH_SIM_OUT",
         "BENCH_SIM.json",
+        &baselines,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_label_moves_only_past_the_wider_noise_band() {
+        // Noise bands 10 and 30: the wider one sets the bar.
+        let before = Spread::new(100.0, 110.0);
+        assert!(!moved(before, Spread::new(130.0, 160.0)));
+        assert!(moved(before, Spread::new(131.0, 161.0)));
+        assert!(!moved(before, Spread::new(70.0, 100.0)));
+        assert!(moved(before, Spread::new(69.0, 99.0)));
+        // Either side's band counts, and a noiseless pair flags any move.
+        assert!(!moved(Spread::new(130.0, 160.0), Spread::new(100.0, 110.0)));
+        assert!(moved(Spread::new(100.0, 100.0), Spread::new(101.0, 101.0)));
+        assert!(!moved(Spread::new(100.0, 100.0), Spread::new(100.0, 100.0)));
+    }
+
+    #[test]
+    fn diff_pairs_rows_by_label_and_lists_one_sided_labels() {
+        let snapshot = r#"{"schema": "ambience-bench-net/v1", "mode": "full", "entries": [
+            {"label": "a/n1", "wall_ns_median": 100, "wall_ns_p90": 110},
+            {"label": "gone/n1", "wall_ns_median": 5, "wall_ns_p90": 6},
+            {"label": "b/n1", "wall_ns_median": 200, "wall_ns_p90": 260}]}"#;
+        let (schema, rows) = parse_snapshot(snapshot).expect("hand-made snapshot parses");
+        assert_eq!(schema, NET_SCHEMA);
+        let run = [
+            ("b/n1".to_owned(), Spread::new(150.0, 155.0)),
+            ("new/n1".to_owned(), Spread::new(1.0, 1.0)),
+            ("a/n1".to_owned(), Spread::new(105.0, 108.0)),
+        ];
+        let (a, b) = (Spread::new(100.0, 110.0), Spread::new(200.0, 260.0));
+        assert_eq!(
+            diff_rows(&rows, &run),
+            [
+                ("b/n1".to_owned(), Some(b), Some(run[0].1)),
+                ("new/n1".to_owned(), None, Some(run[1].1)),
+                ("a/n1".to_owned(), Some(a), Some(run[2].1)),
+                ("gone/n1".to_owned(), Some(Spread::new(5.0, 6.0)), None),
+            ]
+        );
+        // b: |150 − 200| = 50 is inside the snapshot's band of 60; a: 5 < 10.
+        assert!(!moved(b, run[0].1) && !moved(a, run[2].1));
+    }
+
+    #[test]
+    fn malformed_snapshots_are_errors() {
+        assert!(parse_snapshot("{").is_err());
+        assert!(parse_snapshot(r#"{"entries": []}"#).is_err());
+        assert!(parse_snapshot(r#"{"schema": "other/v1", "entries": []}"#).is_err());
+        assert!(parse_snapshot(r#"{"schema": "ambience-bench-sim/v1"}"#).is_err());
+        let no_p90 = r#"{"schema": "ambience-bench-sim/v1",
+            "entries": [{"label": "a", "wall_ns_median": 1}]}"#;
+        assert!(parse_snapshot(no_p90).is_err());
+        assert!(parse_snapshot(r#"{"schema": "ambience-bench-sim/v1", "entries": []}"#).is_ok());
+    }
 }

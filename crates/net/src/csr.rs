@@ -10,21 +10,26 @@
 //! the classic offsets/targets pair, **id-ordered per row** so that
 //! iteration order — and therefore deterministic tie-breaking and every
 //! golden manifest downstream — is identical to the scan it replaces.
-//! Hop distances are captured alongside each edge (the same
-//! [`Position::distance_to`](crate::Position::distance_to) floats the
-//! scan produced), so routing never recomputes a square root.
+//! Rows hold neighbour ids only. [`CsrAdjacency::row`] exposes a row's
+//! edge range, so a per-edge column aligned with the graph is read over
+//! the same indices: [`HopWeights`] holds each edge's price under one
+//! radio model, so routing never re-prices a hop (nor recomputes its
+//! square root) per relaxation.
 //!
-//! Built lazily by [`Topology::csr_within`](crate::Topology::csr_within)
-//! and cached on the topology behind an `Arc`, one slot per range:
-//! healthy simulations build it exactly once.
+//! Both are built lazily and cached on the topology behind an `Arc`, one
+//! slot each: [`Topology::csr_within`](crate::Topology::csr_within)
+//! keyed on the range, [`Topology::hop_weights`](crate::Topology::hop_weights)
+//! on the range and the radio model. Healthy simulations build each
+//! exactly once.
 
 use crate::topology::Position;
+use ami_radio::RadioEnergyModel;
 use ami_units::Length;
 
 /// A bounded-range hop graph in compressed-sparse-row form.
 ///
 /// Row `u` holds the ids of every node within `range` of `u` (itself
-/// excluded) in ascending id order, plus the matching hop distances.
+/// excluded) in ascending id order.
 ///
 /// # Example
 ///
@@ -45,8 +50,6 @@ pub struct CsrAdjacency {
     offsets: Vec<u32>,
     /// Neighbour ids, ascending within each row.
     targets: Vec<u32>,
-    /// Hop distance to the matching entry of `targets`, in metres.
-    distances_m: Vec<f64>,
 }
 
 impl CsrAdjacency {
@@ -57,9 +60,9 @@ impl CsrAdjacency {
     /// least `range` wide (probing the 3×3 block around each node), so
     /// construction is O(N · candidates) instead of the all-pairs scan —
     /// the difference between seconds and hours at city scale. Rows are
-    /// still emitted in ascending id order with the exact same
-    /// [`Position::distance_to`] floats, so the result is bit-identical
-    /// to [`build_scan`](Self::build_scan) (pinned by tests).
+    /// still emitted in ascending id order after the exact same
+    /// [`Position::distance_to`] test, so the result is identical to
+    /// [`build_scan`](Self::build_scan) (pinned by tests).
     ///
     /// # Panics
     ///
@@ -120,7 +123,6 @@ impl CsrAdjacency {
 
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets = Vec::new();
-        let mut distances_m = Vec::new();
         let mut candidates: Vec<u32> = Vec::new();
         offsets.push(0u32);
         for (u, pu) in positions.iter().enumerate() {
@@ -140,10 +142,8 @@ impl CsrAdjacency {
                 if v == u {
                     continue;
                 }
-                let d = pu.distance_to(&positions[v]);
-                if d <= range {
+                if pu.distance_to(&positions[v]) <= range {
                     targets.push(vid);
-                    distances_m.push(d.as_meters());
                 }
             }
             offsets.push(targets.len() as u32);
@@ -152,14 +152,12 @@ impl CsrAdjacency {
             range_bits: range.as_meters().to_bits(),
             offsets,
             targets,
-            distances_m,
         }
     }
 
     /// The historical all-pairs O(N²) construction, kept in-tree as the
     /// pinned oracle for the spatial-grid [`build`](Self::build): tests
-    /// diff the two row-for-row (ids *and* distance bits) on random and
-    /// degenerate layouts.
+    /// diff the two row for row on random and degenerate layouts.
     ///
     /// # Panics
     ///
@@ -169,17 +167,14 @@ impl CsrAdjacency {
         assert!(u32::try_from(n).is_ok(), "CSR ids are u32");
         let mut offsets = Vec::with_capacity(n + 1);
         let mut targets = Vec::new();
-        let mut distances_m = Vec::new();
         offsets.push(0u32);
         for (u, pu) in positions.iter().enumerate() {
             for (v, pv) in positions.iter().enumerate() {
                 if u == v {
                     continue;
                 }
-                let d = pu.distance_to(pv);
-                if d <= range {
+                if pu.distance_to(pv) <= range {
                     targets.push(v as u32);
-                    distances_m.push(d.as_meters());
                 }
             }
             offsets.push(targets.len() as u32);
@@ -188,7 +183,6 @@ impl CsrAdjacency {
             range_bits: range.as_meters().to_bits(),
             offsets,
             targets,
-            distances_m,
         }
     }
 
@@ -218,21 +212,104 @@ impl CsrAdjacency {
     ///
     /// Panics if `node` is out of range.
     pub fn neighbors(&self, node: usize) -> &[u32] {
-        let lo = self.offsets[node] as usize;
-        let hi = self.offsets[node + 1] as usize;
-        &self.targets[lo..hi]
+        &self.targets[self.row(node)]
     }
 
-    /// Neighbour ids of `node` paired with hop distances in metres,
-    /// ascending by id.
+    /// The edge indices of `node`'s row: `targets()[row(node)]` are its
+    /// neighbours, and a per-edge column aligned with this graph (such as
+    /// [`HopWeights::joules_per_bit`]) holds their values over the same
+    /// range.
     ///
     /// # Panics
     ///
     /// Panics if `node` is out of range.
-    pub fn neighbors_with_distance(&self, node: usize) -> (&[u32], &[f64]) {
-        let lo = self.offsets[node] as usize;
-        let hi = self.offsets[node + 1] as usize;
-        (&self.targets[lo..hi], &self.distances_m[lo..hi])
+    pub fn row(&self, node: usize) -> std::ops::Range<usize> {
+        self.offsets[node] as usize..self.offsets[node + 1] as usize
+    }
+
+    /// Every row's neighbour ids, concatenated in node order.
+    pub fn targets(&self) -> &[u32] {
+        &self.targets
+    }
+}
+
+/// The price of every edge of a [`CsrAdjacency`] under one radio model:
+/// entry `e` is `radio.hop_energy_per_bit(d).as_joules_per_bit()` for the
+/// length `d` of edge `e` (from the row's node to `targets()[e]`), the
+/// weight minimum-energy routing relaxes.
+///
+/// Built by [`Topology::hop_weights`](crate::Topology::hop_weights),
+/// which caches it beside the graph.
+///
+/// # Example
+///
+/// ```
+/// use ami_net::Topology;
+/// use ami_radio::RadioEnergyModel;
+/// use ami_units::Length;
+///
+/// let grid = Topology::grid(3, Length::from_meters(10.0));
+/// let radio = RadioEnergyModel::short_range_2003();
+/// let range = Length::from_meters(10.5);
+/// let (csr, weights) = (grid.csr_within(range), grid.hop_weights(range, &radio));
+/// // Every centre-node hop is 10 m long, so all four cost the same.
+/// let hop = radio.hop_energy_per_bit(Length::from_meters(10.0)).as_joules_per_bit();
+/// assert_eq!(weights.joules_per_bit()[csr.row(4)], [hop; 4]);
+/// ```
+#[derive(Debug)]
+pub struct HopWeights {
+    /// The range of the graph the column is aligned with, as raw bits.
+    range_bits: u64,
+    radio: RadioEnergyModel,
+    joules_per_bit: Vec<f64>,
+}
+
+impl HopWeights {
+    /// Prices every edge of `csr`, the graph over `positions`, under
+    /// `radio`.
+    ///
+    /// Two passes: the edge lengths first, in a loop that calls nothing,
+    /// so the random position loads overlap; then the prices in place.
+    /// (Pricing inside the first loop stalls those loads behind each
+    /// `powf`.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `csr` has more nodes than `positions`.
+    pub(crate) fn price(
+        positions: &[Position],
+        csr: &CsrAdjacency,
+        radio: &RadioEnergyModel,
+    ) -> Self {
+        let mut joules_per_bit = Vec::with_capacity(csr.edge_count());
+        for (u, pu) in positions[..csr.len()].iter().enumerate() {
+            joules_per_bit.extend(
+                csr.neighbors(u)
+                    .iter()
+                    .map(|&v| pu.distance_to(&positions[v as usize]).as_meters()),
+            );
+        }
+        for weight in &mut joules_per_bit {
+            *weight = radio
+                .hop_energy_per_bit(Length::from_meters(*weight))
+                .as_joules_per_bit();
+        }
+        Self {
+            range_bits: csr.range_bits,
+            radio: *radio,
+            joules_per_bit,
+        }
+    }
+
+    /// Whether the column was priced for `range` (bitwise) under a radio
+    /// model equal (`==`) to `radio`.
+    pub(crate) fn matches(&self, range: Length, radio: &RadioEnergyModel) -> bool {
+        self.range_bits == range.as_meters().to_bits() && self.radio == *radio
+    }
+
+    /// The per-edge prices in J/bit, aligned with the graph's `targets()`.
+    pub fn joules_per_bit(&self) -> &[f64] {
+        &self.joules_per_bit
     }
 }
 
@@ -389,7 +466,7 @@ impl RegionPartition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{NodeId, Topology};
+    use crate::topology::Topology;
 
     #[test]
     fn csr_rows_match_the_scan_exactly() {
@@ -407,14 +484,7 @@ mod tests {
                     .map(|v| v.0 as u32)
                     .collect();
                 assert_eq!(csr.neighbors(u.0), scan.as_slice(), "row {u}");
-                let (ids, dists) = csr.neighbors_with_distance(u.0);
-                for (&v, &d) in ids.iter().zip(dists) {
-                    assert_eq!(
-                        d.to_bits(),
-                        topo.distance(u, NodeId(v as usize)).as_meters().to_bits(),
-                        "distance {u}->{v} must be bit-identical to the scan"
-                    );
-                }
+                assert_eq!(&csr.targets()[csr.row(u.0)], scan.as_slice());
             }
         }
     }

@@ -66,7 +66,7 @@ pub use agg::{
 };
 pub use aggregate::{analyze_aggregation, AggregationReport};
 pub use cluster::{simulate_clustered, ClusterConfig, ClusterReport};
-pub use csr::{CsrAdjacency, RegionPartition};
+pub use csr::{CsrAdjacency, HopWeights, RegionPartition};
 pub use gather::{simulate_gathering, GatherSession, NetworkConfig, NetworkReport};
 pub use lossy::{simulate_lossy_gathering, LossyConfig, LossyReport, LossySession};
 pub use pdes::{

@@ -6,14 +6,20 @@
 //! tentative distances the lowest id settles first, exactly like the
 //! O(N²) scan it replaced, so route tables — and every golden manifest
 //! built on them — are bit-identical to the historical implementation
-//! (`tests` pin this against a reference scan).
+//! (`tests` pin this against a reference scan). Each relaxation reads
+//! its edge's price from the topology's cached
+//! [`HopWeights`](crate::csr::HopWeights) column (the same f64 the
+//! radio model computes for the hop), zipped with the graph's targets
+//! over the row's edge range, so no build or repair calls the radio
+//! model per edge.
 //!
 //! [`RouteCache`] wraps a table in a usable-set epoch: the table is
 //! recomputed only when the usable set — or any other route input —
 //! actually differs from the ones the routes were last built from, and
 //! each build pre-resolves per-node next hops (as a flat id column),
 //! transmit costs and sink connectivity so the simulators' round loops
-//! touch no allocator and recompute no distances.
+//! touch no allocator and recompute no distances. The cache fetches the
+//! weight column only when it recomputes, never on a hit.
 //!
 //! Since the city-scale work, a usable-set *transition* no longer pays a
 //! full-graph Dijkstra: the cache keeps the final distance labels of the
@@ -294,6 +300,8 @@ fn dijkstra_into(
 ) {
     let sink = topology.sink();
     let csr = topology.csr_within(max_hop);
+    let weights = topology.hop_weights(max_hop, radio);
+    let (targets, weights) = (csr.targets(), weights.joules_per_bit());
     dist.fill(f64::INFINITY);
     parent.fill(NO_HOP);
     heap.clear();
@@ -308,17 +316,14 @@ fn dijkstra_into(
         if d > dist[u] {
             continue; // stale entry superseded by a better one
         }
-        let (targets, hops_m) = csr.neighbors_with_distance(u);
-        for (&target, &hop_m) in targets.iter().zip(hops_m) {
+        let row = csr.row(u);
+        for (&target, &weight) in targets[row.clone()].iter().zip(&weights[row]) {
             let v = target as usize;
             if let Some(mask) = usable {
                 if v != sink.0 && !mask[v] {
                     continue;
                 }
             }
-            let weight = radio
-                .hop_energy_per_bit(Length::from_meters(hop_m))
-                .as_joules_per_bit();
             let candidate = dist[u] + weight;
             if candidate < dist[v] {
                 dist[v] = candidate;
@@ -633,6 +638,8 @@ impl RouteCache {
         let n = self.parent.len();
         let sink = topology.sink().0;
         let csr = topology.csr_within(max_hop);
+        let weights = topology.hop_weights(max_hop, radio);
+        let (targets, weights) = (csr.targets(), weights.joules_per_bit());
         let s = &mut self.scratch;
 
         // The children CSR the last image build left in the scratch
@@ -689,11 +696,11 @@ impl RouteCache {
             if !usable[v] {
                 continue;
             }
-            let (targets, hops_m) = csr.neighbors_with_distance(v);
+            let row = csr.row(v);
             let mut best = f64::INFINITY;
             let mut best_pred = usize::MAX;
             let mut best_pred_dist = f64::INFINITY;
-            for (&target, &hop_m) in targets.iter().zip(hops_m) {
+            for (&target, &weight) in targets[row.clone()].iter().zip(&weights[row]) {
                 let p = target as usize;
                 if s.in_affected[p] || (p != sink && !usable[p]) {
                     continue;
@@ -702,9 +709,6 @@ impl RouteCache {
                 if !dp.is_finite() {
                     continue;
                 }
-                let weight = radio
-                    .hop_energy_per_bit(Length::from_meters(hop_m))
-                    .as_joules_per_bit();
                 let candidate = dp + weight;
                 if candidate < best || (candidate == best && (dp, p) < (best_pred_dist, best_pred))
                 {
@@ -734,15 +738,12 @@ impl RouteCache {
                 continue;
             }
             let du = self.dist[u];
-            let (targets, hops_m) = csr.neighbors_with_distance(u);
-            for (&target, &hop_m) in targets.iter().zip(hops_m) {
+            let row = csr.row(u);
+            for (&target, &weight) in targets[row.clone()].iter().zip(&weights[row]) {
                 let v = target as usize;
                 if v == sink || !usable[v] {
                     continue;
                 }
-                let weight = radio
-                    .hop_energy_per_bit(Length::from_meters(hop_m))
-                    .as_joules_per_bit();
                 let candidate = du + weight;
                 let dv = self.dist[v];
                 if candidate < dv {
@@ -1204,6 +1205,71 @@ mod tests {
             assert_eq!(next_hops(&cache, &topo), next_hops(&fresh, &topo));
             assert_eq!(cache.image, fresh.image);
             assert_eq!((cache.builds(), cache.repairs()), (2, 0));
+        }
+    }
+
+    #[test]
+    fn alternating_radios_and_ranges_never_route_on_another_keys_weights() {
+        // Two radios that differ only in the amplifier (100 and
+        // 120 pJ/bit/m², so the multi-hop crossover and with it some
+        // routes move) and two ranges, requested in turn on one topology
+        // and on a clone sharing its cached weights. Each session cache
+        // holds a key for two steps (the second a repair) while a
+        // `build_routes_over` under the next key turns the weight slot
+        // over in between. Every table must equal a build on a fresh
+        // topology, which has nothing cached: a slot that ignored the
+        // radio or the range would route on another key's prices.
+        let amplified = RadioEnergyModel::new(
+            ami_units::EnergyPerBit::from_nanojoules_per_bit(50.0),
+            120e-12,
+            2.0,
+        );
+        let (near, far) = (Length::from_meters(45.0), Length::from_meters(60.0));
+        let keys = [
+            (radio(), near),
+            (amplified, near),
+            (radio(), far),
+            (amplified, far),
+        ];
+        let min = RoutingStrategy::MinimumEnergy;
+        let bits = ami_radio::Packet::sensor_report().total_bits();
+        let n = 150;
+        for seed in 0..4u64 {
+            use rand::RngExt;
+            let side = Length::from_meters(25.0 * (n as f64).sqrt());
+            let topo = Topology::random(n, side, seed);
+            let _ = topo.hop_weights(keys[0].1, &keys[0].0);
+            let twin = topo.clone();
+            let mut caches = [RouteCache::new(n), RouteCache::new(n)];
+            let mut rng = ami_sim::sim_rng(seed);
+            for step in 0..16 {
+                let usable: Vec<bool> = (0..n)
+                    .map(|id| id == 0 || rng.random::<f64>() < 0.9)
+                    .collect();
+                for (t, (topology, cache)) in
+                    [&topo, &twin].into_iter().zip(&mut caches).enumerate()
+                {
+                    let fresh = || Topology::new(topology.positions().to_vec());
+                    let (radio, hop) = keys[(step / 2 + t) % 4];
+                    cache.ensure(topology, min, &radio, hop, bits, &usable);
+                    let mut want = RouteCache::new(n);
+                    want.ensure(&fresh(), min, &radio, hop, bits, &usable);
+                    assert_eq!(
+                        next_hops(cache, topology),
+                        build_routes_over(&fresh(), min, &radio, hop, &usable),
+                        "seed {seed} step {step} topology {t}: cache"
+                    );
+                    assert_eq!(cache.image, want.image);
+
+                    let (radio, hop) = keys[(step + 1 + t) % 4];
+                    assert_eq!(
+                        build_routes_over(topology, min, &radio, hop, &usable),
+                        build_routes_over(&fresh(), min, &radio, hop, &usable),
+                        "seed {seed} step {step} topology {t}: build_routes_over"
+                    );
+                }
+            }
+            assert!(caches.iter().all(|cache| cache.repairs() > 0));
         }
     }
 

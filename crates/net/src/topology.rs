@@ -1,6 +1,7 @@
 //! Node layouts for ambient networks.
 
-use crate::csr::CsrAdjacency;
+use crate::csr::{CsrAdjacency, HopWeights};
+use ami_radio::RadioEnergyModel;
 use ami_sim::sim_rng;
 use ami_units::Length;
 use rand::RngExt;
@@ -43,31 +44,56 @@ impl Position {
     }
 }
 
-/// Lazily-built single-slot cache for the CSR hop graph of the most
-/// recently requested range. Positions are immutable after
-/// construction, so a cached graph never goes stale — the slot only
-/// turns over when a *different* range is requested.
-struct CsrSlot(Mutex<Option<Arc<CsrAdjacency>>>);
+/// A lazily-filled single-slot cache of state derived from the
+/// positions: the CSR hop graph of the most recently requested range,
+/// or the hop weights of the most recent (range, radio) pair. Positions
+/// are immutable after construction, so a cached value never goes stale
+/// — the slot only turns over when a request under a *different* key
+/// arrives.
+struct Slot<T>(Mutex<Option<Arc<T>>>);
 
-impl CsrSlot {
+impl<T> Slot<T> {
     fn empty() -> Self {
         Self(Mutex::new(None))
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Arc<CsrAdjacency>>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Arc<T>>> {
         // A poisoned slot only means a build panicked; the cache holds
         // no invariants beyond "present means valid", so recover.
         self.0
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
+
+    /// The cached value if `hit` accepts it, else `build()`'s, which
+    /// replaces it. The slot stays locked while `build` runs, so
+    /// concurrent callers wait for one build instead of racing.
+    fn get_or_build(&self, hit: impl Fn(&T) -> bool, build: impl FnOnce() -> T) -> Arc<T> {
+        let mut slot = self.lock();
+        if let Some(cached) = slot.as_ref().filter(|cached| hit(cached)) {
+            return Arc::clone(cached);
+        }
+        let built = Arc::new(build());
+        *slot = Some(Arc::clone(&built));
+        built
+    }
+}
+
+/// A clone shares the cached value (it is immutable behind the `Arc`),
+/// saving a rebuild on cloned topologies.
+impl<T> Clone for Slot<T> {
+    fn clone(&self) -> Self {
+        Self(Mutex::new(self.lock().clone()))
+    }
 }
 
 /// A set of node positions with a designated sink (node 0).
 ///
-/// The topology carries a lazily-built [`CsrAdjacency`] cache (one slot,
-/// keyed by range) so hot paths resolve bounded-range neighbourhoods
-/// without rescanning all pairs; see [`Topology::csr_within`].
+/// The topology carries two lazily-built caches, one slot each, so hot
+/// paths neither rescan all pairs for bounded-range neighbourhoods nor
+/// re-price a hop per relaxation: the [`CsrAdjacency`] hop graph keyed
+/// by range ([`Topology::csr_within`]) and its [`HopWeights`] keyed by
+/// range and radio model ([`Topology::hop_weights`]).
 ///
 /// # Example
 ///
@@ -79,33 +105,23 @@ impl CsrSlot {
 /// assert_eq!(grid.len(), 9);
 /// assert_eq!(grid.sink().0, 0);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Topology {
     positions: Vec<Position>,
-    csr: CsrSlot,
+    csr: Slot<CsrAdjacency>,
+    weights: Slot<HopWeights>,
 }
 
-impl std::fmt::Debug for CsrSlot {
+impl<T> std::fmt::Debug for Slot<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.lock().as_ref() {
-            Some(csr) => write!(f, "CsrSlot(cached, {} edges)", csr.edge_count()),
-            None => f.write_str("CsrSlot(empty)"),
-        }
+        f.write_str(match self.lock().as_ref() {
+            Some(_) => "Slot(cached)",
+            None => "Slot(empty)",
+        })
     }
 }
 
-impl Clone for Topology {
-    fn clone(&self) -> Self {
-        Self {
-            positions: self.positions.clone(),
-            // The clone shares the already-built graph (it is immutable
-            // behind the Arc), saving a rebuild on cloned topologies.
-            csr: CsrSlot(Mutex::new(self.csr.lock().clone())),
-        }
-    }
-}
-
-/// Equality is positional: the CSR cache is derived state and ignored.
+/// Equality is positional: the caches are derived state and ignored.
 impl PartialEq for Topology {
     fn eq(&self, other: &Self) -> bool {
         self.positions == other.positions
@@ -113,8 +129,8 @@ impl PartialEq for Topology {
 }
 
 /// Serializes exactly like the historical derived impl: a struct named
-/// `Topology` with the single field `positions` (the cache is derived
-/// state and never leaves the process).
+/// `Topology` with the single field `positions` (the caches are derived
+/// state and never leave the process).
 impl Serialize for Topology {
     fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
         use serde::ser::SerializeStruct;
@@ -145,7 +161,8 @@ impl Topology {
         );
         Self {
             positions,
-            csr: CsrSlot::empty(),
+            csr: Slot::empty(),
+            weights: Slot::empty(),
         }
     }
 
@@ -255,15 +272,24 @@ impl Topology {
     /// (single slot, bitwise range key) for every later caller — healthy
     /// simulations pay the O(N²) scan exactly once.
     pub fn csr_within(&self, range: Length) -> Arc<CsrAdjacency> {
-        let mut slot = self.csr.lock();
-        if let Some(csr) = slot.as_ref() {
-            if csr.matches_range(range) {
-                return Arc::clone(csr);
-            }
-        }
-        let built = Arc::new(CsrAdjacency::build(&self.positions, range));
-        *slot = Some(Arc::clone(&built));
-        built
+        self.csr.get_or_build(
+            |csr| csr.matches_range(range),
+            || CsrAdjacency::build(&self.positions, range),
+        )
+    }
+
+    /// The price of every edge of [`csr_within(range)`](Self::csr_within)
+    /// under `radio`, aligned with its targets: priced on first request
+    /// and cached (single slot, keyed on the range's bits and the whole
+    /// radio model) for every later caller and every clone made after.
+    /// A request under another key re-prices and replaces the slot.
+    pub fn hop_weights(&self, range: Length, radio: &RadioEnergyModel) -> Arc<HopWeights> {
+        // Lock order: the weight slot, then (inside) the CSR slot;
+        // `csr_within` never takes the weight slot.
+        self.weights.get_or_build(
+            |weights| weights.matches(range, radio),
+            || HopWeights::price(&self.positions, &self.csr_within(range), radio),
+        )
     }
 
     /// Neighbours of `node` within `range` (excluding itself), ascending
@@ -404,6 +430,25 @@ mod tests {
         let d = cloned.csr_within(Length::from_meters(20.0));
         assert!(Arc::ptr_eq(&c, &d));
         assert_eq!(g, cloned);
+
+        // The weight slot: a hit shares the priced column, a change of
+        // radio model or range re-prices it, and a clone shares it.
+        let radio = RadioEnergyModel::short_range_2003();
+        let range = Length::from_meters(20.0);
+        let w = g.hop_weights(range, &radio);
+        assert!(Arc::ptr_eq(&w, &g.hop_weights(range, &radio)));
+        assert_eq!(w.joules_per_bit().len(), c.edge_count());
+        let other = RadioEnergyModel::multipath_2003();
+        assert!(!Arc::ptr_eq(&w, &g.hop_weights(range, &other)));
+        let narrow = g.hop_weights(Length::from_meters(12.0), &other);
+        assert!(narrow.matches(Length::from_meters(12.0), &other));
+        assert!(
+            !narrow.matches(range, &other) && !narrow.matches(Length::from_meters(12.0), &radio)
+        );
+        assert!(Arc::ptr_eq(
+            &narrow,
+            &g.clone().hop_weights(Length::from_meters(12.0), &other)
+        ));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! their retired reference implementations:
 //!
 //! * spatial-grid CSR construction ≡ the all-pairs scan
-//!   (`CsrAdjacency::build_scan`),
+//!   (`CsrAdjacency::build_scan`), and the topology's cached per-edge
+//!   hop weights ≡ the radio model priced per hop,
 //! * heap Dijkstra ≡ the O(N²) linear-scan Dijkstra,
 //! * masked routing ≡ the compact-subtopology rebuild,
 //! * incremental route repair ≡ full rebuild per transition —
@@ -72,14 +73,17 @@ impl Drop for RepairMode {
 #[test]
 fn grid_csr_build_matches_the_scan_oracle_bitwise() {
     // Random fields, an exact grid (equidistant ties), a degenerate
-    // single-cell layout (all nodes coincident) — at tiny, typical and
-    // effectively-unbounded ranges. `PartialEq` on `CsrAdjacency`
-    // compares offsets, targets and raw distance floats.
+    // single-cell layout (all nodes coincident, so every hop has zero
+    // length) — at tiny, typical and effectively-unbounded ranges.
+    // `PartialEq` on `CsrAdjacency` compares offsets and targets; the
+    // topology's weight column must hold, edge for edge, the radio
+    // model's price of that hop, bit for bit.
     let mut layouts: Vec<Topology> = (0..6u64)
         .map(|seed| Topology::random(120, Length::from_meters(400.0), seed))
         .collect();
     layouts.push(Topology::grid(9, Length::from_meters(25.0)));
     layouts.push(Topology::new(vec![ami_net::Position::new(3.0, 4.0); 40]));
+    let radio = radio();
     for (k, topo) in layouts.iter().enumerate() {
         let positions: Vec<ami_net::Position> = topo.ids().map(|id| topo.position(id)).collect();
         for range_m in [0.5, 8.0, 25.0, 45.0, 120.0, 1e6] {
@@ -87,6 +91,26 @@ fn grid_csr_build_matches_the_scan_oracle_bitwise() {
             let grid = CsrAdjacency::build(&positions, range);
             let scan = CsrAdjacency::build_scan(&positions, range);
             assert_eq!(grid, scan, "layout {k} range {range_m}");
+
+            let weights = topo.hop_weights(range, &radio);
+            let weights = weights.joules_per_bit();
+            assert_eq!(
+                weights.len(),
+                scan.edge_count(),
+                "layout {k} range {range_m}"
+            );
+            for u in topo.ids() {
+                let row = scan.row(u.0);
+                for (&v, &weight) in scan.targets()[row.clone()].iter().zip(&weights[row]) {
+                    let v = NodeId(v as usize);
+                    let priced = radio.hop_energy_per_bit(topo.distance(u, v));
+                    assert_eq!(
+                        weight.to_bits(),
+                        priced.as_joules_per_bit().to_bits(),
+                        "layout {k} range {range_m} hop {u}->{v}"
+                    );
+                }
+            }
         }
     }
 }

@@ -103,7 +103,9 @@ impl CompiledScenario {
             Some(layout) if !layout.is_seeded() || spec.replications == 1 => {
                 let topo = layout.build(spec.seed);
                 // Warm the Arc-shared CSR adjacency once; clones and
-                // batch-mates reuse it.
+                // batch-mates reuse it. The hop weights are left to the
+                // first run, which prices them once for every later run
+                // on this topology, so a compile never pays for them.
                 let _ = topo.csr_within(network.max_hop);
                 Some(topo)
             }

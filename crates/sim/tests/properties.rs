@@ -1,6 +1,7 @@
 //! Property-based tests for the Monte-Carlo harness and the parallel
 //! runner: summary invariants and serial/parallel bit-exactness.
 
+use ami_sim::fault::FaultSpec;
 use ami_sim::{
     par_map_indexed_threads, replicate, replicate_par_threads, sim_rng, summarize, Summary,
 };
@@ -132,4 +133,116 @@ fn summary_equality_is_field_sensitive() {
     };
     assert_ne!(a, b);
     assert_eq!(a, a.clone());
+}
+
+/// Clause keys of the `AMBIENCE_FAULTS` grammar.
+const FAULT_KEYS: [&str; 5] = ["death", "outage", "link", "fade", "seed"];
+/// Unknown, miscased and empty keys.
+const FAULT_ODD_KEYS: [&str; 3] = ["warp", "DEATH", ""];
+/// Ordinary rates and durations.
+const FAULT_PLAIN_NUMBERS: [&str; 6] = ["0", "0.25", "0.5", "1", "2", "10"];
+/// Boundaries, values that parse as `f64` but break arithmetic, and
+/// non-numbers.
+const FAULT_EDGE_NUMBERS: [&str; 11] = [
+    "-0",
+    "1e30",
+    "-1",
+    "nan",
+    "inf",
+    "-inf",
+    "1.5",
+    "0.0001",
+    "18446744073709551615",
+    "1e-300",
+    "x",
+];
+/// Blanks that may surround a clause.
+const FAULT_BLANKS: [&str; 3] = ["", " ", "\t "];
+/// The grammar's separators, for the free-form soup.
+const FAULT_SEPARATORS: [&str; 3] = ["=", ":", ","];
+
+/// Fault-grammar strings: clauses (`key=value[:value]…` with blanks
+/// around them) joined by commas, or a free concatenation of the
+/// grammar's tokens, blanks and separators.
+fn fault_text() -> impl Strategy<Value = String> {
+    // Grammar keys and plain numbers seven times in eight, so that many
+    // clause lists parse.
+    let usual = |usual: &'static [&'static str], odd: &'static [&'static str]| {
+        (0u8..8, 0..usual.len(), 0..odd.len())
+            .prop_map(move |(pick, u, o)| if pick > 0 { usual[u] } else { odd[o] })
+    };
+    let number = || usual(&FAULT_PLAIN_NUMBERS, &FAULT_EDGE_NUMBERS);
+    let clause = (
+        usual(&FAULT_KEYS, &FAULT_ODD_KEYS),
+        (number(), number()),
+        (0..FAULT_BLANKS.len(), 0..FAULT_BLANKS.len()),
+    )
+        .prop_map(|(key, (first, second), (before, after))| {
+            let (before, after) = (FAULT_BLANKS[before], FAULT_BLANKS[after]);
+            // The number of values each key takes; a wrong count is
+            // the soup's business.
+            match key {
+                "death" | "seed" => format!("{before}{key}={first}{after}"),
+                _ => format!("{before}{key}={first}:{second}{after}"),
+            }
+        });
+    let clauses = prop::collection::vec(clause, 1..4).prop_map(|clauses| clauses.join(","));
+    let tokens: Vec<&'static str> = FAULT_KEYS
+        .iter()
+        .chain(&FAULT_ODD_KEYS)
+        .chain(&FAULT_PLAIN_NUMBERS)
+        .chain(&FAULT_EDGE_NUMBERS)
+        .chain(&FAULT_BLANKS)
+        .chain(&FAULT_SEPARATORS)
+        .copied()
+        .collect();
+    let soup = prop::collection::vec(0..tokens.len(), 0..16)
+        .prop_map(move |picks| picks.into_iter().map(|t| tokens[t]).collect::<String>());
+    prop_oneof![clauses, soup]
+}
+
+proptest! {
+    /// `FaultSpec::parse` answers `Ok` or `Err` for any string built from
+    /// its grammar's tokens, and every spec it accepts draws a schedule
+    /// for any field and horizon without panicking (a duration that
+    /// parsed once made the schedule generator panic).
+    #[test]
+    fn fault_grammar_parses_or_errs_and_accepted_specs_schedule(
+        text in fault_text(),
+        run_seed in 0u64..u64::MAX,
+        nodes in 1usize..64,
+        rounds in 1u64..64,
+    ) {
+        if let Ok(spec) = FaultSpec::parse(&text) {
+            let schedule = spec.schedule_for(run_seed, nodes, rounds);
+            prop_assert_eq!(&schedule, &spec.schedule_for(run_seed, nodes, rounds));
+        }
+    }
+}
+
+/// The grammar property above is not vacuous: its strings include specs
+/// that parse with non-zero fault rates (so schedules get drawn), and
+/// specs that fail.
+#[test]
+fn fault_grammar_strings_cover_accepted_and_rejected_specs() {
+    use rand::SeedableRng;
+    let strategy = fault_text();
+    let (mut accepted, mut faulty, mut rejected) = (0, 0, 0);
+    for case in 0..512u64 {
+        let text = strategy.sample(&mut proptest::test_runner::TestRng::seed_from_u64(case));
+        match FaultSpec::parse(&text) {
+            Ok(spec) => {
+                accepted += 1;
+                let m = &spec.model;
+                if m.death_rate > 0.0 || m.outage_rate > 0.0 || m.link_outage_rate > 0.0 {
+                    faulty += 1;
+                }
+            }
+            Err(_) => rejected += 1,
+        }
+    }
+    assert!(
+        faulty >= 20 && accepted > faulty && rejected >= 100,
+        "{accepted}/{faulty}/{rejected}"
+    );
 }

@@ -35,6 +35,21 @@ use crate::Service;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
+use std::time::Duration;
+
+/// How long [`Server::serve`] waits before retrying a transient accept
+/// failure: long enough for finishing connections to release their
+/// descriptors, short enough that a waiting client barely notices.
+const ACCEPT_RETRY_PAUSE: Duration = Duration::from_millis(10);
+
+/// `EMFILE`, `ENFILE`, `ENOBUFS` and `ENOMEM`: the process or the system
+/// is out of descriptors, socket buffers or memory for the moment.
+#[cfg(any(target_os = "linux", target_os = "android"))]
+const RESOURCE_ERRNOS: &[i32] = &[24, 23, 105, 12];
+#[cfg(all(unix, not(any(target_os = "linux", target_os = "android"))))]
+const RESOURCE_ERRNOS: &[i32] = &[24, 23, 55, 12];
+#[cfg(not(unix))]
+const RESOURCE_ERRNOS: &[i32] = &[];
 
 /// A listening batch-service endpoint.
 #[derive(Debug)]
@@ -65,15 +80,27 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// Accepts connections forever, one handler thread each. Returns
-    /// only on an accept error.
+    /// Accepts connections forever, one handler thread each. A
+    /// transient accept failure — a connection aborted or reset before
+    /// it was accepted, an interrupted call, or a momentary shortage of
+    /// descriptors, socket buffers or memory (`EMFILE`, `ENFILE`,
+    /// `ENOBUFS`, `ENOMEM`) — is retried after a short pause, so a burst
+    /// that exhausts file descriptors does not end the daemon; any other
+    /// accept failure does.
     ///
     /// # Errors
     ///
-    /// The accept failure that ended the loop.
+    /// The non-transient accept failure that ended the loop.
     pub fn serve(self) -> io::Result<()> {
         loop {
-            let (stream, _) = self.listener.accept()?;
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(err) if is_transient_accept_error(&err) => {
+                    std::thread::sleep(ACCEPT_RETRY_PAUSE);
+                    continue;
+                }
+                Err(err) => return Err(err),
+            };
             let service = Arc::clone(&self.service);
             std::thread::spawn(move || {
                 // A dropped connection is the client's business, not a
@@ -82,6 +109,21 @@ impl Server {
             });
         }
     }
+}
+
+/// Whether an `accept` failure passes: a connection aborted or reset
+/// before it was accepted, an interrupted or would-block call, or a
+/// momentary shortage of descriptors, socket buffers or memory. Anything
+/// else (say, a listener that is no longer valid) will not go away by
+/// waiting.
+fn is_transient_accept_error(err: &io::Error) -> bool {
+    use io::ErrorKind::{ConnectionAborted, ConnectionReset, Interrupted, WouldBlock};
+    matches!(
+        err.kind(),
+        ConnectionAborted | ConnectionReset | Interrupted | WouldBlock
+    ) || err
+        .raw_os_error()
+        .is_some_and(|code| RESOURCE_ERRNOS.contains(&code))
 }
 
 /// Serves one connection until clean EOF or an I/O error.
@@ -108,4 +150,41 @@ fn handle_connection(mut stream: TcpStream, service: &Service) -> io::Result<()>
         write_frame(&mut stream, reply.as_bytes())?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn transient_accept_errors_are_retried_and_others_end_the_loop() {
+        use io::ErrorKind::*;
+        for kind in [ConnectionAborted, ConnectionReset, Interrupted, WouldBlock] {
+            assert!(
+                is_transient_accept_error(&io::Error::from(kind)),
+                "{kind:?}"
+            );
+        }
+        for &code in RESOURCE_ERRNOS {
+            let err = io::Error::from_raw_os_error(code);
+            assert!(is_transient_accept_error(&err), "{err}");
+        }
+        for kind in [
+            PermissionDenied,
+            InvalidInput,
+            AddrInUse,
+            NotConnected,
+            Other,
+        ] {
+            assert!(
+                !is_transient_accept_error(&io::Error::from(kind)),
+                "{kind:?}"
+            );
+        }
+        // EBADF and EINVAL: the listener itself is unusable.
+        for code in [9, 22] {
+            let err = io::Error::from_raw_os_error(code);
+            assert!(!is_transient_accept_error(&err), "{err}");
+        }
+    }
 }
