@@ -36,10 +36,8 @@
 //! warm-up iteration performs the route build and sizes the scratch,
 //! so the timed iterations exclude the build (which `route_build`
 //! prices separately). Each timed iteration is a new session run of 2
-//! rounds (1 at the megacity). At the city scales a gathering run's
-//! first round probes the route epoch's hop count and its second
-//! records the value-stream memo, so these rows do not time the memo
-//! replay that the later rounds of a longer run take.
+//! rounds (1 at the megacity). Every gathering round walks its routes
+//! once, so a round costs the same in a 2-round run as in a longer one.
 //! `lossy_round_par` repeats the city-scale lossy rounds the same way,
 //! on a warm [`LossySession`] at `AMBIENCE_THREADS` workers, timed in
 //! alternating iterations with the serial `lossy_round` row so both see
@@ -89,7 +87,13 @@
 //!   `wall_ns_p90 − wall_ns_median` of the two rows, then the labels
 //!   found on one side only. Report-only: flags never change the exit
 //!   status. The file is read before the run, so it may be the snapshot
-//!   the run then overwrites;
+//!   the run then overwrites. A row's p90 − median is its spread within
+//!   one run, and drift between runs on a shared host (10–40 % on a
+//!   2-vCPU guest) exceeds it, so `MOVED` cannot tell a change from that
+//!   drift; the report says so under its table. To compare two commits,
+//!   alternate whole runs of both binaries and count a row as moved
+//!   only when every pair moves it the same way (an unchanged row does
+//!   so with probability 2^(1−k) over k pairs);
 //! * `AMBIENCE_BENCH_OUT`: network snapshot path (default
 //!   `BENCH_NET.json`, `-` = stdout only);
 //! * `AMBIENCE_BENCH_SIM_OUT`: kernel snapshot path (default
@@ -768,6 +772,13 @@ fn print_diff(baseline: &Baseline, entries: &[Entry]) {
             (_, None) => println!("{label:<28} only in {}", baseline.path),
         }
     }
+    println!(
+        "[MOVED compares each row's within-run spread, so it cannot tell a change from \
+         between-run host drift (10–40 % on a shared 2-vCPU host). To compare two commits, \
+         alternate whole runs of both binaries and count a row as moved only when every \
+         pair moves it the same way; an unchanged row does so one time in 4 over 3 pairs, \
+         one time in 32 over 6.]"
+    );
 }
 
 /// Renders a snapshot as deterministic, diff-stable JSON.

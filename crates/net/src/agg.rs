@@ -28,12 +28,9 @@
 //!    rounds each hop reads its fate from the round core's hop-fault
 //!    mask, one byte per position filled at the start of the round
 //!    (`crate::round`), instead of querying the fault timeline per hop.
-//!    On fault-free rounds the pass also memoizes the
-//!    total-spent **value stream** — the exact sequence of `tx`/`rx`
-//!    joules the serial kernel folds into `spent` — so later rounds of
-//!    the same route epoch skip the walk entirely and replay the fold
-//!    over a flat array (`O(hops)` sequential adds, the latency floor
-//!    set by the bit-exactness contract; see DESIGN.md).
+//!    Every aggregated round runs this walk: fates, tallies and the
+//!    `spent` fold are re-derived each round from the round's own
+//!    routes and faults, so nothing carries over between rounds.
 //! 3. **Per-cell replay + validation (S2).** Each budget cell is
 //!    charged in ascending-id order, reading its tallies and transmit
 //!    cost through `pos`, with the *identical* per-cell
@@ -46,8 +43,8 @@
 //!    never saw an exhausted hop.
 //!
 //! The `spent` total is folded in serial charge order before the replay
-//! (idle debits, then the walk's inline fold or the memoized stream),
-//! so commitment receives it finished: it swaps the scratch finals in,
+//! (idle debits, then the walk's inline `tx`/`rx` fold), so commitment
+//! receives it finished: it swaps the scratch finals in,
 //! stores `spent`, and replays ledger charges and packet counters per
 //! cell (ledger and counter *totals* are position-invariant;
 //! per-accumulator sequences are preserved).
@@ -62,14 +59,6 @@ use crate::round::HopFault;
 use crate::routing::{RouteImage, SINK_POS};
 use ami_sim::obs::{EnergyCategory, Recorder};
 use std::cell::Cell;
-
-/// Upper bound on memoized spent-stream length, in f64 values.
-///
-/// n=100k city rounds carry ~9.5M hop charges (~150 MB of stream fits
-/// comfortably); n=1M rounds would need ~2.4 GB, so they re-walk every
-/// round instead — the stream is a speed memo, never a correctness
-/// requirement, and capping it is what keeps memory O(N).
-const STREAM_VALUE_CAP: usize = 24 << 20;
 
 thread_local! {
     /// Whether the aggregated kernel may run rounds on this thread.
@@ -138,20 +127,7 @@ pub(crate) struct AggScratch {
     transit: Vec<[u32; 2]>,
     /// Per-cell replay scratch; swapped with the live budgets on commit.
     finals: Vec<f64>,
-    /// Memoized spent value stream (fault-free rounds only).
-    stream: Vec<f64>,
-    /// Route epoch the memoized round image (stream + tallies +
-    /// counters) is valid for. Fault-free epochs only: exogenous faults
-    /// change per-round fates without necessarily changing routes, so
-    /// the replay branch additionally requires a fault-free round and
-    /// [`Self::invalidate_run_memo`] clears this at every session-run
-    /// boundary.
-    image_epoch: Option<u64>,
-    /// Total hop charges seen by the last walk of `hops_epoch` — sizes
-    /// the stream reservation and gates memoization against the cap.
-    hops_epoch: Option<u64>,
-    hops: u64,
-    // Round packet tallies (valid after a walk or with a valid image).
+    // The round's packet tallies, written by the walk.
     senders: u64,
     delivered: u64,
     disconnected: u64,
@@ -163,27 +139,11 @@ impl AggScratch {
         Self {
             transit: vec![[0; 2]; nodes],
             finals: vec![0.0; nodes],
-            stream: Vec::new(),
-            image_epoch: None,
-            hops_epoch: None,
-            hops: 0,
             senders: 0,
             delivered: 0,
             disconnected: 0,
             faulted: 0,
         }
-    }
-
-    /// Drops everything memoized from earlier runs: the round image and
-    /// the probed hop count. Both are keyed on the route epoch, and the
-    /// epoch alone cannot distinguish two runs of a warm session — a new
-    /// run may carry a different fault schedule without ever moving the
-    /// epoch (routing sees faults one round late, and link faults never
-    /// change the usable set) — so a session must call this at every
-    /// run start and let the run's own walks re-establish both.
-    pub(crate) fn invalidate_run_memo(&mut self) {
-        self.image_epoch = None;
-        self.hops_epoch = None;
     }
 }
 
@@ -234,24 +194,11 @@ impl GatherState<'_, '_> {
         // The spent fold continues from the live accumulator in serial
         // charge order: the round's idle debits first, then the send
         // phase's tx/rx stream.
-        let epoch = core.cache.epoch();
         let mut spent = self.spent;
         for _ in 0..powered {
             spent += idle;
         }
-        if !core.faults_active && scratch.image_epoch == Some(epoch) {
-            // Fault-free steady state: fates, tallies and the value
-            // stream are round-constant within a route epoch, so the
-            // whole walk collapses to one flat sequential fold. The
-            // image captures fault-free fates only — a fault schedule
-            // changes fates without necessarily moving the epoch, so
-            // faulted rounds always re-walk.
-            for &v in &scratch.stream {
-                spent += v;
-            }
-        } else {
-            spent = self.walk_and_tally(scratch, epoch, spent);
-        }
+        let spent = self.walk_and_tally(scratch, spent);
 
         // Per-cell replay + S2. Nothing below mutates live state until
         // every live powered cell is proven to finish above zero.
@@ -266,10 +213,8 @@ impl GatherState<'_, '_> {
     /// The traffic-aggregation pass: walks each report along the route
     /// cache's heavy-path image, folding the spent stream inline,
     /// tallying clean transit arrivals per relay position, and counting
-    /// fates. Pure with respect to simulation state. On fault-free
-    /// rounds whose hop count fits [`STREAM_VALUE_CAP`], also memoizes
-    /// the value stream for the epoch.
-    fn walk_and_tally(&self, scratch: &mut AggScratch, epoch: u64, mut spent: f64) -> f64 {
+    /// fates. Pure with respect to simulation state.
+    fn walk_and_tally(&self, scratch: &mut AggScratch, mut spent: f64) -> f64 {
         let core = &*self.core;
         let n = core.topology.len();
         let rx = self.rx_per_hop;
@@ -283,27 +228,13 @@ impl GatherState<'_, '_> {
             id,
         } = core.cache.image();
 
-        scratch.transit[..n].fill([0; 2]);
-        scratch.stream.clear();
-        // Record the stream only once the epoch's hop count is known to
-        // fit the cap (the first walk of an epoch probes it), so large
-        // runs never transiently allocate an over-cap buffer.
-        let record = hop_faults.is_none()
-            && scratch.hops_epoch == Some(epoch)
-            && scratch.hops <= STREAM_VALUE_CAP as u64;
-        if record {
-            scratch.stream.reserve_exact(scratch.hops as usize);
-        }
-        // Split the scratch into disjoint field borrows so the image
-        // reads and the tally/stream writes carry distinct noalias
-        // pointers — one struct-wide borrow would serialize every
-        // `parent` load behind every tally store.
-        let AggScratch {
-            transit, stream, ..
-        } = scratch;
-        let transit = transit.as_mut_slice();
+        // Bind the tallies to their own slice so the image reads and the
+        // tally writes carry distinct noalias pointers — one struct-wide
+        // borrow would serialize every `parent` load behind every tally
+        // store.
+        let transit = &mut scratch.transit[..n];
+        transit.fill([0; 2]);
 
-        let mut hops = 0u64;
         let mut senders = 0u64;
         let mut delivered = 0u64;
         let mut disconnected = 0u64;
@@ -326,10 +257,6 @@ impl GatherState<'_, '_> {
                 // whether the hop ahead is faulted — mirror the serial
                 // charge-then-check order exactly.
                 spent += tx;
-                hops += 1;
-                if record {
-                    stream.push(tx);
-                }
                 // Either fault — a downed receiver or a downed link —
                 // ends the packet here; the mask resolved both at the
                 // start of the round.
@@ -342,19 +269,12 @@ impl GatherState<'_, '_> {
                     break;
                 }
                 spent += rx;
-                hops += 1;
-                if record {
-                    stream.push(rx);
-                }
                 let hop = hop as usize;
                 transit[hop][usize::from(src_id >= id[hop])] += 1;
                 at = hop;
             }
         }
 
-        scratch.hops_epoch = Some(epoch);
-        scratch.hops = hops;
-        scratch.image_epoch = if record { Some(epoch) } else { None };
         scratch.senders = senders;
         scratch.delivered = delivered;
         scratch.disconnected = disconnected;

@@ -347,16 +347,17 @@ impl<'r, 'a> GatherState<'r, 'a> {
 }
 
 /// The gathering harness: its round core keeps routes warm across
-/// runs, together with the aggregated kernel's scratch (transit tallies
-/// and, on fault-free epochs, the memoized charge stream).
+/// runs, together with the aggregated kernel's per-round scratch
+/// (transit tallies and replay finals).
 ///
 /// Every gathering run goes through a session; [`simulate_gathering`]
 /// is one run on a fresh one. A warm session pays the route build once
 /// and then measures what city-scale studies actually repeat — marginal
 /// rounds. Each run starts from a fresh network state and is
 /// bit-identical to the same run on a fresh session: the only state a
-/// run inherits is the route cache (and its epoch counters); every
-/// other buffer is reset at run start and reused.
+/// run inherits is the route cache (its table, image and carried
+/// transmit costs); every other buffer is reset at run start or
+/// rewritten by each round, and reused.
 pub struct GatherSession<'a> {
     core: RoundCore<'a>,
     config: &'a NetworkConfig,
@@ -432,12 +433,6 @@ impl<'a> GatherSession<'a> {
         recorder: &mut R,
     ) -> NetworkReport {
         assert!(rounds > 0, "simulate at least one round");
-        // The warm cache keeps the route-epoch counter alive across
-        // runs, but this run's fault schedule may differ from the one
-        // the scratch memoized under at the same epoch — drop the
-        // memoized round image and hop probe so every run re-derives
-        // them from its own walks.
-        self.scratch.invalidate_run_memo();
         let mut state = GatherState::new(&mut self.core, self.config, faults);
         // All scratch lives in the core, the state and the aggregation
         // scratch and is reused across rounds — the round loop stays

@@ -71,13 +71,16 @@ use std::cell::Cell;
 use std::sync::Mutex;
 
 /// Default floor on nodes-per-worker below which a lossy session run
-/// takes the serial loop instead of spinning up regions: below
-/// city scale the per-round barrier and split overhead outweigh the
-/// work (BENCH_NET measured speedups under 1.0 even at n=10⁴ on small
-/// hosts). Results are bit-identical either way — the engine exists
-/// precisely because parallel ≡ serial — so the threshold is purely a
-/// performance heuristic.
-pub const PAR_MIN_NODES_PER_WORKER: usize = 4096;
+/// takes the serial loop instead of spinning up regions: below it the
+/// per-round barrier and split overhead outweigh the work. Alternating
+/// serial and 2-worker session runs on a 2-vCPU KVM guest had two
+/// workers lose at n = 10⁴ (0.86× fault-free, 0.96× faulted), win
+/// fault-free runs and break even on faulted ones from 4×10⁴, and win
+/// both at 10⁵; so two workers engage from 4×10⁴ nodes. Results are
+/// bit-identical either way — the engine exists precisely because
+/// parallel ≡ serial — so the threshold is purely a performance
+/// heuristic.
+pub const PAR_MIN_NODES_PER_WORKER: usize = 20_000;
 
 thread_local! {
     static PAR_MIN_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };

@@ -930,12 +930,6 @@ impl RouteCache {
     pub fn repairs(&self) -> u64 {
         self.repairs
     }
-
-    /// The cache's route epoch: bumped by every build or repair, so two
-    /// equal epochs on the same cache instance mean an identical table.
-    pub fn epoch(&self) -> u64 {
-        self.builds + self.repairs
-    }
 }
 
 #[cfg(test)]

@@ -14,9 +14,9 @@
 //! for the fallback machinery itself (death rounds must route through
 //! the retained hop-walk oracle and be counted).
 //!
-//! Every run goes through a session, so the memo contract is "a warm
-//! session equals a fresh one": the last tests pin it for hand-built
-//! schedules and for random sequences of session calls.
+//! Every run goes through a session, so the session contract is "a
+//! warm session equals a fresh one": the last tests pin it for
+//! hand-built schedules and for random sequences of session calls.
 
 mod common;
 
@@ -225,13 +225,13 @@ fn sessions_reuse_routes_without_changing_results() {
 
 #[test]
 fn session_faulted_runs_match_the_one_shot_entry_point() {
-    // A fault-free session run memoizes the round image for the warm
-    // route epoch; a faulted run on the *same* session must not replay
-    // it. Link-only outages and a round-0 outage are the sharp cases:
-    // neither moves the route epoch in the faulted rounds it covers
+    // A faulted run on a session warmed by a fault-free run must see
+    // its own faults, although its warm routes came from the healthy
+    // run. Link-only outages and a round-0 outage are the sharp cases:
+    // neither changes the routes in the faulted rounds it covers
     // (routing sees faults one round late, and link faults never change
-    // the usable set), so only the run-boundary invalidation and the
-    // fault-free replay guard keep those rounds off the stale image.
+    // the usable set), so any state keyed on the routes alone would
+    // carry the healthy run's fates into them.
     // The warm lossy session rides the same schedules on one and two
     // workers: its route cache carries over between runs too.
     let _mode = AggMode::set(true);
@@ -265,7 +265,7 @@ fn session_faulted_runs_match_the_one_shot_entry_point() {
         ("round-0 outage", &round0_outage),
     ] {
         let mut session = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config);
-        // Warm the session: this memoizes the fault-free round image.
+        // Warm the session with a fault-free run on the same routes.
         assert_eq!(session.run(rounds), clean, "warm-up run ({label})");
 
         let mut obs = LedgerRecorder::with_nodes(topo.len());
@@ -280,8 +280,7 @@ fn session_faulted_runs_match_the_one_shot_entry_point() {
         );
 
         // The faulted run's truncated walks must not leak into a later
-        // fault-free run on the same session either (stale hop counts
-        // would mis-gate stream memoization).
+        // fault-free run on the same session either.
         assert_eq!(session.run(rounds), clean, "post-fault run ({label})");
 
         for threads in [1, 2] {
@@ -436,14 +435,14 @@ fn first_divergence(
 }
 
 proptest! {
-    /// Memo contract: a warm session driven through any sequence of
+    /// Session contract: a warm session driven through any sequence of
     /// `run` / `run_faulted_with` calls — random fault schedules, with
     /// or without a ledger, lossy runs on 1, 2 or 8 workers with the
     /// region engine forced on — returns exactly what a fresh session
     /// returns for each call. With default budgets nothing dies, so the
-    /// warm route epoch survives into the next call (where a memo keyed
-    /// on the epoch alone would leak); drained budgets (~12 idle rounds)
-    /// add energy deaths that move it mid-run. The gathering session
+    /// warm routes survive into the next call (where state keyed on the
+    /// routes alone would leak); drained budgets (~12 idle rounds) add
+    /// energy deaths that move them mid-run. The gathering session
     /// routes with either strategy: direct-to-sink epochs never repair,
     /// so every usable-set transition takes the full-build branch. A
     /// divergence is reported with the diverging call's schedule

@@ -8,7 +8,7 @@
 //! holds exactly one test so no concurrent test pollutes the allocation
 //! counter.)
 
-use ami_net::{simulate_lossy_gathering, LossyConfig, LossySession, Topology};
+use ami_net::{par_engaged_count, simulate_lossy_gathering, LossyConfig, LossySession, Topology};
 use ami_sim::fault::{FaultEvent, FaultSchedule};
 use ami_sim::obs::NullRecorder;
 use ami_units::Length;
@@ -128,19 +128,25 @@ fn scale_smoke_lossy_100k_nodes_arq_serial_and_parallel() {
     );
     assert!(short > 0, "the counter must actually be counting");
 
-    // Region-parallel pass: the rollback-free lossy engine at 8 worker
-    // threads must reproduce the serial counter-RNG run bit for bit at
-    // city scale (n=100k clears the nodes-per-worker floor, so the
-    // engine genuinely engages at 8 threads).
+    // Region-parallel pass: the rollback-free lossy engine must
+    // reproduce the serial counter-RNG run bit for bit at city scale,
+    // at worker counts whose share of n=100k clears the default
+    // nodes-per-worker floor — each run must engage the engine.
     let serial =
         LossySession::new(&topo, &config).run_faulted_with(6, 2003, &faults, 1, &mut NullRecorder);
-    for threads in [1usize, 8] {
+    for threads in [2usize, 4] {
+        let engaged = par_engaged_count();
         let par = LossySession::new(&topo, &config).run_faulted_with(
             6,
             2003,
             &faults,
             threads,
             &mut NullRecorder,
+        );
+        assert_eq!(
+            par_engaged_count(),
+            engaged + 1,
+            "the region engine must engage at {threads} threads"
         );
         assert_eq!(
             par, serial,

@@ -1,10 +1,9 @@
 //! Million-node smoke test: one n = 1 000 000 gathering run and one
 //! lossy/ARQ run end to end, with a **peak-RSS ceiling** proving the
-//! memory story — per-node state is a handful of flat arrays, the
-//! aggregation value-stream memo is capacity-gated (at ~3×10⁸ hop
-//! charges per round it stays *off* and rounds recompute instead of
-//! caching), and observation goes through the O(active)
-//! [`RingRecorder`], not an O(N) ledger. `#[ignore]`d by default; CI
+//! memory story — per-node state is a handful of flat arrays, every
+//! aggregated round walks its routes again instead of recording the
+//! ~3×10⁸ hop charges it folds, and observation goes through the
+//! O(active) [`RingRecorder`], not an O(N) ledger. `#[ignore]`d by default; CI
 //! runs it as `cargo test --release -- --ignored scale_smoke`. (Own
 //! binary so nothing else inflates the RSS high-water mark.)
 
@@ -49,11 +48,9 @@ fn scale_smoke_million_nodes_gather_and_lossy_bounded_memory() {
     let config = NetworkConfig::sensor_default();
 
     // Gathering: two aggregated rounds through the bounded residual
-    // sink. Every healthy round must take the aggregated path (the
-    // value-stream memo being over its cap degrades speed, never
-    // engagement), and every sensor's residual must fold into the
-    // ring's running stats while the ring itself retains only its
-    // fixed-capacity tail.
+    // sink. Every healthy round must take the aggregated path, and
+    // every sensor's residual must fold into the ring's running stats
+    // while the ring itself retains only its fixed-capacity tail.
     reset_agg_counters();
     let mut sink = RingRecorder::with_capacity(1024);
     let mut session = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config);
@@ -96,8 +93,8 @@ fn scale_smoke_million_nodes_gather_and_lossy_bounded_memory() {
     // The memory ceiling. Flat per-node state (topology, CSR adjacency,
     // routes, budgets, scratch) totals ~300 MiB measured at n=10⁶, and
     // the observer adds O(1024). 768 MiB is ~2.5× that high-water mark:
-    // an ungated value-stream memo (~2.4 GiB at this hop volume) or any
-    // new O(N)-per-round allocation blows it immediately.
+    // a recording of the round's hop charges (~2.4 GiB at this hop
+    // volume) or any new O(N)-per-round allocation blows it immediately.
     let peak = peak_rss_kib();
     assert!(
         peak < 768 * 1024,

@@ -101,11 +101,11 @@ fn healthy_round_loops_allocate_nothing_per_round() {
         "lossy round loop allocated ({lossy_short} vs {lossy_long} allocations)"
     );
 
-    // Session runs: the route cache, packed next-hop image and the
-    // aggregation scratch (tally arrays, finals, the memoized value
-    // stream) persist across runs, so a warm rerun allocates only the
-    // fresh per-run state — flat in the round count and strictly less
-    // than a one-shot run, which rebuilds routes and scratch.
+    // Session runs: the route cache, its heavy-path image and the
+    // aggregation scratch (tally arrays, finals) persist across runs,
+    // so a warm rerun allocates only the fresh per-run state — flat in
+    // the round count and strictly less than a one-shot run, which
+    // rebuilds routes and scratch.
     let mut session = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config);
     let _ = session.run(10);
     let session_short = steady_allocations(5, || {

@@ -29,6 +29,7 @@
 //! assert!(parse("{\"a\":1,\"a\":2}").is_err(), "duplicate keys rejected");
 //! ```
 
+use std::collections::HashSet;
 use std::fmt;
 
 /// Deepest array/object nesting [`parse`] accepts (see the module
@@ -233,6 +234,9 @@ impl<'a> Parser<'a> {
     fn object(&mut self) -> Result<JsonValue, JsonError> {
         self.expect(b'{')?;
         let mut members: Vec<(String, JsonValue)> = Vec::new();
+        // The keys seen so far, so a duplicate is found in O(1) instead
+        // of a scan over every earlier member.
+        let mut keys = HashSet::new();
         self.skip_whitespace();
         if self.peek() == Some(b'}') {
             self.pos += 1;
@@ -242,7 +246,7 @@ impl<'a> Parser<'a> {
             self.skip_whitespace();
             let key_start = self.pos;
             let key = self.string()?;
-            if members.iter().any(|(name, _)| *name == key) {
+            if !keys.insert(key.clone()) {
                 self.pos = key_start;
                 return Err(self.error(format!("duplicate object key {key:?}")));
             }
@@ -351,13 +355,17 @@ impl<'a> Parser<'a> {
                     return Err(self.error("raw control character in string"));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar; the input is a &str so
-                    // boundaries are guaranteed well-formed.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input came from a &str");
-                    let ch = s.chars().next().expect("non-empty by peek");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run of plain bytes up to the next quote,
+                    // backslash or control byte as one slice. Those
+                    // delimiters are ASCII, so the run of the `&str`
+                    // input ends on a char boundary.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .expect("a run of a &str between ASCII delimiters is UTF-8");
+                    out.push_str(run);
                 }
             }
         }
@@ -490,5 +498,46 @@ mod tests {
         // Far past the bound: an error, not a stack overflow.
         assert!(parse(&"[".repeat(100_000)).is_err());
         assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn long_strings_and_wide_objects_parse_in_linear_time() {
+        // A 1 MiB string (plain runs, escapes and non-ASCII) and a
+        // 10⁵-key object. A reader that rescans the rest of the input
+        // per character, or every earlier key per key, takes over 15 s
+        // on each even in a release build; the bound is generous for a
+        // debug build.
+        let bound = std::time::Duration::from_secs(2);
+        let text = format!("\"{}\"", "ab\\n\u{e9}\u{e9}".repeat(1 << 17));
+        assert_eq!(text.len(), (1 << 20) + 2);
+        let started = std::time::Instant::now();
+        let parsed = parse(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert!(elapsed < bound, "1 MiB string took {elapsed:?}");
+        assert_eq!(
+            parsed,
+            JsonValue::String("ab\n\u{e9}\u{e9}".repeat(1 << 17))
+        );
+
+        let keys = 100_000;
+        let body = (0..keys)
+            .map(|k| format!("\"k{k}\":{k}"))
+            .collect::<Vec<_>>()
+            .join(",");
+        let text = format!("{{{body}}}");
+        let started = std::time::Instant::now();
+        let parsed = parse(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert!(elapsed < bound, "{keys}-key object took {elapsed:?}");
+        let JsonValue::Object(members) = &parsed else {
+            panic!("expected an object");
+        };
+        assert_eq!(members.len(), keys);
+        assert_eq!(parsed.get("k99999"), Some(&JsonValue::Number(99_999.0)));
+
+        // A duplicate deep in a wide object still points at its key.
+        let err = parse(&format!("{{{body},\n \"k7\":0}}")).unwrap_err();
+        assert!(err.message.contains("duplicate object key \"k7\""), "{err}");
+        assert_eq!((err.line, err.column), (2, 2));
     }
 }

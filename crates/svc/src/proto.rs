@@ -60,7 +60,10 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Reads one length-prefixed frame; `Ok(None)` on clean end-of-stream
-/// (EOF exactly at a frame boundary).
+/// (EOF exactly at a frame boundary). The payload buffer grows as its
+/// bytes arrive — 64 KiB first, then doubling, never past the header's
+/// length — so it holds at most 64 KiB or twice the bytes received,
+/// whichever is larger, whatever length the header claims.
 ///
 /// # Errors
 ///
@@ -90,8 +93,14 @@ pub fn read_frame(reader: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame of {len} bytes exceeds MAX_FRAME"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let start = payload.len();
+        let grow = (len - start).min(start.max(64 << 10));
+        payload.reserve_exact(grow);
+        payload.resize(start + grow, 0);
+        reader.read_exact(&mut payload[start..])?;
+    }
     Ok(Some(payload))
 }
 
