@@ -22,7 +22,10 @@
 //! * `faulted_replication` — seeded replications under a fault mix on a
 //!   single pinned worker (op = replication);
 //! * `faulted_gather_round` / `faulted_lossy_round` — F15's churn mix
-//!   on a city-scale field, gathering and lossy (op = simulated round).
+//!   on a city-scale field, gathering and lossy (op = simulated round);
+//! * `observed_gather_round` — the faulted gathering runs observed into
+//!   a fresh [`LedgerRecorder`] each, the shape of a city study's
+//!   gathering spec (op = simulated round).
 //!
 //! Network sizes are N ∈ {25, 100, 400, 1600} uniform-random fields at
 //! constant node density (field side 25·√N m, so ~10 neighbours in
@@ -36,8 +39,9 @@
 //! warm-up iteration performs the route build and sizes the scratch,
 //! so the timed iterations exclude the build (which `route_build`
 //! prices separately). Each timed iteration is a new session run of 2
-//! rounds (1 at the megacity). Every gathering round walks its routes
-//! once, so a round costs the same in a 2-round run as in a longer one.
+//! rounds (1 at the megacity). Every gathering round re-derives its
+//! charges from its own routes, so a round costs about the same in a
+//! 2-round run as in a longer one.
 //! `lossy_round_par` repeats the city-scale lossy rounds the same way,
 //! on a warm [`LossySession`] at `AMBIENCE_THREADS` workers, timed in
 //! alternating iterations with the serial `lossy_round` row so both see
@@ -53,11 +57,13 @@
 //! parallel rows: its runs use the serial aggregated kernel at every
 //! thread count.
 //!
-//! `faulted_gather_round` and `faulted_lossy_round` run at the city
-//! scales only: each iteration is a 10-round run on a warm serial
-//! session under one schedule drawn from F15's fault mix for the field,
-//! so the rows price what faulted rounds add — route repairs, image
-//! rebuilds, the hop-fault mask — on top of the walks.
+//! `faulted_gather_round`, `observed_gather_round` and
+//! `faulted_lossy_round` run at the city scales only: each iteration is
+//! a 10-round run on a warm serial session under one schedule drawn
+//! from F15's fault mix for the field, so the rows price what faulted
+//! rounds add — route repairs, image rebuilds, the hop-fault mask — on
+//! top of the round kernels; the observed row adds the ledger (its
+//! allocation included) and the recorder commit.
 //!
 //! Every row of both files reports its samples' mean, min, median and
 //! p90 (`wall_ns_mean`, `wall_ns_min`, `wall_ns_median`, `wall_ns_p90`;
@@ -110,7 +116,7 @@ use ami_net::{
 };
 use ami_scenario::json::{self, JsonValue};
 use ami_sim::fault::{FaultSchedule, FaultSpec};
-use ami_sim::obs::NullRecorder;
+use ami_sim::obs::{LedgerRecorder, NullRecorder};
 use ami_sim::{replicate_par, sim_rng, EnergyMeter, EventQueue};
 use ami_tech::{TechnologyNode, VariationModel};
 use ami_units::{Area, Length, Power, Temperature, TimeSpan};
@@ -437,6 +443,21 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
                     &faults,
                     &mut NullRecorder,
                 ));
+            },
+        ));
+        // The same faulted runs observed into a fresh ledger each: the
+        // recorder commit of a city study, at one bulk charge per cell
+        // and category.
+        entries.push(measure(
+            format!("observed_gather_round/n{n}"),
+            "observed_gather_round",
+            n,
+            FAULTED_ROUNDS_LARGE,
+            quick,
+            || {
+                let mut ledger = LedgerRecorder::with_nodes(n);
+                black_box(session.run_faulted_with(FAULTED_ROUNDS_LARGE, &faults, &mut ledger));
+                black_box(ledger);
             },
         ));
         let mut session = LossySession::new(&topo, &lossy_config);

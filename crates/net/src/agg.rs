@@ -1,53 +1,67 @@
-//! The aggregated charge kernel for the gathering simulation: one
-//! traffic pass per round, with O(N) budget writes.
+//! The aggregated charge kernel for the gathering simulation: a round
+//! in O(N) work per binade crossing, bit-exact with the hop walk.
 //!
 //! `GatherState::idle_and_send` walks every packet hop by hop and
-//! charges a relay's budget once per transiting packet. This module
-//! replaces the mid-round phase with a traffic-aggregation pass that
-//! does the same accounting in three sweeps, **bit-exact** with the hop
-//! walk. The walk and the per-cell replay are O(total hops): route
-//! depth grows as √N at constant density, so a round folds O(N^1.5)
-//! values (1.9×10⁷ at n = 10⁵, 9.8×10⁷ at 3×10⁵ on the megacity field).
-//! Only the budget writes are O(N).
+//! charges a relay's budget once per packet it relays: O(total hops),
+//! which grows as N^1.5 at constant density because route depth grows
+//! as √N. This module commits the same round — every budget, the
+//! `spent` total, the packet counts and the recorder's charges, **bit
+//! for bit** — from a few linear passes over the route cache's
+//! heavy-path image (`RouteImage`). It folds charges in whole ulps with
+//! [`ami_sim::exact`]: while an f64 accumulator and the exact result
+//! both stay one ulp inside one binade, and the operand is not a
+//! round-half-even tie at that ulp, an add moves the accumulator by a
+//! whole number of ulps that does not depend on the accumulator, so a
+//! run of adds is one integer sum.
 //!
 //! 1. **Margin precheck (S1).** A pure read over the budgets proves the
-//!    idle charge alone empties nobody. If it would, fates can depend on
-//!    intra-round charge order, so the round falls back to the retained
-//!    hop-walk oracle before anything is touched.
-//! 2. **Traffic aggregation.** One pass over the routing forest
-//!    tallies, for every relay `v`, how many packets from sources below
-//!    `v` and above `v` arrive cleanly (fault-truncated packets stop
-//!    contributing at the downed edge, exactly where the serial walk
-//!    stops charging). The pass walks the route cache's heavy-path
-//!    image (`RouteImage`): sources are taken in ascending id, and each
-//!    route is followed by position — mostly runs of descending
-//!    positions, so the walk streams through the image instead of
-//!    loading a random node id per hop — and tallied by position. The
-//!    fold order is the id-order walk's, so every f64 is unchanged;
-//!    the below/above split uses the image's stored ids. On faulted
-//!    rounds each hop reads its fate from the round core's hop-fault
-//!    mask, one byte per position filled at the start of the round
-//!    (`crate::round`), instead of querying the fault timeline per hop.
-//!    Every aggregated round runs this walk: fates, tallies and the
-//!    `spent` fold are re-derived each round from the round's own
-//!    routes and faults, so nothing carries over between rounds.
-//! 3. **Per-cell replay + validation (S2).** Each budget cell is
-//!    charged in ascending-id order, reading its tallies and transmit
-//!    cost through `pos`, with the *identical* per-cell
-//!    operation sequence the serial kernel applies — idle, then
-//!    `below`×(rx, tx), own tx, `above`×(rx, tx) — into a scratch
-//!    buffer. If any live powered cell ends at or below zero the round
-//!    is discarded untouched and the oracle re-runs it (mid-round
-//!    death makes packet fates order-dependent). Budgets only decrease
-//!    within a round, so all-positive finals prove the serial kernel
-//!    never saw an exhausted hop.
+//!    idle charge alone empties nobody, and counts the round's senders.
+//!    If it would, fates can depend on intra-round charge order, so the
+//!    round falls back to the retained hop-walk oracle before anything
+//!    is touched.
+//! 2. **`spent`.** The serial fold adds the round's idle debits — k
+//!    equal adds, [`exact::add_n`] — then each sending source's route
+//!    charges, source by source in ascending id. One forward pass over
+//!    the image per binade of `spent` prices every position's route in
+//!    ulps: its own transmit cost, plus the receive cost and the
+//!    parent's route unless the hop is faulted or reaches the sink
+//!    (parents precede children in the image). Sources then add their
+//!    routes' ulps in ascending id. A source whose route would leave
+//!    the binade, or holds a tie, is walked with real f64 adds; if the
+//!    walk moved `spent` into another binade, the routes are re-priced
+//!    at its ulp.
+//! 3. **Cells and S2.** One reverse pass counts each position's clean
+//!    arrivals — reports from its subtree that reach it without meeting
+//!    a faulted hop — and the round's delivered and faulted packets. A
+//!    relay's serial charge sequence is idle, then `below` arrivals ×
+//!    (rx, tx), its own tx, then `above` × (rx, tx), where `below` /
+//!    `above` count arrivals from sources with smaller / larger ids. A
+//!    relay that stays in its binade with no tie ends at its starting
+//!    ulps minus those of the whole sequence, for which `below + above`
+//!    suffices. Any other relay is stepped through the sequence with
+//!    [`exact::sub_cycle_n`], which needs the split: a scan of the
+//!    relay's subtree, one contiguous range of the image, skipping the
+//!    ranges cut off at faulted hops. A cell without arrivals takes its
+//!    idle and own tx as two plain subtractions. If any live powered
+//!    cell ends at or below zero the round is discarded untouched and
+//!    the oracle re-runs it (mid-round death makes packet fates
+//!    order-dependent). Budgets only decrease within a round, so
+//!    all-positive finals prove the serial kernel never saw an
+//!    exhausted hop.
+//! 4. **Commit.** Swaps the finals in, stores `spent`, and charges the
+//!    recorder: every idle charge in ascending id, then each cell's tx
+//!    and rx charges as counts through [`Recorder::charge_n`], which
+//!    the ledger and ring recorders fold with the same stepping, so
+//!    observed rounds stay O(N) too (ledger and counter *totals* are
+//!    position-invariant; per-accumulator sequences are preserved).
 //!
-//! The `spent` total is folded in serial charge order before the replay
-//! (idle debits, then the walk's inline `tx`/`rx` fold), so commitment
-//! receives it finished: it swaps the scratch finals in,
-//! stores `spent`, and replays ledger charges and packet counters per
-//! cell (ledger and counter *totals* are position-invariant;
-//! per-accumulator sequences are preserved).
+//! A round therefore costs O(N) per binade `spent` crosses — one or two
+//! on a fresh megacity round, fewer as `spent` grows over a run — plus
+//! the subtree scans of the cells that cross a binade or tie, plus real
+//! adds for routes and cells holding a tie. Nothing carries over
+//! between rounds: fates, arrivals and prices come from each round's
+//! own routes and faults, and every fault answer from the round core's
+//! hop-fault mask (`crate::round`), one byte per image position.
 //!
 //! The hop-walk kernel is retained verbatim as the differential oracle:
 //! [`set_aggregated_rounds`]`(false)` pins every round on the calling
@@ -56,7 +70,8 @@
 
 use crate::gather::GatherState;
 use crate::round::HopFault;
-use crate::routing::{RouteImage, SINK_POS};
+use crate::routing::{RouteImage, NO_HOP, SINK_POS};
+use ami_sim::exact::{self, Binade};
 use ami_sim::obs::{EnergyCategory, Recorder};
 use std::cell::Cell;
 
@@ -112,22 +127,16 @@ pub(crate) fn note_fallback() {
 /// Reusable scratch for the aggregated kernel — allocated once per
 /// [`crate::GatherSession`], surviving across runs, and reused by every
 /// round, so the round loop stays allocation-steady.
-///
-/// All hot state is flat arrays: the traffic pass walks the route
-/// cache's heavy-path image, the transit tallies are indexed by image
-/// position like the columns they are walked beside, and the charge
-/// scratch (`finals`) is indexed by id like the budgets.
 pub(crate) struct AggScratch {
-    /// Clean transit arrivals at each image position, `[below, above]`:
-    /// from sources with smaller / larger ids than the node there — the
-    /// split the per-cell fold needs because the node's own
-    /// transmission sits between the two groups. The pair shares a
-    /// slot so the walk picks its half by index, without a branch on
-    /// the (unpredictable) id comparison.
-    transit: Vec<[u32; 2]>,
-    /// Per-cell replay scratch; swapped with the live budgets on commit.
+    /// Per-position scratch, by image position: each route's cost in
+    /// ulps of `spent`'s binade while the `spent` fold runs
+    /// (`u64::MAX` for a route holding a tie), then each position's
+    /// clean arrivals — reports from sources in its subtree that reach
+    /// it without meeting a faulted hop.
+    by_pos: Vec<u64>,
+    /// Per-cell finals by id; swapped with the live budgets on commit.
     finals: Vec<f64>,
-    // The round's packet tallies, written by the walk.
+    // The round's packet tallies.
     senders: u64,
     delivered: u64,
     disconnected: u64,
@@ -137,7 +146,7 @@ pub(crate) struct AggScratch {
 impl AggScratch {
     pub(crate) fn new(nodes: usize) -> Self {
         Self {
-            transit: vec![[0; 2]; nodes],
+            by_pos: vec![0; nodes],
             finals: vec![0.0; nodes],
             senders: 0,
             delivered: 0,
@@ -149,9 +158,8 @@ impl AggScratch {
 
 impl GatherState<'_, '_> {
     /// The mid-round phase with the aggregated kernel in front: commit
-    /// the round through the traffic pass (O(total hops) walk, O(N)
-    /// budget writes) when the energy margins allow, fall back to the
-    /// serial hop walk otherwise.
+    /// the round through the linear passes when the energy margins
+    /// allow, fall back to the serial hop walk otherwise.
     pub(crate) fn round_charges<R: Recorder>(
         &mut self,
         scratch: &mut AggScratch,
@@ -176,33 +184,33 @@ impl GatherState<'_, '_> {
         recorder: &mut R,
     ) -> bool {
         let core = &*self.core;
-        let (alive, down_now) = (&core.alive[..], &core.down_now[..]);
+        let n = core.topology.len();
+        let (alive, down_now, budgets) = (&core.alive[..n], &core.down_now[..n], &self.budget[..n]);
         let idle = self.idle_per_round;
 
         // S1: the idle charge alone must strand nobody at or below
         // zero. Same rounding as the serial debit: one subtraction.
-        let mut powered = 0u64;
-        for v in 1..core.topology.len() {
+        let mut senders = 0u64;
+        for v in 1..n {
             if alive[v] && !down_now[v] {
-                if self.budget[v] - idle <= 0.0 {
+                if budgets[v] - idle <= 0.0 {
                     return false;
                 }
-                powered += 1;
+                senders += 1;
             }
         }
+        scratch.senders = senders;
 
         // The spent fold continues from the live accumulator in serial
         // charge order: the round's idle debits first, then the send
         // phase's tx/rx stream.
-        let mut spent = self.spent;
-        for _ in 0..powered {
-            spent += idle;
-        }
-        let spent = self.walk_and_tally(scratch, spent);
+        let spent = exact::add_n(self.spent, idle, senders);
+        let spent = self.fold_routes(&mut scratch.by_pos, spent);
 
-        // Per-cell replay + S2. Nothing below mutates live state until
-        // every live powered cell is proven to finish above zero.
-        if !self.replay_cells(scratch) {
+        // Cells + S2. Nothing below mutates live state until every live
+        // powered cell is proven to finish above zero.
+        self.count_arrivals(scratch);
+        if !self.settle_cells(scratch) {
             return false;
         }
 
@@ -210,132 +218,265 @@ impl GatherState<'_, '_> {
         true
     }
 
-    /// The traffic-aggregation pass: walks each report along the route
-    /// cache's heavy-path image, folding the spent stream inline,
-    /// tallying clean transit arrivals per relay position, and counting
-    /// fates. Pure with respect to simulation state.
-    fn walk_and_tally(&self, scratch: &mut AggScratch, mut spent: f64) -> f64 {
-        let core = &*self.core;
-        let n = core.topology.len();
-        let rx = self.rx_per_hop;
-        let hop_faults = core.hop_faults();
-        let (alive, down_now) = (&core.alive[..], &core.down_now[..]);
-        let connected = core.cache.connected_flags();
-        let RouteImage {
-            pos,
-            parent,
-            tx: tx_costs,
-            id,
-        } = core.cache.image();
-
-        // Bind the tallies to their own slice so the image reads and the
-        // tally writes carry distinct noalias pointers — one struct-wide
-        // borrow would serialize every `parent` load behind every tally
-        // store.
-        let transit = &mut scratch.transit[..n];
-        transit.fill([0; 2]);
-
-        let mut senders = 0u64;
-        let mut delivered = 0u64;
-        let mut disconnected = 0u64;
-        let mut faulted = 0u64;
-        for (src, &conn) in connected.iter().enumerate().take(n).skip(1) {
-            if !alive[src] || down_now[src] {
-                continue;
-            }
-            senders += 1;
-            if !conn {
-                disconnected += 1;
-                continue;
-            }
-            let src_id = src as u32;
-            let mut at = pos[src] as usize;
-            loop {
-                let hop = parent[at];
-                let tx = tx_costs[at];
-                // The sender pays for its transmission before learning
-                // whether the hop ahead is faulted — mirror the serial
-                // charge-then-check order exactly.
-                spent += tx;
-                // Either fault — a downed receiver or a downed link —
-                // ends the packet here; the mask resolved both at the
-                // start of the round.
-                if hop_faults.is_some_and(|mask| mask[at] != HopFault::Clear) {
-                    faulted += 1;
-                    break;
-                }
-                if hop == SINK_POS {
-                    delivered += 1;
-                    break;
-                }
-                spent += rx;
-                let hop = hop as usize;
-                transit[hop][usize::from(src_id >= id[hop])] += 1;
-                at = hop;
+    /// Folds the send phase's charges into `spent` in serial order:
+    /// each sending source, in ascending id, adds its route's tx and rx
+    /// charges. `costs` is the per-position route-cost column, priced
+    /// at `spent`'s binade. Pure with respect to simulation state.
+    fn fold_routes(&self, costs: &mut [u64], mut spent: f64) -> f64 {
+        let mut binade = Binade::of(spent);
+        if let Some(b) = binade {
+            // Whole ulps commute: a stream that ends inside the binade,
+            // with no tie, ends where the serial order does.
+            let stream = self.price_routes(b, costs);
+            if let Some(end) = b.grow(b.ulps(spent), stream) {
+                return b.value(end);
             }
         }
-
-        scratch.senders = senders;
-        scratch.delivered = delivered;
-        scratch.disconnected = disconnected;
-        scratch.faulted = faulted;
-        spent
-    }
-
-    /// Replays every budget cell's charge sequence — identical, op for
-    /// op, to what the serial walk applies to that cell — into the
-    /// scratch finals, validating S2 as it goes. Returns `false` if any
-    /// live powered cell would finish the round at or below zero.
-    fn replay_cells(&self, scratch: &mut AggScratch) -> bool {
         let core = &*self.core;
-        let (alive, down_now) = (&core.alive[..], &core.down_now[..]);
-        let connected = core.cache.connected_flags();
-        let RouteImage {
-            pos, tx: tx_costs, ..
-        } = core.cache.image();
-        let idle = self.idle_per_round;
-        let rx = self.rx_per_hop;
-        scratch.finals.copy_from_slice(&self.budget);
-        for (v, &conn) in connected
-            .iter()
-            .enumerate()
-            .take(core.topology.len())
-            .skip(1)
-        {
-            let at = pos[v] as usize;
-            if !alive[v] || down_now[v] {
-                // Powered-off or dead: no idle, no send, and the walk
-                // never tallies arrivals into such a node.
-                debug_assert_eq!(scratch.transit[at], [0; 2]);
+        let n = core.topology.len();
+        let (alive, down_now) = (&core.alive[..n], &core.down_now[..n]);
+        let (connected, pos) = (
+            &core.cache.connected_flags()[..n],
+            &core.cache.image().pos[..n],
+        );
+        // `spent` in ulps of `binade` while there is one.
+        let mut ulps = binade.map_or(0, |b| b.ulps(spent));
+        for v in 1..n {
+            if !connected[v] || !alive[v] || down_now[v] {
                 continue;
             }
-            let [b, a] = scratch.transit[at];
-            let tx = tx_costs[at];
-            let mut cell = scratch.finals[v];
-            cell -= idle;
-            for _ in 0..b {
-                cell -= rx;
-                cell -= tx;
+            let at = pos[v] as usize;
+            if let Some(b) = binade {
+                if let Some(next) = b.grow(ulps, costs[at]) {
+                    ulps = next;
+                    continue;
+                }
+                spent = b.value(ulps);
             }
-            if conn {
-                cell -= tx;
+            // The route leaves the binade, holds a tie, or starts from
+            // a `spent` no binade covers (zero): real adds.
+            spent = self.walk_route(at, spent);
+            let now = Binade::of(spent);
+            if now != binade {
+                if let Some(b) = now {
+                    self.price_routes(b, costs);
+                }
+                binade = now;
             }
-            for _ in 0..a {
-                cell -= rx;
-                cell -= tx;
+            if let Some(b) = binade {
+                ulps = b.ulps(spent);
             }
-            scratch.finals[v] = cell;
+        }
+        binade.map_or(spent, |b| b.value(ulps))
+    }
+
+    /// Prices every routed position's route in ulps of `binade` into
+    /// `costs`: its own transmit cost, plus the receive cost and the
+    /// parent's route when the hop is clean and does not reach the
+    /// sink; a tie anywhere on the route saturates it at `u64::MAX`.
+    /// Parents precede their children in the image, so one forward pass
+    /// does it. Returns the sum over the sending positions (saturating),
+    /// the whole send stream in ulps.
+    fn price_routes(&self, binade: Binade, costs: &mut [u64]) -> u64 {
+        let core = &*self.core;
+        let hop_faults = core.hop_faults();
+        let down_now = &core.down_now[..];
+        let RouteImage { parent, tx, id, .. } = core.cache.image();
+        let price = |joules| binade.units(joules).unwrap_or(u64::MAX);
+        let rx = price(self.rx_per_hop);
+        let mut stream = 0u64;
+        // The last position's cost: a heavy child's parent, read from a
+        // register instead of back through memory.
+        let mut previous = 0u64;
+        for at in 1..core.topology.len() {
+            let hop = parent[at];
+            if hop == NO_HOP {
+                continue;
+            }
+            let own = price(tx[at]);
+            let cut = hop_faults.is_some_and(|mask| mask[at] != HopFault::Clear);
+            let cost = if hop == SINK_POS || cut {
+                own
+            } else {
+                let above = if hop as usize == at - 1 {
+                    previous
+                } else {
+                    costs[hop as usize]
+                };
+                own.saturating_add(rx).saturating_add(above)
+            };
+            costs[at] = cost;
+            previous = cost;
+            // Routed nodes are alive; on faulted rounds one may be
+            // powered off, and then it sends nothing.
+            if hop_faults.is_none() || !down_now[id[at] as usize] {
+                stream = stream.saturating_add(cost);
+            }
+        }
+        stream
+    }
+
+    /// One route's share of the `spent` stream with real f64 adds, in
+    /// the hop walk's order: the sender's tx, then the rx and the
+    /// relay's tx of each clean hop short of the sink.
+    fn walk_route(&self, mut at: usize, mut spent: f64) -> f64 {
+        let core = &*self.core;
+        let hop_faults = core.hop_faults();
+        let RouteImage { parent, tx, .. } = core.cache.image();
+        loop {
+            // The sender pays for its transmission before learning
+            // whether the hop ahead is faulted — the serial
+            // charge-then-check order.
+            spent += tx[at];
+            let hop = parent[at];
+            if hop == SINK_POS || hop_faults.is_some_and(|mask| mask[at] != HopFault::Clear) {
+                return spent;
+            }
+            spent += self.rx_per_hop;
+            at = hop as usize;
+        }
+    }
+
+    /// The reverse pass over the image: each routed position passes its
+    /// clean arrivals plus its own report (when powered) up its hop —
+    /// to the parent, to the sink (delivered), or into a fault
+    /// (faulted). Children follow their parents in the image, so a
+    /// position's count is complete before it is passed on.
+    fn count_arrivals(&self, scratch: &mut AggScratch) {
+        let core = &*self.core;
+        let n = core.topology.len();
+        let down_now = &core.down_now[..];
+        let RouteImage {
+            parent, id, end, ..
+        } = core.cache.image();
+        let arrivals = &mut scratch.by_pos[..n];
+        let Some(mask) = core.hop_faults() else {
+            // Fault-free: every routed node sends and every hop is
+            // clean, so a position's arrivals are the rest of its
+            // subtree (none for the routeless), and every routed
+            // report is delivered.
+            for ((at, arrived), &end) in arrivals.iter_mut().enumerate().zip(&end[..n]) {
+                *arrived = u64::from(end) - at as u64 - 1;
+            }
+            scratch.delivered = u64::from(end[SINK_POS as usize]) - 1;
+            scratch.faulted = 0;
+            return;
+        };
+        arrivals.fill(0);
+        let (mut delivered, mut faulted) = (0u64, 0u64);
+        for at in (1..n).rev() {
+            let hop = parent[at];
+            if hop == NO_HOP {
+                continue;
+            }
+            // Routes are re-resolved after every death, so each routed
+            // node is alive; it may be powered off.
+            debug_assert!(core.alive[id[at] as usize]);
+            let leaving = arrivals[at] + u64::from(!down_now[id[at] as usize]);
+            if mask[at] != HopFault::Clear {
+                faulted += leaving;
+            } else if hop == SINK_POS {
+                delivered += leaving;
+            } else {
+                arrivals[hop as usize] += leaving;
+            }
+        }
+        scratch.delivered = delivered;
+        scratch.faulted = faulted;
+    }
+
+    /// Writes every cell's end-of-round budget into the scratch finals —
+    /// what the serial charge sequence leaves, bit for bit — validating
+    /// S2 as it goes. Returns `false` if any live powered cell would
+    /// finish the round at or below zero.
+    fn settle_cells(&self, scratch: &mut AggScratch) -> bool {
+        let core = &*self.core;
+        let n = core.topology.len();
+        // Every id-indexed column cut to `n`, so `v < n` needs no checks.
+        let (budgets, finals) = (&self.budget[..n], &mut scratch.finals[..n]);
+        let (alive, down_now) = (&core.alive[..n], &core.down_now[..n]);
+        let (connected, pos) = (
+            &core.cache.connected_flags()[..n],
+            &core.cache.image().pos[..n],
+        );
+        let (arrivals, tx_costs) = (&scratch.by_pos[..], &core.cache.image().tx[..]);
+        // The sink's budget is never charged.
+        finals[0] = budgets[0];
+        let mut prices = CellPrices::default();
+        let mut disconnected = 0;
+        for v in 1..n {
+            let budget = budgets[v];
+            if !alive[v] || down_now[v] {
+                // Powered-off or dead: no idle, no send, and nothing
+                // arrives at such a node.
+                finals[v] = budget;
+                continue;
+            }
+            let at = pos[v] as usize;
+            let (arrived, tx, conn) = (arrivals[at], tx_costs[at], connected[v]);
+            disconnected += u64::from(!conn);
+            let cell = if arrived == 0 {
+                // Idle and the cell's own tx: cheaper taken than priced.
+                let cell = budget - self.idle_per_round;
+                if conn {
+                    cell - tx
+                } else {
+                    cell
+                }
+            } else {
+                // A relay is routed, so it also sends its own report.
+                prices
+                    .closed_form(self, budget, arrived, tx)
+                    .unwrap_or_else(|| self.step_cell(at, budget))
+            };
+            finals[v] = cell;
             if cell <= 0.0 {
                 return false;
             }
         }
+        scratch.disconnected = disconnected;
         true
     }
 
+    /// A relay's end-of-round budget stepped through its serial charge
+    /// sequence — idle, `below` × (rx, tx), own tx, `above` × (rx, tx)
+    /// — in whole ulps between binade crossings.
+    fn step_cell(&self, at: usize, budget: f64) -> f64 {
+        let [below, above] = self.split_arrivals(at);
+        let (rx, tx) = (self.rx_per_hop, self.core.cache.image().tx[at]);
+        let cell = exact::sub_cycle_n(budget - self.idle_per_round, [rx, tx], below);
+        exact::sub_cycle_n(cell - tx, [rx, tx], above)
+    }
+
+    /// A relay's clean arrivals by source id, `[below, above]` the
+    /// relay's: a scan of its subtree's image range that skips each
+    /// range cut off below a faulted hop and each powered-off source.
+    fn split_arrivals(&self, at: usize) -> [u64; 2] {
+        let core = &*self.core;
+        let hop_faults = core.hop_faults();
+        let down_now = &core.down_now[..];
+        let RouteImage { id, end, .. } = core.cache.image();
+        let relay = id[at];
+        let mut split = [0; 2];
+        let mut q = at + 1;
+        while q < end[at] as usize {
+            if hop_faults.is_some_and(|mask| mask[q] != HopFault::Clear) {
+                q = end[q] as usize;
+                continue;
+            }
+            if hop_faults.is_none() || !down_now[id[q] as usize] {
+                split[usize::from(id[q] > relay)] += 1;
+            }
+            q += 1;
+        }
+        split
+    }
+
     /// Commits a validated aggregated round: budgets, the folded `spent`,
-    /// the delivered count, then the recorder replay in a fixed
+    /// the delivered count, then the recorder's charges in a fixed
     /// per-cell order (idle charges ascending, then each cell's Tx and
-    /// RxRelay charges; packet counters as whole-round tallies).
+    /// RxRelay charges as counts; packet counters as whole-round
+    /// tallies).
     fn commit_aggregated<R: Recorder>(
         &mut self,
         scratch: &mut AggScratch,
@@ -348,11 +489,12 @@ impl GatherState<'_, '_> {
 
         let core = &*self.core;
         let n = core.topology.len();
-        let (alive, down_now) = (&core.alive[..], &core.down_now[..]);
-        let connected = core.cache.connected_flags();
-        let RouteImage {
-            pos, tx: tx_costs, ..
-        } = core.cache.image();
+        let (alive, down_now) = (&core.alive[..n], &core.down_now[..n]);
+        let (connected, pos) = (
+            &core.cache.connected_flags()[..n],
+            &core.cache.image().pos[..n],
+        );
+        let tx_costs = &core.cache.image().tx[..];
         let idle = self.idle_per_round;
         let rx = self.rx_per_hop;
         for v in 1..n {
@@ -360,25 +502,62 @@ impl GatherState<'_, '_> {
                 recorder.charge(v, EnergyCategory::Idle, idle);
             }
         }
-        for (v, &conn) in connected.iter().enumerate().take(n).skip(1) {
+        for v in 1..n {
             if !alive[v] || down_now[v] {
                 continue;
             }
+            let conn = connected[v];
             let at = pos[v] as usize;
-            let [below, above] = scratch.transit[at];
-            let relayed = below + above;
-            let tx_count = relayed + u32::from(conn);
-            let tx = tx_costs[at];
-            for _ in 0..tx_count {
-                recorder.charge(v, EnergyCategory::Tx, tx);
-            }
-            for _ in 0..relayed {
-                recorder.charge(v, EnergyCategory::RxRelay, rx);
-            }
+            let relayed = scratch.by_pos[at];
+            recorder.charge_n(
+                v,
+                EnergyCategory::Tx,
+                tx_costs[at],
+                relayed + u64::from(conn),
+            );
+            recorder.charge_n(v, EnergyCategory::RxRelay, rx, relayed);
         }
         recorder.packets_offered(scratch.senders);
         recorder.packets_dropped_disconnected(scratch.disconnected);
         recorder.packets_delivered(scratch.delivered);
         recorder.packets_dropped_fault(scratch.faulted);
+    }
+}
+
+/// The idle and receive charges in ulps of the binade priced last, for
+/// the cells' closed form; budgets mostly share a few binades.
+#[derive(Default)]
+struct CellPrices {
+    binade: Option<Binade>,
+    idle: Option<u64>,
+    rx: Option<u64>,
+}
+
+impl CellPrices {
+    /// A relay's end-of-round budget in closed form — its starting ulps
+    /// less those of the whole sequence: idle, `arrived` × (rx, tx) and
+    /// its own tx — or `None` when the sequence leaves the binade or an
+    /// operand ties, and the relay must be stepped.
+    fn closed_form(
+        &mut self,
+        state: &GatherState<'_, '_>,
+        budget: f64,
+        arrived: u64,
+        tx: f64,
+    ) -> Option<f64> {
+        let binade = Binade::of(budget)?;
+        if self.binade != Some(binade) {
+            *self = Self {
+                binade: Some(binade),
+                idle: binade.units(state.idle_per_round),
+                rx: binade.units(state.rx_per_hop),
+            };
+        }
+        let tx_units = binade.units(tx)?;
+        let units = arrived
+            .checked_mul(self.rx?.checked_add(tx_units)?)?
+            .checked_add(self.idle?)?
+            .checked_add(tx_units)?;
+        Some(binade.value(binade.shrink(binade.ulps(budget), units)?))
     }
 }

@@ -347,8 +347,8 @@ impl<'r, 'a> GatherState<'r, 'a> {
 }
 
 /// The gathering harness: its round core keeps routes warm across
-/// runs, together with the aggregated kernel's per-round scratch
-/// (transit tallies and replay finals).
+/// runs, together with the aggregated kernel's per-round scratch (a
+/// per-position column and the cells' finals).
 ///
 /// Every gathering run goes through a session; [`simulate_gathering`]
 /// is one run on a fresh one. A warm session pays the route build once

@@ -6,17 +6,17 @@
 //!
 //! # The hop-fault mask
 //!
-//! Every fault answer a packet walk needs is fixed for the whole round:
+//! Every fault answer a round kernel needs is fixed for the whole round:
 //! whether the receiver of a hop is fault-down and whether the link to
 //! it is down. So on faulted runs the start-of-round phase resolves
 //! them once, after the route re-resolution, into one [`HopFault`] byte
 //! per heavy-path image position (the fate of the hop from that
 //! position to its parent), in one O(N) pass over the image. Both
-//! walks — gathering's `agg::walk_and_tally` and lossy's `walk_packet`,
-//! the latter also run by the region engine — read `mask[at]` beside
-//! `parent[at]`, a sequential byte along the heavy path, instead of a
-//! random down flag and a timeline query per hop. Fault-free runs
-//! neither fill nor read the mask ([`RoundCore::hop_faults`] is `None`),
+//! kernels — gathering's aggregated passes (`agg`) and lossy's
+//! `walk_packet`, the latter also run by the region engine — read
+//! `mask[at]` beside `parent[at]`, a sequential byte along the heavy
+//! path, instead of a random down flag and a timeline query per hop.
+//! Fault-free runs neither fill nor read the mask ([`RoundCore::hop_faults`] is `None`),
 //! and a session that never runs faulted never sizes it. The id-space
 //! oracles (`GatherState::idle_and_send` and the tests' lossy reference
 //! round) keep their per-hop timeline queries, so the differential
@@ -72,8 +72,8 @@ pub(crate) struct RoundCore<'a> {
     /// by [`begin_round`](Self::begin_round) on faulted runs only;
     /// empty until the session's first faulted run sizes it.
     hop_fault: Vec<HopFault>,
-    /// Set by a death or a fault transition: the usable set may have
-    /// changed, so the next round re-resolves routes.
+    /// Set by a death or a change of fault state: the usable set may
+    /// have changed, so the next round re-resolves routes.
     pub(crate) routes_dirty: bool,
 }
 
@@ -130,7 +130,7 @@ impl<'a> RoundCore<'a> {
 
     /// The start-of-round phase of both kernels: fault-state refresh;
     /// if dirty, route re-resolution over the usable set (which also
-    /// re-lays the heavy-path image both kernels walk); and on faulted
+    /// re-lays the heavy-path image both kernels read); and on faulted
     /// runs the hop-fault mask over that image.
     pub(crate) fn begin_round(&mut self, round: u64) {
         if self.faults_active {
@@ -165,7 +165,7 @@ impl<'a> RoundCore<'a> {
 
     /// Resolves this round's fate of every image position's hop in one
     /// pass: receiver fault-down first, then the link. Positions
-    /// without a next hop stay [`HopFault::Clear`]; no walk reads them.
+    /// without a next hop stay [`HopFault::Clear`]; no kernel reads them.
     fn fill_hop_faults(&mut self) {
         let RouteImage { parent, id, .. } = self.cache.image();
         let (down_now, timeline) = (&self.down_now[..], &self.timeline);
@@ -186,14 +186,14 @@ impl<'a> RoundCore<'a> {
     }
 
     /// This round's hop-fault mask, indexed by image position, or
-    /// `None` on a fault-free run (whose walks skip every fault check).
+    /// `None` on a fault-free run (whose kernels skip every fault check).
     pub(crate) fn hop_faults(&self) -> Option<&[HopFault]> {
         self.faults_active.then_some(&self.hop_fault[..])
     }
 
-    /// The end-of-round phase of both kernels: a fault transition marks
-    /// routes dirty for the next round, and the down state ages by one
-    /// round.
+    /// The end-of-round phase of both kernels: a change of fault state
+    /// marks routes dirty for the next round, and the down state ages by
+    /// one round.
     pub(crate) fn end_round(&mut self) {
         if self.faults_active && self.down_now != self.down_prev {
             self.routes_dirty = true;

@@ -21,7 +21,7 @@
 //! touch no allocator and recompute no distances. The cache fetches the
 //! weight column only when it recomputes, never on a hit.
 //!
-//! Since the city-scale work, a usable-set *transition* no longer pays a
+//! Since the city-scale work, a usable-set *change* no longer pays a
 //! full-graph Dijkstra: the cache keeps the final distance labels of the
 //! last build and performs **incremental route repair** — it invalidates
 //! exactly the parent-tree subtrees hanging off newly-unusable nodes
@@ -43,9 +43,10 @@
 //! numbers the nodes, so every subtree is one contiguous range of
 //! positions, every heavy path is a run of consecutive positions, and a
 //! route crosses at most ⌊log₂ n⌋ light edges. The cache keeps `pos[id]`
-//! plus, per position, the parent's position, the transmit cost and the
-//! original id; the round kernels walk positions, so a route reads a few
-//! sequential runs instead of one random node id per hop. The image is
+//! plus, per position, the parent's position, the transmit cost, the
+//! original id and where the position's subtree ends; the round kernels
+//! walk positions, so a route reads a few sequential runs instead of one
+//! random node id per hop, and a subtree is one range to scan. The image is
 //! rebuilt with the table, so it carries no key of its own, and its
 //! transmit-cost column is the only one the cache stores.
 
@@ -124,10 +125,10 @@ pub fn reset_route_build_count() {
 }
 
 /// Number of incremental route repairs performed on this thread since
-/// the last [`reset_route_repair_count`]. A usable-set transition costs
+/// the last [`reset_route_repair_count`]. A usable-set change costs
 /// one repair instead of one build whenever the cache can splice the
 /// affected subtrees; builds + repairs together account for every
-/// transition.
+/// change.
 ///
 /// # Thread safety
 ///
@@ -147,7 +148,7 @@ pub fn route_repair_enabled() -> bool {
 }
 
 /// Enables or disables incremental repair on this thread, returning the
-/// previous setting. Disabling forces every usable-set transition back
+/// previous setting. Disabling forces every usable-set change back
 /// onto the historical full-rebuild path — the in-tree oracle the
 /// differential tests diff the repair path against.
 ///
@@ -370,13 +371,13 @@ pub fn route_to_sink(table: &[Option<NodeId>], topology: &Topology, node: NodeId
 /// sequential array reads — no `Vec` allocation, no distance
 /// recomputation.
 ///
-/// A minimum-energy transition after the first build runs as an
+/// A minimum-energy change after the first build runs as an
 /// **incremental repair** (see the module docs): only the parent-tree
 /// subtrees hanging off the changed nodes are re-relaxed, against the
 /// retained distance labels of the previous epoch, using scratch buffers
-/// that the cache reuses across transitions. The result is bit-identical
+/// that the cache reuses across changes. The result is bit-identical
 /// to a full rebuild; [`builds`](RouteCache::builds) and
-/// [`repairs`](RouteCache::repairs) say which path each transition took.
+/// [`repairs`](RouteCache::repairs) say which path each change took.
 ///
 /// # Example
 ///
@@ -453,6 +454,10 @@ pub(crate) struct RouteImage {
     pub(crate) tx: Vec<f64>,
     /// The node id at each position.
     pub(crate) id: Vec<u32>,
+    /// One past the last position of the subtree rooted at each
+    /// position (the position plus the subtree's size), indexed by
+    /// position; the next position for routeless nodes.
+    pub(crate) end: Vec<u32>,
 }
 
 /// Everything besides the usable mask that a [`RouteCache`] epoch is a
@@ -466,7 +471,7 @@ struct RouteKey {
 }
 
 /// Reusable buffers for [`RouteCache::repair`] and the image build:
-/// after the first transition of a run, repairs and rebuilds touch the
+/// after the first change of a run, repairs and rebuilds touch the
 /// allocator not at all (proven by `tests/zero_alloc_faulted`).
 #[derive(Debug, Clone, Default)]
 struct RepairScratch {
@@ -501,6 +506,7 @@ impl RouteCache {
                 parent: vec![NO_HOP; nodes],
                 tx: vec![0.0; nodes],
                 id: vec![0; nodes],
+                end: vec![0; nodes],
             },
             dist: vec![f64::INFINITY; nodes],
             builds: 0,
@@ -847,7 +853,9 @@ impl RouteCache {
             if children.len() > 1 {
                 children.sort_unstable_by_key(|&c| (Reverse(size[c as usize]), c));
             }
-            let mut next = img.pos[u] + 1;
+            let at = img.pos[u];
+            img.end[at as usize] = at + size[u];
+            let mut next = at + 1;
             for &c in children.iter() {
                 img.pos[c as usize] = next;
                 next += size[c as usize];
@@ -856,6 +864,7 @@ impl RouteCache {
         let unreached = img.pos.iter_mut().filter(|at| **at == NO_HOP);
         for (next, at) in (reached as u32..).zip(unreached) {
             *at = next;
+            img.end[next as usize] = next + 1;
         }
 
         // The per-position columns. Size and order scratch is dead now.
@@ -926,7 +935,7 @@ impl RouteCache {
 
     /// Incremental repairs this cache has performed; together with
     /// [`builds`](RouteCache::builds) this accounts for every usable-set
-    /// transition the cache has absorbed.
+    /// change the cache has absorbed.
     pub fn repairs(&self) -> u64 {
         self.repairs
     }
@@ -1093,7 +1102,7 @@ mod tests {
             bits,
             &usable
         ));
-        // The transition is absorbed by an incremental repair, not a
+        // The change is absorbed by an incremental repair, not a
         // second full build.
         assert_eq!(cache.builds(), 1);
         assert_eq!(cache.repairs(), 1);
@@ -1128,7 +1137,7 @@ mod tests {
             &usable,
         );
         set_route_repair_enabled(previous);
-        assert_eq!(cache.builds(), 2, "oracle path rebuilds per transition");
+        assert_eq!(cache.builds(), 2, "oracle path rebuilds per change");
         assert_eq!(cache.repairs(), 0);
     }
 
@@ -1352,9 +1361,13 @@ mod tests {
             assert!(light <= limit, "route of {v} crosses {light} light edges");
         }
         for v in 0..n {
+            let at = img.pos[v] as usize;
             if size[v] > 0 {
                 assert_eq!(lo[v], img.pos[v], "subtree of {v} starts at its root");
                 assert_eq!(hi[v] - lo[v] + 1, size[v], "subtree of {v} is contiguous");
+                assert_eq!(img.end[at], img.pos[v] + size[v], "subtree end of {v}");
+            } else {
+                assert_eq!(img.end[at], img.pos[v] + 1, "routeless {v} ends at itself");
             }
         }
         for u in topo.ids().filter(|&u| size[u.0] > 0) {

@@ -3,11 +3,12 @@
 //! rendered-manifest level.
 //!
 //! The aggregated kernel replaces the serial round's per-packet budget
-//! walk with one reverse-topological sweep plus a per-cell replay, and
-//! is only admissible because it changes *nothing*: the S1/S2 energy
-//! margins prove, per round, that the serial kernel would have seen no
-//! mid-round budget death, and every f64 fold replays the serial charge
-//! order. These tests pin that contract the same way the repair layer
+//! walk with a few linear passes over the route image that fold
+//! charges in whole ulps between binade crossings, and is only
+//! admissible because it changes *nothing*: the S1/S2 energy margins
+//! prove, per round, that the serial kernel would have seen no
+//! mid-round budget death, and every f64 fold ends where the serial
+//! charge order does. These tests pin that contract the same way the repair layer
 //! is pinned — random topologies × random fault schedules with budget
 //! deaths provoked mid-run, bit equality on all artifacts, failures
 //! delta-debugged to a 1-minimal schedule — plus targeted regressions
@@ -27,7 +28,7 @@ use ami_net::{
 };
 use ami_sim::fault::{FaultEvent, FaultSchedule};
 use ami_sim::obs::{LedgerRecorder, NullRecorder, RunManifest};
-use ami_units::{Energy, Length};
+use ami_units::{Energy, Length, Power};
 use common::schedule::{fault_schedule, minimize_failing_schedule};
 use proptest::prelude::*;
 
@@ -117,6 +118,74 @@ proptest! {
                 manifest_a == manifest_w,
             );
         }
+    }
+}
+
+proptest! {
+    /// Budgets exactly on a power of two start every cell on a binade
+    /// edge, where the closed form may not be used: round 0 steps each
+    /// relay's charge sequence, its `[below, above]` split counted by a
+    /// scan of its subtree. Budgets of 2⁻⁸–2⁻⁵ J last 3–25 idle rounds,
+    /// so cells keep crossing into lower binades (and dying) in later
+    /// rounds. The run must still be byte-identical to the hop walk.
+    #[test]
+    fn power_of_two_budgets_match_the_hop_walk_kernel(
+        seed in 0u64..40,
+        exponent in 5u32..9,
+        schedule in fault_schedule(24, 25, 10),
+    ) {
+        let topo = Topology::random(24, Length::from_meters(110.0), seed);
+        let mut config = NetworkConfig::sensor_default();
+        config.node_energy = Energy::from_joules(0.5f64.powi(exponent as i32));
+        let aggregated = observed_run(&topo, &config, &schedule, 25, true);
+        let walked = observed_run(&topo, &config, &schedule, 25, false);
+        prop_assert!(
+            aggregated == walked,
+            "power-of-two budget 2^-{exponent} J diverged (seed {seed}): schedule {:?}",
+            schedule.events()
+        );
+    }
+}
+
+#[test]
+fn power_of_two_budgets_on_a_deep_field_match_the_hop_walk() {
+    // 400 nodes reach the sink over many hops, so the relays whose
+    // budgets start on the 2⁻³ J binade edge have large subtrees to
+    // scan, faulted ones included. A tenth of the default idle draw
+    // leaves relaying as the main drain: relays keep crossing binades
+    // (a subtree scan in about a quarter of the fault-free run's
+    // aggregated rounds) until they die mid-run.
+    let topo = Topology::random(400, Length::from_meters(500.0), 3);
+    let mut config = NetworkConfig::sensor_default();
+    config.node_energy = Energy::from_joules(0.125);
+    config.idle_power = Power::from_microwatts(2.0);
+    let faults = FaultSchedule::new(vec![
+        FaultEvent::NodeOutage {
+            node: 17,
+            from: 2,
+            until: 9,
+        },
+        FaultEvent::LinkOutage {
+            a: 40,
+            b: 41,
+            from: 0,
+            until: 40,
+        },
+        FaultEvent::NodeDeath {
+            node: 250,
+            round: 5,
+        },
+    ]);
+    for schedule in [FaultSchedule::empty(), faults] {
+        reset_agg_counters();
+        let aggregated = observed_run(&topo, &config, &schedule, 120, true);
+        assert!(agg_engaged_count() > 0, "the aggregated kernel must engage");
+        let walked = observed_run(&topo, &config, &schedule, 120, false);
+        assert!(aggregated == walked, "{:?}", schedule.events());
+        assert!(
+            aggregated.0.first_death_round.is_some(),
+            "relays must drain through binades until they die"
+        );
     }
 }
 

@@ -1,9 +1,9 @@
 //! Million-node smoke test: one n = 1 000 000 gathering run and one
 //! lossy/ARQ run end to end, with a **peak-RSS ceiling** proving the
 //! memory story — per-node state is a handful of flat arrays, every
-//! aggregated round walks its routes again instead of recording the
-//! ~3×10⁸ hop charges it folds, and observation goes through the
-//! O(active) [`RingRecorder`], not an O(N) ledger. `#[ignore]`d by default; CI
+//! aggregated round re-derives its ~3×10⁸ hop charges from O(N)
+//! per-position columns instead of recording them, and observation
+//! goes through the O(active) [`RingRecorder`], not an O(N) ledger. `#[ignore]`d by default; CI
 //! runs it as `cargo test --release -- --ignored scale_smoke`. (Own
 //! binary so nothing else inflates the RSS high-water mark.)
 

@@ -11,7 +11,9 @@ use ami_net::{
     simulate_gathering, simulate_lossy_gathering, GatherSession, LossyConfig, LossySession,
     NetworkConfig, RoutingStrategy, Topology,
 };
-use ami_units::Length;
+use ami_sim::fault::FaultSchedule;
+use ami_sim::obs::{LedgerRecorder, NullRecorder};
+use ami_units::{Energy, Length};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -122,6 +124,36 @@ fn healthy_round_loops_allocate_nothing_per_round() {
         session_short < gather_short,
         "session reuse must beat the one-shot path ({session_short} vs {gather_short})"
     );
+
+    // The aggregated kernel's passes on warm reruns, unobserved and
+    // with a ledger attached, at the default budget and at 2⁻¹ J: a
+    // budget exactly on a power of two starts every cell on a binade
+    // edge, so round 0 steps each relay's charge sequence (its subtree
+    // scan included) instead of taking the closed form; drained cells
+    // keep crossing binades, and relays die, in the 1000-round run.
+    let mut edge_config = config.clone();
+    edge_config.node_energy = Energy::from_joules(0.5);
+    for (label, config) in [("default", &config), ("power-of-two", &edge_config)] {
+        let mut session = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, config);
+        let mut ledger = LedgerRecorder::with_nodes(topo.len());
+        let mut observed = |rounds, ledgered: bool| {
+            let _ = if ledgered {
+                session.run_faulted_with(rounds, &FaultSchedule::empty(), &mut ledger)
+            } else {
+                session.run_faulted_with(rounds, &FaultSchedule::empty(), &mut NullRecorder)
+            };
+        };
+        for ledgered in [false, true] {
+            observed(10, ledgered);
+            let short = steady_allocations(5, || observed(10, ledgered));
+            let long = steady_allocations(5, || observed(1000, ledgered));
+            assert_eq!(
+                short, long,
+                "warm {label} reruns (ledger: {ledgered}) allocated per round \
+                 ({short} vs {long} allocations)"
+            );
+        }
+    }
 
     let mut lossy_session = LossySession::new(&topo, &lossy);
     let _ = lossy_session.run(10, 3);

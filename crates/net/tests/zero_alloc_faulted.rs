@@ -13,8 +13,8 @@
 
 use ami_net::{GatherSession, LossyConfig, LossySession, NetworkConfig, RoutingStrategy, Topology};
 use ami_sim::fault::{FaultEvent, FaultSchedule};
-use ami_sim::obs::NullRecorder;
-use ami_units::Length;
+use ami_sim::obs::{LedgerRecorder, NullRecorder};
+use ami_units::{Energy, Length};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -153,6 +153,36 @@ fn faulted_round_loops_allocate_nothing_per_round() {
         "a warm gather rerun must allocate less than a fresh session \
          ({warm_gather_short} vs {gather_short} allocations)"
     );
+
+    // The aggregated kernel's faulted passes (hop-fault mask, reverse
+    // arrival count, subtree scans) on warm reruns with a ledger
+    // attached, at the default budget and at 2⁻¹ J: a budget exactly on
+    // a power of two starts every cell on a binade edge, so round 0
+    // steps each relay's charge sequence (its subtree scan skipping the
+    // ranges cut off at faulted hops) instead of taking the closed form.
+    let mut edge_config = config.clone();
+    edge_config.node_energy = Energy::from_joules(0.5);
+    for (label, config) in [("default", &config), ("power-of-two", &edge_config)] {
+        let mut session = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, config);
+        let mut ledger = LedgerRecorder::with_nodes(topo.len());
+        let mut observed = |rounds, ledgered: bool| {
+            let _ = if ledgered {
+                session.run_faulted_with(rounds, &faults, &mut ledger)
+            } else {
+                session.run_faulted_with(rounds, &faults, &mut NullRecorder)
+            };
+        };
+        for ledgered in [false, true] {
+            observed(10, ledgered);
+            let short = steady_allocations(5, || observed(10, ledgered));
+            let long = steady_allocations(5, || observed(1000, ledgered));
+            assert_eq!(
+                short, long,
+                "warm faulted {label} reruns (ledger: {ledgered}) allocated per round \
+                 ({short} vs {long} allocations)"
+            );
+        }
+    }
 
     let mut lossy_session = LossySession::new(&topo, &lossy);
     let mut warm_lossy = |rounds| {

@@ -140,12 +140,9 @@ impl ScenarioCache {
     /// # Errors
     ///
     /// [`ScenarioError::Spec`] when validation rejects the spec (before
-    /// any slot is claimed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache mutex was poisoned by a panicking compile on
-    /// another thread.
+    /// any slot is claimed); [`ScenarioError::Unavailable`] when a
+    /// thread panicked while holding the cache's lock (a panicking
+    /// compile does not: it runs outside the lock).
     pub fn get_or_compile(
         &self,
         spec: &ScenarioSpec,
@@ -173,7 +170,7 @@ impl ScenarioCache {
                 Wait,
                 Claim,
             }
-            let mut state = self.state.lock().expect("scenario cache poisoned");
+            let mut state = self.state.lock().map_err(|_| poisoned())?;
             let mut waited = false;
             loop {
                 let action = match state.slots.get(&hash) {
@@ -205,7 +202,7 @@ impl ScenarioCache {
                             waited = true;
                             self.coalesced.fetch_add(1, Ordering::Relaxed);
                         }
-                        state = self.ready.wait(state).expect("scenario cache poisoned");
+                        state = self.ready.wait(state).map_err(|_| poisoned())?;
                     }
                     Action::Claim => {
                         state.slots.insert(hash, Slot::InFlight);
@@ -274,11 +271,12 @@ impl ScenarioCache {
         }
     }
 
-    /// Number of ready artifacts currently held.
+    /// Number of ready artifacts currently held (read through a
+    /// poisoned lock: counting cannot make its state worse).
     pub fn len(&self) -> usize {
         self.state
             .lock()
-            .expect("scenario cache poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .slots
             .values()
             .filter(|slot| matches!(slot, Slot::Ready { .. }))
@@ -289,6 +287,25 @@ impl ScenarioCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Poisons the cache's lock the way a thread panicking inside the
+    /// cache's bookkeeping would, so callers can test their handling of
+    /// [`ScenarioError::Unavailable`] (feature `test-hooks`).
+    #[cfg(any(test, feature = "test-hooks"))]
+    pub fn poison(&self) {
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = self.state.lock();
+                panic!("poisoning the scenario cache");
+            });
+            assert!(holder.join().is_err(), "the lock holder panics");
+        });
+    }
+}
+
+/// The error a poisoned cache lock turns into.
+fn poisoned() -> ScenarioError {
+    ScenarioError::Unavailable("a thread panicked while holding the cache lock".into())
 }
 
 /// A claimed in-flight slot, resolved when the claim drops: to the
@@ -426,6 +443,30 @@ mod tests {
         // Every other thread is served the ready artifact, whether it
         // arrived before (coalesced wait) or after the compile landed.
         assert_eq!(stats.hits, 7);
+    }
+
+    #[test]
+    fn a_poisoned_lock_is_an_error_not_a_panic() {
+        let cache = ScenarioCache::new(2);
+        cache.get_or_compile(&spec("before", 5)).unwrap();
+        cache.poison();
+        assert!(matches!(
+            cache.get_or_compile(&spec("after", 5)),
+            Err(ScenarioError::Unavailable(_))
+        ));
+        // A hit needs the lock too.
+        assert!(matches!(
+            cache.get_or_compile(&spec("before", 5)),
+            Err(ScenarioError::Unavailable(_))
+        ));
+        // Invalid specs are still rejected before the lock is taken.
+        let mut bad = spec("bad", 5);
+        bad.rounds = 0;
+        assert!(matches!(
+            cache.get_or_compile(&bad),
+            Err(ScenarioError::Spec(_))
+        ));
+        assert_eq!(cache.len(), 1, "len reads through the poison");
     }
 
     #[test]

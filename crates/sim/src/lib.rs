@@ -23,6 +23,8 @@
 //! * [`obs`] — the observability layer: per-node energy ledgers,
 //!   hierarchical packet counters and deterministic JSON run manifests,
 //!   recorded through a zero-cost [`obs::Recorder`] hook;
+//! * [`exact`] — exact stepping of serial f64 folds: `count` repeated
+//!   adds in O(1) per binade crossed, bit-identical to the plain loop;
 //! * [`fault`] — deterministic exogenous fault injection: explicit
 //!   [`FaultSchedule`]s or seeded [`FaultModel`] draws (node death,
 //!   outage/reboot, link outage, harvester brownout, capacity fade),
@@ -42,6 +44,7 @@
 //! ```
 
 pub mod energy;
+pub mod exact;
 pub mod fault;
 pub mod montecarlo;
 pub mod obs;

@@ -14,6 +14,7 @@
 //! accumulates element-wise, so merging per-replication ledgers in index
 //! order produces bit-identical totals at any worker-thread count.
 
+use crate::exact;
 use ami_units::Energy;
 
 /// The activity a joule is attributed to.
@@ -112,6 +113,21 @@ impl EnergyLedger {
     pub fn charge(&mut self, node: usize, category: EnergyCategory, joules: f64) {
         debug_assert!(joules.is_finite() && joules >= 0.0, "bad charge {joules}");
         self.charges[node * CATEGORIES + category.column()] += joules;
+    }
+
+    /// Adds `count` charges of `joules` to the `(node, category)` cell
+    /// one after the other — bit for bit `count` calls of
+    /// [`charge`](Self::charge), in O(1) per binade the cell crosses
+    /// ([`crate::exact`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`charge`](Self::charge).
+    #[inline]
+    pub fn charge_n(&mut self, node: usize, category: EnergyCategory, joules: f64, count: u64) {
+        debug_assert!(joules.is_finite() && joules >= 0.0, "bad charge {joules}");
+        let cell = &mut self.charges[node * CATEGORIES + category.column()];
+        *cell = exact::add_n(*cell, joules, count);
     }
 
     /// The charge recorded for one `(node, category)` cell, joules.

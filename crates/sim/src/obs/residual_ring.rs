@@ -17,6 +17,7 @@
 use super::counters::PacketCounters;
 use super::ledger::EnergyCategory;
 use super::recorder::Recorder;
+use crate::exact;
 
 /// Running summary of every residual the sink has seen.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,6 +99,10 @@ impl Recorder for RingRecorder {
     fn charge(&mut self, _node: usize, _category: EnergyCategory, joules: f64) {
         self.charged += joules;
         self.charges += 1;
+    }
+    fn charge_n(&mut self, _node: usize, _category: EnergyCategory, joules: f64, count: u64) {
+        self.charged = exact::add_n(self.charged, joules, count);
+        self.charges += count;
     }
     #[inline]
     fn packet_offered(&mut self) {

@@ -246,3 +246,137 @@ fn fault_grammar_strings_cover_accepted_and_rejected_specs() {
         "{accepted}/{faulty}/{rejected}"
     );
 }
+
+/// A plain f64 fold: `count` passes over `cycle`, adding each operand.
+fn looped<const K: usize>(mut s: f64, cycle: [f64; K], count: u64) -> f64 {
+    for _ in 0..count {
+        for v in cycle {
+            s += v;
+        }
+    }
+    s
+}
+
+/// An accumulator, an operand scale and a count that sit where the
+/// binade stepping rule stops holding: exact ties at the accumulator's
+/// ulp (and at the ulps one binade either side), accumulators one ulp
+/// either side of a binade edge, exact powers of two, zeros and
+/// subnormals, operands larger than the accumulator. Counts run from 0
+/// to 10⁶, mostly around the short runs taken with real adds.
+fn adversarial_fold(seed: u64) -> (f64, f64, u64) {
+    let mut rng = sim_rng(seed);
+    let exponent = rng.random_range(0..2_000u32) as i32 - 1_000;
+    let edge = 2f64.powi(exponent);
+    let ulp = edge * f64::EPSILON;
+    let s = match rng.random_range(0..7u8) {
+        0 => edge,
+        1 => edge + ulp,
+        2 => edge - ulp / 2.0,
+        3 => edge * (1.0 + rng.random::<f64>()),
+        4 => [0.0, -0.0, f64::MIN_POSITIVE / 3.0, 5e-324][rng.random_range(0..4usize)],
+        5 => 2.0 * edge - ulp,
+        _ => -edge * (1.0 + rng.random::<f64>()),
+    };
+    let scale = 2f64.powi(rng.random_range(0..5u32) as i32 - 2);
+    let bits = rng.random_range(0..30u32);
+    let whole = rng.random_range(0..1u64 << bits) as f64;
+    let v = match rng.random_range(0..6u8) {
+        // An exact tie at the ulp of `s`'s binade or a neighbour's.
+        0 | 1 => (whole + 0.5) * ulp * scale,
+        2 => 2f64.powi(exponent + rng.random_range(0..120u32) as i32 - 60),
+        3 => [0.0, -0.0, 5e-324, f64::MIN_POSITIVE][rng.random_range(0..4usize)],
+        4 => s.abs() * 2f64.powi(rng.random_range(1..60u32) as i32) * (1.0 + rng.random::<f64>()),
+        _ => ulp * rng.random::<f64>() * whole.max(1.0),
+    };
+    let count = match rng.random_range(0..4u8) {
+        0 => rng.random_range(0..40u64),
+        1 => rng.random_range(0..2_000u64),
+        2 => rng.random_range(0..100_000u64),
+        _ => rng.random_range(0..=1_000_000u64),
+    };
+    (s, v, count)
+}
+
+proptest! {
+    /// The exact stepping primitive returns the plain loop's value bit
+    /// for bit: repeated adds and subtractions, subtraction cycles of
+    /// two operands, and a cycle whose operands point both ways.
+    #[test]
+    fn exact_stepping_equals_the_plain_f64_loop(seed in 0u64..u64::MAX) {
+        use ami_sim::exact;
+        let (s, v, count) = adversarial_fold(seed);
+        let (_, w, _) = adversarial_fold(seed ^ 0x5EED);
+        let bits = |x: f64| x.to_bits();
+        prop_assert_eq!(bits(exact::add_n(s, v, count)), bits(looped(s, [v], count)),
+            "add_n({s:e}, {v:e}, {count})");
+        prop_assert_eq!(bits(exact::sub_cycle_n(s, [v], count)), bits(looped(s, [-v], count)),
+            "sub_cycle_n({s:e}, [{v:e}], {count})");
+        let pairs = count / 2;
+        prop_assert_eq!(
+            bits(exact::sub_cycle_n(s, [v, w], pairs)),
+            bits(looped(s, [-v, -w], pairs)),
+            "sub_cycle_n({s:e}, [{v:e}, {w:e}], {pairs})"
+        );
+        prop_assert_eq!(
+            bits(exact::add_cycle_n(s, [v, -w], pairs)),
+            bits(looped(s, [v, -w], pairs)),
+            "add_cycle_n({s:e}, [{v:e}, {:e}], {pairs})", -w
+        );
+    }
+
+    /// `charge_n` equals `count` single charges for the recorders that
+    /// fold charges into f64 accumulators: the ledger's cell and the
+    /// ring's running total, from accumulators the property above
+    /// drives to binade edges and ties.
+    #[test]
+    fn charge_n_equals_repeated_charges(seed in 0u64..u64::MAX) {
+        use ami_sim::obs::{EnergyCategory, LedgerRecorder, Recorder, RingRecorder};
+        let (start, v, count) = adversarial_fold(seed);
+        let (start, joules, count) = (start.abs(), v.abs(), count.min(50_000));
+        let (mut bulk, mut single) = (LedgerRecorder::with_nodes(2), LedgerRecorder::with_nodes(2));
+        let (mut ring_bulk, mut ring_single) =
+            (RingRecorder::with_capacity(1), RingRecorder::with_capacity(1));
+        for rec in [&mut bulk, &mut single] {
+            rec.charge(1, EnergyCategory::Tx, start);
+        }
+        for rec in [&mut ring_bulk, &mut ring_single] {
+            rec.charge(1, EnergyCategory::Tx, start);
+        }
+        bulk.charge_n(1, EnergyCategory::Tx, joules, count);
+        ring_bulk.charge_n(1, EnergyCategory::Tx, joules, count);
+        for _ in 0..count {
+            single.charge(1, EnergyCategory::Tx, joules);
+            ring_single.charge(1, EnergyCategory::Tx, joules);
+        }
+        prop_assert_eq!(
+            bulk.ledger.node_category(1, EnergyCategory::Tx).to_bits(),
+            single.ledger.node_category(1, EnergyCategory::Tx).to_bits(),
+            "ledger: {start:e} + {count} × {joules:e}"
+        );
+        prop_assert_eq!(bulk, single);
+        prop_assert_eq!(ring_bulk.charged.to_bits(), ring_single.charged.to_bits());
+        prop_assert_eq!(ring_bulk.charges, ring_single.charges);
+    }
+}
+
+/// The adversarial folds above are not vacuous: they include jumps the
+/// rule takes, ties it must refuse, and operands past the accumulator.
+#[test]
+fn adversarial_folds_reach_ties_edges_and_long_runs() {
+    use ami_sim::exact::Binade;
+    let (mut ties, mut edges, mut long, mut large) = (0, 0, 0, 0);
+    for seed in 0..2_000u64 {
+        let (s, v, count) = adversarial_fold(seed);
+        if let Some(binade) = Binade::of(s) {
+            ties += usize::from(v != 0.0 && binade.units(v).is_none() && v.abs() < s.abs());
+            let m = binade.ulps(s);
+            edges += usize::from(m <= (1 << 52) + 1 || m >= (1 << 53) - 1);
+        }
+        long += usize::from(count > 100_000);
+        large += usize::from(v.abs() > s.abs());
+    }
+    assert!(
+        ties >= 100 && edges >= 300 && long >= 200 && large >= 300,
+        "ties {ties}, edges {edges}, long runs {long}, large operands {large}"
+    );
+}

@@ -133,8 +133,9 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// [`ScenarioError`] when the spec fails validation; nothing is
-    /// cached or executed in that case.
+    /// [`ScenarioError`] when the spec fails validation, or
+    /// [`ScenarioError::Unavailable`] when the compile cache's lock was
+    /// poisoned; nothing is cached or executed in either case.
     pub fn submit(&self, request: &RunRequest) -> Result<RunResponse, ScenarioError> {
         let depth = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
         let result = self.execute(request, depth);
@@ -163,10 +164,10 @@ impl Service {
             if let Some(&(_, leader)) = executed.iter().find(|(c, _)| *c == canonical) {
                 let led = responses[leader]
                     .as_ref()
-                    .expect("leader executed before its batch-mates")
-                    .as_ref()
-                    .expect("validated batch leader cannot fail");
-                responses[k] = Some(Ok(RunResponse {
+                    .expect("leader executed before its batch-mates");
+                // A validated leader fails only when the cache is
+                // unavailable; its batch-mates share the error.
+                responses[k] = Some(led.as_ref().map_err(Clone::clone).map(|led| RunResponse {
                     id: request.id.clone(),
                     cache_hit: true,
                     compile_micros: 0,
@@ -274,6 +275,31 @@ mod tests {
         assert_eq!(a.scenario_hash, b.scenario_hash);
         assert_eq!(b.compile_micros, 0);
         assert_eq!(service.cache_stats().compiles, 1);
+    }
+
+    #[test]
+    fn a_poisoned_cache_answers_with_errors_not_panics() {
+        let service = Service::new(4);
+        service.submit(&RunRequest::new("warm", spec(5))).unwrap();
+        service.cache.poison();
+        let err = service
+            .submit(&RunRequest::new("r1", spec(5)))
+            .expect_err("a poisoned cache cannot serve");
+        assert!(matches!(err, ScenarioError::Unavailable(_)), "{err:?}");
+        // Batch-mates of a failed leader share its error.
+        let batch = service.submit_batch(&[
+            RunRequest::new("b1", spec(6)),
+            RunRequest::new("b2", spec(6)),
+        ]);
+        assert!(batch
+            .iter()
+            .all(|r| matches!(r, Err(ScenarioError::Unavailable(_)))));
+        // The daemon's reply is an error frame.
+        let reply = proto::encode_response(&Err(err), "r1");
+        assert!(
+            reply.contains("\"error\":\"scenario cache unavailable"),
+            "{reply}"
+        );
     }
 
     #[test]
