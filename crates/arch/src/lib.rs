@@ -31,6 +31,8 @@
 //! assert!(gap > 100.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod converter;
 pub mod display;
 pub mod interconnect;

@@ -30,6 +30,8 @@
 //! assert!(result.sustainability.sustainable);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod case_studies;
 pub mod challenges;
 pub mod class_table;

@@ -35,6 +35,8 @@
 //! assert_eq!(dvs.deadline_misses, 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dpm;
 pub mod levels;
 pub mod policy;

@@ -24,6 +24,8 @@
 //! assert!(life.as_days() > 200.0); // a CR2032 holds ~0.7 Wh
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod battery;
 pub mod budget;
 pub mod environment;

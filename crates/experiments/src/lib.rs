@@ -21,6 +21,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod manifests;
 pub mod tables;
 

@@ -313,156 +313,6 @@ impl HopWeights {
     }
 }
 
-/// A partition of the node id space into contiguous regions for
-/// intra-run parallel execution.
-///
-/// Regions are **ascending contiguous id ranges**: region `r` owns ids
-/// `range(r)`, and `r < s` implies every id of `r` precedes every id of
-/// `s`. That makes the PDES merge contract trivial — folding regions in
-/// region-id order, nodes in node-id order, is exactly ascending global
-/// node id, the order the serial kernel charges in — and lets workers
-/// take disjoint `&mut` slices of per-node state without locks.
-///
-/// [`balanced`](Self::balanced) places the cut points using the same
-/// spatial grid the CSR construction buckets with: each node is
-/// weighted by its 3×3-block candidate count (a degree estimate, i.e.
-/// expected relay/forwarding work), and cuts equalize cumulative weight
-/// instead of raw node counts, so a dense downtown cell does not pin
-/// one region while suburban regions idle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RegionPartition {
-    /// `bounds[r]..bounds[r + 1]` is region `r`; `bounds[0] == 0` and
-    /// `bounds[regions] == n`.
-    bounds: Vec<u32>,
-}
-
-impl RegionPartition {
-    /// An even split of `n` ids into `regions` contiguous ranges
-    /// (earlier regions take the remainder).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `regions` is 0 or `n` exceeds `u32::MAX`.
-    pub fn contiguous(n: usize, regions: usize) -> Self {
-        assert!(regions > 0, "at least one region");
-        assert!(u32::try_from(n).is_ok(), "region ids are u32");
-        let mut bounds = Vec::with_capacity(regions + 1);
-        bounds.push(0u32);
-        let base = n / regions;
-        let extra = n % regions;
-        let mut at = 0usize;
-        for r in 0..regions {
-            at += base + usize::from(r < extra);
-            bounds.push(at as u32);
-        }
-        Self { bounds }
-    }
-
-    /// A degree-balanced split of `positions` into `regions` contiguous
-    /// id ranges, weighted by spatial-grid candidate counts at `range`.
-    /// Degenerate ranges (no grid) fall back to [`contiguous`](Self::contiguous).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `regions` is 0 or there are more than `u32::MAX` nodes.
-    pub fn balanced(positions: &[Position], range: Length, regions: usize) -> Self {
-        assert!(regions > 0, "at least one region");
-        let n = positions.len();
-        assert!(u32::try_from(n).is_ok(), "region ids are u32");
-        let r = range.as_meters();
-        if n == 0 || regions == 1 || !r.is_finite() || r <= 0.0 {
-            return Self::contiguous(n, regions);
-        }
-
-        // The same grid the CSR construction uses (bounding box, cell
-        // side at least `range` and at least extent/√n).
-        let mut min_x = f64::INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        for p in positions {
-            min_x = min_x.min(p.x);
-            min_y = min_y.min(p.y);
-            max_x = max_x.max(p.x);
-            max_y = max_y.max(p.y);
-        }
-        let cap = (n as f64).sqrt().ceil().max(1.0);
-        let cell = r.max((max_x - min_x) / cap).max((max_y - min_y) / cap);
-        let nx = ((max_x - min_x) / cell) as usize + 1;
-        let ny = ((max_y - min_y) / cell) as usize + 1;
-        let cell_xy = |p: &Position| -> (usize, usize) {
-            let cx = (((p.x - min_x) / cell) as usize).min(nx - 1);
-            let cy = (((p.y - min_y) / cell) as usize).min(ny - 1);
-            (cx, cy)
-        };
-        let mut count = vec![0u64; nx * ny];
-        for p in positions {
-            let (cx, cy) = cell_xy(p);
-            count[cy * nx + cx] += 1;
-        }
-
-        // Node weight = 3×3-block occupancy (the CSR candidate count).
-        // Cuts land where the cumulative weight crosses each region's
-        // equal share.
-        let mut total = 0u64;
-        let weights: Vec<u64> = positions
-            .iter()
-            .map(|p| {
-                let (cx, cy) = cell_xy(p);
-                let mut w = 0u64;
-                for gy in cy.saturating_sub(1)..=(cy + 1).min(ny - 1) {
-                    for gx in cx.saturating_sub(1)..=(cx + 1).min(nx - 1) {
-                        w += count[gy * nx + gx];
-                    }
-                }
-                total += w;
-                w
-            })
-            .collect();
-
-        let mut bounds = Vec::with_capacity(regions + 1);
-        bounds.push(0u32);
-        let mut acc = 0u64;
-        let mut id = 0usize;
-        for r in 1..regions {
-            // Integer-exact target: region r's share boundary.
-            let target = total * r as u64 / regions as u64;
-            while id < n && acc < target {
-                acc += weights[id];
-                id += 1;
-            }
-            bounds.push(id as u32);
-        }
-        bounds.push(n as u32);
-        Self { bounds }
-    }
-
-    /// Number of regions (some may be empty).
-    pub fn regions(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
-    /// The id range owned by `region`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `region` is out of range.
-    pub fn range(&self, region: usize) -> std::ops::Range<usize> {
-        self.bounds[region] as usize..self.bounds[region + 1] as usize
-    }
-
-    /// The region owning `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is past the partitioned id space.
-    pub fn region_of(&self, node: usize) -> usize {
-        let n = *self.bounds.last().expect("bounds non-empty") as usize;
-        assert!(node < n, "node {node} outside the partitioned ids 0..{n}");
-        self.bounds.partition_point(|&b| b as usize <= node) - 1
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,61 +337,6 @@ mod tests {
                 assert_eq!(&csr.targets()[csr.row(u.0)], scan.as_slice());
             }
         }
-    }
-
-    fn assert_is_partition(part: &RegionPartition, n: usize) {
-        let mut covered = 0usize;
-        let mut prev_end = 0usize;
-        for r in 0..part.regions() {
-            let range = part.range(r);
-            assert_eq!(range.start, prev_end, "regions are contiguous");
-            prev_end = range.end;
-            for id in range.clone() {
-                assert_eq!(part.region_of(id), r);
-            }
-            covered += range.len();
-        }
-        assert_eq!(covered, n, "every id owned exactly once");
-        assert_eq!(prev_end, n);
-    }
-
-    #[test]
-    fn contiguous_partition_covers_every_id() {
-        for (n, regions) in [(0, 3), (1, 4), (10, 3), (97, 8), (8, 8), (5, 9)] {
-            let part = RegionPartition::contiguous(n, regions);
-            assert_eq!(part.regions(), regions);
-            assert_is_partition(&part, n);
-            // Even split: region sizes differ by at most one.
-            let sizes: Vec<usize> = (0..regions).map(|r| part.range(r).len()).collect();
-            let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(hi - lo <= 1, "{sizes:?}");
-        }
-    }
-
-    #[test]
-    fn balanced_partition_covers_and_tracks_density() {
-        let range = Length::from_meters(45.0);
-        for seed in 0..4u64 {
-            let topo = Topology::random(400, Length::from_meters(500.0), seed);
-            let positions: Vec<Position> = topo.ids().map(|id| topo.position(id)).collect();
-            for regions in [1, 2, 8, 16] {
-                let part = RegionPartition::balanced(&positions, range, regions);
-                assert_eq!(part.regions(), regions);
-                assert_is_partition(&part, positions.len());
-            }
-        }
-        // Degenerate range falls back to the even split.
-        let positions = vec![Position::new(3.0, 4.0); 12];
-        let part = RegionPartition::balanced(&positions, Length::from_meters(0.0), 4);
-        assert_eq!(part, RegionPartition::contiguous(12, 4));
-    }
-
-    #[test]
-    fn region_of_rejects_out_of_range_ids() {
-        let part = RegionPartition::contiguous(10, 2);
-        assert_eq!(part.region_of(9), 1);
-        let out = std::panic::catch_unwind(|| part.region_of(10));
-        assert!(out.is_err());
     }
 
     #[test]

@@ -27,10 +27,11 @@
 //! * [`replicate_gathering`] and [`replicate_gathering_observed`] —
 //!   one fresh gathering session per seeded topology, on the parallel
 //!   runner, merged in seed order;
-//! * [`pdes`] — region-parallel execution of single lossy runs
-//!   (rollback-free — the lossy kernel draws per-packet counter
-//!   randomness via [`ami_sim::rng::packet_rng`], so packets commute),
-//!   bit-identical to the serial loop at any thread count; a lossy
+//! * [`pdes`] — region-parallel execution of single lossy runs, one
+//!   scoped fan-out over equal id chunks per round (rollback-free — the
+//!   lossy kernel draws per-packet counter randomness via
+//!   [`ami_sim::rng::packet_rng`], so packets commute), bit-identical
+//!   to the serial loop at any thread count; a lossy
 //!   session run engages it when its `threads` cover a nodes-per-worker
 //!   floor. Gathering runs have one engine, the serial aggregated kernel
 //!   ([`agg`]), at every thread count.
@@ -47,6 +48,8 @@
 //! );
 //! assert_eq!(report.delivered_packets, 100 * (topo.len() as u64 - 1));
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod agg;
 pub mod aggregate;
@@ -66,7 +69,7 @@ pub use agg::{
 };
 pub use aggregate::{analyze_aggregation, AggregationReport};
 pub use cluster::{simulate_clustered, ClusterConfig, ClusterReport};
-pub use csr::{CsrAdjacency, HopWeights, RegionPartition};
+pub use csr::{CsrAdjacency, HopWeights};
 pub use gather::{simulate_gathering, GatherSession, NetworkConfig, NetworkReport};
 pub use lossy::{simulate_lossy_gathering, LossyConfig, LossyReport, LossySession};
 pub use pdes::{

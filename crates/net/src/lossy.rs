@@ -281,7 +281,7 @@ fn walk_packet(
 /// The counts the lossy kernel accumulates: per-position attempt counts
 /// for the round and packet tallies for the run. The serial state keeps
 /// one; the region-parallel engine ([`crate::pdes`]) keeps one per
-/// region and [`absorb`](Self::absorb)s each into the state's at the
+/// id chunk and [`absorb`](Self::absorb)s each into the state's at the
 /// round commit.
 pub(crate) struct LossyTally {
     /// ARQ attempt counts this round (sender side), indexed by image
@@ -333,20 +333,20 @@ impl LossyTally {
         (fate, energy)
     }
 
-    /// Adds every count of `region` into `self` and zeroes `region`.
+    /// Adds every count of `chunk` into `self` and zeroes `chunk`.
     /// Integer counts merge exactly, so the merged attempt counts equal
     /// the serial loop's.
-    pub(crate) fn absorb(&mut self, region: &mut LossyTally) {
-        for (total, count) in self.tx_attempts.iter_mut().zip(&mut region.tx_attempts) {
+    pub(crate) fn absorb(&mut self, chunk: &mut LossyTally) {
+        for (total, count) in self.tx_attempts.iter_mut().zip(&mut chunk.tx_attempts) {
             *total += std::mem::take(count);
         }
-        for (total, count) in self.rx_attempts.iter_mut().zip(&mut region.rx_attempts) {
+        for (total, count) in self.rx_attempts.iter_mut().zip(&mut chunk.rx_attempts) {
             *total += std::mem::take(count);
         }
-        self.offered += std::mem::take(&mut region.offered);
-        self.delivered += std::mem::take(&mut region.delivered);
-        self.transmissions += std::mem::take(&mut region.transmissions);
-        self.dropped_fault += std::mem::take(&mut region.dropped_fault);
+        self.offered += std::mem::take(&mut chunk.offered);
+        self.delivered += std::mem::take(&mut chunk.delivered);
+        self.transmissions += std::mem::take(&mut chunk.transmissions);
+        self.dropped_fault += std::mem::take(&mut chunk.dropped_fault);
     }
 }
 

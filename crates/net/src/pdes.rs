@@ -1,30 +1,35 @@
 //! Conservative parallel discrete-event execution *inside* a single
-//! lossy/ARQ run — region-partitioned rounds, bit-identical to the
-//! serial counter-RNG kernel.
+//! lossy/ARQ run — chunk-parallel rounds, bit-identical to the serial
+//! counter-RNG kernel.
 //!
 //! The seed-partitioned runner parallelizes *across* replications; a
-//! single city-scale run still pinned one core. This module partitions
-//! the node id space into contiguous regions
-//! ([`RegionPartition`], cut by the same
-//! spatial grid the CSR construction buckets with), walks each round's
-//! packets region-parallel on an [`ami_sim::runner::RoundPool`], and
-//! commits at the round barrier in a **fixed deterministic reduction
-//! order** — region id, then node id, which for contiguous id regions
-//! is exactly ascending global node id, the order the serial kernel
-//! charges in.
+//! single city-scale run still pinned one core. This module splits each
+//! round's sources into `threads` equal contiguous id chunks, walks
+//! them under one [`std::thread::scope`] per round (the calling thread
+//! takes the first chunk), and commits after the join in a **fixed
+//! deterministic reduction order** — chunk, then node id, which for
+//! contiguous id chunks is exactly ascending global node id, the order
+//! the serial kernel charges in.
 //!
 //! [`LossySession::run_faulted_with`](crate::LossySession::run_faulted_with)
 //! decides per run whether this engine or the serial loop runs the
 //! rounds; the engine is a crate-private round driver over the
 //! session's run state, so it has no entry point of its own. Each
-//! region walks its sources (contiguous in id) along the route cache's
-//! heavy-path image with the serial loop's own packet walk, into a
-//! tally of the serial state's own type — attempt counts indexed by
-//! image position — which the round commit absorbs into the state's.
-//! On faulted runs the walks read the round core's hop-fault mask,
-//! which `begin_round` fills on the calling thread before the parallel
-//! phase starts, so the workers share it read-only and query no fault
-//! timeline.
+//! chunk walks its sources along the route cache's heavy-path image
+//! with the serial loop's own packet walk, into a tally of the serial
+//! state's own type — attempt counts indexed by image position — which
+//! the round commit absorbs into the state's. On faulted runs the walks
+//! read the round core's hop-fault mask, which `begin_round` fills on
+//! the calling thread before the fan-out, so the workers share it
+//! read-only and query no fault timeline.
+//!
+//! Chunks are equal in ids, not in work: a lossy source costs its route
+//! length times its ARQ attempts, which no cheap per-node weight
+//! predicts. One scoped spawn and join costs 45–51 µs per round on a
+//! 2-vCPU KVM guest, about 30 µs more than a persistent crew's two
+//! barrier crossings: 1.3 % of a forced two-worker round at 10⁴ nodes
+//! (2.3 ms) and 0.04 % at 10⁵ (69 ms), so a crew would buy nothing
+//! measurable.
 //!
 //! # Why the result is bit-identical
 //!
@@ -32,12 +37,12 @@
 //! energy budgets, so there is no cross-packet coupling and no margin
 //! to check. Every packet draws
 //! from its own counter stream ([`ami_sim::rng::packet_rng`]) and its
-//! fate depends only on round-constant state, so region walks commute
+//! fate depends only on round-constant state, so chunk walks commute
 //! and every round commits. The commit replays the serial folds —
 //! energy subtotals in ascending source order, ledger charges per
 //! `(node, category)` from exactly-merged integer attempt counts, read
 //! back through the image's `pos` in ascending id. The differential
-//! suite pins `par ≡ serial` at 1/2/8 threads across random fault
+//! suite pins `par ≡ serial` at 1/2/5/8 threads across random fault
 //! schedules, and both against an id-order reference round.
 //!
 //! # Why gathering runs stay serial
@@ -55,24 +60,22 @@
 //!
 //! # When parallelism cannot pay
 //!
-//! Region setup, the split, and the round barrier are pure overhead on
+//! The per-round spawn, the split and the join are pure overhead on
 //! small runs, so every lossy session run first checks a cheap
 //! nodes-per-worker floor ([`PAR_MIN_NODES_PER_WORKER`], overridable
 //! per thread) and runs the serial loop when the run is too small or
 //! has one worker — bit-identical results either way, observable only
 //! through [`par_serial_fallback_count`]/[`par_engaged_count`].
 
-use crate::csr::RegionPartition;
 use crate::lossy::{LossyRoundCtx, LossyState, LossyTally};
-use crate::topology::{NodeId, Position};
+use crate::topology::NodeId;
 use ami_sim::obs::Recorder;
-use ami_sim::runner::RoundPool;
 use std::cell::Cell;
-use std::sync::Mutex;
+use std::panic::resume_unwind;
 
 /// Default floor on nodes-per-worker below which a lossy session run
-/// takes the serial loop instead of spinning up regions: below it the
-/// per-round barrier and split overhead outweigh the work. Alternating
+/// takes the serial loop instead of fanning out: below it the per-round
+/// spawn, split and join overhead outweighs the work. Alternating
 /// serial and 2-worker session runs on a 2-vCPU KVM guest had two
 /// workers lose at n = 10⁴ (0.86× fault-free, 0.96× faulted), win
 /// fault-free runs and break even on faulted ones from 4×10⁴, and win
@@ -120,8 +123,8 @@ pub fn reset_par_engagement_counters() {
     PAR_ENGAGED.with(|cell| cell.set(0));
 }
 
-/// Whether region setup can pay for itself: more than one worker and
-/// enough nodes to keep each busy between barriers.
+/// Whether the fan-out can pay for itself: more than one worker and
+/// enough nodes to keep each busy between spawn and join.
 fn parallel_pays(n: usize, threads: usize) -> bool {
     threads > 1 && n >= par_min_nodes_per_worker().saturating_mul(threads)
 }
@@ -136,97 +139,89 @@ pub(crate) fn engage(n: usize, threads: usize) -> bool {
     pays
 }
 
-/// Splits a per-node array into per-region mutable slices (the
-/// partition is contiguous and ascending, so the split is a plain
-/// sequence of `split_at_mut`s). Each slice is wrapped in a `Mutex`
-/// purely to hand workers `&mut` access through a `Sync` job — one
-/// uncontended lock per region per round.
-fn split_regions<'b>(mut rest: &'b mut [f64], part: &RegionPartition) -> Vec<Mutex<&'b mut [f64]>> {
-    let mut out = Vec::with_capacity(part.regions());
-    let mut offset = 0usize;
-    for r in 0..part.regions() {
-        let range = part.range(r);
-        let (head, tail) = rest.split_at_mut(range.end - offset);
-        out.push(Mutex::new(head));
-        rest = tail;
-        offset = range.end;
-    }
-    out
-}
-
-/// Runs `rounds` rounds of `state` region-parallel on `threads`
-/// workers — bit-identical to the serial loop at any thread count.
+/// Runs `rounds` rounds of `state` on `threads` workers — bit-identical
+/// to the serial loop at any thread count.
 ///
 /// No rollback machinery exists here, because none is needed: the lossy
 /// model has no energy budgets, so a packet's fate depends only on
 /// round-constant state (routes, fault windows) and its own counter
 /// stream ([`ami_sim::rng::packet_rng`]) — never on another packet's
-/// execution. Each worker walks its region's sources with
-/// [`LossyTally::offer`] — the same walk the serial loop runs — into a
-/// region-local tally (walks from any region can land ARQ attempts on
-/// any node, so each region's tally spans every node); the commit then
-/// replays the serial folds exactly: per-packet energy subtotals added
-/// in ascending source id, per-node ledger charges committed once per
-/// `(node, category)` from the merged (exact, integer) attempt counts,
-/// packet tallies bulk-committed.
+/// execution. Each round splits the source ids into `threads` equal
+/// contiguous chunks (the last may be shorter, and there are fewer
+/// chunks than workers when `threads` exceeds the node count); each
+/// chunk walks its sources with [`LossyTally::offer`] — the same walk
+/// the serial loop runs — into a chunk-local tally (walks from any
+/// chunk can land ARQ attempts on any node, so each chunk's tally spans
+/// every node). The commit then replays the serial folds exactly:
+/// per-packet energy subtotals added in ascending source id, per-node
+/// ledger charges committed once per `(node, category)` from the merged
+/// (exact, integer) attempt counts, packet tallies bulk-committed.
 ///
 /// The caller decides engagement with [`engage`].
+///
+/// # Panics
+///
+/// Re-raises the payload of a chunk walk that panicked.
 pub(crate) fn run_region_rounds<R: Recorder>(
     state: &mut LossyState<'_, '_>,
     rounds: u64,
     threads: usize,
     recorder: &mut R,
 ) {
-    let topology = state.core.topology;
-    let n = topology.len();
-    let positions: Vec<Position> = topology.ids().map(|id| topology.position(id)).collect();
-    let part = RegionPartition::balanced(&positions, state.core.max_hop, threads);
+    let n = state.core.topology.len();
     let sink_id = state.core.sink.0;
-    // Per-source packet energy subtotals, one slot per node id; region
-    // slices of this are the only f64s workers write.
+    let chunk = n.div_ceil(threads);
+    // Per-source packet energy subtotals, one slot per node id; chunks
+    // of this are the only f64s workers write.
     let mut pkt_energy = vec![0.0f64; n];
-    let scratch: Vec<Mutex<LossyTally>> = (0..threads)
-        .map(|_| Mutex::new(LossyTally::new(n)))
-        .collect();
+    let mut tallies: Vec<LossyTally> = (0..n.div_ceil(chunk)).map(|_| LossyTally::new(n)).collect();
 
-    RoundPool::scoped(threads, |pool| {
-        for round in 0..rounds {
-            state.core.begin_round(round);
-            {
-                let ctx = LossyRoundCtx::new(state.core, state.arq);
-                let connected = state.core.cache.connected_flags();
-                let slices = split_regions(&mut pkt_energy, &part);
-
-                // The single parallel phase: walk every source in the
-                // region. Draws come from each packet's own stream, so
-                // regions cannot perturb one another.
-                pool.run(&|w| {
-                    let mut slice = slices[w].lock().expect("region energy slice");
-                    let mut region = scratch[w].lock().expect("region scratch");
-                    for (off, src) in part.range(w).enumerate() {
-                        slice[off] = 0.0;
-                        if src == sink_id || ctx.down_now[src] || !connected[src] {
-                            continue;
-                        }
-                        slice[off] = region.offer(&ctx, round, NodeId(src)).1;
+    for round in 0..rounds {
+        state.core.begin_round(round);
+        {
+            let ctx = LossyRoundCtx::new(state.core, state.arq);
+            let connected = state.core.cache.connected_flags();
+            // Walk every source of one chunk. Draws come from each
+            // packet's own stream, so chunks cannot perturb one another.
+            let walk = |(k, (slots, tally)): (usize, (&mut [f64], &mut LossyTally))| {
+                for (src, slot) in (k * chunk..).zip(slots) {
+                    *slot = 0.0;
+                    if src == sink_id || ctx.down_now[src] || !connected[src] {
+                        continue;
                     }
-                });
-            }
-            commit_lossy_round(state, recorder, &scratch, &pkt_energy);
-            state.core.end_round();
+                    *slot = tally.offer(&ctx, round, NodeId(src)).1;
+                }
+            };
+            let mut chunks = pkt_energy.chunks_mut(chunk).zip(&mut tallies).enumerate();
+            let first = chunks.next().expect("a topology has at least two nodes");
+            std::thread::scope(|scope| {
+                let walk = &walk;
+                let others: Vec<_> = chunks.map(|c| scope.spawn(move || walk(c))).collect();
+                walk(first);
+                for handle in others {
+                    // Re-raise the worker's own payload on the caller; an
+                    // unjoined panic would surface only as the scope's
+                    // generic "a scoped thread panicked".
+                    if let Err(payload) = handle.join() {
+                        resume_unwind(payload);
+                    }
+                }
+            });
         }
-    });
+        commit_lossy_round(state, recorder, &mut tallies, &pkt_energy);
+        state.core.end_round();
+    }
 }
 
 /// Folds a parallel lossy round into the run state by replaying the
-/// serial folds: energy subtotals ascending source id, region tallies
+/// serial folds: energy subtotals ascending source id, chunk tallies
 /// absorbed into the state's and charged by
 /// [`LossyState::commit_charges`], this round's packet counts
 /// bulk-committed.
 fn commit_lossy_round<R: Recorder>(
     state: &mut LossyState<'_, '_>,
     recorder: &mut R,
-    scratch: &[Mutex<LossyTally>],
+    tallies: &mut [LossyTally],
     pkt_energy: &[f64],
 ) {
     // The run-total energy fold: the serial kernel adds each offered
@@ -242,9 +237,8 @@ fn commit_lossy_round<R: Recorder>(
 
     let before = &state.tally;
     let (offered, delivered, faulted) = (before.offered, before.delivered, before.dropped_fault);
-    for region in scratch {
-        let mut region = region.lock().expect("region scratch");
-        state.tally.absorb(&mut region);
+    for tally in tallies {
+        state.tally.absorb(tally);
     }
     state.commit_charges(recorder);
     recorder.packets_offered(state.tally.offered - offered);
@@ -304,7 +298,9 @@ mod tests {
             let config = LossyConfig::bruised_channel();
             let serial = simulate_lossy_gathering(&topo, &config, 80, 2003);
             assert!(serial.delivered > 0 && serial.delivered < serial.offered);
-            for threads in [1, 2, 8] {
+            // 40 workers on 36 nodes: one-node chunks, and fewer chunks
+            // than workers.
+            for threads in [1, 2, 8, 40] {
                 let par = run_on(&topo, &config, 80, 2003, &FaultSchedule::empty(), threads);
                 assert_eq!(par, serial, "{threads} threads");
             }

@@ -12,7 +12,7 @@
 //!   random fault schedules, with failures delta-debugged down to a
 //!   1-minimal schedule before reporting,
 //! * **region-parallel lossy rounds ≡ the serial counter-RNG kernel** —
-//!   the rollback-free lossy engine (`ami_net::pdes`) at 2 and 8
+//!   the rollback-free lossy engine (`ami_net::pdes`) at 2, 5 and 8
 //!   threads must reproduce the serial ARQ run's report, ledger and
 //!   rendered manifest across random fault schedules (the per-packet
 //!   counter streams are what make this possible at all), again with
@@ -347,10 +347,12 @@ fn lossy_observed_run(
 
 proptest! {
     /// Lossy PDES contract: the rollback-free region-parallel ARQ
-    /// engine at 2 and 8 threads is byte-identical to the serial
+    /// engine at 2, 5 and 8 threads is byte-identical to the serial
     /// counter-RNG kernel — report, ledger, rendered manifest — under
     /// random fault schedules (downed relays and links burning full
     /// ARQ budgets mid-route), with ddmin minimization on failure.
+    /// Five workers split the 24 nodes into uneven id chunks (5, 5, 5,
+    /// 5 and 4).
     #[test]
     fn region_parallel_lossy_rounds_match_the_serial_kernel(
         seed in 0u64..40,
@@ -361,7 +363,7 @@ proptest! {
         let config = LossyConfig::bruised_channel();
         let diverges = |s: &FaultSchedule| {
             let serial = lossy_observed_run(&topo, &config, s, 25, seed, 1);
-            [2usize, 8]
+            [2usize, 5, 8]
                 .iter()
                 .any(|&t| lossy_observed_run(&topo, &config, s, 25, seed, t) != serial)
         };

@@ -29,6 +29,8 @@
 //! assert_eq!(pt.class(), PowerClass::MicroWatt);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod class;
 pub mod graph;
 pub mod pareto;

@@ -27,6 +27,8 @@
 //! assert!(e.as_microjoules() < 50.0); // a 10 m sensor report is tens of µJ
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod contention;
 pub mod energy_model;
 pub mod link;

@@ -43,6 +43,8 @@
 //! assert_eq!((ev, t.as_millis()), ("a", 1.0));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod energy;
 pub mod exact;
 pub mod fault;

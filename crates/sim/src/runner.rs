@@ -42,9 +42,8 @@
 
 #![deny(missing_docs)]
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
 
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "AMBIENCE_THREADS";
@@ -165,182 +164,11 @@ where
         .collect()
 }
 
-/// What the dispatch slot holds between the start and finish barriers.
-enum JobSlot {
-    /// No job posted (the state between `run` calls).
-    Idle,
-    /// A job to execute this generation. The pointer is valid for the
-    /// whole generation: `RoundPool::run` does not return (and thus the
-    /// borrow it erased does not end) until every worker has passed the
-    /// finish barrier.
-    Run(JobPtr),
-    /// The scope is closing; workers exit after the start barrier.
-    Exit,
-}
-
-/// A type-erased `&(dyn Fn(usize) + Sync)` smuggled across the barrier.
-struct JobPtr(*const (dyn Fn(usize) + Sync));
-
-// SAFETY: the pointee is `Sync` (it is shared with every worker for the
-// duration of one generation) and the pointer never outlives the `run`
-// call that posted it.
-unsafe impl Send for JobPtr {}
-
-struct PoolShared {
-    job: Mutex<JobSlot>,
-    /// Generation start: `workers + 1` parties (the driver posts, then
-    /// everyone crosses together).
-    start: Barrier,
-    /// Generation finish: the driver's `run` returns only after every
-    /// worker has crossed, so the job borrow is never outlived.
-    finish: Barrier,
-    /// Panic payloads captured by workers this generation; re-raised on
-    /// the driver thread so a panicking job cannot deadlock the barrier.
-    panics: Mutex<Vec<Box<dyn std::any::Any + Send>>>,
-}
-
-/// A reusable team of scoped worker threads synchronized at explicit
-/// barriers — the intra-run region scheduler.
-///
-/// [`par_map_indexed_threads`] spawns a fresh scope per call, which is
-/// fine for coarse work items (whole replications, sweep cells) but not
-/// for a simulation that dispatches several short parallel phases *per
-/// round* over thousands of rounds. `RoundPool` spawns its workers once
-/// and re-dispatches them per phase: [`run`](Self::run) posts a job,
-/// releases the start barrier, and returns after the finish barrier —
-/// two barrier crossings instead of thread creation and teardown.
-///
-/// Determinism contract: `run(job)` executes `job(worker)` once per
-/// worker index `0..threads` concurrently. The job partitions its work
-/// by worker index (e.g. region `w` of a node partition); any merge
-/// across workers is the caller's responsibility and must use a fixed
-/// order, never completion order.
-///
-/// A panic inside a job is captured on the worker, carried across the
-/// finish barrier, and re-raised by `run` on the driver thread — it
-/// propagates instead of deadlocking the team.
-///
-/// # Example
-///
-/// ```
-/// use ami_sim::runner::RoundPool;
-/// use std::sync::atomic::{AtomicU64, Ordering};
-///
-/// let total = AtomicU64::new(0);
-/// RoundPool::scoped(4, |pool| {
-///     for _round in 0..3 {
-///         pool.run(&|worker| {
-///             total.fetch_add(worker as u64 + 1, Ordering::Relaxed);
-///         });
-///     }
-/// });
-/// assert_eq!(total.into_inner(), 3 * (1 + 2 + 3 + 4));
-/// ```
-pub struct RoundPool<'scope> {
-    shared: Option<&'scope PoolShared>,
-    threads: usize,
-}
-
-impl RoundPool<'_> {
-    /// Spawns `threads` workers for the duration of `f` and hands `f` a
-    /// pool handle to dispatch jobs through. With `threads == 1` no
-    /// worker is spawned at all: jobs run inline on the calling thread,
-    /// so single-threaded configurations behave exactly like a plain
-    /// loop (no pool, no barriers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is 0, and propagates panics raised by `f` or
-    /// by a job.
-    pub fn scoped<R>(threads: usize, f: impl FnOnce(&RoundPool<'_>) -> R) -> R {
-        assert!(threads > 0, "at least one worker thread");
-        if threads == 1 {
-            return f(&RoundPool {
-                shared: None,
-                threads: 1,
-            });
-        }
-        let shared = PoolShared {
-            job: Mutex::new(JobSlot::Idle),
-            start: Barrier::new(threads + 1),
-            finish: Barrier::new(threads + 1),
-            panics: Mutex::new(Vec::new()),
-        };
-        std::thread::scope(|scope| {
-            for worker in 0..threads {
-                let shared = &shared;
-                scope.spawn(move || loop {
-                    shared.start.wait();
-                    let job = match &*shared.job.lock().expect("job slot lock") {
-                        JobSlot::Idle => unreachable!("start barrier without a posted job"),
-                        JobSlot::Run(JobPtr(ptr)) => *ptr,
-                        JobSlot::Exit => break,
-                    };
-                    // SAFETY: the driver keeps the posted job borrow
-                    // alive until the finish barrier below.
-                    let job = unsafe { &*job };
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(worker))) {
-                        shared.panics.lock().expect("panic list lock").push(payload);
-                    }
-                    shared.finish.wait();
-                });
-            }
-            let pool = RoundPool {
-                shared: Some(&shared),
-                threads,
-            };
-            // Guard `f` so workers always receive Exit — a panicking
-            // driver must not leave the team parked on the start barrier.
-            let result = catch_unwind(AssertUnwindSafe(|| f(&pool)));
-            *shared.job.lock().expect("job slot lock") = JobSlot::Exit;
-            shared.start.wait();
-            match result {
-                Ok(value) => value,
-                Err(payload) => resume_unwind(payload),
-            }
-        })
-    }
-
-    /// The worker count this pool dispatches over.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Executes `job(worker)` once per worker index `0..threads()`,
-    /// returning after every worker has finished. With one thread the
-    /// job runs inline as `job(0)`.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first panic captured inside `job`.
-    pub fn run(&self, job: &(dyn Fn(usize) + Sync)) {
-        let Some(shared) = self.shared else {
-            return job(0);
-        };
-        // SAFETY: the borrow's lifetime is erased only to cross the
-        // dispatch slot; `run` does not return until every worker has
-        // passed the finish barrier, so no worker holds the job past
-        // the borrow's real lifetime.
-        let erased: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(job) };
-        *shared.job.lock().expect("job slot lock") = JobSlot::Run(JobPtr(erased));
-        shared.start.wait();
-        shared.finish.wait();
-        *shared.job.lock().expect("job slot lock") = JobSlot::Idle;
-        let mut panics = shared.panics.lock().expect("panic list lock");
-        if !panics.is_empty() {
-            // Re-raise the first captured payload; drop any others from
-            // the same generation so they cannot leak into a later run.
-            let payload = panics.swap_remove(0);
-            panics.clear();
-            drop(panics);
-            resume_unwind(payload);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn preserves_item_order_at_every_thread_count() {
@@ -397,73 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn round_pool_is_reusable_and_merges_bit_exactly() {
-        // A per-worker partial sum over a fixed partition, merged in
-        // worker order, must equal the serial fold — across many reuses
-        // of the same worker team.
-        let values: Vec<f64> = (0..1000).map(|k| (k as f64).sin()).collect();
-        let chunk = values.len().div_ceil(4);
-        let serial: f64 = values.chunks(chunk).map(|c| c.iter().sum::<f64>()).sum();
-        for threads in [1, 2, 4, 8] {
-            RoundPool::scoped(threads, |pool| {
-                for _round in 0..50 {
-                    let partials: Vec<Mutex<f64>> = (0..4).map(|_| Mutex::new(0.0)).collect();
-                    pool.run(&|worker| {
-                        // Workers own interleaved region stripes.
-                        for region in (worker..4).step_by(pool.threads().max(1)) {
-                            let sum: f64 = values
-                                .chunks(chunk)
-                                .nth(region)
-                                .map(|c| c.iter().sum())
-                                .unwrap_or(0.0);
-                            *partials[region].lock().unwrap() = sum;
-                        }
-                    });
-                    let merged: f64 = partials.iter().map(|p| *p.lock().unwrap()).sum();
-                    assert_eq!(merged.to_bits(), serial.to_bits(), "threads {threads}");
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn round_pool_job_panic_propagates() {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            RoundPool::scoped(4, |pool| {
-                pool.run(&|worker| {
-                    if worker == 2 {
-                        panic!("region failed");
-                    }
-                });
-            })
-        }));
-        assert!(result.is_err(), "job panic must reach the scoped caller");
-    }
-
-    #[test]
-    fn round_pool_survives_a_panicking_generation() {
-        // After a job panic is re-raised, the same pool must still
-        // dispatch later generations (the barrier team stays aligned).
-        RoundPool::scoped(3, |pool| {
-            let first = catch_unwind(AssertUnwindSafe(|| {
-                pool.run(&|_worker| panic!("one bad round"));
-            }));
-            assert!(first.is_err());
-            let hits = AtomicUsize::new(0);
-            pool.run(&|_worker| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-            assert_eq!(hits.into_inner(), 3);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn round_pool_zero_threads_rejected() {
-        RoundPool::scoped(0, |_pool| ());
-    }
-
-    #[test]
     fn thread_count_is_at_least_one() {
         assert!(thread_count() >= 1);
     }
@@ -473,6 +234,12 @@ mod tests {
         assert_eq!(thread_count_from(Some("1")), 1);
         assert_eq!(thread_count_from(Some("8")), 8);
         assert!(thread_count_from(None) >= 1);
+        // The largest accepted value, with leading zeros too; one more
+        // overflows and is rejected.
+        let max = usize::MAX.to_string();
+        assert_eq!(thread_count_from(Some(&max)), usize::MAX);
+        assert_eq!(thread_count_from(Some(&format!("000{max}"))), usize::MAX);
+        assert_parses_exactly_plain_decimals(&(usize::MAX as u128 + 1).to_string());
     }
 
     #[test]
@@ -523,5 +290,69 @@ mod tests {
     #[should_panic(expected = "must be an integer >= 1")]
     fn inner_whitespace_env_value_rejected() {
         let _ = thread_count_from(Some("4 2"));
+    }
+
+    /// The accepted-value rule written without `parse`: non-empty ASCII
+    /// digits whose value, summed with checked arithmetic, lies in
+    /// `1..=usize::MAX`.
+    fn plain_positive_decimal(raw: &str) -> Option<usize> {
+        if raw.is_empty() || !raw.bytes().all(|b| b.is_ascii_digit()) {
+            return None;
+        }
+        let mut value = 0usize;
+        for b in raw.bytes() {
+            value = value.checked_mul(10)?.checked_add(usize::from(b - b'0'))?;
+        }
+        (value >= 1).then_some(value)
+    }
+
+    /// Checks `thread_count_from(Some(raw))` against
+    /// [`plain_positive_decimal`]: the value when it accepts, else the
+    /// configuration panic.
+    fn assert_parses_exactly_plain_decimals(raw: &str) {
+        let outcome = catch_unwind(|| thread_count_from(Some(raw)));
+        match (plain_positive_decimal(raw), outcome) {
+            (Some(want), Ok(got)) => assert_eq!(got, want, "{raw:?}"),
+            (None, Err(payload)) => {
+                let message = payload
+                    .downcast_ref::<String>()
+                    .expect("the panic carries its message");
+                assert!(
+                    message.contains("must be an integer >= 1"),
+                    "{raw:?}: {message}"
+                );
+            }
+            (want, got) => panic!("{raw:?}: expected {want:?}, got {:?}", got.ok()),
+        }
+    }
+
+    /// Affixes wrapped around and put into `AMBIENCE_THREADS` digit
+    /// runs: nothing, a zero, signs, blanks, letters, an exponent, a hex
+    /// prefix and non-ASCII digits (Arabic-Indic, Devanagari, fullwidth,
+    /// superscript).
+    const AFFIXES: &[&str] = &[
+        "", "0", "+", "-", " ", "\t", "\n", "a", "Z", "_", "e3", "0x", "\u{663}", "\u{969}",
+        "\u{ff13}", "\u{b9}",
+    ];
+
+    proptest! {
+        /// A run of up to 25 digits (zero-heavy: leading zeros, all-zero
+        /// runs, values past `usize::MAX`), with at most one affix put
+        /// into it, under every affix before it and a drawn one (half
+        /// the time none) after it.
+        #[test]
+        fn env_values_parse_exactly_when_plain_positive_decimals(
+            digits in prop::collection::vec((0u8..14).prop_map(|d| d.saturating_sub(4)), 0..26),
+            inserts in prop::collection::vec((0..AFFIXES.len(), 0usize..26), 0..2),
+            after in prop_oneof![Just(0), 0..AFFIXES.len()],
+        ) {
+            let mut body: String = digits.iter().map(|&d| char::from(b'0' + d)).collect();
+            for (piece, at) in inserts {
+                body.insert_str(at.min(body.len()), AFFIXES[piece]);
+            }
+            for before in AFFIXES {
+                assert_parses_exactly_plain_decimals(&format!("{before}{body}{}", AFFIXES[after]));
+            }
+        }
     }
 }

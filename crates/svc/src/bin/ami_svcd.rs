@@ -11,6 +11,9 @@ const CACHE_CAPACITY: usize = 64;
 
 fn main() {
     let addr = std::env::var(SVC_ADDR_ENV).unwrap_or_else(|_| DEFAULT_ADDR.to_owned());
+    // Resolves `AMBIENCE_THREADS` before the bind: a bad value stops the
+    // daemon here, with the runner's message, instead of failing every
+    // request that names no `threads`.
     let service = Arc::new(Service::new(CACHE_CAPACITY));
     let server = Server::bind(addr.as_str(), service)
         .unwrap_or_else(|err| panic!("cannot bind {addr}: {err}"));

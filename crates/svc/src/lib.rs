@@ -66,8 +66,9 @@ pub struct RunRequest {
     pub id: String,
     /// The scenario to execute.
     pub spec: ScenarioSpec,
-    /// Worker threads for this run; `None` follows `AMBIENCE_THREADS`.
-    /// Results are thread-invariant either way.
+    /// Worker threads for this run; `None` takes the service's default,
+    /// read from `AMBIENCE_THREADS` when the service was built. Results
+    /// are thread-invariant either way.
     pub threads: Option<usize>,
 }
 
@@ -107,6 +108,9 @@ pub struct RunResponse {
 #[derive(Debug)]
 pub struct Service {
     cache: ScenarioCache,
+    /// Workers for a request that names none: [`thread_count`], resolved
+    /// once when the service is built.
+    default_threads: usize,
     requests: AtomicU64,
     batches: AtomicU64,
     executions: AtomicU64,
@@ -115,13 +119,18 @@ pub struct Service {
 
 impl Service {
     /// A service whose compile cache holds `cache_capacity` scenarios.
+    /// The worker count for requests that name none is read from
+    /// `AMBIENCE_THREADS` here, once, so a bad value fails the start-up
+    /// instead of every such request.
     ///
     /// # Panics
     ///
-    /// Panics if `cache_capacity` is zero.
+    /// Panics if `cache_capacity` is zero, or if `AMBIENCE_THREADS` is
+    /// set but not an integer >= 1.
     pub fn new(cache_capacity: usize) -> Self {
         Self {
             cache: ScenarioCache::new(cache_capacity),
+            default_threads: thread_count(),
             requests: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             executions: AtomicU64::new(0),
@@ -194,7 +203,7 @@ impl Service {
         } else {
             started.elapsed().as_micros() as u64
         };
-        let threads = request.threads.unwrap_or_else(thread_count).max(1);
+        let threads = request.threads.unwrap_or(self.default_threads).max(1);
         self.executions.fetch_add(1, Ordering::Relaxed);
         let manifest = compiled.run_threads(threads).to_json();
         Ok(RunResponse {

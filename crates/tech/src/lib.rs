@@ -29,6 +29,8 @@
 //! assert!((e_full.as_joules() / e_half.as_joules() - 4.0).abs() < 1e-9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod gating;
 pub mod ice;
 pub mod node;

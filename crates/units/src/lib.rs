@@ -24,6 +24,8 @@
 //! All constructors validate that the value is finite; see each type's
 //! `new` for the panic conditions and `try_new` for the fallible variant.
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod si;
 

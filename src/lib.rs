@@ -10,6 +10,8 @@
 //! assert_eq!(p.as_microwatts(), 3000.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use ami_arch as arch;
 pub use ami_core as core;
 pub use ami_dvs as dvs;
