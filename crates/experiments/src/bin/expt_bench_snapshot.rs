@@ -47,11 +47,11 @@
 //! alternating iterations with the serial `lossy_round` row so both see
 //! the same host noise, and carries `threads`/`cpus` fields plus a
 //! `speedup` field (the `lossy_round` median over this row's median —
-//! expect >1× on a multi-core box). The rows force-engage the rollback-free region-parallel engine
-//! past the small-n floor — the snapshot times the engine, not the
-//! dispatch heuristic — but the engine needs more than one worker: at
-//! `threads` = 1 the session runs the serial loop, so the row re-times
-//! the `lossy_round` run and `speedup` ≈ 1. When `cpus` is 1 a
+//! expect >1× on a multi-core box). The rows force the rollback-free
+//! fan-out past the small-n floor — the snapshot times the engine, not
+//! the dispatch heuristic — but a fan-out needs more than one worker:
+//! at `threads` = 1 the session walks each round as one chunk, so the
+//! row re-times the `lossy_round` run and `speedup` ≈ 1. When `cpus` is 1 a
 //! multi-worker row times engine overhead on a single core, so
 //! `speedup` is advisory and CI treats it that way. Gathering has no
 //! parallel rows: its runs use the serial aggregated kernel at every
@@ -117,7 +117,7 @@ use ami_net::{
 use ami_scenario::json::{self, JsonValue};
 use ami_sim::fault::{FaultSchedule, FaultSpec};
 use ami_sim::obs::{LedgerRecorder, NullRecorder};
-use ami_sim::{replicate_par, sim_rng, EnergyMeter, EventQueue};
+use ami_sim::{replicate, sim_rng, EnergyMeter, EventQueue};
 use ami_tech::{TechnologyNode, VariationModel};
 use ami_units::{Area, Length, Power, Temperature, TimeSpan};
 use std::hint::black_box;
@@ -341,9 +341,9 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
         ));
     }
 
-    // The city-scale `_par` rows must time the region-parallel engine
-    // itself: at n = 10 000 the nodes-per-worker floor would route
-    // an 8-worker run back to the serial kernel, turning `speedup`
+    // The city-scale `_par` rows must time the fan-out itself: at
+    // n = 10 000 the nodes-per-worker floor would put an 8-worker run
+    // back on one worker, turning `speedup`
     // into a measurement of the dispatch heuristic. Results are
     // bit-identical either way, so engagement is purely a timing
     // concern. (Thread-local: restored before returning.)
@@ -605,7 +605,7 @@ fn run_sim_snapshot(quick: bool) -> Vec<Entry> {
         2000,
         quick,
         || {
-            let summary = replicate_par(2000, 42, |seed| {
+            let summary = replicate(ami_sim::runner::thread_count(), 2000, 42, |seed| {
                 let mut rng = sim_rng(seed);
                 model
                     .sample_die(&node, 100e3, Temperature::ROOM, &mut rng)

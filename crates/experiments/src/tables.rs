@@ -15,21 +15,21 @@ use ami_net::{
     simulate_clustered, simulate_gathering, ClusterConfig, NetworkConfig, RoutingStrategy, Topology,
 };
 use ami_radio::RadioEnergyModel;
-use ami_sim::{par_map_indexed_threads, replicate_par_threads, sim_rng};
+use ami_sim::{par_map_indexed_threads, replicate, sim_rng};
 use ami_tech::{Roadmap, TechnologyNode, VariationModel};
 use ami_units::{Energy, Frequency, Length, Power, Temperature};
 
 /// A6, table 1: per-node leakage spread over 2000 Monte-Carlo dies
 /// (σ(Vth) = 20 mV), replicated across `threads` workers with the seed
 /// schedule (base 42) merged in seed order — bit-exact with the serial
-/// `replicate` loop it replaced.
+/// loop at any worker count.
 pub fn a6_leakage_spread_rows_threads(threads: usize) -> Vec<Vec<String>> {
     let model = VariationModel::typical_2003();
     let gates = 100e3;
     let temp = Temperature::ROOM;
     let mut rows = Vec::new();
     for node in Roadmap::full_2003().nodes() {
-        let summary = replicate_par_threads(threads, 2000, 42, |seed| {
+        let summary = replicate(threads, 2000, 42, |seed| {
             let mut rng = sim_rng(seed);
             model
                 .sample_die(node, gates, temp, &mut rng)

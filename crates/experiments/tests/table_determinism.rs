@@ -11,7 +11,7 @@ use ami_experiments::tables::{
     a6_joint_yield_rows, a6_leakage_spread_rows_threads, f11_clustering_rows_threads,
     f5_best_format_lines_threads,
 };
-use ami_sim::{replicate, sim_rng};
+use ami_sim::{replication_seeds, sim_rng, summarize};
 use ami_tech::{Roadmap, TechnologyNode, VariationModel};
 use ami_units::{Frequency, Power, Temperature};
 
@@ -26,19 +26,24 @@ fn a6_leakage_rows_are_thread_invariant_and_match_serial_replicate() {
         "A6 leakage table differs between 1 and 8 threads"
     );
 
-    // The serial loop the binary used before the parallel switch.
+    // The serial fold over the seed schedule, independent of the
+    // runner.
     let model = VariationModel::typical_2003();
     let serial: Vec<Vec<String>> = Roadmap::full_2003()
         .nodes()
         .iter()
         .map(|node| {
-            let summary = replicate(2000, 42, |seed| {
-                let mut rng = sim_rng(seed);
-                model
-                    .sample_die(node, 100e3, Temperature::ROOM, &mut rng)
-                    .leakage
-                    .as_watts()
-            });
+            let leakage: Vec<f64> = replication_seeds(2000, 42)
+                .into_iter()
+                .map(|seed| {
+                    let mut rng = sim_rng(seed);
+                    model
+                        .sample_die(node, 100e3, Temperature::ROOM, &mut rng)
+                        .leakage
+                        .as_watts()
+                })
+                .collect();
+            let summary = summarize(&leakage);
             vec![
                 node.name().to_owned(),
                 format!("{:.3e}", summary.mean),
@@ -48,7 +53,7 @@ fn a6_leakage_rows_are_thread_invariant_and_match_serial_replicate() {
             ]
         })
         .collect();
-    assert_eq!(one, serial, "parallel A6 rows differ from serial replicate");
+    assert_eq!(one, serial, "parallel A6 rows differ from the serial fold");
 }
 
 #[test]

@@ -27,13 +27,14 @@
 //! * [`replicate_gathering`] and [`replicate_gathering_observed`] —
 //!   one fresh gathering session per seeded topology, on the parallel
 //!   runner, merged in seed order;
-//! * [`pdes`] — region-parallel execution of single lossy runs, one
-//!   scoped fan-out over equal id chunks per round (rollback-free — the
-//!   lossy kernel draws per-packet counter randomness via
+//! * [`pdes`] — the one lossy round loop: each round's sources in equal
+//!   id chunks, one per worker, the first on the calling thread and the
+//!   rest under one scoped fan-out (rollback-free — the lossy kernel
+//!   draws per-packet counter randomness via
 //!   [`ami_sim::rng::packet_rng`], so packets commute), bit-identical
-//!   to the serial loop at any thread count; a lossy
-//!   session run engages it when its `threads` cover a nodes-per-worker
-//!   floor. Gathering runs have one engine, the serial aggregated kernel
+//!   at any thread count; a lossy session run uses its `threads` when
+//!   they cover a nodes-per-worker floor and one worker otherwise.
+//!   Gathering runs have one engine, the serial aggregated kernel
 //!   ([`agg`]), at every thread count.
 //!
 //! # Example
@@ -78,4 +79,4 @@ pub use pdes::{
 };
 pub use replicate::{replicate_gathering, replicate_gathering_observed, summarize_reports};
 pub use routing::{build_routes, build_routes_over, RouteCache, RoutingStrategy};
-pub use topology::{NeighborsWithin, NodeId, Position, Topology};
+pub use topology::{NodeId, Position, Topology};

@@ -29,13 +29,13 @@
 //! the packet, never a position in some global sequence. A packet's
 //! fate is therefore a pure function of round-constant state (the route
 //! table, fault windows) and its own key, independent of when or where
-//! any *other* packet executes. That is the property the region-parallel
-//! engine in [`pdes`] exploits: sources execute region-parallel, and the
-//! commit replays counters and energy in fixed ascending-id order —
-//! bit-identical to this serial kernel at any thread count (no rollback
-//! machinery is needed, because unlike the budgeted perfect-link kernel
-//! there is no cross-packet coupling: links are lossy but energy is not
-//! finite in this model).
+//! any *other* packet executes. That is the property the round driver
+//! in [`pdes`] exploits: it cuts the sources into id chunks that walk on
+//! separate workers, and the commit replays counters and energy in fixed
+//! ascending-id order — bit-identical to one ascending walk at any
+//! thread count (no rollback machinery is needed, because unlike the
+//! budgeted perfect-link kernel there is no cross-packet coupling: links
+//! are lossy but energy is not finite in this model).
 //!
 //! The float discipline backing that equality: each packet accumulates
 //! its energy in a private subtotal, and subtotals fold into the run
@@ -148,7 +148,7 @@ impl LossyReport {
 
 /// How one offered packet ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LossyFate {
+enum LossyFate {
     /// Reached the sink end-to-end.
     Delivered,
     /// Died on channel noise: some hop exhausted its ARQ budget.
@@ -172,10 +172,9 @@ pub(crate) struct ArqConstants {
     attempts_f: f64,
 }
 
-/// The round-constant inputs of a packet walk, shared by the serial
-/// kernel and the region-parallel engine so both execute the *same*
-/// code — the bit-exactness argument reduces to "same inputs, same
-/// function, replayed folds".
+/// The round-constant inputs of a packet walk, shared by every chunk
+/// of a round so each executes the *same* code — the bit-exactness
+/// argument reduces to "same inputs, same function, replayed folds".
 pub(crate) struct LossyRoundCtx<'c> {
     arq: ArqConstants,
     /// The route cache's heavy-path image: the walk reads positions.
@@ -183,7 +182,9 @@ pub(crate) struct LossyRoundCtx<'c> {
     /// This round's hop-fault mask by image position; `None` on a
     /// fault-free run, whose walks skip every fault check.
     hop_faults: Option<&'c [HopFault]>,
-    pub(crate) down_now: &'c [bool],
+    sink: usize,
+    down_now: &'c [bool],
+    connected: &'c [bool],
 }
 
 impl<'c> LossyRoundCtx<'c> {
@@ -194,8 +195,16 @@ impl<'c> LossyRoundCtx<'c> {
             arq,
             image: core.cache.image(),
             hop_faults: core.hop_faults(),
+            sink: core.sink.0,
             down_now: &core.down_now,
+            connected: core.cache.connected_flags(),
         }
+    }
+
+    /// Whether `src` offers a packet this round: every sensor does
+    /// unless it is powered off or routeless.
+    pub(crate) fn offers(&self, src: usize) -> bool {
+        src != self.sink && !self.down_now[src] && self.connected[src]
     }
 }
 
@@ -279,10 +288,10 @@ fn walk_packet(
 }
 
 /// The counts the lossy kernel accumulates: per-position attempt counts
-/// for the round and packet tallies for the run. The serial state keeps
-/// one; the region-parallel engine ([`crate::pdes`]) keeps one per
-/// id chunk and [`absorb`](Self::absorb)s each into the state's at the
-/// round commit.
+/// for the round and packet tallies for the run. The run state keeps
+/// one, which the first id chunk of every round walks into; the round
+/// driver ([`crate::pdes`]) keeps one per further chunk and
+/// [`absorb`](Self::absorb)s each into the state's at the round commit.
 pub(crate) struct LossyTally {
     /// ARQ attempt counts this round (sender side), indexed by image
     /// position, committed to the recorder once per round in ascending
@@ -309,13 +318,8 @@ impl LossyTally {
     }
 
     /// Offers one packet from `src`, walks it, and counts its fate.
-    /// Returns the fate and the packet's private energy subtotal.
-    pub(crate) fn offer(
-        &mut self,
-        ctx: &LossyRoundCtx<'_>,
-        round: u64,
-        src: NodeId,
-    ) -> (LossyFate, f64) {
+    /// Returns the packet's private energy subtotal.
+    pub(crate) fn offer(&mut self, ctx: &LossyRoundCtx<'_>, round: u64, src: NodeId) -> f64 {
         self.offered += 1;
         let (fate, energy) = walk_packet(
             ctx,
@@ -330,12 +334,12 @@ impl LossyTally {
             LossyFate::Fault => self.dropped_fault += 1,
             LossyFate::Channel => {}
         }
-        (fate, energy)
+        energy
     }
 
     /// Adds every count of `chunk` into `self` and zeroes `chunk`.
     /// Integer counts merge exactly, so the merged attempt counts equal
-    /// the serial loop's.
+    /// those of one ascending walk over every source.
     pub(crate) fn absorb(&mut self, chunk: &mut LossyTally) {
         for (total, count) in self.tx_attempts.iter_mut().zip(&mut chunk.tx_attempts) {
             *total += std::mem::take(count);
@@ -351,12 +355,11 @@ impl LossyTally {
 }
 
 /// Run state of the counter-RNG lossy kernel over the session's
-/// [`RoundCore`]: the ARQ constants, the tallies and the energy fold.
-/// Shared between the serial loop in [`LossySession::run_faulted_with`]
-/// and the region-parallel engine in [`crate::pdes`]. Routing sees
-/// fault state with a one-round lag, as in `gather`; the core's `alive`
-/// flags stay all true, because links are lossy but energy is not
-/// finite in this model.
+/// [`RoundCore`]: the ARQ constants, the tallies and the energy fold,
+/// which the round driver in [`crate::pdes`] runs. Routing sees fault
+/// state with a one-round lag, as in `gather`; the core's `alive` flags
+/// stay all true, because links are lossy but energy is not finite in
+/// this model.
 pub(crate) struct LossyState<'r, 'a> {
     pub(crate) core: &'r mut RoundCore<'a>,
     pub(crate) arq: ArqConstants,
@@ -397,38 +400,12 @@ impl<'r, 'a> LossyState<'r, 'a> {
         }
     }
 
-    /// The serial round body: every live connected sensor offers one
-    /// packet and walks it, ascending source id; the recorder sees the
-    /// round's per-node charges afterwards via [`Self::commit_charges`].
-    pub(crate) fn send_all<R: Recorder>(&mut self, round: u64, recorder: &mut R) {
-        let ctx = LossyRoundCtx::new(self.core, self.arq);
-        let connected = self.core.cache.connected_flags();
-        for id in self.core.topology.sensor_ids() {
-            if ctx.down_now[id.0] || !connected[id.0] {
-                continue; // powered off or routeless: offers nothing
-            }
-            let (fate, pkt_energy) = self.tally.offer(&ctx, round, id);
-            recorder.packet_offered();
-            self.energy += pkt_energy;
-            match fate {
-                LossyFate::Delivered => recorder.packet_delivered(),
-                LossyFate::Fault => recorder.packet_dropped_fault(),
-                // Channel losses are implicit in the counters
-                // (offered − delivered − fault); they are not a
-                // `dropped_*` recorder cause.
-                LossyFate::Channel => {}
-            }
-        }
-        self.commit_charges(recorder);
-    }
-
     /// Commits the round's attempt counts to the recorder — one charge
     /// per `(node, category)` in ascending node id, read through the
     /// image's `pos`, integer count times the round-constant
-    /// per-attempt cost — and clears them. The region-parallel engine
-    /// merges its region counts into the state and commits through here
-    /// too, so this is the one place the Tx-then-RxRelay charge order is
-    /// written.
+    /// per-attempt cost — and clears them. The round driver merges
+    /// every chunk's counts into the state first, so this is the one
+    /// place the Tx-then-RxRelay charge order is written.
     pub(crate) fn commit_charges<R: Recorder>(&mut self, recorder: &mut R) {
         let RouteImage { pos, tx, .. } = self.core.cache.image();
         let LossyTally {
@@ -537,11 +514,13 @@ impl<'a> LossySession<'a> {
     /// `dropped_fault`; channel losses are the remainder).
     /// [`NullRecorder`] monomorphizes the hooks away.
     ///
-    /// The region-parallel engine ([`pdes`]) runs the rounds when the run
-    /// covers its nodes-per-worker floor on more than one worker
-    /// ([`pdes::par_engaged_count`]); every other run takes the serial
-    /// loop on the calling thread ([`pdes::par_serial_fallback_count`]).
-    /// Both are bit-identical, so `threads` never changes a result.
+    /// The round driver ([`pdes`]) cuts each round's sources into one id
+    /// chunk per worker. The run uses `threads` workers when it covers
+    /// the nodes-per-worker floor on more than one
+    /// ([`pdes::par_engaged_count`]); every other run walks each round
+    /// as one chunk on the calling thread
+    /// ([`pdes::par_serial_fallback_count`]). The split is
+    /// bit-invisible, so `threads` never changes a result.
     ///
     /// # Panics
     ///
@@ -561,17 +540,9 @@ impl<'a> LossySession<'a> {
             (0.0..=0.5).contains(&self.config.ber),
             "BER must lie in [0, 0.5]"
         );
-        let engaged = pdes::engage(self.core.topology.len(), threads);
+        let workers = pdes::engage(self.core.topology.len(), threads);
         let mut state = LossyState::new(&mut self.core, self.config, seed, faults);
-        if engaged {
-            pdes::run_region_rounds(&mut state, rounds, threads, recorder);
-        } else {
-            for round in 0..rounds {
-                state.core.begin_round(round);
-                state.send_all(round, recorder);
-                state.core.end_round();
-            }
-        }
+        pdes::run_rounds(&mut state, rounds, workers, recorder);
         state.finish()
     }
 }

@@ -1,27 +1,27 @@
-//! Conservative parallel discrete-event execution *inside* a single
-//! lossy/ARQ run — chunk-parallel rounds, bit-identical to the serial
-//! counter-RNG kernel.
+//! The lossy/ARQ round driver: chunk-parallel rounds, bit-identical at
+//! any worker count.
 //!
 //! The seed-partitioned runner parallelizes *across* replications; a
-//! single city-scale run still pinned one core. This module splits each
-//! round's sources into `threads` equal contiguous id chunks, walks
-//! them under one [`std::thread::scope`] per round (the calling thread
-//! takes the first chunk), and commits after the join in a **fixed
-//! deterministic reduction order** — chunk, then node id, which for
-//! contiguous id chunks is exactly ascending global node id, the order
-//! the serial kernel charges in.
+//! single city-scale run still pinned one core. This module is the one
+//! loop every [`LossySession`](crate::LossySession) round runs through.
+//! It splits each round's sources into one equal contiguous id chunk
+//! per worker, walks the first on the calling thread and the others
+//! under one [`std::thread::scope`] per round, and commits after the
+//! join in a **fixed deterministic reduction order** — chunk, then node
+//! id, which for contiguous id chunks is exactly ascending global node
+//! id. A one-worker run walks each round as a single chunk on the
+//! calling thread and opens no scope.
 //!
 //! [`LossySession::run_faulted_with`](crate::LossySession::run_faulted_with)
-//! decides per run whether this engine or the serial loop runs the
-//! rounds; the engine is a crate-private round driver over the
-//! session's run state, so it has no entry point of its own. Each
+//! picks the worker count per run; the driver is crate-private over
+//! the session's run state, so it has no entry point of its own. Each
 //! chunk walks its sources along the route cache's heavy-path image
-//! with the serial loop's own packet walk, into a tally of the serial
-//! state's own type — attempt counts indexed by image position — which
-//! the round commit absorbs into the state's. On faulted runs the walks
-//! read the round core's hop-fault mask, which `begin_round` fills on
-//! the calling thread before the fan-out, so the workers share it
-//! read-only and query no fault timeline.
+//! into a tally of the run state's own type — attempt counts indexed by
+//! image position. The first chunk walks into the state's tally; the
+//! round commit absorbs every other chunk's into it. On faulted runs
+//! the walks read the round core's hop-fault mask, which `begin_round`
+//! fills on the calling thread before the fan-out, so the workers share
+//! it read-only and query no fault timeline.
 //!
 //! Chunks are equal in ids, not in work: a lossy source costs its route
 //! length times its ARQ attempts, which no cheap per-node weight
@@ -33,17 +33,18 @@
 //!
 //! # Why the result is bit-identical
 //!
-//! The engine needs no rollback machinery: the lossy model has no
+//! The driver needs no rollback machinery: the lossy model has no
 //! energy budgets, so there is no cross-packet coupling and no margin
 //! to check. Every packet draws
 //! from its own counter stream ([`ami_sim::rng::packet_rng`]) and its
 //! fate depends only on round-constant state, so chunk walks commute
-//! and every round commits. The commit replays the serial folds —
+//! and every round commits. The commit replays the one-chunk folds —
 //! energy subtotals in ascending source order, ledger charges per
 //! `(node, category)` from exactly-merged integer attempt counts, read
 //! back through the image's `pos` in ascending id. The differential
-//! suite pins `par ≡ serial` at 1/2/5/8 threads across random fault
-//! schedules, and both against an id-order reference round.
+//! suite pins every worker count at 1/2/5/8 threads across random fault
+//! schedules against the one-worker run, and both against an id-order
+//! reference round.
 //!
 //! # Why gathering runs stay serial
 //!
@@ -63,9 +64,10 @@
 //! The per-round spawn, the split and the join are pure overhead on
 //! small runs, so every lossy session run first checks a cheap
 //! nodes-per-worker floor ([`PAR_MIN_NODES_PER_WORKER`], overridable
-//! per thread) and runs the serial loop when the run is too small or
-//! has one worker — bit-identical results either way, observable only
-//! through [`par_serial_fallback_count`]/[`par_engaged_count`].
+//! per thread) and runs on one worker when the run is too small or has
+//! one worker to begin with — bit-identical results either way,
+//! observable only through
+//! [`par_serial_fallback_count`]/[`par_engaged_count`].
 
 use crate::lossy::{LossyRoundCtx, LossyState, LossyTally};
 use crate::topology::NodeId;
@@ -74,15 +76,14 @@ use std::cell::Cell;
 use std::panic::resume_unwind;
 
 /// Default floor on nodes-per-worker below which a lossy session run
-/// takes the serial loop instead of fanning out: below it the per-round
-/// spawn, split and join overhead outweighs the work. Alternating
-/// serial and 2-worker session runs on a 2-vCPU KVM guest had two
-/// workers lose at n = 10⁴ (0.86× fault-free, 0.96× faulted), win
-/// fault-free runs and break even on faulted ones from 4×10⁴, and win
-/// both at 10⁵; so two workers engage from 4×10⁴ nodes. Results are
-/// bit-identical either way — the engine exists precisely because
-/// parallel ≡ serial — so the threshold is purely a performance
-/// heuristic.
+/// walks each round as one chunk instead of fanning out: below it the
+/// per-round spawn, split and join overhead outweighs the work.
+/// Alternating serial and 2-worker session runs on a 2-vCPU KVM guest
+/// had two workers lose at n = 10⁴ (0.86× fault-free, 0.96× faulted),
+/// win fault-free runs and break even on faulted ones from 4×10⁴, and
+/// win both at 10⁵; so two workers engage from 4×10⁴ nodes. Results are
+/// bit-identical either way — the chunk split is invisible in every
+/// fold — so the threshold is purely a performance heuristic.
 pub const PAR_MIN_NODES_PER_WORKER: usize = 20_000;
 
 thread_local! {
@@ -106,13 +107,14 @@ pub fn par_min_nodes_per_worker() -> usize {
         .unwrap_or(PAR_MIN_NODES_PER_WORKER)
 }
 
-/// How many lossy session runs on this thread took the serial loop:
-/// every run the region engine did not take, one-worker runs included.
+/// How many lossy session runs on this thread ran on one worker: every
+/// run the fan-out did not take, one-worker runs included.
 pub fn par_serial_fallback_count() -> u64 {
     PAR_FALLBACKS.with(Cell::get)
 }
 
-/// How many lossy session runs on this thread the region engine took.
+/// How many lossy session runs on this thread fanned out to more than
+/// one worker.
 pub fn par_engaged_count() -> u64 {
     PAR_ENGAGED.with(Cell::get)
 }
@@ -123,127 +125,134 @@ pub fn reset_par_engagement_counters() {
     PAR_ENGAGED.with(|cell| cell.set(0));
 }
 
-/// Whether the fan-out can pay for itself: more than one worker and
-/// enough nodes to keep each busy between spawn and join.
-fn parallel_pays(n: usize, threads: usize) -> bool {
-    threads > 1 && n >= par_min_nodes_per_worker().saturating_mul(threads)
-}
-
-/// Decides by [`parallel_pays`] whether a lossy run over `n` nodes on
-/// `threads` workers takes the region engine, and counts the decision:
+/// How many workers a lossy run over `n` nodes on `threads` workers
+/// uses: all of them when there is more than one and enough nodes to
+/// keep each busy between spawn and join, else 1. Counts the decision:
 /// one engagement or one serial fallback per run.
-pub(crate) fn engage(n: usize, threads: usize) -> bool {
-    let pays = parallel_pays(n, threads);
+pub(crate) fn engage(n: usize, threads: usize) -> usize {
+    let pays = threads > 1 && n >= par_min_nodes_per_worker().saturating_mul(threads);
     let counter = if pays { &PAR_ENGAGED } else { &PAR_FALLBACKS };
     counter.with(|cell| cell.set(cell.get() + 1));
-    pays
+    if pays {
+        threads
+    } else {
+        1
+    }
 }
 
-/// Runs `rounds` rounds of `state` on `threads` workers — bit-identical
-/// to the serial loop at any thread count.
+/// Runs `rounds` rounds of `state` on `workers` workers — bit-identical
+/// at any worker count.
 ///
 /// No rollback machinery exists here, because none is needed: the lossy
 /// model has no energy budgets, so a packet's fate depends only on
 /// round-constant state (routes, fault windows) and its own counter
 /// stream ([`ami_sim::rng::packet_rng`]) — never on another packet's
-/// execution. Each round splits the source ids into `threads` equal
+/// execution. Each round splits the source ids into `workers` equal
 /// contiguous chunks (the last may be shorter, and there are fewer
-/// chunks than workers when `threads` exceeds the node count); each
-/// chunk walks its sources with [`LossyTally::offer`] — the same walk
-/// the serial loop runs — into a chunk-local tally (walks from any
-/// chunk can land ARQ attempts on any node, so each chunk's tally spans
-/// every node). The commit then replays the serial folds exactly:
-/// per-packet energy subtotals added in ascending source id, per-node
-/// ledger charges committed once per `(node, category)` from the merged
-/// (exact, integer) attempt counts, packet tallies bulk-committed.
+/// chunks than workers when `workers` exceeds the node count); each
+/// chunk walks its sources with [`LossyTally::offer`]. The first chunk
+/// walks on the calling thread into the state's own tally and folds
+/// its energy subtotals straight into the run total; every further
+/// chunk walks on a scoped thread into a chunk-local tally (walks from
+/// any chunk can land ARQ attempts on any node, so each tally spans
+/// every node) and a slot per source. The commit then replays the
+/// ascending-id folds exactly: the later chunks' energy subtotals added
+/// in ascending source id, per-node ledger charges committed once per
+/// `(node, category)` from the merged (exact, integer) attempt counts,
+/// packet tallies bulk-committed. A one-chunk round opens no scope and
+/// absorbs nothing, so a warm one-worker round allocates nothing.
 ///
-/// The caller decides engagement with [`engage`].
+/// The caller picks `workers` with [`engage`].
 ///
 /// # Panics
 ///
 /// Re-raises the payload of a chunk walk that panicked.
-pub(crate) fn run_region_rounds<R: Recorder>(
+pub(crate) fn run_rounds<R: Recorder>(
     state: &mut LossyState<'_, '_>,
     rounds: u64,
-    threads: usize,
+    workers: usize,
     recorder: &mut R,
 ) {
     let n = state.core.topology.len();
-    let sink_id = state.core.sink.0;
-    let chunk = n.div_ceil(threads);
-    // Per-source packet energy subtotals, one slot per node id; chunks
-    // of this are the only f64s workers write.
-    let mut pkt_energy = vec![0.0f64; n];
-    let mut tallies: Vec<LossyTally> = (0..n.div_ceil(chunk)).map(|_| LossyTally::new(n)).collect();
+    let chunk = n.div_ceil(workers);
+    // Energy subtotals of the sources past the first chunk, one slot
+    // per id: the only f64s other threads write.
+    let mut later_energy = vec![0.0f64; n - chunk];
+    let mut tallies: Vec<LossyTally> = (0..later_energy.len().div_ceil(chunk))
+        .map(|_| LossyTally::new(n))
+        .collect();
 
     for round in 0..rounds {
         state.core.begin_round(round);
+        let LossyState {
+            core,
+            arq,
+            tally,
+            energy,
+        } = &mut *state;
+        let (offered, delivered, faulted) = (tally.offered, tally.delivered, tally.dropped_fault);
         {
-            let ctx = LossyRoundCtx::new(state.core, state.arq);
-            let connected = state.core.cache.connected_flags();
-            // Walk every source of one chunk. Draws come from each
-            // packet's own stream, so chunks cannot perturb one another.
-            let walk = |(k, (slots, tally)): (usize, (&mut [f64], &mut LossyTally))| {
-                for (src, slot) in (k * chunk..).zip(slots) {
-                    *slot = 0.0;
-                    if src == sink_id || ctx.down_now[src] || !connected[src] {
-                        continue;
-                    }
-                    *slot = tally.offer(&ctx, round, NodeId(src)).1;
+            let ctx = LossyRoundCtx::new(core, *arq);
+            let ctx = &ctx;
+            let mut walk_first = || {
+                for src in (0..chunk).filter(|&src| ctx.offers(src)) {
+                    *energy += tally.offer(ctx, round, NodeId(src));
                 }
             };
-            let mut chunks = pkt_energy.chunks_mut(chunk).zip(&mut tallies).enumerate();
-            let first = chunks.next().expect("a topology has at least two nodes");
-            std::thread::scope(|scope| {
-                let walk = &walk;
-                let others: Vec<_> = chunks.map(|c| scope.spawn(move || walk(c))).collect();
-                walk(first);
-                for handle in others {
-                    // Re-raise the worker's own payload on the caller; an
-                    // unjoined panic would surface only as the scope's
-                    // generic "a scoped thread panicked".
-                    if let Err(payload) = handle.join() {
-                        resume_unwind(payload);
+            if tallies.is_empty() {
+                walk_first();
+            } else {
+                std::thread::scope(|scope| {
+                    let others: Vec<_> = (chunk..)
+                        .step_by(chunk)
+                        .zip(later_energy.chunks_mut(chunk).zip(&mut tallies))
+                        .map(|(start, (slots, tally))| {
+                            scope.spawn(move || {
+                                // Draws come from each packet's own
+                                // stream, so chunks cannot perturb one
+                                // another.
+                                for (src, slot) in (start..).zip(slots) {
+                                    *slot = if ctx.offers(src) {
+                                        tally.offer(ctx, round, NodeId(src))
+                                    } else {
+                                        0.0
+                                    };
+                                }
+                            })
+                        })
+                        .collect();
+                    walk_first();
+                    for handle in others {
+                        // Re-raise the worker's own payload on the
+                        // caller; an unjoined panic would surface only
+                        // as the scope's generic "a scoped thread
+                        // panicked".
+                        if let Err(payload) = handle.join() {
+                            resume_unwind(payload);
+                        }
                     }
-                }
-            });
+                });
+            }
         }
-        commit_lossy_round(state, recorder, &mut tallies, &pkt_energy);
+        // The run-total energy fold continues past the first chunk in
+        // ascending source id. Slots of unoffered sources are exactly
+        // 0.0 and an offered packet always spends (it makes at least
+        // one attempt), so skipping zeros replays the ascending fold
+        // bitwise.
+        for &slot in &later_energy {
+            if slot != 0.0 {
+                *energy += slot;
+            }
+        }
+        for later in &mut tallies {
+            tally.absorb(later);
+        }
+        state.commit_charges(recorder);
+        recorder.packets_offered(state.tally.offered - offered);
+        recorder.packets_delivered(state.tally.delivered - delivered);
+        recorder.packets_dropped_fault(state.tally.dropped_fault - faulted);
         state.core.end_round();
     }
-}
-
-/// Folds a parallel lossy round into the run state by replaying the
-/// serial folds: energy subtotals ascending source id, chunk tallies
-/// absorbed into the state's and charged by
-/// [`LossyState::commit_charges`], this round's packet counts
-/// bulk-committed.
-fn commit_lossy_round<R: Recorder>(
-    state: &mut LossyState<'_, '_>,
-    recorder: &mut R,
-    tallies: &mut [LossyTally],
-    pkt_energy: &[f64],
-) {
-    // The run-total energy fold: the serial kernel adds each offered
-    // packet's private subtotal in ascending source order. Slots of
-    // unoffered sources are exactly 0.0 and an offered packet always
-    // spends (it makes at least one attempt), so skipping zeros replays
-    // the serial fold bitwise.
-    for &slot in pkt_energy {
-        if slot != 0.0 {
-            state.energy += slot;
-        }
-    }
-
-    let before = &state.tally;
-    let (offered, delivered, faulted) = (before.offered, before.delivered, before.dropped_fault);
-    for tally in tallies {
-        state.tally.absorb(tally);
-    }
-    state.commit_charges(recorder);
-    recorder.packets_offered(state.tally.offered - offered);
-    recorder.packets_delivered(state.tally.delivered - delivered);
-    recorder.packets_dropped_fault(state.tally.dropped_fault - faulted);
 }
 
 #[cfg(test)]
@@ -364,9 +373,9 @@ mod tests {
         #[test]
         fn small_runs_fall_back_to_serial_and_count_it() {
             // Default heuristic: a 16-node grid can never cover the
-            // per-worker floor, so the session must run the serial loop
-            // — observable only through the counters, because the
-            // results are bit-identical either way.
+            // per-worker floor, so the session must walk each round as
+            // one chunk — observable only through the counters, because
+            // the results are bit-identical either way.
             set_par_min_nodes_per_worker(None);
             let topo = Topology::grid(4, Length::from_meters(30.0));
             let config = LossyConfig::bruised_channel();

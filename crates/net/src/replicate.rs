@@ -5,10 +5,11 @@
 //! (multi-hop savings, the energy hole, delivery under loss) need
 //! confidence intervals over topology draws. This module runs one fresh
 //! [`GatherSession`] per topology across `base_seed + k` topologies with
-//! the same seed-partitioning scheme as `ami_sim::replicate` —
-//! replication `k` always sees seed `base_seed + k`, and reports come
-//! back in seed order, so the parallel path is bit-exact with a serial
-//! loop at any worker count (enforced by `tests/determinism.rs`).
+//! the seed schedule of `ami_sim::replicate`
+//! ([`ami_sim::replication_seeds`]) — replication `k` always sees seed
+//! `base_seed + k`, and reports come back in seed order, so the parallel
+//! path is bit-exact with a serial loop at any worker count (enforced by
+//! `tests/determinism.rs`).
 //! [`replicate_gathering`] returns the reports of fault-free runs;
 //! [`replicate_gathering_observed`] adds per-seed fault schedules and a
 //! merged energy ledger.
@@ -27,16 +28,7 @@ use crate::routing::RoutingStrategy;
 use crate::topology::Topology;
 use ami_sim::fault::FaultSchedule;
 use ami_sim::obs::LedgerRecorder;
-use ami_sim::summarize;
-use ami_sim::Summary;
-
-/// Replication `k`'s seed is `base_seed + k`, whichever worker runs it.
-fn replication_seeds(replications: usize, base_seed: u64) -> Vec<u64> {
-    assert!(replications > 0, "at least one replication");
-    (0..replications)
-        .map(|k| base_seed.wrapping_add(k as u64))
-        .collect()
-}
+use ami_sim::{replication_seeds, summarize, Summary};
 
 /// Replicates a fault-free gathering study across seeded random
 /// topologies on `threads` workers (1 = serial loop), returning one

@@ -13,7 +13,7 @@
 //! per heavy-path image position (the fate of the hop from that
 //! position to its parent), in one O(N) pass over the image. Both
 //! kernels — gathering's aggregated passes (`agg`) and lossy's
-//! `walk_packet`, the latter also run by the region engine — read
+//! `walk_packet`, the latter on every worker of a round — read
 //! `mask[at]` beside `parent[at]`, a sequential byte along the heavy
 //! path, instead of a random down flag and a timeline query per hop.
 //! Fault-free runs neither fill nor read the mask ([`RoundCore::hop_faults`] is `None`),

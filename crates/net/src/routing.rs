@@ -110,7 +110,7 @@ fn note_route_repair() {
 ///
 /// The counter is **thread-local**: builds performed by worker threads
 /// are visible only on the thread that performed them (the
-/// region-parallel lossy engine resolves routes on the caller's thread,
+/// lossy round driver resolves routes on the caller's thread,
 /// so its builds count there). When a test needs counts attributable
 /// to one simulation rather than one thread,
 /// prefer the per-cache [`RouteCache::builds`] / [`RouteCache::repairs`]

@@ -293,29 +293,15 @@ impl Topology {
     }
 
     /// Neighbours of `node` within `range` (excluding itself), ascending
-    /// by id. Backed by the CSR cache; prefer
-    /// [`neighbors_within_iter`](Topology::neighbors_within_iter) in hot
-    /// paths to skip this `Vec` allocation.
+    /// by id. Backed by the CSR cache; hot paths read the row of
+    /// [`csr_within`](Self::csr_within) directly to skip this `Vec`
+    /// allocation.
     pub fn neighbors_within(&self, node: NodeId, range: Length) -> Vec<NodeId> {
         self.csr_within(range)
             .neighbors(node.0)
             .iter()
             .map(|&v| NodeId(v as usize))
             .collect()
-    }
-
-    /// Allocation-free variant of
-    /// [`neighbors_within`](Topology::neighbors_within): iterates the
-    /// cached CSR row directly (same ascending-id order).
-    pub fn neighbors_within_iter(&self, node: NodeId, range: Length) -> NeighborsWithin {
-        let csr = self.csr_within(range);
-        let len = csr.neighbors(node.0).len();
-        NeighborsWithin {
-            csr,
-            node: node.0,
-            cursor: 0,
-            len,
-        }
     }
 
     /// The maximum node-to-sink distance (network radius).
@@ -326,35 +312,6 @@ impl Topology {
             .unwrap_or(Length::ZERO)
     }
 }
-
-/// Iterator over one cached CSR row; see
-/// [`Topology::neighbors_within_iter`]. Holds the graph alive via `Arc`,
-/// so it stays valid even if the topology caches a different range
-/// mid-iteration.
-pub struct NeighborsWithin {
-    csr: Arc<CsrAdjacency>,
-    node: usize,
-    cursor: usize,
-    len: usize,
-}
-
-impl Iterator for NeighborsWithin {
-    type Item = NodeId;
-
-    fn next(&mut self) -> Option<NodeId> {
-        let row = self.csr.neighbors(self.node);
-        let v = *row.get(self.cursor)?;
-        self.cursor += 1;
-        Some(NodeId(v as usize))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.len - self.cursor;
-        (remaining, Some(remaining))
-    }
-}
-
-impl ExactSizeIterator for NeighborsWithin {}
 
 #[cfg(test)]
 mod tests {
@@ -401,20 +358,6 @@ mod tests {
         assert_eq!(close.len(), 4);
         let all = g.neighbors_within(NodeId(4), Length::from_meters(15.0));
         assert_eq!(all.len(), 8);
-    }
-
-    #[test]
-    fn neighbors_iter_matches_vec_variant() {
-        let g = Topology::random(30, Length::from_meters(90.0), 5);
-        for range_m in [20.0, 45.0] {
-            let range = Length::from_meters(range_m);
-            for id in g.ids() {
-                let iter = g.neighbors_within_iter(id, range);
-                assert_eq!(iter.len(), g.neighbors_within(id, range).len());
-                let collected: Vec<NodeId> = g.neighbors_within_iter(id, range).collect();
-                assert_eq!(collected, g.neighbors_within(id, range));
-            }
-        }
     }
 
     #[test]

@@ -107,7 +107,7 @@ pub fn rebuild_over_usable(
 /// a downed receiver burns the sender's whole ARQ budget, a downed link
 /// charges both ends per attempt, neither draws — then charges the
 /// round's attempt counts, Tx then RxRelay, in ascending id. The
-/// recorder sees what the session's serial loop shows it.
+/// recorder sees the charges and packet counts the session shows it.
 pub fn lossy_reference_run<R: Recorder>(
     topology: &Topology,
     config: &LossyConfig,

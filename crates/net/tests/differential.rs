@@ -11,21 +11,21 @@
 //!   energy ledgers and rendered manifests, across random topologies ×
 //!   random fault schedules, with failures delta-debugged down to a
 //!   1-minimal schedule before reporting,
-//! * **region-parallel lossy rounds ≡ the serial counter-RNG kernel** —
-//!   the rollback-free lossy engine (`ami_net::pdes`) at 2, 5 and 8
-//!   threads must reproduce the serial ARQ run's report, ledger and
-//!   rendered manifest across random fault schedules (the per-packet
-//!   counter streams are what make this possible at all), again with
-//!   ddmin minimization on failure,
-//! * **both lossy engines ≡ an id-order reference round** built on the
-//!   public API alone (`common::oracle::lossy_reference_run`), since the
-//!   two engines share one image walk and cannot check it for each
-//!   other.
+//! * **chunk-parallel lossy rounds ≡ the one-worker counter-RNG run** —
+//!   the rollback-free lossy round driver (`ami_net::pdes`) at 2, 5
+//!   and 8 threads must reproduce the one-worker ARQ run's report,
+//!   ledger and rendered manifest across random fault schedules (the
+//!   per-packet counter streams are what make this possible at all),
+//!   again with ddmin minimization on failure,
+//! * **every worker count ≡ an id-order reference round** built on the
+//!   public API alone (`common::oracle::lossy_reference_run`), since
+//!   every chunk split shares one image walk and cannot check it for
+//!   another.
 //!
 //! The lossy fixtures here sit far below the production
-//! nodes-per-worker floor, so every parallel run force-engages the
-//! region engine via `set_par_min_nodes_per_worker(Some(0))` — without
-//! it the fallback would reduce these tests to serial ≡ serial.
+//! nodes-per-worker floor, so every parallel run forces the fan-out
+//! via `set_par_min_nodes_per_worker(Some(0))` — without it the
+//! fallback would reduce these tests to one worker ≡ one worker.
 //!
 //! Everything here asserts *bit* equality (ids and float bits), not
 //! approximate equality: the optimizations are only admissible because
@@ -346,9 +346,9 @@ fn lossy_observed_run(
 }
 
 proptest! {
-    /// Lossy PDES contract: the rollback-free region-parallel ARQ
-    /// engine at 2, 5 and 8 threads is byte-identical to the serial
-    /// counter-RNG kernel — report, ledger, rendered manifest — under
+    /// Lossy PDES contract: the rollback-free chunk-parallel ARQ
+    /// rounds at 2, 5 and 8 threads are byte-identical to the
+    /// one-worker run — report, ledger, rendered manifest — under
     /// random fault schedules (downed relays and links burning full
     /// ARQ budgets mid-route), with ddmin minimization on failure.
     /// Five workers split the 24 nodes into uneven id chunks (5, 5, 5,
@@ -386,8 +386,8 @@ proptest! {
 }
 
 proptest! {
-    /// The lossy walk pinned to something independent of it: the serial
-    /// loop (1 worker) and the region engine (2 workers) must both match
+    /// The lossy walk pinned to something independent of it: one
+    /// worker and two workers must both match
     /// the id-order reference round — report and ledger — on random
     /// faulted fields, with ddmin minimization on failure.
     #[test]
@@ -428,7 +428,7 @@ proptest! {
 #[test]
 fn region_parallel_lossy_matches_serial_at_n1600_under_the_bench_fault_mix() {
     // Acceptance-scale spot check for the lossy engine: one n=1600
-    // faulted ARQ run, serial counter-RNG vs region-parallel at 2 and 8
+    // faulted ARQ run, one worker vs chunk-parallel at 2 and 8
     // threads, bit-identical reports, ledgers and manifests. (The
     // n=100k differential lives in `scale_smoke_lossy` behind
     // `--ignored`.)

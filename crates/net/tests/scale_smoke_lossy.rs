@@ -1,7 +1,7 @@
 //! City-scale lossy/ARQ smoke test: n = 100 000 nodes on the bruised
 //! channel, bounded in wall clock and allocations, with the
-//! region-parallel engine checked bit-exact against the serial
-//! counter-RNG kernel. `#[ignore]`d by default because the debug
+//! chunk-parallel rounds checked bit-exact against the one-worker
+//! counter-RNG run. `#[ignore]`d by default because the debug
 //! profile is far too slow at this size — CI runs it as
 //! `cargo test --release -- --ignored scale_smoke`, and a debug
 //! invocation that reaches it anyway skips with a note. (This binary
@@ -128,8 +128,8 @@ fn scale_smoke_lossy_100k_nodes_arq_serial_and_parallel() {
     );
     assert!(short > 0, "the counter must actually be counting");
 
-    // Region-parallel pass: the rollback-free lossy engine must
-    // reproduce the serial counter-RNG run bit for bit at city scale,
+    // Region-parallel pass: the rollback-free fan-out must reproduce
+    // the one-worker counter-RNG run bit for bit at city scale,
     // at worker counts whose share of n=100k clears the default
     // nodes-per-worker floor — each run must engage the engine.
     let serial =

@@ -189,10 +189,10 @@ impl CompiledScenario {
     /// policy stanza, and the workload's results (ledger, counters,
     /// headline figures). It is **byte-identical at any `threads`**:
     /// replications merge in seed order, single gathering runs execute
-    /// on the serial aggregated kernel at every thread count, and the
-    /// region-parallel lossy engine is bit-identical to the serial one
-    /// (it engages only when [`ami_net::pdes`]'s nodes-per-worker floor
-    /// says the run is big enough), so thread count is pure mechanism.
+    /// on the serial aggregated kernel at every thread count, and a
+    /// lossy run is bit-identical at any worker count (it fans out only
+    /// when [`ami_net::pdes`]'s nodes-per-worker floor says the run is
+    /// big enough), so thread count is pure mechanism.
     ///
     /// # Panics
     ///
@@ -266,10 +266,10 @@ impl CompiledScenario {
                     .expect("lossy workloads compile a LossyConfig");
                 let empty = FaultSchedule::empty();
                 let schedule = self.schedule.as_ref().unwrap_or(&empty);
-                // The session decides by size whether the region engine
-                // engages (it runs the serial loop below the
-                // nodes-per-worker floor); either path is bit-identical —
-                // the counter-RNG kernel's contract.
+                // The session decides by size whether the rounds fan out
+                // (below the nodes-per-worker floor they run on one
+                // worker); any split is bit-identical — the counter-RNG
+                // kernel's contract.
                 let report = LossySession::new(topo, config).run_faulted_with(
                     self.spec.rounds,
                     self.spec.seed,

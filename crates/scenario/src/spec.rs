@@ -434,11 +434,16 @@ impl ScenarioSpec {
                 if self.rounds == 0 {
                     return spec_err("lossy workloads require `rounds` >= 1");
                 }
-                if !(0.0..1.0).contains(ber) {
-                    return spec_err("workload.ber must lie in [0, 1)");
+                // The lossy session's own range: a spec it would refuse
+                // must fail here, not panic inside a run.
+                if !(0.0..=0.5).contains(ber) {
+                    return spec_err(format!("workload.ber must lie in [0, 0.5], got {ber}"));
                 }
                 if *arq_attempts == 0 {
-                    return spec_err("workload.arq_attempts must be >= 1");
+                    return spec_err(format!(
+                        "workload.arq_attempts must lie in [1, {}], got 0",
+                        u32::MAX
+                    ));
                 }
                 if self.replications > 1 {
                     return spec_err("lossy workloads are single-run (replications must be 1)");
@@ -769,10 +774,17 @@ fn workload_from_value(value: &JsonValue) -> Result<WorkloadSpec, ScenarioError>
             };
             WorkloadSpec::Gathering { strategy }
         }
-        "lossy" => WorkloadSpec::Lossy {
-            ber: fields.required_f64("ber")?,
-            arq_attempts: fields.required_u64("arq_attempts")? as u32,
-        },
+        "lossy" => {
+            let ber = fields.required_f64("ber")?;
+            let attempts = fields.required_u64("arq_attempts")?;
+            let Ok(arq_attempts) = u32::try_from(attempts) else {
+                return spec_err(format!(
+                    "workload.arq_attempts must lie in [1, {}], got {attempts}",
+                    u32::MAX
+                ));
+            };
+            WorkloadSpec::Lossy { ber, arq_attempts }
+        }
         "cs1_duty_cycle" => WorkloadSpec::Cs1DutyCycle {
             ledger_days: fields.required_f64("ledger_days")?,
         },
@@ -1046,6 +1058,50 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("a-z"), "{err}");
+    }
+
+    /// A one-round lossy spec on a 3×3 grid with `ber` and
+    /// `arq_attempts` spliced in as raw JSON.
+    fn lossy(ber: &str, arq_attempts: &str) -> Result<ScenarioSpec, ScenarioError> {
+        ScenarioSpec::from_json_str(&format!(
+            r#"{{"name":"t","rounds":1,"topology":{{"kind":"grid","side":3,"spacing_m":30}},
+                "workload":{{"kind":"lossy","ber":{ber},"arq_attempts":{arq_attempts}}}}}"#
+        ))
+    }
+
+    #[test]
+    fn lossy_ber_outside_the_session_range_is_rejected() {
+        // The lossy session asserts BER in [0, 0.5]; a spec past it
+        // must fail validation, before it is compiled, cached and run.
+        for ber in ["0.5000001", "0.7", "1", "-0.1"] {
+            let err = lossy(ber, "4").unwrap_err();
+            assert!(err.to_string().contains("[0, 0.5]"), "{ber}: {err}");
+        }
+        for ber in ["0", "0.5"] {
+            lossy(ber, "4").unwrap_or_else(|err| panic!("{ber}: {err}"));
+        }
+    }
+
+    #[test]
+    fn arq_attempts_past_u32_are_rejected_not_wrapped() {
+        // A narrowing cast would turn 2^32 + 1 into one attempt, whose
+        // canonical JSON would hash as the 1-attempt spec, and 2^32
+        // into zero attempts.
+        for arq_attempts in ["0", "4294967296", "4294967297"] {
+            let err = lossy("0.001", arq_attempts).unwrap_err();
+            assert!(
+                err.to_string().contains("[1, 4294967295]"),
+                "{arq_attempts}: {err}"
+            );
+        }
+        let most = lossy("0.001", "4294967295").unwrap();
+        assert!(matches!(
+            most.workload,
+            WorkloadSpec::Lossy {
+                arq_attempts: u32::MAX,
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //! * [`runner`] — seed-partitioned parallel execution for independent
 //!   work (replications, sweep grids) that is bit-exact with serial at
 //!   any thread count (`AMBIENCE_THREADS` overrides the worker count);
+//! * [`montecarlo`] — [`replicate`] runs a seeded experiment over the
+//!   seed schedule of [`replication_seeds`] on the runner and
+//!   [`summarize`]s the observable into a [`Summary`], the same at any
+//!   worker count;
 //! * [`obs`] — the observability layer: per-node energy ledgers,
 //!   hierarchical packet counters and deterministic JSON run manifests,
 //!   recorded through a zero-cost [`obs::Recorder`] hook;
@@ -57,10 +61,7 @@ pub mod trace;
 
 pub use energy::{EnergyMeter, StateId};
 pub use fault::{FaultEvent, FaultModel, FaultSchedule, FaultSpec, FAULTS_ENV};
-pub use montecarlo::{
-    replicate, replicate_all, replicate_all_par, replicate_all_par_threads, replicate_par,
-    replicate_par_threads, summarize, Summary,
-};
+pub use montecarlo::{replicate, replication_seeds, summarize, Summary};
 pub use obs::{
     CounterTree, EnergyCategory, EnergyLedger, LedgerRecorder, NullRecorder, PacketCounters,
     Recorder, RunManifest, MANIFEST_ENV,

@@ -5,10 +5,10 @@
 //! task demands, random topologies). Confidence in a reported number
 //! means replicating across seeds; this module provides the harness and
 //! the summary statistics, keeping determinism: replication `k` of a
-//! study with base seed `s` always uses seed `s + k` — whether the
-//! replications run serially ([`replicate`]) or across worker threads
-//! ([`replicate_par`], which merges observables back in seed order and
-//! is therefore bit-exact with the serial path).
+//! study with base seed `s` always uses seed `s + k`
+//! ([`replication_seeds`]), whichever worker runs it, and [`replicate`]
+//! merges observables back in seed order, so its summary is
+//! bit-identical at any worker count.
 
 /// Summary statistics of a replicated scalar observable.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
@@ -46,8 +46,35 @@ impl Summary {
     }
 }
 
-/// Runs `experiment` for `replications` seeds starting at `base_seed`
-/// and summarizes the returned observable.
+/// The seed schedule of a study: replication `k` of `replications`
+/// uses seed `base_seed + k` (wrapping), whichever worker runs it.
+///
+/// # Panics
+///
+/// Panics if `replications` is zero.
+pub fn replication_seeds(replications: usize, base_seed: u64) -> Vec<u64> {
+    assert!(replications > 0, "at least one replication");
+    (0..replications)
+        .map(|k| base_seed.wrapping_add(k as u64))
+        .collect()
+}
+
+/// Runs `experiment` once per seed of
+/// [`replication_seeds(replications, base_seed)`](replication_seeds) on
+/// `threads` workers and summarizes the returned observable. Callers
+/// without a reason to pin the worker count pass
+/// [`runner::thread_count`](crate::runner::thread_count).
+///
+/// One worker runs the plain serial loop on the calling thread; more
+/// spread the seeds across workers and merge the observables back in
+/// seed order, so [`summarize`] folds the identical ordered sample and
+/// the summary — even its floating-point rounding — is the same at any
+/// worker count. `tests/determinism.rs` asserts it at 1, 2 and 8
+/// threads.
+///
+/// The experiment closure takes `Fn` (not `FnMut`) plus `Sync` because
+/// workers share it; any per-replication state belongs inside the
+/// closure, keyed on the seed.
 ///
 /// # Example
 ///
@@ -56,7 +83,7 @@ impl Summary {
 /// use rand::RngExt;
 ///
 /// // The mean of a uniform [0,1) draw concentrates near 0.5.
-/// let summary = replicate(100, 7, |seed| {
+/// let summary = replicate(ami_sim::runner::thread_count(), 100, 7, |seed| {
 ///     let mut rng = sim_rng(seed);
 ///     rng.random::<f64>()
 /// });
@@ -66,187 +93,21 @@ impl Summary {
 ///
 /// # Panics
 ///
-/// Panics if `replications` is zero or the experiment returns a
-/// non-finite observable.
-pub fn replicate(
-    replications: usize,
-    base_seed: u64,
-    mut experiment: impl FnMut(u64) -> f64,
-) -> Summary {
-    assert!(replications > 0, "at least one replication");
-    let mut values = Vec::with_capacity(replications);
-    for k in 0..replications {
-        let v = experiment(base_seed.wrapping_add(k as u64));
-        assert!(v.is_finite(), "observable must be finite, got {v}");
-        values.push(v);
-    }
-    summarize(&values)
-}
-
-/// Parallel [`replicate`]: the same seed schedule (`base_seed + k`),
-/// spread across the default [`runner::thread_count`](crate::runner::thread_count)
-/// workers, merged back in seed order.
-///
-/// Bit-exact with [`replicate`]: replication `k` sees the identical
-/// seed, and [`summarize`] folds the identical ordered sample vector,
-/// so even floating-point rounding matches. `tests/determinism.rs`
-/// asserts `replicate_par == replicate` at 1, 2 and 8 threads.
-///
-/// The experiment closure takes `Fn` (not `FnMut`) plus `Sync` because
-/// workers share it; any per-replication state belongs inside the
-/// closure, keyed on the seed.
-///
-/// # Panics
-///
-/// Panics if `replications` is zero or the experiment returns a
-/// non-finite observable.
-pub fn replicate_par(
-    replications: usize,
-    base_seed: u64,
-    experiment: impl Fn(u64) -> f64 + Sync,
-) -> Summary {
-    replicate_par_threads(
-        crate::runner::thread_count(),
-        replications,
-        base_seed,
-        experiment,
-    )
-}
-
-/// [`replicate_par`] with an explicit worker count (1 runs the plain
-/// serial loop). Exposed so tests and benchmarks can pin the topology.
-///
-/// # Panics
-///
 /// Panics if `threads` or `replications` is zero, or the experiment
 /// returns a non-finite observable.
-pub fn replicate_par_threads(
+pub fn replicate(
     threads: usize,
     replications: usize,
     base_seed: u64,
     experiment: impl Fn(u64) -> f64 + Sync,
 ) -> Summary {
-    assert!(replications > 0, "at least one replication");
-    let seeds: Vec<u64> = (0..replications)
-        .map(|k| base_seed.wrapping_add(k as u64))
-        .collect();
+    let seeds = replication_seeds(replications, base_seed);
     let values = crate::runner::par_map_indexed_threads(threads, &seeds, |_, &seed| {
         let v = experiment(seed);
         assert!(v.is_finite(), "observable must be finite, got {v}");
         v
     });
     summarize(&values)
-}
-
-/// Multi-observable [`replicate`]: one pass over the seed schedule, one
-/// [`Summary`] per observable.
-///
-/// Callers that summarize several observables of the same experiment
-/// previously re-ran the whole replication per observable (N passes over
-/// N·replications experiment runs). Here the experiment returns all its
-/// observables at once — `observables` names them and fixes their order
-/// — and each replication runs exactly once.
-///
-/// # Example
-///
-/// ```
-/// use ami_sim::{replicate_all, sim_rng};
-/// use rand::RngExt;
-///
-/// let [raw, squared] = replicate_all(100, 7, 2, |seed, out| {
-///     let x = sim_rng(seed).random::<f64>();
-///     out[0] = x;
-///     out[1] = x * x;
-/// })
-/// .try_into()
-/// .unwrap();
-/// assert!((raw.mean - 0.5).abs() < 0.1);
-/// assert!(squared.mean < raw.mean); // x² < x on [0,1)
-/// ```
-///
-/// # Panics
-///
-/// Panics if `replications` or `observables` is zero, or the experiment
-/// writes a non-finite observable.
-pub fn replicate_all(
-    replications: usize,
-    base_seed: u64,
-    observables: usize,
-    mut experiment: impl FnMut(u64, &mut [f64]),
-) -> Vec<Summary> {
-    assert!(replications > 0, "at least one replication");
-    assert!(observables > 0, "at least one observable");
-    // Column-major: values[obs] is the sample vector of one observable,
-    // in seed order — each summarized exactly like a solo `replicate`.
-    let mut values = vec![Vec::with_capacity(replications); observables];
-    let mut row = vec![f64::NAN; observables];
-    for k in 0..replications {
-        row.fill(f64::NAN);
-        experiment(base_seed.wrapping_add(k as u64), &mut row);
-        for (obs, &v) in row.iter().enumerate() {
-            assert!(v.is_finite(), "observable {obs} must be finite, got {v}");
-            values[obs].push(v);
-        }
-    }
-    values.iter().map(|column| summarize(column)).collect()
-}
-
-/// Parallel [`replicate_all`] on the default worker count: same seed
-/// schedule, observables merged back in seed order per column, so every
-/// summary is bit-exact with the serial pass.
-///
-/// # Panics
-///
-/// Panics if `replications` or `observables` is zero, or the experiment
-/// writes a non-finite observable.
-pub fn replicate_all_par(
-    replications: usize,
-    base_seed: u64,
-    observables: usize,
-    experiment: impl Fn(u64, &mut [f64]) + Sync,
-) -> Vec<Summary> {
-    replicate_all_par_threads(
-        crate::runner::thread_count(),
-        replications,
-        base_seed,
-        observables,
-        experiment,
-    )
-}
-
-/// [`replicate_all_par`] with an explicit worker count (1 runs the plain
-/// serial loop). Exposed so tests and benchmarks can pin the topology.
-///
-/// # Panics
-///
-/// Panics if `threads`, `replications` or `observables` is zero, or the
-/// experiment writes a non-finite observable.
-pub fn replicate_all_par_threads(
-    threads: usize,
-    replications: usize,
-    base_seed: u64,
-    observables: usize,
-    experiment: impl Fn(u64, &mut [f64]) + Sync,
-) -> Vec<Summary> {
-    assert!(replications > 0, "at least one replication");
-    assert!(observables > 0, "at least one observable");
-    let seeds: Vec<u64> = (0..replications)
-        .map(|k| base_seed.wrapping_add(k as u64))
-        .collect();
-    let rows = crate::runner::par_map_indexed_threads(threads, &seeds, |_, &seed| {
-        let mut row = vec![f64::NAN; observables];
-        experiment(seed, &mut row);
-        for (obs, &v) in row.iter().enumerate() {
-            assert!(v.is_finite(), "observable {obs} must be finite, got {v}");
-        }
-        row
-    });
-    (0..observables)
-        .map(|obs| {
-            let column: Vec<f64> = rows.iter().map(|row| row[obs]).collect();
-            summarize(&column)
-        })
-        .collect()
 }
 
 /// Summarizes an existing sample.
@@ -289,7 +150,7 @@ mod tests {
 
     #[test]
     fn constant_experiment_has_zero_spread() {
-        let s = replicate(10, 0, |_| 42.0);
+        let s = replicate(1, 10, 0, |_| 42.0);
         assert_eq!(s.mean, 42.0);
         assert_eq!(s.std_dev, 0.0);
         assert_eq!(s.ci95_half_width(), 0.0);
@@ -298,17 +159,15 @@ mod tests {
 
     #[test]
     fn replications_use_distinct_seeds() {
-        let mut seen = Vec::new();
-        let _ = replicate(5, 100, |seed| {
-            seen.push(seed);
-            0.0
-        });
-        assert_eq!(seen, vec![100, 101, 102, 103, 104]);
+        assert_eq!(replication_seeds(5, 100), vec![100, 101, 102, 103, 104]);
+        assert_eq!(replication_seeds(2, u64::MAX), vec![u64::MAX, 0]);
+        let s = replicate(2, 5, 100, |seed| seed as f64);
+        assert_eq!((s.min, s.max, s.mean), (100.0, 104.0, 102.0));
     }
 
     #[test]
     fn uniform_sample_statistics() {
-        let s = replicate(2000, 1, |seed| sim_rng(seed).random::<f64>());
+        let s = replicate(2, 2000, 1, |seed| sim_rng(seed).random::<f64>());
         assert!((s.mean - 0.5).abs() < 0.02);
         // Uniform [0,1): σ = 1/√12 ≈ 0.2887.
         assert!((s.std_dev - 0.2887).abs() < 0.02);
@@ -328,68 +187,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one replication")]
     fn zero_replications_rejected() {
-        let _ = replicate(0, 0, |_| 0.0);
-    }
-
-    #[test]
-    fn replicate_all_matches_per_observable_replicate() {
-        // One multi-observable pass must produce exactly the summaries
-        // the old one-pass-per-observable pattern did.
-        let observable = |seed: u64, obs: usize| {
-            let mut rng = sim_rng(seed);
-            let x: f64 = rng.random();
-            match obs {
-                0 => x,
-                _ => x * x,
-            }
-        };
-        let solo = [
-            replicate(200, 42, |seed| observable(seed, 0)),
-            replicate(200, 42, |seed| observable(seed, 1)),
-        ];
-        let all = replicate_all(200, 42, 2, |seed, out| {
-            let mut rng = sim_rng(seed);
-            let x: f64 = rng.random();
-            out[0] = x;
-            out[1] = x * x;
-        });
-        assert_eq!(all.as_slice(), &solo);
-    }
-
-    #[test]
-    fn replicate_all_par_is_bit_exact_with_serial() {
-        let experiment = |seed: u64, out: &mut [f64]| {
-            let mut rng = sim_rng(seed);
-            out[0] = rng.random();
-            out[1] = rng.random_range(0.0..10.0);
-            out[2] = f64::from(rng.random_range(0u32..100));
-        };
-        let serial = replicate_all(97, 5, 3, experiment);
-        for threads in [1, 2, 8] {
-            let par = replicate_all_par_threads(threads, 97, 5, 3, experiment);
-            assert_eq!(par, serial, "diverged at {threads} threads");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one observable")]
-    fn replicate_all_rejects_zero_observables() {
-        let _ = replicate_all(1, 0, 0, |_, _| {});
-    }
-
-    #[test]
-    #[should_panic(expected = "observable 1 must be finite")]
-    fn replicate_all_rejects_unwritten_observables() {
-        // Forgetting to fill an observable leaves the NaN sentinel, which
-        // names the offending column.
-        let _ = replicate_all(1, 0, 2, |_, out| {
-            out[0] = 1.0;
-        });
+        let _ = replicate(1, 0, 0, |_| 0.0);
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn nan_observable_rejected() {
-        let _ = replicate(1, 0, |_| f64::NAN);
+        let _ = replicate(1, 1, 0, |_| f64::NAN);
     }
 }

@@ -2,9 +2,7 @@
 //! runner: summary invariants and serial/parallel bit-exactness.
 
 use ami_sim::fault::FaultSpec;
-use ami_sim::{
-    par_map_indexed_threads, replicate, replicate_par_threads, sim_rng, summarize, Summary,
-};
+use ami_sim::{par_map_indexed_threads, replicate, replication_seeds, sim_rng, summarize, Summary};
 use proptest::prelude::*;
 use rand::RngExt;
 
@@ -68,8 +66,9 @@ proptest! {
         value in -1e6..1e6f64,
         replications in 1usize..40,
         base_seed in 0u64..1000,
+        threads in 1usize..9,
     ) {
-        let s = replicate(replications, base_seed, |_| value);
+        let s = replicate(threads, replications, base_seed, |_| value);
         // Summing n copies of v and dividing by n can land ulps off v,
         // which also leaks into the (v - mean)² variance fold.
         let tol = 1e-12 * value.abs().max(1.0);
@@ -79,23 +78,28 @@ proptest! {
     }
 
     /// The tentpole contract as a property: for any replication count,
-    /// base seed and worker count, the parallel path produces the
-    /// bit-identical Summary — `==`, not approximately.
+    /// base seed and worker count, `replicate` produces the Summary of
+    /// the serial fold over the seed schedule — `==`, not
+    /// approximately.
     #[test]
-    fn replicate_par_is_bit_exact_with_replicate(
+    fn replicate_is_bit_exact_with_the_serial_fold(
         replications in 1usize..50,
         base_seed in 0u64..u64::MAX,
         threads in 1usize..9,
     ) {
         let observable = |seed: u64| sim_rng(seed).random::<f64>();
-        let serial = replicate(replications, base_seed, observable);
-        let parallel = replicate_par_threads(threads, replications, base_seed, observable);
-        prop_assert_eq!(serial, parallel);
+        let values: Vec<f64> = replication_seeds(replications, base_seed)
+            .into_iter()
+            .map(observable)
+            .collect();
+        let parallel = replicate(threads, replications, base_seed, observable);
+        prop_assert_eq!(summarize(&values), parallel);
     }
 
-    /// Both paths see the exact seed schedule base, base+1, … (with
-    /// wrapping), in order: an observable that recovers the replication
-    /// index from its seed reproduces summarize(0..n) bit-exactly.
+    /// Every worker count sees the exact seed schedule base, base+1, …
+    /// (with wrapping), in order: an observable that recovers the
+    /// replication index from its seed reproduces summarize(0..n)
+    /// bit-exactly.
     #[test]
     fn seed_schedule_is_base_plus_index(
         replications in 1usize..50,
@@ -104,7 +108,7 @@ proptest! {
     ) {
         let index_of_seed = |seed: u64| seed.wrapping_sub(base_seed) as f64;
         let expected: Vec<f64> = (0..replications).map(|k| k as f64).collect();
-        let parallel = replicate_par_threads(threads, replications, base_seed, index_of_seed);
+        let parallel = replicate(threads, replications, base_seed, index_of_seed);
         prop_assert_eq!(parallel, summarize(&expected));
     }
 

@@ -146,10 +146,8 @@ impl Service {
     /// [`ScenarioError::Unavailable`] when the compile cache's lock was
     /// poisoned; nothing is cached or executed in either case.
     pub fn submit(&self, request: &RunRequest) -> Result<RunResponse, ScenarioError> {
-        let depth = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        let result = self.execute(request, depth);
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
-        result
+        let admitted = InFlight::admit(&self.in_flight);
+        self.execute(request, admitted.depth)
     }
 
     /// Executes a batch, collapsing requests with equal canonical JSON
@@ -158,7 +156,8 @@ impl Service {
     /// spec failing validation on its own.
     pub fn submit_batch(&self, requests: &[RunRequest]) -> Vec<Result<RunResponse, ScenarioError>> {
         self.batches.fetch_add(1, Ordering::Relaxed);
-        let depth = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+        let admitted = InFlight::admit(&self.in_flight);
+        let depth = admitted.depth;
         let mut responses: Vec<Option<Result<RunResponse, ScenarioError>>> =
             (0..requests.len()).map(|_| None).collect();
         // (canonical JSON, index of the request that ran it): equal
@@ -187,7 +186,7 @@ impl Service {
             responses[k] = Some(self.execute(request, depth));
             executed.push((canonical, k));
         }
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        drop(admitted);
         responses
             .into_iter()
             .map(|slot| slot.expect("every batch slot is filled"))
@@ -258,9 +257,32 @@ impl Service {
     }
 }
 
+/// One admitted request (or batch) in the service's in-flight count:
+/// raised on admission, lowered on drop, so a run that panics still
+/// leaves the count where it found it.
+struct InFlight<'a> {
+    count: &'a AtomicU64,
+    /// The in-flight count at admission, this request included.
+    depth: u64,
+}
+
+impl<'a> InFlight<'a> {
+    fn admit(count: &'a AtomicU64) -> Self {
+        let depth = count.fetch_add(1, Ordering::SeqCst) + 1;
+        Self { count, depth }
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.count.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn spec(rounds: u64) -> ScenarioSpec {
         ScenarioSpec::from_json_str(&format!(
@@ -358,6 +380,24 @@ mod tests {
             assert!(err.to_string().contains("duration"), "{id}: {err}");
         }
         assert_eq!(service.cache_stats().misses, 0);
+    }
+
+    #[test]
+    fn a_panic_while_admitted_leaves_the_in_flight_count_unchanged() {
+        let service = Service::new(4);
+        let outer = InFlight::admit(&service.in_flight);
+        assert_eq!(outer.depth, 1);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let inner = InFlight::admit(&service.in_flight);
+            assert_eq!(inner.depth, 2);
+            panic!("a run panicked");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(service.in_flight.load(Ordering::SeqCst), 1);
+        drop(outer);
+        assert_eq!(service.in_flight.load(Ordering::SeqCst), 0);
+        let next = service.submit(&RunRequest::new("next", spec(5))).unwrap();
+        assert_eq!(next.queue_depth, 1);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The service smoke test CI runs: three requests over the real
 //! socket protocol, two of them identical — assert exactly one compile
-//! for the duplicated spec and byte-equal manifests.
+//! for the duplicated spec and byte-equal manifests — and a lossy
+//! request the session would refuse, which must get an error reply.
 
 use ami_scenario::json::{parse, JsonValue};
 use ami_svc::proto::{read_frame, write_frame};
@@ -76,6 +77,38 @@ fn three_requests_two_identical_compile_once() {
     };
     assert_eq!(hash(&first), hash(&second));
     assert_ne!(hash(&first), hash(&third));
+}
+
+#[test]
+fn a_lossy_ber_past_the_session_range_gets_an_error_reply() {
+    // A BER the lossy session refuses must fail validation: run, it
+    // would panic, close the connection without a reply and leave
+    // every later queue depth one higher.
+    let service = Arc::new(Service::new(8));
+    let server = Server::bind("127.0.0.1:0", Arc::clone(&service)).unwrap();
+    let addr = server.local_addr().unwrap();
+    std::thread::spawn(move || server.serve());
+    let mut conn = TcpStream::connect(addr).unwrap();
+
+    let bad = LOSSY_SPEC.replace("0.001", "0.7");
+    for id in ["bad1", "bad2"] {
+        let reply = roundtrip(
+            &mut conn,
+            &format!(r#"{{"id": "{id}", "threads": 1, "scenario": {bad}}}"#),
+        );
+        let error = reply.get("error").and_then(|v| v.as_str());
+        assert!(
+            error.is_some_and(|e| e.contains("[0, 0.5]")),
+            "{id}: {error:?}"
+        );
+    }
+    assert_eq!(service.cache_stats().misses, 0, "nothing compiled");
+
+    let good = roundtrip(
+        &mut conn,
+        &format!(r#"{{"id": "good", "threads": 1, "scenario": {LOSSY_SPEC}}}"#),
+    );
+    assert_eq!(good.get("queue_depth"), Some(&JsonValue::Number(1.0)));
 }
 
 /// Renders the embedded manifest back to a comparable string (the

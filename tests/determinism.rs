@@ -13,7 +13,7 @@ use ambience::net::{
 };
 use ambience::radio::RadioEnergyModel;
 use ambience::sim::fault::{FaultSchedule, FaultSpec};
-use ambience::sim::{replicate, replicate_all, replicate_all_par_threads, replicate_par_threads};
+use ambience::sim::{replicate, replication_seeds, summarize};
 use ambience::tech::{TechnologyNode, VariationModel};
 use ambience::units::{Area, Energy, Frequency, Length, Power, Temperature, TimeSpan};
 
@@ -100,7 +100,7 @@ fn variation_yield_is_deterministic() {
 #[test]
 fn monte_carlo_replication_is_deterministic() {
     let run = || {
-        replicate(50, 123, |seed| {
+        replicate(1, 50, 123, |seed| {
             let topo = Topology::random(10, Length::from_meters(60.0), seed);
             topo.radius().as_meters()
         })
@@ -118,45 +118,17 @@ fn radius_observable(seed: u64) -> f64 {
 
 #[test]
 fn parallel_replication_is_bit_exact_with_serial() {
-    // The tentpole contract: replicate_par at any worker count folds the
+    // The tentpole contract: replicate at any worker count folds the
     // identical ordered sample vector, so the full Summary struct — mean,
-    // std_dev, min, max, every last rounding — matches `==`.
-    let serial = replicate(64, 123, radius_observable);
+    // std_dev, min, max, every last rounding — matches `==` the serial
+    // fold over the seed schedule.
+    let values: Vec<f64> = replication_seeds(64, 123)
+        .into_iter()
+        .map(radius_observable)
+        .collect();
+    let serial = summarize(&values);
     for threads in [1usize, 2, 8] {
-        let parallel = replicate_par_threads(threads, 64, 123, radius_observable);
-        assert_eq!(serial, parallel, "threads = {threads}");
-    }
-}
-
-#[test]
-fn multi_observable_replication_matches_per_observable_replicate() {
-    // replicate_all summarizes each observable column exactly like a
-    // solo replicate over the same seed schedule — same folds, same
-    // bits — while running the experiment once instead of once per
-    // observable.
-    let all = replicate_all(64, 123, 2, |seed, row| {
-        let r = radius_observable(seed);
-        row[0] = r;
-        row[1] = r * r;
-    });
-    let radius = replicate(64, 123, radius_observable);
-    let squared = replicate(64, 123, |seed| {
-        let r = radius_observable(seed);
-        r * r
-    });
-    assert_eq!(all, vec![radius, squared]);
-}
-
-#[test]
-fn parallel_multi_observable_replication_is_bit_exact_with_serial() {
-    let experiment = |seed: u64, row: &mut [f64]| {
-        let r = radius_observable(seed);
-        row[0] = r;
-        row[1] = r * r;
-    };
-    let serial = replicate_all(64, 123, 2, experiment);
-    for threads in [1usize, 2, 8] {
-        let parallel = replicate_all_par_threads(threads, 64, 123, 2, experiment);
+        let parallel = replicate(threads, 64, 123, radius_observable);
         assert_eq!(serial, parallel, "threads = {threads}");
     }
 }
