@@ -12,11 +12,14 @@
 //! (workload, network size), keyed by commit-stable labels
 //! (`gather_round/n400`, …) so successive snapshots diff cleanly:
 //!
+//! * `csr_build`    — one spatial-grid [`CsrAdjacency::build`] over the
+//!   field's positions (op = build), the hop graph in cell order that
+//!   every route build reads;
 //! * `route_build`  — one minimum-energy route-table build (op = build),
 //!   timed after an untimed warm-up build on the same topology. The
 //!   warm-up builds the topology's cached CSR hop graph and prices its
 //!   per-edge hop weights, so the row excludes both the graph build
-//!   and the edge pricing;
+//!   (`csr_build` times it) and the edge pricing;
 //! * `gather_round` — a healthy gathering run (op = simulated round);
 //! * `lossy_round`  — a lossy-link ARQ run (op = simulated round);
 //! * `faulted_replication` — seeded replications under a fault mix on a
@@ -29,8 +32,8 @@
 //!
 //! Network sizes are N ∈ {25, 100, 400, 1600} uniform-random fields at
 //! constant node density (field side 25·√N m, so ~10 neighbours in
-//! radio range whatever the scale). `route_build`, `gather_round` and
-//! `lossy_round` additionally run at the city scales
+//! radio range whatever the scale). `csr_build`, `route_build`,
+//! `gather_round` and `lossy_round` additionally run at the city scales
 //! N ∈ {10 000, 100 000} and at the megacity N = 1 000 000 (fewer
 //! rounds per iteration), pinning the spatial-grid CSR build and the
 //! aggregated round loop where quadratic scans would be unaffordable.
@@ -111,8 +114,8 @@ use ami_core::design_space::explore_cs1;
 use ami_experiments::banner;
 use ami_net::{
     build_routes, replicate_gathering_observed, set_par_min_nodes_per_worker, simulate_gathering,
-    simulate_lossy_gathering, GatherSession, LossyConfig, LossySession, NetworkConfig,
-    RoutingStrategy, Topology,
+    simulate_lossy_gathering, CsrAdjacency, GatherSession, LossyConfig, LossySession,
+    NetworkConfig, RoutingStrategy, Topology,
 };
 use ami_scenario::json::{self, JsonValue};
 use ami_sim::fault::{FaultSchedule, FaultSpec};
@@ -125,13 +128,14 @@ use std::time::Instant;
 
 /// Network sizes of the snapshot sweep.
 const SIZES: [usize; 4] = [25, 100, 400, 1600];
-/// City-scale sizes: `route_build`, `gather_round` and `lossy_round`
+/// City-scale sizes: `csr_build`, `route_build`, `gather_round` and
+/// `lossy_round`
 /// (the faulted-replication workload stays at the classic sizes so the
 /// snapshot keeps finishing in seconds). The `_par` rows stop at 100k —
 /// the megacity row times the serial aggregated kernel.
 const LARGE_SIZES: [usize; 2] = [10_000, 100_000];
-/// The megacity size: serial `route_build` / `gather_round` /
-/// `lossy_round` only, one round per iteration.
+/// The megacity size: `csr_build` and the serial `route_build` /
+/// `gather_round` / `lossy_round` only, one round per iteration.
 const MEGA_SIZE: usize = 1_000_000;
 /// Rounds per gather / lossy iteration at the city scales — enough to
 /// expose a per-round regression without drowning the snapshot in wall
@@ -266,6 +270,19 @@ fn field(n: usize) -> Topology {
     Topology::random(n, side, SEED)
 }
 
+/// The `csr_build/n{n}` row: the spatial-grid hop graph built over the
+/// positions of `topo` (a fresh field, so nothing is cached) at the
+/// benchmark radio range.
+fn csr_build_row(topo: &Topology, net_config: &NetworkConfig, quick: bool) -> Entry {
+    let n = topo.len();
+    measure(format!("csr_build/n{n}"), "csr_build", n, 1, quick, || {
+        black_box(CsrAdjacency::build(
+            black_box(topo.positions()),
+            net_config.max_hop,
+        ));
+    })
+}
+
 fn run_net_snapshot(quick: bool) -> Vec<Entry> {
     let mut entries = Vec::new();
     let net_config = NetworkConfig::sensor_default();
@@ -274,6 +291,7 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
 
     for &n in &SIZES {
         let topo = field(n);
+        entries.push(csr_build_row(&topo, &net_config, quick));
         entries.push(measure(
             format!("route_build/n{n}"),
             "route_build",
@@ -350,6 +368,7 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
     let par_floor = set_par_min_nodes_per_worker(Some(0));
     for &n in &LARGE_SIZES {
         let topo = field(n);
+        entries.push(csr_build_row(&topo, &net_config, quick));
         entries.push(measure(
             format!("route_build/n{n}"),
             "route_build",
@@ -487,6 +506,7 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
     {
         let n = MEGA_SIZE;
         let topo = field(n);
+        entries.push(csr_build_row(&topo, &net_config, quick));
         entries.push(measure(
             format!("route_build/n{n}"),
             "route_build",

@@ -26,7 +26,7 @@
 
 use crate::agg::AggScratch;
 use crate::round::RoundCore;
-use crate::routing::{RoutingStrategy, NO_HOP};
+use crate::routing::{RouteImage, RoutingStrategy, NO_HOP};
 use crate::topology::{NodeId, Topology};
 use ami_radio::{Packet, RadioEnergyModel};
 use ami_sim::fault::FaultSchedule;
@@ -224,7 +224,14 @@ impl<'r, 'a> GatherState<'r, 'a> {
         let core = &*self.core;
         let (sink, timeline) = (core.sink, &core.timeline);
         let (alive, down_now) = (&core.alive[..], &core.down_now[..]);
-        let (connected, parent) = (core.cache.connected_flags(), core.cache.parents());
+        let connected = core.cache.connected_flags();
+        let RouteImage {
+            pos,
+            parent,
+            id: ids,
+            tx,
+            ..
+        } = core.cache.image();
         let budget = &mut self.budget[..];
         let (idle, rx) = (self.idle_per_round, self.rx_per_hop);
 
@@ -240,32 +247,34 @@ impl<'r, 'a> GatherState<'r, 'a> {
         // Each live, still-funded, powered-on node reports once. (The
         // idle charge above may have emptied a budget; such a node is
         // silent this round and will be buried by the sweep below.)
-        for id in core.topology.sensor_ids() {
-            if !alive[id.0] || budget[id.0] <= 0.0 || down_now[id.0] {
+        for src in core.topology.sensor_ids() {
+            if !alive[src.0] || budget[src.0] <= 0.0 || down_now[src.0] {
                 continue;
             }
             recorder.packet_offered();
-            if !connected[id.0] {
+            if !connected[src.0] {
                 recorder.packet_dropped_disconnected();
                 continue; // disconnected this round
             }
-            // Charge the sender and every relay by walking the cached
-            // id-space next-hop column directly (the connectivity check
-            // above guarantees the chain reaches the sink); abort when a
-            // hop has died, run out mid-round, or gone down to a fault.
-            let mut from = id;
+            // Charge the sender and every relay hop by hop, reading each
+            // next hop and its transmit cost from the route image (the
+            // connectivity check above guarantees the chain reaches the
+            // sink) and every budget, death and fault by node id; abort
+            // when a hop has died, run out mid-round, or gone down to a
+            // fault.
+            let (mut from, mut at) = (src, pos[src.0] as usize);
             let mut fate = PacketFate::Delivered;
             while from != sink {
-                let next = parent[from.0];
+                let next = parent[at];
                 assert!(next != NO_HOP, "connected route reaches the sink");
-                let hop = NodeId(next as usize);
+                let hop = NodeId(ids[next as usize] as usize);
                 let from_down = !alive[from.0] || budget[from.0] <= 0.0;
                 let hop_down = hop != sink && (!alive[hop.0] || budget[hop.0] <= 0.0);
                 if from_down || hop_down {
                     fate = PacketFate::DeadHop;
                     break;
                 }
-                let tx = core.cache.tx_cost(from);
+                let tx = tx[at];
                 budget[from.0] -= tx;
                 self.spent += tx;
                 recorder.charge(from.0, EnergyCategory::Tx, tx);
@@ -282,7 +291,7 @@ impl<'r, 'a> GatherState<'r, 'a> {
                     self.spent += rx;
                     recorder.charge(hop.0, EnergyCategory::RxRelay, rx);
                 }
-                from = hop;
+                (from, at) = (hop, next as usize);
             }
             match fate {
                 PacketFate::Delivered => {
@@ -371,14 +380,17 @@ impl<'a> GatherSession<'a> {
         strategy: RoutingStrategy,
         config: &'a NetworkConfig,
     ) -> Self {
+        let mut core = RoundCore::new(
+            topology,
+            strategy,
+            &config.radio,
+            config.max_hop,
+            config.packet.total_bits(),
+        );
+        // The aggregated kernel scans subtrees by their image ranges.
+        core.cache.keep_subtree_ends();
         Self {
-            core: RoundCore::new(
-                topology,
-                strategy,
-                &config.radio,
-                config.max_hop,
-                config.packet.total_bits(),
-            ),
+            core,
             config,
             scratch: AggScratch::new(topology.len()),
         }

@@ -46,7 +46,7 @@
 //! # Walking the heavy-path image
 //!
 //! A packet walks the route cache's heavy-path image
-//! (`crate::routing::RouteImage`), not the id-space table: it starts at
+//! (`crate::routing::RouteImage`), not from node id to node id: it starts at
 //! its source's position and follows parent positions, which along a
 //! heavy path are consecutive, so a route reads a few sequential runs
 //! instead of one random node id per hop. Sources are still offered in
@@ -580,6 +580,22 @@ mod tests {
 
     fn topo() -> Topology {
         Topology::grid(4, Length::from_meters(30.0))
+    }
+
+    #[test]
+    fn a_lossy_sessions_route_cache_holds_no_subtree_ends() {
+        // Only the gathering kernel reads `RouteImage::end`: a lossy
+        // session's cache never sizes it, through builds and repairs.
+        let n = 300;
+        let topo = Topology::random(n, Length::from_meters(25.0 * (n as f64).sqrt()), 5);
+        let config = LossyConfig::bruised_channel();
+        let faults = ami_sim::fault::FaultSpec::parse("death=0.1,outage=0.2:10,link=0.1:8")
+            .expect("fault mix parses")
+            .schedule_for(5, n, 10);
+        let mut session = LossySession::new(&topo, &config);
+        session.run_faulted_with(10, 1, &faults, 1, &mut NullRecorder);
+        assert!(session.core.cache.repairs() > 0, "the mix must repair");
+        assert_eq!(session.core.cache.image().end.capacity(), 0);
     }
 
     #[test]

@@ -1,32 +1,40 @@
 //! Route construction: who relays for whom.
 //!
 //! The minimum-energy strategy runs a binary-heap Dijkstra over the
-//! topology's cached [`CsrAdjacency`](crate::csr::CsrAdjacency) hop
-//! graph, with deterministic tie-breaking on [`NodeId`]: among equal
-//! tentative distances the lowest id settles first, exactly like the
-//! O(N²) scan it replaced, so route tables — and every golden manifest
-//! built on them — are bit-identical to the historical implementation
-//! (`tests` pin this against a reference scan). Each relaxation reads
-//! its edge's price from the topology's cached
-//! [`HopWeights`](crate::csr::HopWeights) column (the same f64 the
-//! radio model computes for the hop), zipped with the graph's targets
-//! over the row's edge range, so no build or repair calls the radio
-//! model per edge.
+//! topology's cached [`CsrAdjacency`] hop graph, on the graph's local
+//! indices: labels, parents and the usable mask are laid out in the
+//! graph's spatial order, so settling a node touches the labels of its
+//! neighbours a few cache lines apart. Tie-breaking rests on the heap
+//! alone: each entry carries the node's original [`NodeId`] beside its
+//! local index and pops in `(dist, id)` order, so among equal tentative
+//! distances the lowest id settles first, exactly like the O(N²) scan
+//! it replaced, whatever order a row lists its neighbours in. Route
+//! tables — and every golden manifest built on them — are therefore
+//! bit-identical to the historical implementation (`tests` pin this
+//! against a reference scan). Each relaxation reads its edge's price
+//! from the topology's cached [`HopWeights`](crate::csr::HopWeights)
+//! column (the same f64 the radio model computes for the hop), zipped
+//! with the graph's targets over the row's edge range, so no build or
+//! repair calls the radio model per edge.
 //!
 //! [`RouteCache`] wraps a table in a usable-set epoch: the table is
 //! recomputed only when the usable set — or any other route input —
 //! actually differs from the ones the routes were last built from, and
-//! each build pre-resolves per-node next hops (as a flat id column),
-//! transmit costs and sink connectivity so the simulators' round loops
-//! touch no allocator and recompute no distances. The cache fetches the
-//! weight column only when it recomputes, never on a hit.
+//! each build pre-resolves per-node next hops, transmit costs and sink
+//! connectivity so the simulators' round loops touch no allocator and
+//! recompute no distances. The cache keeps its labels, parents and
+//! usable mask in the epoch's hop-graph order and holds that graph; it
+//! fetches the weight column only when it recomputes, never on a hit.
+//! Under [`RoutingStrategy::DirectToSink`] it reads no hop graph at all
+//! and its columns follow ids.
 //!
 //! Since the city-scale work, a usable-set *change* no longer pays a
 //! full-graph Dijkstra: the cache keeps the final distance labels of the
 //! last build and performs **incremental route repair** — it invalidates
 //! exactly the parent-tree subtrees hanging off newly-unusable nodes
 //! (plus any rebooted nodes), re-seeds the frontier from untouched
-//! neighbours, and re-relaxes only that wave. Because heap Dijkstra with
+//! neighbours, and re-relaxes only that wave, all on local indices, with
+//! every tie compared on original ids. Because heap Dijkstra with
 //! `(dist, id)` tie-breaking makes every node's parent a pure function
 //! of the final distance labels (the lowest-`(dist, id)` optimal
 //! predecessor), the repaired table is bit-identical to a from-scratch
@@ -44,12 +52,15 @@
 //! positions, every heavy path is a run of consecutive positions, and a
 //! route crosses at most ⌊log₂ n⌋ light edges. The cache keeps `pos[id]`
 //! plus, per position, the parent's position, the transmit cost, the
-//! original id and where the position's subtree ends; the round kernels
-//! walk positions, so a route reads a few sequential runs instead of one
-//! random node id per hop, and a subtree is one range to scan. The image is
-//! rebuilt with the table, so it carries no key of its own, and its
-//! transmit-cost column is the only one the cache stores.
+//! original id and — for a gathering session, whose kernel alone reads
+//! it — where the position's subtree ends; the round kernels walk
+//! positions, so a route reads a few sequential runs instead of one
+//! random node id per hop, and a subtree is one range to scan. The image
+//! is rebuilt with the table, so it carries no key of its own; its
+//! transmit-cost column is the only one the cache stores, and it answers
+//! [`RouteCache::next_hop`] in id space.
 
+use crate::csr::CsrAdjacency;
 use crate::topology::{NodeId, Topology};
 use ami_radio::RadioEnergyModel;
 use ami_units::{DataVolume, Length};
@@ -57,6 +68,7 @@ use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// A [`RouteCache`] next-hop slot with no next hop: routeless nodes and
 /// the sink.
@@ -196,8 +208,9 @@ pub fn build_routes(
 /// `usable[id] == false` get no route and relay for nobody (the sink is
 /// always usable). Equivalent to rebuilding on the sub-topology of the
 /// usable nodes, but reuses the full topology's cached CSR hop graph —
-/// the id-order-preserving subset walk keeps the result bit-identical
-/// to a compact rebuild (pinned in `gather::tests`).
+/// ties break on ids, which the subset preserves in order, so the
+/// result is bit-identical to a compact rebuild (pinned in
+/// `tests/differential.rs`).
 ///
 /// # Panics
 ///
@@ -227,12 +240,15 @@ pub fn build_routes_over(
     }
 }
 
-/// A pending heap entry; ordered by `(dist, node)` so ties settle
-/// lowest-id-first, matching the historical linear scan.
+/// A pending heap entry: a node's tentative distance, its original id
+/// and its local index in the hop graph. Ordered by `(dist, id)` alone
+/// (the local index is a function of the id), so ties settle
+/// lowest-id-first, matching the historical linear scan. 16 bytes.
 #[derive(Debug, Clone, PartialEq)]
 struct HeapEntry {
     dist: f64,
-    node: u32,
+    id: u32,
+    local: u32,
 }
 
 impl Eq for HeapEntry {}
@@ -243,7 +259,7 @@ impl Ord for HeapEntry {
         // plain numeric order here, it just satisfies Ord's contract.
         self.dist
             .total_cmp(&other.dist)
-            .then(self.node.cmp(&other.node))
+            .then(self.id.cmp(&other.id))
     }
 }
 
@@ -262,58 +278,66 @@ fn dijkstra_to_sink(
     max_hop: Length,
     usable: Option<&[bool]>,
 ) -> Vec<Option<NodeId>> {
-    let n = topology.len();
+    let csr = topology.csr_within(max_hop);
+    let weights = topology.hop_weights(max_hop, radio);
+    let order = csr.order();
+    let n = order.len();
+    let mask: Option<Vec<bool>> =
+        usable.map(|usable| order.iter().map(|&id| usable[id as usize]).collect());
     let mut dist = vec![f64::INFINITY; n];
     let mut parent = vec![NO_HOP; n];
     let mut heap: BinaryHeap<Reverse<HeapEntry>> = BinaryHeap::new();
     dijkstra_into(
-        topology,
-        radio,
-        max_hop,
-        usable,
+        &csr,
+        weights.joules_per_bit(),
+        csr.local_of(topology.sink().0),
+        mask.as_deref(),
         &mut dist,
         &mut parent,
         &mut heap,
     );
-    parent.iter().map(|&p| next_hop_of(p)).collect()
-}
-
-/// A next-hop slot as an optional id.
-fn next_hop_of(slot: u32) -> Option<NodeId> {
-    (slot != NO_HOP).then_some(NodeId(slot as usize))
+    // The labels are dead: free them before the table is allocated.
+    drop((dist, heap, mask));
+    let mut table = vec![None; n];
+    for (&id, &hop) in order.iter().zip(&parent) {
+        if hop != NO_HOP {
+            table[id as usize] = Some(NodeId(order[hop as usize] as usize));
+        }
+    }
+    table
 }
 
 /// The Dijkstra core behind [`dijkstra_to_sink`] and the full-build arm
-/// of [`RouteCache`]: resets `dist`/`parent` in place and fills both
-/// (`parent` as raw ids, [`NO_HOP`] where there is no route),
-/// reusing the caller's heap scratch. Stale heap entries are skipped by
-/// the `d > dist[u]` check alone — with strictly positive weights a
-/// node's first pop carries its final distance, so a separate visited
-/// set changes nothing.
+/// of [`RouteCache`], on the local indices of `csr` (whose edges
+/// `weights` prices): resets `dist`/`parent` in place and fills both
+/// (`parent` as local indices, [`NO_HOP`] where there is no route),
+/// reusing the caller's heap scratch. `sink` is the sink's local index
+/// and `usable`, when given, the usable mask in local order. Stale heap
+/// entries are skipped by the `d > dist[u]` check alone — with strictly
+/// positive weights a node's first pop carries its final distance, so a
+/// separate visited set changes nothing.
 fn dijkstra_into(
-    topology: &Topology,
-    radio: &RadioEnergyModel,
-    max_hop: Length,
+    csr: &CsrAdjacency,
+    weights: &[f64],
+    sink: usize,
     usable: Option<&[bool]>,
     dist: &mut [f64],
     parent: &mut [u32],
     heap: &mut BinaryHeap<Reverse<HeapEntry>>,
 ) {
-    let sink = topology.sink();
-    let csr = topology.csr_within(max_hop);
-    let weights = topology.hop_weights(max_hop, radio);
-    let (targets, weights) = (csr.targets(), weights.joules_per_bit());
+    let (order, targets) = (csr.order(), csr.targets());
     dist.fill(f64::INFINITY);
     parent.fill(NO_HOP);
     heap.clear();
-    dist[sink.0] = 0.0;
+    dist[sink] = 0.0;
     heap.push(Reverse(HeapEntry {
         dist: 0.0,
-        node: sink.0 as u32,
+        id: order[sink],
+        local: sink as u32,
     }));
 
-    while let Some(Reverse(HeapEntry { dist: d, node })) = heap.pop() {
-        let u = node as usize;
+    while let Some(Reverse(HeapEntry { dist: d, local, .. })) = heap.pop() {
+        let u = local as usize;
         if d > dist[u] {
             continue; // stale entry superseded by a better one
         }
@@ -321,21 +345,54 @@ fn dijkstra_into(
         for (&target, &weight) in targets[row.clone()].iter().zip(&weights[row]) {
             let v = target as usize;
             if let Some(mask) = usable {
-                if v != sink.0 && !mask[v] {
+                if v != sink && !mask[v] {
                     continue;
                 }
             }
             let candidate = dist[u] + weight;
             if candidate < dist[v] {
                 dist[v] = candidate;
-                parent[v] = node;
+                parent[v] = local;
                 heap.push(Reverse(HeapEntry {
                     dist: candidate,
-                    node: target,
+                    id: order[v],
+                    local: target,
                 }));
             }
         }
     }
+}
+
+/// Lays out the children CSR of `parent` (each entry an index into it,
+/// or [`NO_HOP`]): row `p` is `child_ids[child_off[p]..child_off[p + 1]]`,
+/// in ascending child index. Sizes both buffers for any table over
+/// `parent`'s nodes, so it allocates only when they are empty.
+fn fill_children(parent: &[u32], child_off: &mut Vec<u32>, child_ids: &mut Vec<u32>) {
+    let n = parent.len();
+    child_off.clear();
+    child_off.resize(n + 1, 0);
+    for &p in parent {
+        if p != NO_HOP {
+            child_off[p as usize + 1] += 1;
+        }
+    }
+    for p in 0..n {
+        child_off[p + 1] += child_off[p];
+    }
+    child_ids.clear();
+    child_ids.reserve(n);
+    child_ids.resize(child_off[n] as usize, 0);
+    // `child_off[p]` serves as row p's fill cursor, which leaves it at
+    // the row's end, the next row's start: shift back by one.
+    for (v, &p) in parent.iter().enumerate() {
+        if p != NO_HOP {
+            let cursor = &mut child_off[p as usize];
+            child_ids[*cursor as usize] = v as u32;
+            *cursor += 1;
+        }
+    }
+    child_off.copy_within(0..n, 1);
+    child_off[0] = 0;
 }
 
 /// Walks a route table from `node` to the sink, returning the hop
@@ -400,17 +457,24 @@ pub fn route_to_sink(table: &[Option<NodeId>], topology: &Topology, node: NodeId
 /// ```
 #[derive(Debug, Clone)]
 pub struct RouteCache {
-    /// The next-hop table as raw ids, [`NO_HOP`] for routeless nodes and
-    /// the sink: the id-space column route repair and the hop-walk
-    /// oracle read.
+    /// The hop graph of a minimum-energy epoch: `parent`, `routed_over`,
+    /// `dist` and the carried costs follow its node order. `None` before
+    /// the first build and under [`RoutingStrategy::DirectToSink`], whose
+    /// columns follow ids.
+    graph: Option<Arc<CsrAdjacency>>,
+    /// The next-hop table in the epoch's node order, [`NO_HOP`] for
+    /// routeless nodes and the sink: the column route repair reads.
     parent: Vec<u32>,
+    /// The usable mask of the epoch, in its node order.
     routed_over: Vec<bool>,
+    /// Sink connectivity, indexed by id.
     connected: Vec<bool>,
     /// The current table's heavy-path image, rebuilt with the table.
     image: RouteImage,
-    /// Final Dijkstra distance labels of the current epoch; the anchor
-    /// the repair wave re-relaxes against. Infinity for routeless nodes
-    /// and for every node under [`RoutingStrategy::DirectToSink`].
+    /// Final Dijkstra distance labels of the current epoch, in its node
+    /// order; the anchor the repair wave re-relaxes against. Infinity
+    /// for routeless nodes and for every node under
+    /// [`RoutingStrategy::DirectToSink`].
     dist: Vec<f64>,
     builds: u64,
     repairs: u64,
@@ -422,10 +486,11 @@ pub struct RouteCache {
     scratch: RepairScratch,
 }
 
-/// Id-indexed transmit costs and the next hop each was priced for,
-/// valid under the current [`RouteKey`]. Empty until the cache's first
-/// repair seeds them from the outgoing image (a cache that never
-/// repairs carries no bytes); emptied, capacity kept, by a key change.
+/// Transmit costs and the next hop each was priced for, in the epoch's
+/// node order, valid under the current [`RouteKey`]. Empty until the
+/// cache's first repair seeds them from the outgoing image (a cache that
+/// never repairs carries no bytes); emptied, capacity kept, by a key
+/// change.
 #[derive(Debug, Clone, Default)]
 struct CarriedCosts {
     /// `cost[v]`: joules of one cached-volume packet from `v` to
@@ -456,7 +521,9 @@ pub(crate) struct RouteImage {
     pub(crate) id: Vec<u32>,
     /// One past the last position of the subtree rooted at each
     /// position (the position plus the subtree's size), indexed by
-    /// position; the next position for routeless nodes.
+    /// position; the next position for routeless nodes. Empty unless a
+    /// gathering session asked for it
+    /// ([`RouteCache::keep_subtree_ends`]): only its kernel reads it.
     pub(crate) end: Vec<u32>,
 }
 
@@ -476,9 +543,12 @@ struct RouteKey {
 #[derive(Debug, Clone, Default)]
 struct RepairScratch {
     heap: BinaryHeap<Reverse<HeapEntry>>,
-    /// Children CSR over the current parent table, written by every
-    /// image build: row `p` is `child_ids[child_off[p]..child_off[p + 1]]`,
-    /// heaviest child first. Sized once per cache (`n` ids at most).
+    /// Children CSR over the current parent table, in its node order:
+    /// row `p` is `child_ids[child_off[p]..child_off[p + 1]]`. Empty
+    /// until the cache's first repair sizes it from the outgoing table
+    /// (a cache that never repairs keeps no bytes here: its image builds
+    /// lay the CSR out in temporaries); from then on every image build
+    /// rewrites it in place, rows heaviest child first.
     child_off: Vec<u32>,
     child_ids: Vec<u32>,
     /// Invalidated (or rebooted) nodes, doubling as the BFS worklist.
@@ -497,6 +567,7 @@ impl RouteCache {
     pub fn new(nodes: usize) -> Self {
         assert!(u32::try_from(nodes).is_ok(), "node ids must fit in u32");
         Self {
+            graph: None,
             parent: vec![NO_HOP; nodes],
             routed_over: vec![false; nodes],
             connected: vec![false; nodes],
@@ -506,18 +577,14 @@ impl RouteCache {
                 parent: vec![NO_HOP; nodes],
                 tx: vec![0.0; nodes],
                 id: vec![0; nodes],
-                end: vec![0; nodes],
+                end: Vec::new(),
             },
             dist: vec![f64::INFINITY; nodes],
             builds: 0,
             repairs: 0,
             key: None,
             carried: CarriedCosts::default(),
-            scratch: RepairScratch {
-                child_off: vec![0; nodes + 1],
-                child_ids: Vec::with_capacity(nodes),
-                ..RepairScratch::default()
-            },
+            scratch: RepairScratch::default(),
         }
     }
 
@@ -563,65 +630,91 @@ impl RouteCache {
             volume,
         };
         let same_key = self.key == Some(key);
-        if same_key && self.routed_over == usable {
+        if same_key && self.routed_over_equals(usable) {
             return false;
         }
         if !same_key {
             // The carried costs were priced under other inputs.
             self.carried.cost.clear();
             self.carried.hop.clear();
+            self.graph =
+                (strategy == RoutingStrategy::MinimumEnergy).then(|| topology.csr_within(max_hop));
         }
-        let repairable =
-            same_key && strategy == RoutingStrategy::MinimumEnergy && route_repair_enabled();
-        if repairable {
-            if self.carried.hop.is_empty() {
-                // Seed from the outgoing epoch, whose image priced every
-                // next hop under this key.
-                let (carried, image) = (&mut self.carried, &self.image);
-                carried.hop.extend_from_slice(&self.parent);
-                carried
-                    .cost
-                    .extend(image.pos.iter().map(|&at| image.tx[at as usize]));
-            }
-            self.repair(topology, radio, max_hop, usable);
-            note_route_repair();
-            self.repairs += 1;
-        } else {
-            match strategy {
-                RoutingStrategy::DirectToSink => {
-                    let sink = topology.sink();
-                    for id in topology.ids() {
-                        self.parent[id.0] = if id != sink && usable[id.0] {
-                            sink.0 as u32
-                        } else {
-                            NO_HOP
-                        };
-                    }
-                    self.dist.fill(f64::INFINITY);
+        let sink = topology.sink().0;
+        match self.graph.clone() {
+            None => {
+                for (id, hop) in self.parent.iter_mut().enumerate() {
+                    *hop = if id != sink && usable[id] {
+                        sink as u32
+                    } else {
+                        NO_HOP
+                    };
                 }
-                RoutingStrategy::MinimumEnergy => {
+                self.routed_over.copy_from_slice(usable);
+                self.dist.fill(f64::INFINITY);
+                note_route_build();
+                self.builds += 1;
+                self.build_image(topology, radio, volume, sink, |v| v);
+            }
+            Some(csr) => {
+                let weights = topology.hop_weights(max_hop, radio);
+                let order = csr.order();
+                let local_sink = csr.local_of(sink);
+                if same_key && route_repair_enabled() {
+                    if self.carried.hop.is_empty() {
+                        // Seed from the outgoing epoch, whose image priced
+                        // every next hop under this key.
+                        let (carried, image) = (&mut self.carried, &self.image);
+                        carried.hop.extend_from_slice(&self.parent);
+                        carried.cost.extend(
+                            order
+                                .iter()
+                                .map(|&id| image.tx[image.pos[id as usize] as usize]),
+                        );
+                    }
+                    self.repair(&csr, weights.joules_per_bit(), local_sink, usable);
+                    note_route_repair();
+                    self.repairs += 1;
+                } else {
+                    for (flag, &id) in self.routed_over.iter_mut().zip(order) {
+                        *flag = usable[id as usize];
+                    }
                     dijkstra_into(
-                        topology,
-                        radio,
-                        max_hop,
-                        Some(usable),
+                        &csr,
+                        weights.joules_per_bit(),
+                        local_sink,
+                        Some(&self.routed_over),
                         &mut self.dist,
                         &mut self.parent,
                         &mut self.scratch.heap,
                     );
+                    note_route_build();
+                    self.builds += 1;
                 }
+                self.build_image(topology, radio, volume, local_sink, |l| order[l] as usize);
             }
-            note_route_build();
-            self.builds += 1;
         }
-        self.routed_over.copy_from_slice(usable);
-        self.build_image(topology, radio, volume);
         self.key = Some(key);
         true
     }
 
+    /// Whether `usable` (by id) is the mask the current epoch was built
+    /// over (kept in the epoch's node order).
+    fn routed_over_equals(&self, usable: &[bool]) -> bool {
+        match &self.graph {
+            Some(csr) => csr
+                .order()
+                .iter()
+                .zip(&self.routed_over)
+                .all(|(&id, &was)| usable[id as usize] == was),
+            None => self.routed_over == usable,
+        }
+    }
+
     /// Splices the cached minimum-energy table from the previous usable
-    /// set onto `usable` without a full Dijkstra.
+    /// set onto `usable` (by id) without a full Dijkstra, on the local
+    /// indices of `csr`, the epoch's hop graph (priced by `weights`,
+    /// sink at local index `sink`).
     ///
     /// Correctness rests on the canonical-parent property of the full
     /// build: with `(dist, id)` heap ordering and strictly positive
@@ -634,37 +727,35 @@ impl RouteCache {
     /// Ties discovered during the wave adopt a predecessor only when its
     /// `(dist, id)` beats the incumbent's, reproducing the settle order
     /// of a from-scratch run bit for bit.
-    fn repair(
-        &mut self,
-        topology: &Topology,
-        radio: &RadioEnergyModel,
-        max_hop: Length,
-        usable: &[bool],
-    ) {
+    fn repair(&mut self, csr: &CsrAdjacency, weights: &[f64], sink: usize, usable: &[bool]) {
         let n = self.parent.len();
-        let sink = topology.sink().0;
-        let csr = topology.csr_within(max_hop);
-        let weights = topology.hop_weights(max_hop, radio);
-        let (targets, weights) = (csr.targets(), weights.joules_per_bit());
+        let (order, targets) = (csr.order(), csr.targets());
         let s = &mut self.scratch;
 
-        // The children CSR the last image build left in the scratch
-        // indexes the outgoing parent table (a repair always follows a
-        // recompute under the same key), so subtree invalidation is
+        // The children CSR in the scratch indexes the outgoing parent
+        // table — left there by the last image build (a repair always
+        // follows a recompute under the same key), or laid out here on
+        // the cache's first repair — so subtree invalidation is
         // O(subtree) instead of O(N) per changed node. Row order is
         // irrelevant here: the invalidated set is the same in any order,
         // and the heap settles by (dist, id) alone.
+        if s.child_off.is_empty() {
+            fill_children(&self.parent, &mut s.child_off, &mut s.child_ids);
+        }
 
-        // Diff the epochs. Newly-unusable nodes lose their labels and
-        // stay routeless; rebooted nodes join the affected set so the
-        // wave gives them (back) a route. The sink is always usable.
+        // Diff the epochs in local order, moving the mask to the new
+        // epoch's. Newly-unusable nodes lose their labels and stay
+        // routeless; rebooted nodes join the affected set so the wave
+        // gives them (back) a route. The sink is always usable.
         s.affected.clear();
         s.in_affected.clear();
         s.in_affected.resize(n, false);
-        for (v, &now_usable) in usable.iter().enumerate() {
-            if v == sink || self.routed_over[v] == now_usable {
+        for (v, (&id, was)) in order.iter().zip(&mut self.routed_over).enumerate() {
+            let now_usable = usable[id as usize];
+            if v == sink || *was == now_usable {
                 continue;
             }
+            *was = now_usable;
             if !now_usable {
                 self.dist[v] = f64::INFINITY;
                 self.parent[v] = NO_HOP;
@@ -672,6 +763,7 @@ impl RouteCache {
             s.in_affected[v] = true;
             s.affected.push(v as u32);
         }
+        let usable = &self.routed_over[..];
 
         // Everything routing *through* a changed node is stale too:
         // invalidate the parent-tree subtrees breadth-first.
@@ -704,8 +796,8 @@ impl RouteCache {
             }
             let row = csr.row(v);
             let mut best = f64::INFINITY;
-            let mut best_pred = usize::MAX;
-            let mut best_pred_dist = f64::INFINITY;
+            let mut best_pred = NO_HOP;
+            let mut best_pred_key = (f64::INFINITY, u32::MAX);
             for (&target, &weight) in targets[row.clone()].iter().zip(&weights[row]) {
                 let p = target as usize;
                 if s.in_affected[p] || (p != sink && !usable[p]) {
@@ -716,19 +808,20 @@ impl RouteCache {
                     continue;
                 }
                 let candidate = dp + weight;
-                if candidate < best || (candidate == best && (dp, p) < (best_pred_dist, best_pred))
-                {
+                let key = (dp, order[p]);
+                if candidate < best || (candidate == best && key < best_pred_key) {
                     best = candidate;
-                    best_pred = p;
-                    best_pred_dist = dp;
+                    best_pred = target;
+                    best_pred_key = key;
                 }
             }
-            if best_pred != usize::MAX {
+            if best_pred != NO_HOP {
                 self.dist[v] = best;
-                self.parent[v] = best_pred as u32;
+                self.parent[v] = best_pred;
                 s.heap.push(Reverse(HeapEntry {
                     dist: best,
-                    node: vu,
+                    id: order[v],
+                    local: vu,
                 }));
             }
         }
@@ -738,8 +831,8 @@ impl RouteCache {
         // parent slot when its (dist, id) precedes the incumbent's (and
         // needs no re-push: children pick parents by label values, which
         // a tie does not change).
-        while let Some(Reverse(HeapEntry { dist: d, node })) = s.heap.pop() {
-            let u = node as usize;
+        while let Some(Reverse(HeapEntry { dist: d, id, local })) = s.heap.pop() {
+            let u = local as usize;
             if d > self.dist[u] {
                 continue;
             }
@@ -754,17 +847,18 @@ impl RouteCache {
                 let dv = self.dist[v];
                 if candidate < dv {
                     self.dist[v] = candidate;
-                    self.parent[v] = node;
+                    self.parent[v] = local;
                     s.heap.push(Reverse(HeapEntry {
                         dist: candidate,
-                        node: target,
+                        id: order[v],
+                        local: target,
                     }));
                 } else if candidate == dv {
-                    let incumbent = self.parent[v];
-                    if incumbent != NO_HOP
-                        && (du, u) < (self.dist[incumbent as usize], incumbent as usize)
+                    let incumbent = self.parent[v] as usize;
+                    if self.parent[v] != NO_HOP
+                        && (du, id) < (self.dist[incumbent], order[incumbent])
                     {
-                        self.parent[v] = node;
+                        self.parent[v] = local;
                     }
                 }
             }
@@ -774,47 +868,36 @@ impl RouteCache {
     /// Lays the current table out as its heavy-path image
     /// ([`RouteImage`]) and derives connectivity from it: a node's route
     /// reaches the sink exactly when the walk from the sink reaches the
-    /// node. Prices each next hop with the same expression as the
-    /// inline code, so cached costs are bit-identical — or, once a
-    /// repair has seeded the carried costs, takes the carried cost of
-    /// every node whose next hop has not moved and re-prices only the
-    /// rest. Leaves the table's children CSR (rows heaviest child
-    /// first) in the scratch for the next repair. Allocation-free:
-    /// every buffer is sized in [`RouteCache::new`] or by the first
-    /// repair, and the image's own columns double as build space before
-    /// they are filled.
-    fn build_image(&mut self, topology: &Topology, radio: &RadioEnergyModel, volume: DataVolume) {
-        let n = self.parent.len();
-        let sink = topology.sink().0;
+    /// node. `sink` is the sink's index in the table's node order and
+    /// `id_of` maps that order to ids; positions and ties go by id.
+    /// Prices each next hop with the same expression as the inline
+    /// code, so cached costs are bit-identical — or, once a repair has
+    /// seeded the carried costs, takes the carried cost of every node
+    /// whose next hop has not moved and re-prices only the rest. Leaves
+    /// the table's children CSR (rows heaviest child first) in the
+    /// scratch for the next repair once the cache has repaired; before
+    /// that, lays the CSR out in temporaries and drops them. Allocation-
+    /// free from the first repair on: every buffer is sized in
+    /// [`RouteCache::new`], by [`RouteCache::keep_subtree_ends`] or by
+    /// the first repair, and the image's own columns double as build
+    /// space before they are filled.
+    fn build_image(
+        &mut self,
+        topology: &Topology,
+        radio: &RadioEnergyModel,
+        volume: DataVolume,
+        sink: usize,
+        id_of: impl Fn(usize) -> usize,
+    ) {
         let parent = &self.parent[..];
-        let RepairScratch {
-            child_off,
-            child_ids,
-            ..
-        } = &mut self.scratch;
+        // A cache that repairs keeps the children CSR for its next
+        // repair; one that never has lays it out in temporaries.
+        let kept = !self.scratch.child_off.is_empty();
+        let mut child_off = std::mem::take(&mut self.scratch.child_off);
+        let mut child_ids = std::mem::take(&mut self.scratch.child_ids);
+        fill_children(parent, &mut child_off, &mut child_ids);
         let img = &mut self.image;
-
-        // Children CSR over the table, rows in ascending child id, with
-        // `img.pos` as the fill cursor.
-        child_off.fill(0);
-        for &p in parent {
-            if p != NO_HOP {
-                child_off[p as usize + 1] += 1;
-            }
-        }
-        for p in 0..n {
-            child_off[p + 1] += child_off[p];
-        }
-        img.pos.copy_from_slice(&child_off[..n]);
-        child_ids.clear();
-        child_ids.resize(child_off[n] as usize, 0);
-        for (v, &p) in parent.iter().enumerate() {
-            if p != NO_HOP {
-                let cursor = &mut img.pos[p as usize];
-                child_ids[*cursor as usize] = v as u32;
-                *cursor += 1;
-            }
-        }
+        let ends = !img.end.is_empty();
         let row = |u: usize| child_off[u] as usize..child_off[u + 1] as usize;
 
         // Breadth-first order from the sink, kept in `img.id` until the
@@ -831,7 +914,7 @@ impl RouteCache {
             }
         }
 
-        // Subtree sizes, children before parents, kept by id in
+        // Subtree sizes, children before parents, kept by table index in
         // `img.parent` until the columns are written.
         let size = &mut img.parent;
         for &v in &order[..reached] {
@@ -843,59 +926,81 @@ impl RouteCache {
         }
 
         // Heaviest child first, ties to the lowest id; then the walk's
-        // preorder positions follow without a stack: a child's range
-        // starts right after its parent and its elder siblings' ranges.
+        // preorder positions (by id) follow without a stack: a child's
+        // range starts right after its parent and its elder siblings'.
         img.pos.fill(NO_HOP);
-        img.pos[sink] = SINK_POS;
+        img.pos[id_of(sink)] = SINK_POS;
         for &u in &order[..reached] {
             let u = u as usize;
             let children = &mut child_ids[row(u)];
             if children.len() > 1 {
-                children.sort_unstable_by_key(|&c| (Reverse(size[c as usize]), c));
+                children.sort_unstable_by_key(|&c| (Reverse(size[c as usize]), id_of(c as usize)));
             }
-            let at = img.pos[u];
-            img.end[at as usize] = at + size[u];
+            let at = img.pos[id_of(u)];
+            if ends {
+                img.end[at as usize] = at + size[u];
+            }
             let mut next = at + 1;
             for &c in children.iter() {
-                img.pos[c as usize] = next;
+                img.pos[id_of(c as usize)] = next;
                 next += size[c as usize];
             }
         }
         let unreached = img.pos.iter_mut().filter(|at| **at == NO_HOP);
         for (next, at) in (reached as u32..).zip(unreached) {
             *at = next;
-            img.end[next as usize] = next + 1;
+            if ends {
+                img.end[next as usize] = next + 1;
+            }
         }
 
         // The per-position columns. Size and order scratch is dead now.
         let carried = &mut self.carried;
         let carry = !carried.hop.is_empty();
+        let sink_id = id_of(sink);
         for (v, &hop) in parent.iter().enumerate() {
-            let at = img.pos[v] as usize;
-            img.id[at] = v as u32;
-            (img.parent[at], img.tx[at]) = match next_hop_of(hop) {
-                Some(next) => (
-                    img.pos[next.0],
+            let id = id_of(v);
+            let at = img.pos[id] as usize;
+            img.id[at] = id as u32;
+            (img.parent[at], img.tx[at]) = if hop == NO_HOP {
+                (NO_HOP, 0.0)
+            } else {
+                let next = id_of(hop as usize);
+                (
+                    img.pos[next],
                     if carry && carried.hop[v] == hop {
                         carried.cost[v]
                     } else {
                         radio
-                            .transmit_energy(volume, topology.distance(NodeId(v), next))
+                            .transmit_energy(volume, topology.distance(NodeId(id), NodeId(next)))
                             .as_joules()
                     },
-                ),
-                None => (NO_HOP, 0.0),
+                )
             };
             if carry {
                 (carried.hop[v], carried.cost[v]) = (hop, img.tx[at]);
             }
-            self.connected[v] = v != sink && at < reached;
+            self.connected[id] = id != sink_id && at < reached;
+        }
+        if kept {
+            (self.scratch.child_off, self.scratch.child_ids) = (child_off, child_ids);
         }
     }
 
-    /// Next hop of `node`, `None` when routeless (or the sink).
+    /// Has every later image build lay out [`RouteImage::end`] too —
+    /// the column only the gathering kernel reads, so a lossy session
+    /// never sizes it. Call before the first [`ensure`](Self::ensure).
+    pub(crate) fn keep_subtree_ends(&mut self) {
+        debug_assert!(self.key.is_none(), "asked for subtree ends after a build");
+        self.image.end.resize(self.parent.len(), 0);
+    }
+
+    /// Next hop of `node`, `None` when routeless (or the sink); read
+    /// through the image.
     pub fn next_hop(&self, node: NodeId) -> Option<NodeId> {
-        next_hop_of(self.parent[node.0])
+        let img = &self.image;
+        let hop = img.parent[img.pos[node.0] as usize];
+        (hop != NO_HOP).then(|| NodeId(img.id[hop as usize] as usize))
     }
 
     /// Whether `node`'s cached route reaches the sink.
@@ -907,13 +1012,6 @@ impl RouteCache {
     /// packet to its next hop; `0.0` for routeless nodes.
     pub fn tx_cost(&self, node: NodeId) -> f64 {
         self.image.tx[self.image.pos[node.0] as usize]
-    }
-
-    /// All next hops as raw ids, [`NO_HOP`] for routeless nodes and the
-    /// sink — the bulk form of [`next_hop`](Self::next_hop) the
-    /// hop-walk oracle chases.
-    pub(crate) fn parents(&self) -> &[u32] {
-        &self.parent
     }
 
     /// The current table's heavy-path image, the layout the round
@@ -1427,7 +1525,9 @@ mod tests {
             ];
             let mut rng = ami_sim::sim_rng(mask_seed);
             let (mut bits, mut model) = (volumes[0], radios[0]);
+            // Both caches lay out subtree ends, as a gathering session's do.
             let mut warm = RouteCache::new(n);
+            warm.keep_subtree_ends();
             for step in 0..6 {
                 if step > 0 && rng.random::<f64>() < 0.25 {
                     bits = volumes[usize::from(bits == volumes[0])];
@@ -1441,6 +1541,7 @@ mod tests {
                 warm.ensure(&topo, strategy, &model, hop, bits, &usable);
                 assert_heavy_path_layout(&warm, &topo);
                 let mut fresh = RouteCache::new(n);
+                fresh.keep_subtree_ends();
                 fresh.ensure(&topo, strategy, &model, hop, bits, &usable);
                 proptest::prop_assert_eq!(&warm.image, &fresh.image, "step {}", step);
                 proptest::prop_assert_eq!(&warm.connected, &fresh.connected);

@@ -1,4 +1,9 @@
 //! Node layouts for ambient networks.
+//!
+//! A [`Topology`] is a list of positions indexed by [`NodeId`], with the
+//! sink at id 0. The hop graph it caches ([`Topology::csr_within`]) lays
+//! the nodes out in spatial order instead; its `order` maps that
+//! layout's local indices back to ids.
 
 use crate::csr::{CsrAdjacency, HopWeights};
 use ami_radio::RadioEnergyModel;
@@ -268,9 +273,10 @@ impl Topology {
         (1..self.positions.len()).map(NodeId)
     }
 
-    /// The CSR hop graph for `range`, built on first request and cached
-    /// (single slot, bitwise range key) for every later caller — healthy
-    /// simulations pay the O(N²) scan exactly once.
+    /// The CSR hop graph for `range`, in spatial order, built on first
+    /// request and cached (single slot, bitwise range key) for every
+    /// later caller — healthy simulations pay the grid build exactly
+    /// once.
     pub fn csr_within(&self, range: Length) -> Arc<CsrAdjacency> {
         self.csr.get_or_build(
             |csr| csr.matches_range(range),
@@ -290,18 +296,6 @@ impl Topology {
             |weights| weights.matches(range, radio),
             || HopWeights::price(&self.positions, &self.csr_within(range), radio),
         )
-    }
-
-    /// Neighbours of `node` within `range` (excluding itself), ascending
-    /// by id. Backed by the CSR cache; hot paths read the row of
-    /// [`csr_within`](Self::csr_within) directly to skip this `Vec`
-    /// allocation.
-    pub fn neighbors_within(&self, node: NodeId, range: Length) -> Vec<NodeId> {
-        self.csr_within(range)
-            .neighbors(node.0)
-            .iter()
-            .map(|&v| NodeId(v as usize))
-            .collect()
     }
 
     /// The maximum node-to-sink distance (network radius).
@@ -351,13 +345,13 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_within_range() {
+    fn csr_rows_count_the_neighbours_within_range() {
         let g = Topology::grid(3, Length::from_meters(10.0));
         // Centre node: 4 orthogonal at 10 m, 4 diagonal at 14.1 m.
-        let close = g.neighbors_within(NodeId(4), Length::from_meters(10.5));
-        assert_eq!(close.len(), 4);
-        let all = g.neighbors_within(NodeId(4), Length::from_meters(15.0));
-        assert_eq!(all.len(), 8);
+        for (range_m, degree) in [(10.5, 4), (15.0, 8)] {
+            let csr = g.csr_within(Length::from_meters(range_m));
+            assert_eq!(csr.row(csr.local_of(4)).len(), degree);
+        }
     }
 
     #[test]

@@ -27,8 +27,10 @@ use ami_sim::rng::packet_rng;
 use ami_units::{Energy, Length};
 use rand::RngExt;
 
-/// The historical O(N²) scan Dijkstra, kept verbatim as the
-/// bit-exactness reference for the heap implementation.
+/// The historical O(N²) scan Dijkstra, kept as the bit-exactness
+/// reference for the heap implementation. It finds each settled node's
+/// neighbours with its own all-pairs distance scan, in ascending id, so
+/// it shares no hop graph with the implementation it checks.
 pub fn dijkstra_reference_scan(
     topology: &Topology,
     radio: &RadioEnergyModel,
@@ -49,11 +51,11 @@ pub fn dijkstra_reference_scan(
         }
         let Some(u) = best else { break };
         visited[u] = true;
-        for v in topology.neighbors_within(NodeId(u), max_hop) {
-            if visited[v.0] {
+        for v in topology.ids() {
+            let hop = topology.distance(NodeId(u), v);
+            if v.0 == u || visited[v.0] || hop > max_hop {
                 continue;
             }
-            let hop = topology.distance(NodeId(u), v);
             let weight = radio.hop_energy_per_bit(hop).as_joules_per_bit();
             if dist[u] + weight < dist[v.0] {
                 dist[v.0] = dist[u] + weight;

@@ -2,8 +2,10 @@
 //! their retired reference implementations:
 //!
 //! * spatial-grid CSR construction ≡ the all-pairs scan
-//!   (`CsrAdjacency::build_scan`), and the topology's cached per-edge
-//!   hop weights ≡ the radio model priced per hop,
+//!   (`CsrAdjacency::build_scan`, laid out in the same cell order), the
+//!   cell-ordered graph read back through its order ≡ an all-pairs
+//!   distance scan in id space, and the topology's cached per-edge hop
+//!   weights ≡ the radio model priced per hop,
 //! * heap Dijkstra ≡ the O(N²) linear-scan Dijkstra,
 //! * masked routing ≡ the compact-subtopology rebuild,
 //! * incremental route repair ≡ full rebuild per transition —
@@ -39,8 +41,8 @@ use ami_net::routing::{
 };
 use ami_net::{
     build_routes, build_routes_over, set_par_min_nodes_per_worker, CsrAdjacency, GatherSession,
-    LossyConfig, LossyReport, LossySession, NetworkConfig, NetworkReport, NodeId, RoutingStrategy,
-    Topology,
+    LossyConfig, LossyReport, LossySession, NetworkConfig, NetworkReport, NodeId, Position,
+    RoutingStrategy, Topology,
 };
 use ami_radio::RadioEnergyModel;
 use ami_sim::fault::{FaultSchedule, FaultSpec};
@@ -75,17 +77,18 @@ fn grid_csr_build_matches_the_scan_oracle_bitwise() {
     // Random fields, an exact grid (equidistant ties), a degenerate
     // single-cell layout (all nodes coincident, so every hop has zero
     // length) — at tiny, typical and effectively-unbounded ranges.
-    // `PartialEq` on `CsrAdjacency` compares offsets and targets; the
-    // topology's weight column must hold, edge for edge, the radio
-    // model's price of that hop, bit for bit.
+    // `PartialEq` on `CsrAdjacency` compares the order, offsets and
+    // targets; the topology's weight column must hold, edge for edge
+    // (rows read through the order), the radio model's price of that
+    // hop, bit for bit.
     let mut layouts: Vec<Topology> = (0..6u64)
         .map(|seed| Topology::random(120, Length::from_meters(400.0), seed))
         .collect();
     layouts.push(Topology::grid(9, Length::from_meters(25.0)));
-    layouts.push(Topology::new(vec![ami_net::Position::new(3.0, 4.0); 40]));
+    layouts.push(Topology::new(vec![Position::new(3.0, 4.0); 40]));
     let radio = radio();
     for (k, topo) in layouts.iter().enumerate() {
-        let positions: Vec<ami_net::Position> = topo.ids().map(|id| topo.position(id)).collect();
+        let positions: Vec<Position> = topo.ids().map(|id| topo.position(id)).collect();
         for range_m in [0.5, 8.0, 25.0, 45.0, 120.0, 1e6] {
             let range = Length::from_meters(range_m);
             let grid = CsrAdjacency::build(&positions, range);
@@ -99,10 +102,12 @@ fn grid_csr_build_matches_the_scan_oracle_bitwise() {
                 scan.edge_count(),
                 "layout {k} range {range_m}"
             );
-            for u in topo.ids() {
-                let row = scan.row(u.0);
-                for (&v, &weight) in scan.targets()[row.clone()].iter().zip(&weights[row]) {
-                    let v = NodeId(v as usize);
+            let order = scan.order();
+            for (l, &u) in order.iter().enumerate() {
+                let u = NodeId(u as usize);
+                let row = scan.row(l);
+                for (&m, &weight) in scan.targets()[row.clone()].iter().zip(&weights[row]) {
+                    let v = NodeId(order[m as usize] as usize);
                     let priced = radio.hop_energy_per_bit(topo.distance(u, v));
                     assert_eq!(
                         weight.to_bits(),
@@ -112,6 +117,86 @@ fn grid_csr_build_matches_the_scan_oracle_bitwise() {
                 }
             }
         }
+    }
+}
+
+/// A field for the CSR property: `shape` 0 is uniform random at the
+/// benchmarks' density, 1 all coincident, 2 collinear on a sloped
+/// line, and 3 a one- or two-node field.
+fn csr_field(shape: u8, n: usize, seed: u64) -> Vec<Position> {
+    use rand::RngExt;
+    let mut rng = ami_sim::sim_rng(seed);
+    let side = 25.0 * (n as f64).sqrt();
+    let mut point = || Position::new(rng.random_range(0.0..side), rng.random_range(0.0..side));
+    match shape {
+        0 => (0..n).map(|_| point()).collect(),
+        1 => vec![Position::new(3.0, 4.0); n],
+        2 => (0..n)
+            .map(|_| {
+                let x = point().x;
+                Position::new(x, 0.5 * x)
+            })
+            .collect(),
+        _ => (0..1 + n % 2).map(|_| point()).collect(),
+    }
+}
+
+proptest! {
+    /// The cell-ordered graph, read back in id space, is the all-pairs
+    /// graph: its order is a permutation of the ids; each node's
+    /// neighbour ids are exactly the nodes within range of it; each
+    /// edge's cached weight is bitwise the radio's price of that hop;
+    /// and the routes built on it are the reference scan Dijkstra's —
+    /// over random, coincident, collinear, one- and two-node fields, at
+    /// zero, tiny, typical and unbounded ranges.
+    #[test]
+    fn csr_graph_read_through_its_order_is_the_all_pairs_graph(
+        seed in 0u64..10_000,
+        n in 2usize..70,
+        shape in 0u8..4,
+        range_pick in 0usize..4,
+    ) {
+        let positions = csr_field(shape, n, seed);
+        let range = Length::from_meters([0.0, 1e-9, 45.0, f64::MAX][range_pick]);
+        let csr = CsrAdjacency::build(&positions, range);
+        let order = csr.order();
+        prop_assert_eq!(order.len(), positions.len());
+        let mut seen = vec![false; positions.len()];
+        for &id in order {
+            prop_assert!(!seen[id as usize], "id {} placed twice", id);
+            seen[id as usize] = true;
+        }
+        for (l, &u) in order.iter().enumerate() {
+            let pu = positions[u as usize];
+            let mut got: Vec<usize> = csr.targets()[csr.row(l)]
+                .iter()
+                .map(|&m| order[m as usize] as usize)
+                .collect();
+            got.sort_unstable();
+            let want: Vec<usize> = (0..positions.len())
+                .filter(|&v| v != u as usize && pu.distance_to(&positions[v]) <= range)
+                .collect();
+            prop_assert_eq!(got, want, "neighbours of {}", u);
+        }
+        if positions.len() < 2 {
+            return; // no topology has fewer than two nodes
+        }
+
+        let topo = Topology::new(positions);
+        prop_assert_eq!(&*topo.csr_within(range), &csr);
+        let weights = topo.hop_weights(range, &radio());
+        for (l, &u) in order.iter().enumerate() {
+            let row = csr.row(l);
+            for (&m, &weight) in csr.targets()[row.clone()].iter().zip(&weights.joules_per_bit()[row]) {
+                let (u, v) = (NodeId(u as usize), NodeId(order[m as usize] as usize));
+                let priced = radio().hop_energy_per_bit(topo.distance(u, v));
+                prop_assert_eq!(weight.to_bits(), priced.as_joules_per_bit().to_bits(), "hop {}->{}", u, v);
+            }
+        }
+        prop_assert_eq!(
+            build_routes(&topo, RoutingStrategy::MinimumEnergy, &radio(), range),
+            dijkstra_reference_scan(&topo, &radio(), range)
+        );
     }
 }
 
