@@ -461,7 +461,7 @@ impl<'a> GatherSession<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routing::build_routes_over;
+    use crate::routing::RouteCache;
     use crate::topology::Position;
     use ami_sim::obs::LedgerRecorder;
 
@@ -479,9 +479,9 @@ mod tests {
         (report, obs)
     }
 
-    // The historical compact-rebuild oracle and the test pinning
-    // `build_routes_over` against it moved to `tests/common/oracle.rs`
-    // + `tests/differential.rs`, shared with the incremental-repair
+    // The historical compact-rebuild oracle and the test pinning masked
+    // routing against it live in `tests/common/oracle.rs` +
+    // `tests/differential.rs`, shared with the incremental-repair
     // differential layer.
 
     #[test]
@@ -490,14 +490,15 @@ mod tests {
         let config = NetworkConfig::sensor_default();
         let mut usable = vec![false; topo.len()];
         usable[0] = true;
-        let table = build_routes_over(
+        let mut cache = RouteCache::new(
             &topo,
             RoutingStrategy::MinimumEnergy,
             &config.radio,
             config.max_hop,
-            &usable,
+            config.packet.total_bits(),
         );
-        assert!(table.iter().all(Option::is_none));
+        cache.ensure(&usable);
+        assert!(topo.ids().all(|id| cache.next_hop(id).is_none()));
     }
 
     fn small_grid() -> Topology {

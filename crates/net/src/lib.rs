@@ -78,5 +78,5 @@ pub use pdes::{
     reset_par_engagement_counters, set_par_min_nodes_per_worker, PAR_MIN_NODES_PER_WORKER,
 };
 pub use replicate::{replicate_gathering, replicate_gathering_observed, summarize_reports};
-pub use routing::{build_routes, build_routes_over, RouteCache, RoutingStrategy};
+pub use routing::{build_routes, RouteCache, RoutingStrategy};
 pub use topology::{NodeId, Position, Topology};

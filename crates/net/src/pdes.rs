@@ -264,11 +264,29 @@ mod tests {
     use ami_sim::obs::{LedgerRecorder, NullRecorder};
     use ami_units::Length;
 
-    /// Forces the region engine on for this test thread: the fixtures
-    /// here are far below the production nodes-per-worker floor, and
-    /// the point is to exercise the engine, not the fallback.
-    fn engage_engine() {
-        set_par_min_nodes_per_worker(Some(0));
+    /// Overrides this thread's nodes-per-worker floor until dropped,
+    /// then restores the previous value, so a failing assertion cannot
+    /// leak the override into later tests on the thread.
+    struct ParFloor(Option<usize>);
+
+    impl ParFloor {
+        fn set(min: Option<usize>) -> Self {
+            Self(set_par_min_nodes_per_worker(min))
+        }
+    }
+
+    impl Drop for ParFloor {
+        fn drop(&mut self) {
+            set_par_min_nodes_per_worker(self.0);
+        }
+    }
+
+    /// Forces the fan-out on for this test thread until the guard
+    /// drops: the fixtures here are far below the production
+    /// nodes-per-worker floor, and the point is to exercise the
+    /// chunk-parallel rounds, not the one-worker fallback.
+    fn engage_engine() -> ParFloor {
+        ParFloor::set(Some(0))
     }
 
     /// One unrecorded run on a fresh session on `threads` workers.
@@ -302,7 +320,7 @@ mod tests {
 
         #[test]
         fn healthy_lossy_grid_matches_serial_at_every_thread_count() {
-            engage_engine();
+            let _floor = engage_engine();
             let topo = Topology::grid(6, Length::from_meters(30.0));
             let config = LossyConfig::bruised_channel();
             let serial = simulate_lossy_gathering(&topo, &config, 80, 2003);
@@ -317,7 +335,7 @@ mod tests {
 
         #[test]
         fn faulted_lossy_observed_run_matches_serial_ledger_bitwise() {
-            engage_engine();
+            let _floor = engage_engine();
             let topo = Topology::grid(5, Length::from_meters(30.0));
             let config = LossyConfig::bruised_channel();
             let model = FaultModel {
@@ -347,7 +365,7 @@ mod tests {
 
         #[test]
         fn lossy_fault_schedule_matches_serial_report() {
-            engage_engine();
+            let _floor = engage_engine();
             let topo = Topology::grid(4, Length::from_meters(30.0));
             let config = LossyConfig::bruised_channel();
             let faults = FaultSchedule::new(vec![
@@ -376,7 +394,7 @@ mod tests {
             // per-worker floor, so the session must walk each round as
             // one chunk — observable only through the counters, because
             // the results are bit-identical either way.
-            set_par_min_nodes_per_worker(None);
+            let _floor = ParFloor::set(None);
             let topo = Topology::grid(4, Length::from_meters(30.0));
             let config = LossyConfig::bruised_channel();
             let serial = simulate_lossy_gathering(&topo, &config, 10, 3);
@@ -389,7 +407,7 @@ mod tests {
 
         #[test]
         fn one_worker_always_falls_back() {
-            set_par_min_nodes_per_worker(Some(0));
+            let _floor = ParFloor::set(Some(0));
             reset_par_engagement_counters();
             let topo = Topology::grid(3, Length::from_meters(30.0));
             let config = LossyConfig::bruised_channel();
@@ -400,7 +418,7 @@ mod tests {
 
         #[test]
         fn override_engages_and_counts() {
-            set_par_min_nodes_per_worker(Some(0));
+            let _floor = ParFloor::set(Some(0));
             reset_par_engagement_counters();
             let topo = Topology::grid(3, Length::from_meters(30.0));
             let config = LossyConfig::bruised_channel();

@@ -1,8 +1,8 @@
-//! The round core both network sessions run on: route inputs, the warm
-//! [`RouteCache`] and the per-run fault block, with the start- and
-//! end-of-round phases the gathering and lossy kernels share. Their run
-//! states (`GatherState`, `LossyState`) borrow the core and add only
-//! their own budgets, constants and tallies.
+//! The round core both network sessions run on: the warm [`RouteCache`]
+//! built for the session's route inputs and the per-run fault block,
+//! with the start- and end-of-round phases the gathering and lossy
+//! kernels share. Their run states (`GatherState`, `LossyState`) borrow
+//! the core and add only their own budgets, constants and tallies.
 //!
 //! # The hop-fault mask
 //!
@@ -43,20 +43,15 @@ pub(crate) enum HopFault {
     LinkDown,
 }
 
-/// Route inputs, warm route cache and per-run fault state of one
-/// session. The route inputs are fixed for the session's life, so the
-/// cache stays warm across runs; [`start_run`](Self::start_run) resets
-/// everything else, so each run is bit-identical to the same run on a
-/// fresh core.
+/// Warm route cache and per-run fault state of one session. The cache
+/// is built for the session's route inputs, which are fixed for its
+/// life, so it stays warm across runs; [`start_run`](Self::start_run)
+/// resets everything else, so each run is bit-identical to the same run
+/// on a fresh core.
 pub(crate) struct RoundCore<'a> {
     pub(crate) topology: &'a Topology,
-    strategy: RoutingStrategy,
-    radio: &'a RadioEnergyModel,
-    pub(crate) max_hop: Length,
-    /// Bits per packet, the volume the cached transmit costs price.
-    bits: DataVolume,
     pub(crate) sink: NodeId,
-    pub(crate) cache: RouteCache,
+    pub(crate) cache: RouteCache<'a>,
     pub(crate) faults_active: bool,
     pub(crate) timeline: FaultTimeline,
     /// Budget-alive flags (exogenous downs are *not* deaths). Gathering
@@ -78,24 +73,21 @@ pub(crate) struct RoundCore<'a> {
 }
 
 impl<'a> RoundCore<'a> {
-    /// A core over `topology` routing with `strategy`; the first run's
-    /// first round performs the route build.
+    /// A core over `topology` routing with `strategy` (hops within
+    /// `max_hop`, priced under `radio`, packets of `bits`); the first
+    /// run's first round performs the route build.
     pub(crate) fn new(
         topology: &'a Topology,
         strategy: RoutingStrategy,
-        radio: &'a RadioEnergyModel,
+        radio: &RadioEnergyModel,
         max_hop: Length,
         bits: DataVolume,
     ) -> Self {
         let n = topology.len();
         Self {
             topology,
-            strategy,
-            radio,
-            max_hop,
-            bits,
             sink: topology.sink(),
-            cache: RouteCache::new(n),
+            cache: RouteCache::new(topology, strategy, radio, max_hop, bits),
             faults_active: false,
             // Replaced by every `start_run`; a zero-node timeline
             // allocates nothing.
@@ -147,14 +139,7 @@ impl<'a> RoundCore<'a> {
             for (id, flag) in self.usable.iter_mut().enumerate() {
                 *flag = id == self.sink.0 || (self.alive[id] && !self.down_prev[id]);
             }
-            self.cache.ensure(
-                self.topology,
-                self.strategy,
-                self.radio,
-                self.max_hop,
-                self.bits,
-                &self.usable,
-            );
+            self.cache.ensure(&self.usable);
             self.routes_dirty = false;
         }
 

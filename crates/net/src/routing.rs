@@ -12,21 +12,22 @@
 //! tables — and every golden manifest built on them — are therefore
 //! bit-identical to the historical implementation (`tests` pin this
 //! against a reference scan). Each relaxation reads its edge's price
-//! from the topology's cached [`HopWeights`](crate::csr::HopWeights)
-//! column (the same f64 the radio model computes for the hop), zipped
-//! with the graph's targets over the row's edge range, so no build or
-//! repair calls the radio model per edge.
+//! from the topology's cached [`HopWeights`] column (the same f64 the
+//! radio model computes for the hop), zipped with the graph's targets
+//! over the row's edge range, so no build or repair calls the radio
+//! model per edge.
 //!
-//! [`RouteCache`] wraps a table in a usable-set epoch: the table is
-//! recomputed only when the usable set — or any other route input —
-//! actually differs from the ones the routes were last built from, and
-//! each build pre-resolves per-node next hops, transmit costs and sink
-//! connectivity so the simulators' round loops touch no allocator and
-//! recompute no distances. The cache keeps its labels, parents and
-//! usable mask in the epoch's hop-graph order and holds that graph; it
-//! fetches the weight column only when it recomputes, never on a hit.
-//! Under [`RoutingStrategy::DirectToSink`] it reads no hop graph at all
-//! and its columns follow ids.
+//! [`RouteCache`] solves one route problem: the topology, strategy,
+//! radio model, hop range and packet volume are fixed when it is built,
+//! and the usable mask is its only key. The table is recomputed only
+//! when the mask differs from the one the routes were last built over,
+//! and each build pre-resolves per-node next hops, transmit costs and
+//! sink connectivity so the simulators' round loops touch no allocator
+//! and recompute no distances. A minimum-energy cache takes the
+//! topology's hop graph and its weight column when it is built, holds
+//! both, and keeps its labels, parents and usable mask in the graph's
+//! order. Under [`RoutingStrategy::DirectToSink`] it reads no hop graph
+//! at all and its columns follow ids.
 //!
 //! Since the city-scale work, a usable-set *change* no longer pays a
 //! full-graph Dijkstra: the cache keeps the final distance labels of the
@@ -60,7 +61,7 @@
 //! transmit-cost column is the only one the cache stores, and it answers
 //! [`RouteCache::next_hop`] in id space.
 
-use crate::csr::CsrAdjacency;
+use crate::csr::{CsrAdjacency, HopWeights};
 use crate::topology::{NodeId, Topology};
 use ami_radio::RadioEnergyModel;
 use ami_units::{DataVolume, Length};
@@ -200,43 +201,7 @@ pub fn build_routes(
                 }
             })
             .collect(),
-        RoutingStrategy::MinimumEnergy => dijkstra_to_sink(topology, radio, max_hop, None),
-    }
-}
-
-/// [`build_routes`] restricted to the `usable` node subset: nodes with
-/// `usable[id] == false` get no route and relay for nobody (the sink is
-/// always usable). Equivalent to rebuilding on the sub-topology of the
-/// usable nodes, but reuses the full topology's cached CSR hop graph —
-/// ties break on ids, which the subset preserves in order, so the
-/// result is bit-identical to a compact rebuild (pinned in
-/// `tests/differential.rs`).
-///
-/// # Panics
-///
-/// Panics if `usable` is shorter than the topology.
-pub fn build_routes_over(
-    topology: &Topology,
-    strategy: RoutingStrategy,
-    radio: &RadioEnergyModel,
-    max_hop: Length,
-    usable: &[bool],
-) -> Vec<Option<NodeId>> {
-    assert!(usable.len() >= topology.len(), "usable mask too short");
-    note_route_build();
-    let sink = topology.sink();
-    match strategy {
-        RoutingStrategy::DirectToSink => topology
-            .ids()
-            .map(|id| {
-                if id != sink && usable[id.0] {
-                    Some(sink)
-                } else {
-                    None
-                }
-            })
-            .collect(),
-        RoutingStrategy::MinimumEnergy => dijkstra_to_sink(topology, radio, max_hop, Some(usable)),
+        RoutingStrategy::MinimumEnergy => dijkstra_to_sink(topology, radio, max_hop),
     }
 }
 
@@ -271,19 +236,15 @@ impl PartialOrd for HeapEntry {
 
 /// Dijkstra from the sink outwards over the bounded-range CSR hop
 /// graph; each node's parent toward the sink becomes its next hop.
-/// With `usable`, non-usable nodes are treated as absent.
 fn dijkstra_to_sink(
     topology: &Topology,
     radio: &RadioEnergyModel,
     max_hop: Length,
-    usable: Option<&[bool]>,
 ) -> Vec<Option<NodeId>> {
     let csr = topology.csr_within(max_hop);
     let weights = topology.hop_weights(max_hop, radio);
     let order = csr.order();
     let n = order.len();
-    let mask: Option<Vec<bool>> =
-        usable.map(|usable| order.iter().map(|&id| usable[id as usize]).collect());
     let mut dist = vec![f64::INFINITY; n];
     let mut parent = vec![NO_HOP; n];
     let mut heap: BinaryHeap<Reverse<HeapEntry>> = BinaryHeap::new();
@@ -291,13 +252,13 @@ fn dijkstra_to_sink(
         &csr,
         weights.joules_per_bit(),
         csr.local_of(topology.sink().0),
-        mask.as_deref(),
+        None,
         &mut dist,
         &mut parent,
         &mut heap,
     );
     // The labels are dead: free them before the table is allocated.
-    drop((dist, heap, mask));
+    drop((dist, heap));
     let mut table = vec![None; n];
     for (&id, &hop) in order.iter().zip(&parent) {
         if hop != NO_HOP {
@@ -416,12 +377,15 @@ pub fn route_to_sink(table: &[Option<NodeId>], topology: &Topology, node: NodeId
     Vec::new()
 }
 
-/// A next-hop table cached behind a usable-set epoch.
+/// A next-hop table for one route problem, cached behind a usable-set
+/// epoch.
 ///
-/// The simulators' round loops call [`ensure`](RouteCache::ensure) every
-/// time the usable set *may* have changed; the table is recomputed only
-/// when it *did* change (fault events are sparse, and a healthy run
-/// builds exactly once) or when another route input moved. Each build
+/// [`new`](RouteCache::new) fixes the topology, strategy, radio model,
+/// hop range and packet volume for the cache's life, so the usable mask
+/// is its only key. The simulators' round loops call
+/// [`ensure`](RouteCache::ensure) every time the usable set *may* have
+/// changed; the table is recomputed only when it *did* change (fault
+/// events are sparse, and a healthy run builds exactly once). Each build
 /// also pre-resolves, per node, the transmit energy to its next hop and
 /// whether its route reaches the sink, and lays the table out as its
 /// heavy-path image (see the module docs), so the per-packet hot loop is
@@ -447,21 +411,25 @@ pub fn route_to_sink(table: &[Option<NodeId>], topology: &Topology, node: NodeId
 /// let topo = Topology::grid(3, Length::from_meters(20.0));
 /// let radio = RadioEnergyModel::short_range_2003();
 /// let bits = Packet::sensor_report().total_bits();
-/// let mut cache = RouteCache::new(topo.len());
-/// let usable = vec![true; topo.len()];
 /// let hop = Length::from_meters(45.0);
+/// let mut cache = RouteCache::new(&topo, RoutingStrategy::MinimumEnergy, &radio, hop, bits);
+/// let usable = vec![true; topo.len()];
 /// // First ensure builds; an identical usable set is a cache hit.
-/// assert!(cache.ensure(&topo, RoutingStrategy::MinimumEnergy, &radio, hop, bits, &usable));
-/// assert!(!cache.ensure(&topo, RoutingStrategy::MinimumEnergy, &radio, hop, bits, &usable));
+/// assert!(cache.ensure(&usable));
+/// assert!(!cache.ensure(&usable));
 /// assert_eq!(cache.builds(), 1);
 /// ```
 #[derive(Debug, Clone)]
-pub struct RouteCache {
-    /// The hop graph of a minimum-energy epoch: `parent`, `routed_over`,
-    /// `dist` and the carried costs follow its node order. `None` before
-    /// the first build and under [`RoutingStrategy::DirectToSink`], whose
-    /// columns follow ids.
-    graph: Option<Arc<CsrAdjacency>>,
+pub struct RouteCache<'a> {
+    topology: &'a Topology,
+    radio: RadioEnergyModel,
+    /// Bits per packet, the volume the transmit costs price.
+    volume: DataVolume,
+    /// The hop graph of a minimum-energy cache and its edge prices:
+    /// `parent`, `routed_over`, `dist` and the carried costs follow the
+    /// graph's node order. `None` under [`RoutingStrategy::DirectToSink`],
+    /// whose columns follow ids.
+    graph: Option<(Arc<CsrAdjacency>, Arc<HopWeights>)>,
     /// The next-hop table in the epoch's node order, [`NO_HOP`] for
     /// routeless nodes and the sink: the column route repair reads.
     parent: Vec<u32>,
@@ -478,19 +446,15 @@ pub struct RouteCache {
     dist: Vec<f64>,
     builds: u64,
     repairs: u64,
-    /// The non-mask inputs of the current epoch (`None` before a build).
-    key: Option<RouteKey>,
-    /// Transmit costs carried across recomputes under one key, so an
-    /// image build prices only the nodes whose next hop moved.
+    /// Transmit costs carried across recomputes, so an image build
+    /// prices only the nodes whose next hop moved.
     carried: CarriedCosts,
     scratch: RepairScratch,
 }
 
 /// Transmit costs and the next hop each was priced for, in the epoch's
-/// node order, valid under the current [`RouteKey`]. Empty until the
-/// cache's first repair seeds them from the outgoing image (a cache that
-/// never repairs carries no bytes); emptied, capacity kept, by a key
-/// change.
+/// node order. Empty until the cache's first repair seeds them from the
+/// outgoing image (a cache that never repairs carries no bytes).
 #[derive(Debug, Clone, Default)]
 struct CarriedCosts {
     /// `cost[v]`: joules of one cached-volume packet from `v` to
@@ -527,16 +491,6 @@ pub(crate) struct RouteImage {
     pub(crate) end: Vec<u32>,
 }
 
-/// Everything besides the usable mask that a [`RouteCache`] epoch is a
-/// function of (the topology is fixed by the cache's construction).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct RouteKey {
-    strategy: RoutingStrategy,
-    radio: RadioEnergyModel,
-    max_hop: Length,
-    volume: DataVolume,
-}
-
 /// Reusable buffers for [`RouteCache::repair`] and the image build:
 /// after the first change of a run, repairs and rebuilds touch the
 /// allocator not at all (proven by `tests/zero_alloc_faulted`).
@@ -556,18 +510,37 @@ struct RepairScratch {
     in_affected: Vec<bool>,
 }
 
-impl RouteCache {
-    /// An unprimed cache for an `nodes`-node topology; the first
-    /// [`ensure`](RouteCache::ensure) always builds.
+impl<'a> RouteCache<'a> {
+    /// An unprimed cache routing `topology` with `strategy`: hops within
+    /// `max_hop`, priced under `radio`, with transmit costs for one
+    /// packet of `volume`. A minimum-energy cache takes the topology's
+    /// hop graph for `max_hop` and its weight column under `radio` here.
+    /// The first [`ensure`](RouteCache::ensure) always builds.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` exceeds `u32::MAX` (node ids are stored as
-    /// `u32`, with `u32::MAX` marking "no next hop").
-    pub fn new(nodes: usize) -> Self {
+    /// Panics if the topology has more than `u32::MAX` nodes (node ids
+    /// are stored as `u32`, with `u32::MAX` marking "no next hop").
+    pub fn new(
+        topology: &'a Topology,
+        strategy: RoutingStrategy,
+        radio: &RadioEnergyModel,
+        max_hop: Length,
+        volume: DataVolume,
+    ) -> Self {
+        let nodes = topology.len();
         assert!(u32::try_from(nodes).is_ok(), "node ids must fit in u32");
+        let graph = (strategy == RoutingStrategy::MinimumEnergy).then(|| {
+            (
+                topology.csr_within(max_hop),
+                topology.hop_weights(max_hop, radio),
+            )
+        });
         Self {
-            graph: None,
+            topology,
+            radio: *radio,
+            volume,
+            graph,
             parent: vec![NO_HOP; nodes],
             routed_over: vec![false; nodes],
             connected: vec![false; nodes],
@@ -582,65 +555,32 @@ impl RouteCache {
             dist: vec![f64::INFINITY; nodes],
             builds: 0,
             repairs: 0,
-            key: None,
             carried: CarriedCosts::default(),
             scratch: RepairScratch::default(),
         }
     }
 
-    /// Makes the cached table current for these inputs, recomputing
-    /// only when they differ from the ones the current epoch was built
-    /// from. Returns whether a recompute (build or repair) happened.
-    /// `volume` sizes the cached per-hop transmit costs (one packet's
-    /// bits).
+    /// Makes the cached table current for `usable`, the nodes routing
+    /// may use (by id; the sink always is), recomputing only when it
+    /// differs from the mask the current epoch was built over. Returns
+    /// whether a recompute (build or repair) happened.
     ///
-    /// A call is a hit — no recompute — only when `strategy`, `radio`,
-    /// `max_hop` and `volume` all equal (`==`) the current epoch's and
-    /// `usable` equals the mask it was built over. `topology` is not
-    /// part of the key: it must be the topology the cache was sized for
-    /// at every call.
-    ///
-    /// When only the mask changed, a minimum-energy table is repaired
+    /// After the first build, a minimum-energy table is repaired
     /// incrementally unless [`set_route_repair_enabled`] turned the
     /// optimization off for this thread; either path yields
-    /// bit-identical tables, costs, and connectivity. Any other changed
-    /// input forces a full build, since a repair re-relaxes against
-    /// distance labels computed under the old inputs.
+    /// bit-identical tables, costs, and connectivity.
     ///
     /// # Panics
     ///
-    /// Panics if `usable` or the topology disagree with the node count
-    /// the cache was created for.
-    pub fn ensure(
-        &mut self,
-        topology: &Topology,
-        strategy: RoutingStrategy,
-        radio: &RadioEnergyModel,
-        max_hop: Length,
-        volume: DataVolume,
-        usable: &[bool],
-    ) -> bool {
+    /// Panics if `usable` does not hold one flag per node.
+    pub fn ensure(&mut self, usable: &[bool]) -> bool {
         let n = self.parent.len();
-        assert_eq!(topology.len(), n, "topology/cache node count mismatch");
         assert_eq!(usable.len(), n, "usable mask/cache node count mismatch");
-        let key = RouteKey {
-            strategy,
-            radio: *radio,
-            max_hop,
-            volume,
-        };
-        let same_key = self.key == Some(key);
-        if same_key && self.routed_over_equals(usable) {
+        let built = self.builds > 0;
+        if built && self.routed_over_equals(usable) {
             return false;
         }
-        if !same_key {
-            // The carried costs were priced under other inputs.
-            self.carried.cost.clear();
-            self.carried.hop.clear();
-            self.graph =
-                (strategy == RoutingStrategy::MinimumEnergy).then(|| topology.csr_within(max_hop));
-        }
-        let sink = topology.sink().0;
+        let sink = self.topology.sink().0;
         match self.graph.clone() {
             None => {
                 for (id, hop) in self.parent.iter_mut().enumerate() {
@@ -654,16 +594,15 @@ impl RouteCache {
                 self.dist.fill(f64::INFINITY);
                 note_route_build();
                 self.builds += 1;
-                self.build_image(topology, radio, volume, sink, |v| v);
+                self.build_image(sink, |v| v);
             }
-            Some(csr) => {
-                let weights = topology.hop_weights(max_hop, radio);
+            Some((csr, weights)) => {
                 let order = csr.order();
                 let local_sink = csr.local_of(sink);
-                if same_key && route_repair_enabled() {
+                if built && route_repair_enabled() {
                     if self.carried.hop.is_empty() {
                         // Seed from the outgoing epoch, whose image priced
-                        // every next hop under this key.
+                        // every next hop.
                         let (carried, image) = (&mut self.carried, &self.image);
                         carried.hop.extend_from_slice(&self.parent);
                         carried.cost.extend(
@@ -691,10 +630,9 @@ impl RouteCache {
                     note_route_build();
                     self.builds += 1;
                 }
-                self.build_image(topology, radio, volume, local_sink, |l| order[l] as usize);
+                self.build_image(local_sink, |l| order[l] as usize);
             }
         }
-        self.key = Some(key);
         true
     }
 
@@ -702,7 +640,7 @@ impl RouteCache {
     /// over (kept in the epoch's node order).
     fn routed_over_equals(&self, usable: &[bool]) -> bool {
         match &self.graph {
-            Some(csr) => csr
+            Some((csr, _)) => csr
                 .order()
                 .iter()
                 .zip(&self.routed_over)
@@ -734,11 +672,11 @@ impl RouteCache {
 
         // The children CSR in the scratch indexes the outgoing parent
         // table — left there by the last image build (a repair always
-        // follows a recompute under the same key), or laid out here on
-        // the cache's first repair — so subtree invalidation is
-        // O(subtree) instead of O(N) per changed node. Row order is
-        // irrelevant here: the invalidated set is the same in any order,
-        // and the heap settles by (dist, id) alone.
+        // follows one), or laid out here on the cache's first repair —
+        // so subtree invalidation is O(subtree) instead of O(N) per
+        // changed node. Row order is irrelevant here: the invalidated
+        // set is the same in any order, and the heap settles by
+        // (dist, id) alone.
         if s.child_off.is_empty() {
             fill_children(&self.parent, &mut s.child_off, &mut s.child_ids);
         }
@@ -881,14 +819,8 @@ impl RouteCache {
     /// [`RouteCache::new`], by [`RouteCache::keep_subtree_ends`] or by
     /// the first repair, and the image's own columns double as build
     /// space before they are filled.
-    fn build_image(
-        &mut self,
-        topology: &Topology,
-        radio: &RadioEnergyModel,
-        volume: DataVolume,
-        sink: usize,
-        id_of: impl Fn(usize) -> usize,
-    ) {
+    fn build_image(&mut self, sink: usize, id_of: impl Fn(usize) -> usize) {
+        let (topology, radio, volume) = (self.topology, &self.radio, self.volume);
         let parent = &self.parent[..];
         // A cache that repairs keeps the children CSR for its next
         // repair; one that never has lays it out in temporaries.
@@ -991,7 +923,7 @@ impl RouteCache {
     /// the column only the gathering kernel reads, so a lossy session
     /// never sizes it. Call before the first [`ensure`](Self::ensure).
     pub(crate) fn keep_subtree_ends(&mut self) {
-        debug_assert!(self.key.is_none(), "asked for subtree ends after a build");
+        debug_assert!(self.builds == 0, "asked for subtree ends after a build");
         self.image.end.resize(self.parent.len(), 0);
     }
 
@@ -1049,8 +981,20 @@ mod tests {
 
     /// The cache's next hop for every id, in the form `build_routes`
     /// returns.
-    fn next_hops(cache: &RouteCache, topo: &Topology) -> Vec<Option<NodeId>> {
-        topo.ids().map(|id| cache.next_hop(id)).collect()
+    fn next_hops(cache: &RouteCache) -> Vec<Option<NodeId>> {
+        cache.topology.ids().map(|id| cache.next_hop(id)).collect()
+    }
+
+    /// A minimum-energy cache over `topo` at 45 m hops, pricing sensor
+    /// reports under the default radio.
+    fn min_energy_cache(topo: &Topology) -> RouteCache<'_> {
+        RouteCache::new(
+            topo,
+            RoutingStrategy::MinimumEnergy,
+            &radio(),
+            Length::from_meters(45.0),
+            ami_radio::Packet::sensor_report().total_bits(),
+        )
     }
 
     // The historical O(N²) scan-Dijkstra oracle and the tests diffing
@@ -1139,67 +1083,40 @@ mod tests {
     }
 
     #[test]
-    fn build_routes_over_excludes_unusable_relays() {
+    fn a_cache_excludes_unusable_relays() {
         // Sink—1—2 line: with node 1 masked out, node 2 is routeless.
         let topo = Topology::new(vec![
             crate::topology::Position::new(0.0, 0.0),
             crate::topology::Position::new(40.0, 0.0),
             crate::topology::Position::new(80.0, 0.0),
         ]);
-        let table = build_routes_over(
-            &topo,
-            RoutingStrategy::MinimumEnergy,
-            &radio(),
-            Length::from_meters(45.0),
-            &[true, false, true],
-        );
-        assert_eq!(table[1], None);
-        assert_eq!(table[2], None);
+        let mut cache = min_energy_cache(&topo);
+        cache.ensure(&[true, false, true]);
+        assert_eq!(cache.next_hop(NodeId(1)), None);
+        assert_eq!(cache.next_hop(NodeId(2)), None);
         // DirectToSink ignores relays but still drops masked senders.
-        let direct = build_routes_over(
+        let mut direct = RouteCache::new(
             &topo,
             RoutingStrategy::DirectToSink,
             &radio(),
             Length::from_meters(45.0),
-            &[true, false, true],
+            ami_radio::Packet::sensor_report().total_bits(),
         );
-        assert_eq!(direct, vec![None, None, Some(NodeId(0))]);
+        direct.ensure(&[true, false, true]);
+        assert_eq!(next_hops(&direct), vec![None, None, Some(NodeId(0))]);
     }
 
     #[test]
     fn route_cache_rebuilds_only_on_usable_changes() {
         let topo = Topology::grid(4, Length::from_meters(30.0));
-        let bits = ami_radio::Packet::sensor_report().total_bits();
-        let hop = Length::from_meters(45.0);
-        let mut cache = RouteCache::new(topo.len());
+        let mut cache = min_energy_cache(&topo);
         let mut usable = vec![true; topo.len()];
-        assert!(cache.ensure(
-            &topo,
-            RoutingStrategy::MinimumEnergy,
-            &radio(),
-            hop,
-            bits,
-            &usable
-        ));
+        assert!(cache.ensure(&usable));
         for _ in 0..10 {
-            assert!(!cache.ensure(
-                &topo,
-                RoutingStrategy::MinimumEnergy,
-                &radio(),
-                hop,
-                bits,
-                &usable
-            ));
+            assert!(!cache.ensure(&usable));
         }
         usable[5] = false;
-        assert!(cache.ensure(
-            &topo,
-            RoutingStrategy::MinimumEnergy,
-            &radio(),
-            hop,
-            bits,
-            &usable
-        ));
+        assert!(cache.ensure(&usable));
         // The change is absorbed by an incremental repair, not a
         // second full build.
         assert_eq!(cache.builds(), 1);
@@ -1212,114 +1129,29 @@ mod tests {
     #[test]
     fn disabling_repair_restores_the_full_rebuild_oracle_path() {
         let topo = Topology::grid(4, Length::from_meters(30.0));
-        let bits = ami_radio::Packet::sensor_report().total_bits();
-        let hop = Length::from_meters(45.0);
-        let mut cache = RouteCache::new(topo.len());
+        let mut cache = min_energy_cache(&topo);
         let mut usable = vec![true; topo.len()];
         let previous = set_route_repair_enabled(false);
-        cache.ensure(
-            &topo,
-            RoutingStrategy::MinimumEnergy,
-            &radio(),
-            hop,
-            bits,
-            &usable,
-        );
+        cache.ensure(&usable);
         usable[5] = false;
-        cache.ensure(
-            &topo,
-            RoutingStrategy::MinimumEnergy,
-            &radio(),
-            hop,
-            bits,
-            &usable,
-        );
+        cache.ensure(&usable);
         set_route_repair_enabled(previous);
         assert_eq!(cache.builds(), 2, "oracle path rebuilds per change");
         assert_eq!(cache.repairs(), 0);
     }
 
     #[test]
-    fn strategy_change_falls_back_to_a_full_build() {
-        // A direct-to-sink epoch leaves no distance labels to repair
-        // against; switching strategies must rebuild, not splice.
-        let topo = Topology::grid(3, Length::from_meters(20.0));
-        let bits = ami_radio::Packet::sensor_report().total_bits();
-        let hop = Length::from_meters(45.0);
-        let mut cache = RouteCache::new(topo.len());
-        let mut usable = vec![true; topo.len()];
-        cache.ensure(
-            &topo,
-            RoutingStrategy::DirectToSink,
-            &radio(),
-            hop,
-            bits,
-            &usable,
-        );
-        usable[4] = false;
-        cache.ensure(
-            &topo,
-            RoutingStrategy::MinimumEnergy,
-            &radio(),
-            hop,
-            bits,
-            &usable,
-        );
-        assert_eq!(cache.builds(), 2);
-        assert_eq!(cache.repairs(), 0);
-        let fresh = build_routes_over(
-            &topo,
-            RoutingStrategy::MinimumEnergy,
-            &radio(),
-            hop,
-            &usable,
-        );
-        assert_eq!(next_hops(&cache, &topo), fresh);
-    }
-
-    #[test]
-    fn a_changed_route_input_misses_on_an_unchanged_mask() {
-        // Every node stays usable, so only the other key inputs can force
-        // the recompute; each must reach a fresh cache's epoch by a build.
-        let topo = Topology::grid(4, Length::from_meters(30.0));
-        let usable = vec![true; topo.len()];
-        type Key = (RoutingStrategy, RadioEnergyModel, Length, DataVolume);
-        let ensure = |cache: &mut RouteCache, (strategy, radio, hop, volume): Key| {
-            cache.ensure(&topo, strategy, &radio, hop, volume, &usable)
-        };
-        let (min, hop) = (RoutingStrategy::MinimumEnergy, Length::from_meters(45.0));
-        let bits = ami_radio::Packet::sensor_report().total_bits();
-        let base = (min, radio(), hop, bits);
-        let double = DataVolume::from_bits(2.0 * bits.as_bits());
-        for (before, after) in [
-            ((RoutingStrategy::DirectToSink, radio(), hop, bits), base),
-            // 25 m hops cannot span the 30 m pitch: a fresh build routes nobody.
-            (base, (min, radio(), Length::from_meters(25.0), bits)),
-            (base, (min, radio(), hop, double)),
-            (base, (min, RadioEnergyModel::multipath_2003(), hop, bits)),
-        ] {
-            let mut cache = RouteCache::new(topo.len());
-            ensure(&mut cache, before);
-            assert!(ensure(&mut cache, after), "{after:?} after {before:?}");
-            let mut fresh = RouteCache::new(topo.len());
-            ensure(&mut fresh, after);
-            assert_eq!(next_hops(&cache, &topo), next_hops(&fresh, &topo));
-            assert_eq!(cache.image, fresh.image);
-            assert_eq!((cache.builds(), cache.repairs()), (2, 0));
-        }
-    }
-
-    #[test]
     fn alternating_radios_and_ranges_never_route_on_another_keys_weights() {
         // Two radios that differ only in the amplifier (100 and
         // 120 pJ/bit/m², so the multi-hop crossover and with it some
-        // routes move) and two ranges, requested in turn on one topology
-        // and on a clone sharing its cached weights. Each session cache
-        // holds a key for two steps (the second a repair) while a
-        // `build_routes_over` under the next key turns the weight slot
-        // over in between. Every table must equal a build on a fresh
-        // topology, which has nothing cached: a slot that ignored the
-        // radio or the range would route on another key's prices.
+        // routes move) and two ranges: one cache per (radio, range)
+        // pair on one topology and on a clone sharing its cached
+        // weights, each repaired in turn over several steps, while a
+        // `build_routes` under another pair turns the topology's weight
+        // slot over in between. Every table and image must equal a
+        // build on a fresh topology, which has nothing cached: a cache
+        // that read the slot, or a slot that ignored the radio or the
+        // range, would route on another pair's prices.
         let amplified = RadioEnergyModel::new(
             ami_units::EnergyPerBit::from_nanojoules_per_bit(50.0),
             120e-12,
@@ -1341,36 +1173,45 @@ mod tests {
             let topo = Topology::random(n, side, seed);
             let _ = topo.hop_weights(keys[0].1, &keys[0].0);
             let twin = topo.clone();
-            let mut caches = [RouteCache::new(n), RouteCache::new(n)];
+            let mut caches: Vec<Vec<RouteCache>> = [&topo, &twin]
+                .into_iter()
+                .map(|topology| {
+                    keys.iter()
+                        .map(|(radio, hop)| RouteCache::new(topology, min, radio, *hop, bits))
+                        .collect()
+                })
+                .collect();
             let mut rng = ami_sim::sim_rng(seed);
             for step in 0..16 {
                 let usable: Vec<bool> = (0..n)
                     .map(|id| id == 0 || rng.random::<f64>() < 0.9)
                     .collect();
-                for (t, (topology, cache)) in
+                for (t, (topology, caches)) in
                     [&topo, &twin].into_iter().zip(&mut caches).enumerate()
                 {
-                    let fresh = || Topology::new(topology.positions().to_vec());
-                    let (radio, hop) = keys[(step / 2 + t) % 4];
-                    cache.ensure(topology, min, &radio, hop, bits, &usable);
-                    let mut want = RouteCache::new(n);
-                    want.ensure(&fresh(), min, &radio, hop, bits, &usable);
+                    let fresh = Topology::new(topology.positions().to_vec());
+                    let k = (step / 2 + t) % 4;
+                    let (radio, hop) = keys[k];
+                    let cache = &mut caches[k];
+                    cache.ensure(&usable);
+                    let mut want = RouteCache::new(&fresh, min, &radio, hop, bits);
+                    want.ensure(&usable);
                     assert_eq!(
-                        next_hops(cache, topology),
-                        build_routes_over(&fresh(), min, &radio, hop, &usable),
+                        next_hops(cache),
+                        next_hops(&want),
                         "seed {seed} step {step} topology {t}: cache"
                     );
                     assert_eq!(cache.image, want.image);
 
                     let (radio, hop) = keys[(step + 1 + t) % 4];
                     assert_eq!(
-                        build_routes_over(topology, min, &radio, hop, &usable),
-                        build_routes_over(&fresh(), min, &radio, hop, &usable),
-                        "seed {seed} step {step} topology {t}: build_routes_over"
+                        build_routes(topology, min, &radio, hop),
+                        build_routes(&fresh, min, &radio, hop),
+                        "seed {seed} step {step} topology {t}: build_routes"
                     );
                 }
             }
-            assert!(caches.iter().all(|cache| cache.repairs() > 0));
+            assert!(caches.iter().flatten().all(|cache| cache.repairs() > 0));
         }
     }
 
@@ -1378,18 +1219,9 @@ mod tests {
     fn cached_tx_costs_match_inline_computation() {
         let topo = Topology::random(30, Length::from_meters(120.0), 3);
         let bits = ami_radio::Packet::sensor_report().total_bits();
-        let hop = Length::from_meters(45.0);
-        let mut cache = RouteCache::new(topo.len());
-        let usable = vec![true; topo.len()];
-        cache.ensure(
-            &topo,
-            RoutingStrategy::MinimumEnergy,
-            &radio(),
-            hop,
-            bits,
-            &usable,
-        );
-        let table = next_hops(&cache, &topo);
+        let mut cache = min_energy_cache(&topo);
+        cache.ensure(&vec![true; topo.len()]);
+        let table = next_hops(&cache);
         for id in topo.ids() {
             match cache.next_hop(id) {
                 Some(next) => {
@@ -1489,16 +1321,16 @@ mod tests {
         /// The image over random fields and usable masks, on a warm
         /// cache driven through several masks (so later epochs are
         /// repairs under minimum energy) and on a fresh cache built over
-        /// each mask: both are heavy-path layouts, and equal. Between
-        /// steps the packet volume and the radio may change, so a
-        /// transmit cost carried past a key change shows up as a
-        /// differing image.
+        /// each mask: both are heavy-path layouts, and equal. Each case
+        /// prices one of two packet volumes under one of two radios.
         #[test]
         fn route_image_is_the_heavy_path_layout_on_built_and_repaired_epochs(
             seed in 0u64..10_000,
             n in 3usize..90,
             mask_seed in 0u64..10_000,
             strategy_pick in 0u8..4,
+            volume_pick in 0usize..2,
+            radio_pick in 0usize..2,
         ) {
             use rand::RngExt;
             // A field sparser than the benchmarks' 25·√n m leaves some
@@ -1513,8 +1345,8 @@ mod tests {
             let hop = Length::from_meters(45.0);
             let report = ami_radio::Packet::sensor_report().total_bits();
             let volumes = [report, DataVolume::from_bits(2.0 * report.as_bits())];
-            // The second radio differs only in its amplifier, so most
-            // next hops survive the switch while every cost moves.
+            // The second radio differs only in its amplifier, so every
+            // cost and some next hops move with it.
             let radios = [
                 radio(),
                 RadioEnergyModel::new(
@@ -1524,25 +1356,19 @@ mod tests {
                 ),
             ];
             let mut rng = ami_sim::sim_rng(mask_seed);
-            let (mut bits, mut model) = (volumes[0], radios[0]);
+            let (bits, model) = (volumes[volume_pick], radios[radio_pick]);
             // Both caches lay out subtree ends, as a gathering session's do.
-            let mut warm = RouteCache::new(n);
+            let mut warm = RouteCache::new(&topo, strategy, &model, hop, bits);
             warm.keep_subtree_ends();
             for step in 0..6 {
-                if step > 0 && rng.random::<f64>() < 0.25 {
-                    bits = volumes[usize::from(bits == volumes[0])];
-                }
-                if step > 0 && rng.random::<f64>() < 0.25 {
-                    model = radios[usize::from(model == radios[0])];
-                }
                 let usable: Vec<bool> = (0..n)
                     .map(|id| id == 0 || step == 0 || rng.random::<f64>() < 0.8)
                     .collect();
-                warm.ensure(&topo, strategy, &model, hop, bits, &usable);
+                warm.ensure(&usable);
                 assert_heavy_path_layout(&warm, &topo);
-                let mut fresh = RouteCache::new(n);
+                let mut fresh = RouteCache::new(&topo, strategy, &model, hop, bits);
                 fresh.keep_subtree_ends();
-                fresh.ensure(&topo, strategy, &model, hop, bits, &usable);
+                fresh.ensure(&usable);
                 proptest::prop_assert_eq!(&warm.image, &fresh.image, "step {}", step);
                 proptest::prop_assert_eq!(&warm.connected, &fresh.connected);
             }

@@ -8,7 +8,7 @@
 //! * [`dijkstra_reference_scan`] — the O(N²) linear-scan Dijkstra the
 //!   binary-heap implementation replaced;
 //! * [`rebuild_over_usable`] — the compact-subtopology rebuild that
-//!   `build_routes_over`'s masked walk replaced;
+//!   the route cache's masked walk replaced;
 //! * the full-rebuild-per-transition `RouteCache` path that incremental
 //!   repair replaced is toggled back on for every cache on the calling
 //!   thread via `ami_net::routing::set_route_repair_enabled(false)` (the
@@ -68,8 +68,8 @@ pub fn dijkstra_reference_scan(
 
 /// The historical usable-subset rebuild: filter usable nodes into a
 /// compact topology, route it, map ids back. Kept verbatim as the
-/// bit-exactness reference for `build_routes_over`, which routes the
-/// full cached CSR with an id-order-preserving subset skip.
+/// bit-exactness reference for `RouteCache` builds and repairs, which
+/// route the full cached CSR with an id-order-preserving subset skip.
 pub fn rebuild_over_usable(
     topology: &Topology,
     strategy: RoutingStrategy,
@@ -124,7 +124,13 @@ pub fn lossy_reference_run<R: Recorder>(
     let bits = config.packet.total_bits();
     let rx = config.radio.receive_energy(bits).as_joules();
     let attempts = config.arq.max_transmissions;
-    let mut cache = RouteCache::new(n);
+    let mut cache = RouteCache::new(
+        topology,
+        RoutingStrategy::MinimumEnergy,
+        &config.radio,
+        config.max_hop,
+        bits,
+    );
     let mut timeline = FaultTimeline::compile(faults, n);
     let (mut down_now, mut down_prev) = (vec![false; n], vec![false; n]);
     let (mut tx_attempts, mut rx_attempts) = (vec![0u64; n], vec![0u64; n]);
@@ -144,14 +150,7 @@ pub fn lossy_reference_run<R: Recorder>(
         }
         if routes_dirty {
             let usable: Vec<bool> = (0..n).map(|id| id == sink.0 || !down_prev[id]).collect();
-            cache.ensure(
-                topology,
-                RoutingStrategy::MinimumEnergy,
-                &config.radio,
-                config.max_hop,
-                bits,
-                &usable,
-            );
+            cache.ensure(&usable);
             routes_dirty = false;
         }
         for src in topology.sensor_ids() {

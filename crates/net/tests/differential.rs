@@ -26,8 +26,8 @@
 //!
 //! The lossy fixtures here sit far below the production
 //! nodes-per-worker floor, so every parallel run forces the fan-out
-//! via `set_par_min_nodes_per_worker(Some(0))` — without it the
-//! fallback would reduce these tests to one worker ≡ one worker.
+//! via `ParFloor::set(Some(0))` — without it the fallback would reduce
+//! these tests to one worker ≡ one worker.
 //!
 //! Everything here asserts *bit* equality (ids and float bits), not
 //! approximate equality: the optimizations are only admissible because
@@ -40,9 +40,8 @@ use ami_net::routing::{
     set_route_repair_enabled, RouteCache,
 };
 use ami_net::{
-    build_routes, build_routes_over, set_par_min_nodes_per_worker, CsrAdjacency, GatherSession,
-    LossyConfig, LossyReport, LossySession, NetworkConfig, NetworkReport, NodeId, Position,
-    RoutingStrategy, Topology,
+    build_routes, CsrAdjacency, GatherSession, LossyConfig, LossyReport, LossySession,
+    NetworkConfig, NetworkReport, NodeId, Position, RoutingStrategy, Topology,
 };
 use ami_radio::RadioEnergyModel;
 use ami_sim::fault::{FaultSchedule, FaultSpec};
@@ -50,6 +49,7 @@ use ami_sim::obs::{LedgerRecorder, NullRecorder, RunManifest};
 use ami_units::{Energy, Length};
 use common::oracle::{dijkstra_reference_scan, lossy_reference_run, rebuild_over_usable};
 use common::schedule::{fault_schedule, minimize_failing_schedule};
+use common::ParFloor;
 use proptest::prelude::*;
 
 fn radio() -> RadioEnergyModel {
@@ -232,7 +232,15 @@ fn masked_routing_matches_the_compact_rebuild_exactly() {
         ] {
             let compact =
                 rebuild_over_usable(&topo, strategy, &config.radio, config.max_hop, &usable);
-            let masked = build_routes_over(&topo, strategy, &config.radio, config.max_hop, &usable);
+            let mut cache = RouteCache::new(
+                &topo,
+                strategy,
+                &config.radio,
+                config.max_hop,
+                config.packet.total_bits(),
+            );
+            cache.ensure(&usable);
+            let masked: Vec<_> = topo.ids().map(|id| cache.next_hop(id)).collect();
             assert_eq!(masked, compact, "seed {seed} strategy {strategy}");
         }
     }
@@ -241,8 +249,9 @@ fn masked_routing_matches_the_compact_rebuild_exactly() {
 /// Drives a repair-enabled cache and an oracle (full-rebuild) cache
 /// through `schedule`'s usable-set sequence with the simulators'
 /// one-round lag, returning the first divergence as a message. Also
-/// cross-checks both caches against a from-scratch `build_routes_over`
-/// every round, so a bug shared by both cache paths cannot hide.
+/// cross-checks both caches against the compact rebuild
+/// (`rebuild_over_usable`) every round, so a bug shared by both cache
+/// paths cannot hide.
 fn first_cache_divergence(
     topo: &Topology,
     schedule: &FaultSchedule,
@@ -250,9 +259,16 @@ fn first_cache_divergence(
 ) -> Option<String> {
     let n = topo.len();
     let config = NetworkConfig::sensor_default();
-    let bits = config.packet.total_bits();
-    let mut repaired = RouteCache::new(n);
-    let mut oracle = RouteCache::new(n);
+    let cache = || {
+        RouteCache::new(
+            topo,
+            RoutingStrategy::MinimumEnergy,
+            &config.radio,
+            config.max_hop,
+            config.packet.total_bits(),
+        )
+    };
+    let (mut repaired, mut oracle) = (cache(), cache());
     let mut usable = vec![true; n];
     let mut down_prev = vec![false; n];
     for round in 0..rounds {
@@ -261,27 +277,13 @@ fn first_cache_divergence(
         }
         {
             let _mode = RepairMode::set(true);
-            repaired.ensure(
-                topo,
-                RoutingStrategy::MinimumEnergy,
-                &config.radio,
-                config.max_hop,
-                bits,
-                &usable,
-            );
+            repaired.ensure(&usable);
         }
         {
             let _mode = RepairMode::set(false);
-            oracle.ensure(
-                topo,
-                RoutingStrategy::MinimumEnergy,
-                &config.radio,
-                config.max_hop,
-                bits,
-                &usable,
-            );
+            oracle.ensure(&usable);
         }
-        let fresh = build_routes_over(
+        let fresh = rebuild_over_usable(
             topo,
             RoutingStrategy::MinimumEnergy,
             &config.radio,
@@ -443,7 +445,7 @@ proptest! {
         seed in 0u64..40,
         schedule in fault_schedule(24, 25, 10),
     ) {
-        set_par_min_nodes_per_worker(Some(0));
+        let _floor = ParFloor::set(Some(0));
         let topo = Topology::random(24, Length::from_meters(110.0), seed);
         let config = LossyConfig::bruised_channel();
         let diverges = |s: &FaultSchedule| {
@@ -480,7 +482,7 @@ proptest! {
         seed in 0u64..40,
         schedule in fault_schedule(40, 25, 12),
     ) {
-        set_par_min_nodes_per_worker(Some(0));
+        let _floor = ParFloor::set(Some(0));
         let topo = Topology::random(40, Length::from_meters(150.0), seed);
         let config = LossyConfig::bruised_channel();
         let reference = |s: &FaultSchedule| {
@@ -517,7 +519,7 @@ fn region_parallel_lossy_matches_serial_at_n1600_under_the_bench_fault_mix() {
     // threads, bit-identical reports, ledgers and manifests. (The
     // n=100k differential lives in `scale_smoke_lossy` behind
     // `--ignored`.)
-    set_par_min_nodes_per_worker(Some(0));
+    let _floor = ParFloor::set(Some(0));
     let n = 1600;
     let side = Length::from_meters(25.0 * (n as f64).sqrt());
     let spec = FaultSpec::parse("death=0.1,outage=0.2:10,link=0.1:8").expect("bench fault mix");

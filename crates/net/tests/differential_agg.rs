@@ -23,13 +23,14 @@ mod common;
 
 use ami_net::{
     agg_engaged_count, agg_fallback_count, reset_agg_counters, set_aggregated_rounds,
-    set_par_min_nodes_per_worker, simulate_gathering, GatherSession, LossyConfig, LossyReport,
-    LossySession, NetworkConfig, NetworkReport, RoutingStrategy, Topology,
+    simulate_gathering, GatherSession, LossyConfig, LossyReport, LossySession, NetworkConfig,
+    NetworkReport, RoutingStrategy, Topology,
 };
 use ami_sim::fault::{FaultEvent, FaultSchedule};
 use ami_sim::obs::{LedgerRecorder, NullRecorder, RunManifest};
 use ami_units::{Energy, Length, Power};
 use common::schedule::{fault_schedule, minimize_failing_schedule};
+use common::ParFloor;
 use proptest::prelude::*;
 
 /// Restores the thread-local aggregation toggle on drop, so a failing
@@ -304,7 +305,7 @@ fn session_faulted_runs_match_the_one_shot_entry_point() {
     // The warm lossy session rides the same schedules on one and two
     // workers: its route cache carries over between runs too.
     let _mode = AggMode::set(true);
-    let previous_floor = set_par_min_nodes_per_worker(Some(0));
+    let _floor = ParFloor::set(Some(0));
     // 40 m spacing under the 45 m default hop range forces the
     // sink — relay — leaf chain, so both faults sit on a used route.
     let topo = Topology::new(vec![
@@ -373,7 +374,6 @@ fn session_faulted_runs_match_the_one_shot_entry_point() {
             );
         }
     }
-    set_par_min_nodes_per_worker(previous_floor);
 }
 
 /// Rounds, field size and channel seed of the session-sequence fixture.
@@ -528,7 +528,7 @@ proptest! {
         } else {
             RoutingStrategy::MinimumEnergy
         };
-        let previous_floor = set_par_min_nodes_per_worker(Some(0));
+        let _floor = ParFloor::set(Some(0));
         let topo = Topology::random(SEQ_NODES, Length::from_meters(110.0), seed);
         let mut config = NetworkConfig::sensor_default();
         if drained == 1 {
@@ -556,6 +556,5 @@ proptest! {
                 minimized.as_ref().map(FaultSchedule::events),
             );
         }
-        set_par_min_nodes_per_worker(previous_floor);
     }
 }

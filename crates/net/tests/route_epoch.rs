@@ -9,12 +9,13 @@ use ami_net::routing::{
     RouteCache,
 };
 use ami_net::{
-    build_routes_over, simulate_gathering, simulate_lossy_gathering, GatherSession, LossyConfig,
-    NetworkConfig, RoutingStrategy, Topology,
+    simulate_gathering, simulate_lossy_gathering, GatherSession, LossyConfig, NetworkConfig,
+    RoutingStrategy, Topology,
 };
 use ami_sim::fault::{FaultEvent, FaultModel, FaultSchedule};
 use ami_sim::obs::NullRecorder;
 use ami_units::Length;
+use common::oracle::rebuild_over_usable;
 use common::schedule::fault_schedule;
 use proptest::prelude::*;
 
@@ -22,7 +23,7 @@ proptest! {
     /// Drive a [`RouteCache`] through the usable-set sequence of an
     /// arbitrary fault schedule (deaths, outage+reboot windows, link
     /// windows) with the simulators' one-round lag; after every round
-    /// the cached table must equal a fresh scratch build over the same
+    /// the cached table must equal a compact rebuild over the same
     /// usable set, and the cache must never build or repair more than
     /// once per round. Schedules come from the shared
     /// [`common::schedule::fault_schedule`] strategy; events aimed at
@@ -36,23 +37,21 @@ proptest! {
     ) {
         let topo = Topology::random(n, Length::from_meters(130.0), seed);
         let config = NetworkConfig::sensor_default();
-        let bits = config.packet.total_bits();
-        let mut cache = RouteCache::new(n);
+        let mut cache = RouteCache::new(
+            &topo,
+            RoutingStrategy::MinimumEnergy,
+            &config.radio,
+            config.max_hop,
+            config.packet.total_bits(),
+        );
         let mut usable = vec![true; n];
         let mut down_prev = vec![false; n];
         for round in 0..rounds {
             for (id, flag) in usable.iter_mut().enumerate() {
                 *flag = id == 0 || !down_prev[id];
             }
-            cache.ensure(
-                &topo,
-                RoutingStrategy::MinimumEnergy,
-                &config.radio,
-                config.max_hop,
-                bits,
-                &usable,
-            );
-            let fresh = build_routes_over(
+            cache.ensure(&usable);
+            let fresh = rebuild_over_usable(
                 &topo,
                 RoutingStrategy::MinimumEnergy,
                 &config.radio,

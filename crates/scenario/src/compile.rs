@@ -11,8 +11,9 @@
 //!   warmed, so every run — and every batch-mate sharing the artifact —
 //!   reuses the same `Arc`-shared neighbor structure instead of
 //!   re-deriving it (the PR 6/7 caches, generalized);
-//! * single-run fault schedules are drawn and pre-compiled into a
-//!   [`FaultTimeline`].
+//! * single-run fault schedules are drawn (each run compiles its own
+//!   fault timeline from the schedule, since a timeline's cursor
+//!   advances with the run).
 //!
 //! The result lives in an [`Arc`] and is immutable: concurrent service
 //! requests can execute [`run_threads`](CompiledScenario::run_threads)
@@ -44,7 +45,7 @@ use ami_net::{
     replicate_gathering_observed, GatherSession, LossyConfig, LossySession, NetworkConfig, Topology,
 };
 use ami_radio::StopAndWaitArq;
-use ami_sim::fault::{FaultSchedule, FaultSpec, FaultTimeline};
+use ami_sim::fault::{FaultSchedule, FaultSpec};
 use ami_sim::obs::{CounterTree, LedgerRecorder, NullRecorder, RunManifest};
 use ami_units::TimeSpan;
 use std::sync::Arc;
@@ -61,7 +62,6 @@ pub struct CompiledScenario {
     faults: Option<FaultSpec>,
     topology: Option<Topology>,
     schedule: Option<FaultSchedule>,
-    timeline: Option<FaultTimeline>,
 }
 
 impl CompiledScenario {
@@ -111,17 +111,14 @@ impl CompiledScenario {
             }
             _ => None,
         };
-        // Single-run scenarios also get their fault schedule drawn and
-        // compiled here; replicated runs derive one per seed.
+        // Single-run scenarios also get their fault schedule drawn here;
+        // replicated runs derive one per seed.
         let schedule = match (&topology, &faults) {
             (Some(topo), Some(fault_spec)) if spec.replications == 1 => {
                 Some(fault_spec.schedule_for(spec.seed, topo.len(), spec.rounds))
             }
             _ => None,
         };
-        let timeline = schedule
-            .as_ref()
-            .map(|s| FaultTimeline::compile(s, topology.as_ref().map_or(0, Topology::len)));
         Ok(Arc::new(Self {
             spec: spec.clone(),
             hash,
@@ -131,7 +128,6 @@ impl CompiledScenario {
             faults,
             topology,
             schedule,
-            timeline,
         }))
     }
 
@@ -174,12 +170,6 @@ impl CompiledScenario {
     /// The drawn fault schedule of a pinned single-run scenario.
     pub fn fault_schedule(&self) -> Option<&FaultSchedule> {
         self.schedule.as_ref()
-    }
-
-    /// The pre-compiled fault timeline of a pinned single-run scenario
-    /// (clone it to advance; the artifact itself never mutates).
-    pub fn fault_timeline(&self) -> Option<&FaultTimeline> {
-        self.timeline.as_ref()
     }
 
     /// Executes the scenario on `threads` workers and returns its
@@ -383,14 +373,13 @@ mod tests {
     }
 
     #[test]
-    fn faulted_single_run_precompiles_schedule_and_timeline() {
+    fn faulted_single_run_draws_its_schedule_at_compile() {
         let mut spec = grid_spec(20);
         spec.faults = Some("death=0.5".to_owned());
         let compiled = CompiledScenario::compile(&spec).unwrap();
         assert!(compiled.fault_spec().is_some());
         let schedule = compiled.fault_schedule().expect("schedule drawn");
         assert!(!schedule.is_empty());
-        assert!(compiled.fault_timeline().is_some());
     }
 
     #[test]
@@ -404,13 +393,31 @@ mod tests {
         assert!(one.contains(&compiled.hash().to_string()));
     }
 
+    /// Overrides this thread's lossy nodes-per-worker floor until
+    /// dropped, then restores the previous value, so a failing
+    /// assertion cannot leak the override into later tests on the
+    /// thread.
+    struct ParFloor(Option<usize>);
+
+    impl ParFloor {
+        fn set(min: Option<usize>) -> Self {
+            Self(ami_net::set_par_min_nodes_per_worker(min))
+        }
+    }
+
+    impl Drop for ParFloor {
+        fn drop(&mut self) {
+            ami_net::set_par_min_nodes_per_worker(self.0);
+        }
+    }
+
     #[test]
     fn only_lossy_runs_engage_the_region_engine() {
         // With the nodes-per-worker floor forced to zero, every
-        // multi-worker lossy run engages the region engine, while
-        // gathering runs stay on the serial aggregated kernel at any
-        // worker count. The manifest is byte-identical either way.
-        let floor = ami_net::set_par_min_nodes_per_worker(Some(0));
+        // multi-worker lossy run fans its rounds out over the workers,
+        // while gathering runs stay on the serial aggregated kernel at
+        // any worker count. The manifest is byte-identical either way.
+        let _floor = ParFloor::set(Some(0));
         let spec = |name: &str, side: u32, workload: &str| {
             ScenarioSpec::from_json_str(&format!(
                 r#"{{
@@ -435,12 +442,11 @@ mod tests {
             assert_eq!(
                 ami_net::par_engaged_count() - before,
                 engaged,
-                "{}: region-engine engagements",
+                "{}: chunk-parallel engagements",
                 spec.name
             );
             assert_eq!(one, four, "{}: thread-variant manifest", spec.name);
         }
-        ami_net::set_par_min_nodes_per_worker(floor);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! every `(seed, round, packet)` tuple owns an independent,
 //! well-decorrelated stream whose draws depend on nothing but the
 //! tuple. Kernels that draw through [`packet_rng`] are free to process
-//! packets in any order — serially, region-parallel, or resumed from
-//! the middle — and still produce bit-identical results.
+//! packets in any order — serially, in parallel chunks, or resumed
+//! from the middle — and still produce bit-identical results.
 //!
 //! # Example
 //!

@@ -67,8 +67,10 @@ pub struct RunRequest {
     /// The scenario to execute.
     pub spec: ScenarioSpec,
     /// Worker threads for this run; `None` takes the service's default,
-    /// read from `AMBIENCE_THREADS` when the service was built. Results
-    /// are thread-invariant either way.
+    /// read from `AMBIENCE_THREADS` when the service was built. A count
+    /// above that default runs on the default, so one request cannot
+    /// start more threads than the service has. Results are
+    /// thread-invariant either way.
     pub threads: Option<usize>,
 }
 
@@ -202,7 +204,7 @@ impl Service {
         } else {
             started.elapsed().as_micros() as u64
         };
-        let threads = request.threads.unwrap_or(self.default_threads).max(1);
+        let threads = self.threads_for(request);
         self.executions.fetch_add(1, Ordering::Relaxed);
         let manifest = compiled.run_threads(threads).to_json();
         Ok(RunResponse {
@@ -213,6 +215,15 @@ impl Service {
             queue_depth: depth,
             manifest,
         })
+    }
+
+    /// The workers `request` runs on: the count it names, within
+    /// `[1, default_threads]`, or the default when it names none.
+    fn threads_for(&self, request: &RunRequest) -> usize {
+        request
+            .threads
+            .unwrap_or(self.default_threads)
+            .clamp(1, self.default_threads)
     }
 
     /// Compile-cache counters (hits, misses, compiles, evictions,
@@ -398,6 +409,20 @@ mod tests {
         assert_eq!(service.in_flight.load(Ordering::SeqCst), 0);
         let next = service.submit(&RunRequest::new("next", spec(5))).unwrap();
         assert_eq!(next.queue_depth, 1);
+    }
+
+    #[test]
+    fn a_request_runs_on_at_most_the_services_threads() {
+        let service = Service {
+            default_threads: 3,
+            ..Service::new(4)
+        };
+        let mut request = RunRequest::new("r", spec(5));
+        assert_eq!(service.threads_for(&request), 3);
+        for (named, runs) in [(0, 1), (1, 1), (2, 2), (3, 3), (4, 3), (4096, 3)] {
+            request.threads = Some(named);
+            assert_eq!(service.threads_for(&request), runs, "{named} named");
+        }
     }
 
     #[test]
