@@ -28,12 +28,14 @@
 //!   one fresh gathering session per seeded topology, on the parallel
 //!   runner, merged in seed order;
 //! * [`pdes`] — the one lossy round loop: each round's sources in equal
-//!   id chunks, one per worker, the first on the calling thread and the
-//!   rest under one scoped fan-out (rollback-free — the lossy kernel
-//!   draws per-packet counter randomness via
-//!   [`ami_sim::rng::packet_rng`], so packets commute), bit-identical
-//!   at any thread count; a lossy session run uses its `threads` when
-//!   they cover a nodes-per-worker floor and one worker otherwise.
+//!   chunks of heavy-path image positions, one per worker, the first on
+//!   the calling thread and the rest under one scoped fan-out, folded
+//!   back in ascending id from one energy slot per position
+//!   (rollback-free — the lossy kernel draws per-packet counter
+//!   randomness via [`ami_sim::rng::packet_rng`], so packets commute),
+//!   bit-identical at any thread count; a lossy session run uses its
+//!   `threads` when they cover a nodes-per-worker floor and one worker
+//!   otherwise.
 //!   Gathering runs have one engine, the serial aggregated kernel
 //!   ([`agg`]), at every thread count.
 //!

@@ -30,18 +30,23 @@
 //! fate is therefore a pure function of round-constant state (the route
 //! table, fault windows) and its own key, independent of when or where
 //! any *other* packet executes. That is the property the round driver
-//! in [`pdes`] exploits: it cuts the sources into id chunks that walk on
-//! separate workers, and the commit replays counters and energy in fixed
-//! ascending-id order — bit-identical to one ascending walk at any
-//! thread count (no rollback machinery is needed, because unlike the
-//! budgeted perfect-link kernel there is no cross-packet coupling: links
-//! are lossy but energy is not finite in this model).
+//! in [`pdes`] exploits: it cuts the sources into chunks of image
+//! positions that walk on separate workers, and the commit replays
+//! counters and energy in fixed ascending-id order — bit-identical to
+//! one ascending-id walk at any thread count (no rollback machinery is
+//! needed, because unlike the budgeted perfect-link kernel there is no
+//! cross-packet coupling: links are lossy but energy is not finite in
+//! this model).
 //!
 //! The float discipline backing that equality: each packet accumulates
-//! its energy in a private subtotal, and subtotals fold into the run
+//! its energy in a private subtotal, written to its source's slot (one
+//! per image position), and after the walks the slots fold into the run
 //! total in source-ascending order; per-node ledger charges are
 //! committed once per round per `(node, category)` from integer attempt
-//! counts times the (round-constant) per-attempt cost.
+//! counts times the (round-constant) per-attempt cost. An attempt's
+//! success is an exact integer compare of its raw draw
+//! (`success_threshold`), equal to the float test
+//! `random::<f64>() < p_hop` on every draw.
 //!
 //! # Walking the heavy-path image
 //!
@@ -49,19 +54,22 @@
 //! (`crate::routing::RouteImage`), not from node id to node id: it starts at
 //! its source's position and follows parent positions, which along a
 //! heavy path are consecutive, so a route reads a few sequential runs
-//! instead of one random node id per hop. Sources are still offered in
-//! ascending id and each draws from its own stream, so every draw and
-//! every energy fold is the id-order walk's. Attempt counts accumulate
-//! by position, and the round commit reads them back through `pos` in
-//! ascending id. On faulted runs each hop reads its fate from the
-//! round core's hop-fault mask, one byte per position resolved at the
-//! start of the round (`crate::round`): a walk makes no timeline query
-//! and reads no node id. Fault-free runs skip the fault checks.
+//! instead of one random node id per hop. Sources are offered in image
+//! order too, so each packet starts next to where the previous one
+//! started and walks into the route it just walked, on warm cache
+//! lines. Each packet draws from its own stream, so every draw is the
+//! id-order walk's, and the slot fold restores its energy order.
+//! Attempt counts accumulate by position, and the round commit reads
+//! them back through `pos` in ascending id. On faulted runs each hop
+//! reads its fate from the round core's hop-fault mask, one byte per
+//! position resolved at the start of the round (`crate::round`): a walk
+//! makes no timeline query and reads no node id. Fault-free runs walk
+//! an instance of the same walk that reads no mask.
 
 use crate::pdes;
 use crate::round::{HopFault, RoundCore};
 use crate::routing::{RouteImage, RoutingStrategy, NO_HOP, SINK_POS};
-use crate::topology::{NodeId, Topology};
+use crate::topology::Topology;
 use ami_radio::{Packet, RadioEnergyModel, StopAndWaitArq};
 use ami_sim::fault::FaultSchedule;
 use ami_sim::obs::{EnergyCategory, NullRecorder, Recorder};
@@ -161,8 +169,10 @@ enum LossyFate {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ArqConstants {
     seed: u64,
-    /// Per-hop delivery probability at the configured BER.
-    p_hop: f64,
+    /// An attempt crosses its hop when the top 53 bits of its draw fall
+    /// below this: the per-hop delivery probability at the configured
+    /// BER as a [`success_threshold`].
+    threshold: u64,
     /// Receive energy per attempt (distance-independent).
     rx: f64,
     max_transmissions: u32,
@@ -170,6 +180,31 @@ pub(crate) struct ArqConstants {
     attempts: u64,
     /// `max_transmissions` as the f64 the fault branches charge with.
     attempts_f: f64,
+}
+
+/// The integer form of the channel test `rng.random::<f64>() < p`:
+/// `ceil(p · 2^53)`, which an attempt's raw draw `u` clears when
+/// `(u >> 11) < threshold`.
+///
+/// The float test draws `x = u >> 11`, an integer below 2^53, as
+/// `x as f64 · 2^-53`. Both steps are exact: every integer below 2^53 is
+/// a double, and scaling a double by a power of two moves only its
+/// exponent (no result here leaves the normal range or zero). For the
+/// same reason `p · 2^53` is exact for every `p` in `[0, 1]`, so
+/// `x · 2^-53 < p` holds exactly when `x < p · 2^53`, and because `x` is
+/// an integer, exactly when `x < ceil(p · 2^53)`. That ceiling is an
+/// integer of at most 2^53, so it converts to `u64` exactly: `p = 1`
+/// gives 2^53 (every draw crosses) and `p = 0` gives 0 (none does).
+fn success_threshold(p: f64) -> u64 {
+    debug_assert!((0.0..=1.0).contains(&p), "a probability, got {p}");
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Whether the next attempt drawn from `rng` crosses its hop against
+/// `threshold` ([`success_threshold`]).
+#[inline(always)]
+fn crosses(rng: &mut impl RngExt, threshold: u64) -> bool {
+    rng.next_u64() >> 11 < threshold
 }
 
 /// The round-constant inputs of a packet walk, shared by every chunk
@@ -180,7 +215,7 @@ pub(crate) struct LossyRoundCtx<'c> {
     /// The route cache's heavy-path image: the walk reads positions.
     image: &'c RouteImage,
     /// This round's hop-fault mask by image position; `None` on a
-    /// fault-free run, whose walks skip every fault check.
+    /// fault-free run, whose walks read no mask.
     hop_faults: Option<&'c [HopFault]>,
     sink: usize,
     down_now: &'c [bool],
@@ -203,94 +238,99 @@ impl<'c> LossyRoundCtx<'c> {
 
     /// Whether `src` offers a packet this round: every sensor does
     /// unless it is powered off or routeless.
-    pub(crate) fn offers(&self, src: usize) -> bool {
+    fn offers(&self, src: usize) -> bool {
         src != self.sink && !self.down_now[src] && self.connected[src]
     }
 }
 
-/// Walks one offered packet from `src` toward the sink along the
-/// heavy-path image, drawing every channel attempt from the packet's
-/// own counter stream. Returns the packet's fate and its private energy
-/// subtotal; per-position attempt counts and the transmission tally are
-/// accumulated into the caller's scratch. Pure in `(ctx, round, src)` —
-/// no draw depends on any other packet, which is what lets callers
-/// execute walks in any order.
-fn walk_packet(
+/// Walks the packet offered at image position `at` toward the sink along
+/// the heavy-path image, drawing every channel attempt from its source's
+/// own counter stream. Returns the packet's fate, its
+/// transmissions and its private energy subtotal; per-position attempt
+/// counts accumulate into the caller's scratch. Pure in
+/// `(ctx, round, at)` — no draw depends on any other packet, which is
+/// what lets callers execute walks in any order.
+///
+/// One loop iteration is one ARQ attempt: count it at the sender and
+/// the receiver, add `tx` then `rx` to the subtotal, then stay on the
+/// hop for another try or move to the parent position. The outcome of
+/// the packet's next draw is computed one attempt ahead, so the step
+/// reads a value that is already there (the draw ahead of the packet's
+/// last attempt is never read), and the step is a select, not a branch:
+/// about one attempt in five fails, which a branch would mispredict.
+/// The loop branches only to leave — on arrival, on an exhausted budget
+/// and, on faulted runs (`FAULTED`), at the first attempt on a hop whose
+/// [`HopFault`] in `mask` is not clear. A budget of zero makes no
+/// attempt. The fault-free instance reads no mask.
+#[inline(always)]
+fn walk_packet<const FAULTED: bool>(
     ctx: &LossyRoundCtx<'_>,
+    mask: &[HopFault],
     round: u64,
-    src: NodeId,
+    mut at: usize,
     tx_attempts: &mut [u64],
     rx_attempts: &mut [u64],
-    transmissions: &mut u64,
-) -> (LossyFate, f64) {
+) -> (LossyFate, u64, f64) {
     let arq = &ctx.arq;
     let RouteImage {
-        pos,
         parent,
         tx: tx_costs,
+        id,
         ..
     } = ctx.image;
-    let mut rng = packet_rng(arq.seed, round, src.0 as u64);
-    let mut pkt_energy = 0.0f64;
-    let mut at = pos[src.0] as usize;
+    let mut rng = packet_rng(arq.seed, round, u64::from(id[at]));
+    let mut crossed = crosses(&mut rng, arq.threshold);
+    let (mut sent, mut energy, mut left) = (0u64, 0.0f64, arq.max_transmissions);
     loop {
         let hop = parent[at];
         debug_assert!(hop != NO_HOP, "connected route reaches the sink");
-        let tx = tx_costs[at];
-        let hop = hop as usize;
-        if let Some(mask) = ctx.hop_faults {
-            match mask[at] {
-                HopFault::Clear => {}
-                HopFault::ReceiverDown => {
-                    // Powered-off receiver: no ACK ever comes, so the
-                    // sender exhausts its ARQ budget; nothing listens on
-                    // the far end. No random draws — the packet's stream
-                    // stays aligned with the unfaulted run.
-                    *transmissions += arq.attempts;
-                    tx_attempts[at] += arq.attempts;
-                    pkt_energy += arq.attempts_f * tx;
-                    return (LossyFate::Fault, pkt_energy);
-                }
-                HopFault::LinkDown => {
-                    // Downed link between two powered nodes: every
-                    // attempt costs the sender a transmit and the
-                    // receiver a listen, but nothing crosses.
-                    *transmissions += arq.attempts;
-                    tx_attempts[at] += arq.attempts;
-                    rx_attempts[hop] += arq.attempts;
-                    pkt_energy += arq.attempts_f * (tx + arq.rx);
-                    return (LossyFate::Fault, pkt_energy);
-                }
-            }
+        let (hop, tx) = (hop as usize, tx_costs[at]);
+        // `&`, not `&&`: one rarely taken branch instead of one that
+        // follows every attempt's outcome.
+        if FAULTED && (left == arq.max_transmissions) & (mask[at] != HopFault::Clear) {
+            // The hop's first attempt meets a fault: a sender facing one
+            // gets no ACK, so it burns its whole ARQ budget. No random
+            // draws — the packet's stream stays aligned with the
+            // unfaulted run.
+            tx_attempts[at] += arq.attempts;
+            let energy = if mask[at] == HopFault::LinkDown {
+                // Both powered ends pay every attempt, but nothing
+                // crosses.
+                rx_attempts[hop] += arq.attempts;
+                energy + arq.attempts_f * (tx + arq.rx)
+            } else {
+                // Nothing listens on the powered-off receiver.
+                energy + arq.attempts_f * tx
+            };
+            return (LossyFate::Fault, sent + arq.attempts, energy);
         }
-        let mut hop_ok = false;
-        for _attempt in 0..arq.max_transmissions {
-            *transmissions += 1;
-            tx_attempts[at] += 1;
-            // The receiver listens whether or not the packet survives
-            // (it cannot know in advance).
-            rx_attempts[hop] += 1;
-            pkt_energy += tx;
-            pkt_energy += arq.rx;
-            if rng.random::<f64>() < arq.p_hop {
-                hop_ok = true;
-                break;
-            }
+        if left == 0 {
+            return (LossyFate::Channel, sent, energy);
         }
-        if !hop_ok {
-            return (LossyFate::Channel, pkt_energy);
+        sent += 1;
+        tx_attempts[at] += 1;
+        // The receiver listens whether or not the packet survives (it
+        // cannot know in advance).
+        rx_attempts[hop] += 1;
+        energy += tx;
+        energy += arq.rx;
+        let next = crosses(&mut rng, arq.threshold);
+        (at, left) = if crossed {
+            (hop, arq.max_transmissions)
+        } else {
+            (at, left - 1)
+        };
+        crossed = next;
+        if at == SINK_POS as usize {
+            return (LossyFate::Delivered, sent, energy);
         }
-        if hop == SINK_POS as usize {
-            return (LossyFate::Delivered, pkt_energy);
-        }
-        at = hop;
     }
 }
 
 /// The counts the lossy kernel accumulates: per-position attempt counts
 /// for the round and packet tallies for the run. The run state keeps
-/// one, which the first id chunk of every round walks into; the round
-/// driver ([`crate::pdes`]) keeps one per further chunk and
+/// one, which the first position chunk of every round walks into; the
+/// round driver ([`crate::pdes`]) keeps one per further chunk and
 /// [`absorb`](Self::absorb)s each into the state's at the round commit.
 pub(crate) struct LossyTally {
     /// ARQ attempt counts this round (sender side), indexed by image
@@ -317,29 +357,62 @@ impl LossyTally {
         }
     }
 
-    /// Offers one packet from `src`, walks it, and counts its fate.
-    /// Returns the packet's private energy subtotal.
-    pub(crate) fn offer(&mut self, ctx: &LossyRoundCtx<'_>, round: u64, src: NodeId) -> f64 {
-        self.offered += 1;
-        let (fate, energy) = walk_packet(
-            ctx,
-            round,
-            src,
-            &mut self.tx_attempts,
-            &mut self.rx_attempts,
-            &mut self.transmissions,
-        );
-        match fate {
-            LossyFate::Delivered => self.delivered += 1,
-            LossyFate::Fault => self.dropped_fault += 1,
-            LossyFate::Channel => {}
+    /// Walks the sources at the image positions `first..first +
+    /// slots.len()` in position order, each an offered packet or
+    /// nothing, and counts their fates. Writes each position's packet
+    /// energy subtotal, or `0.0` when its node offers nothing, into its
+    /// slot.
+    pub(crate) fn walk(
+        &mut self,
+        ctx: &LossyRoundCtx<'_>,
+        round: u64,
+        first: usize,
+        slots: &mut [f64],
+    ) {
+        match ctx.hop_faults {
+            None => self.walk_positions::<false>(ctx, &[], round, first, slots),
+            Some(mask) => self.walk_positions::<true>(ctx, mask, round, first, slots),
         }
-        energy
+    }
+
+    /// [`walk`](Self::walk), monomorphised on whether the round has a
+    /// hop-fault mask.
+    fn walk_positions<const FAULTED: bool>(
+        &mut self,
+        ctx: &LossyRoundCtx<'_>,
+        mask: &[HopFault],
+        round: u64,
+        first: usize,
+        slots: &mut [f64],
+    ) {
+        let ids = &ctx.image.id[first..first + slots.len()];
+        for ((at, &src), slot) in (first..).zip(ids).zip(slots) {
+            if !ctx.offers(src as usize) {
+                *slot = 0.0;
+                continue;
+            }
+            self.offered += 1;
+            let (fate, sent, energy) = walk_packet::<FAULTED>(
+                ctx,
+                mask,
+                round,
+                at,
+                &mut self.tx_attempts,
+                &mut self.rx_attempts,
+            );
+            self.transmissions += sent;
+            match fate {
+                LossyFate::Delivered => self.delivered += 1,
+                LossyFate::Fault => self.dropped_fault += 1,
+                LossyFate::Channel => {}
+            }
+            *slot = energy;
+        }
     }
 
     /// Adds every count of `chunk` into `self` and zeroes `chunk`.
     /// Integer counts merge exactly, so the merged attempt counts equal
-    /// those of one ascending walk over every source.
+    /// those of one walk over every source.
     pub(crate) fn absorb(&mut self, chunk: &mut LossyTally) {
         for (total, count) in self.tx_attempts.iter_mut().zip(&mut chunk.tx_attempts) {
             *total += std::mem::take(count);
@@ -384,7 +457,7 @@ impl<'r, 'a> LossyState<'r, 'a> {
             core,
             arq: ArqConstants {
                 seed,
-                p_hop: config.packet.delivery_probability(config.ber),
+                threshold: success_threshold(config.packet.delivery_probability(config.ber)),
                 // Receive energy is distance-independent: one value
                 // serves every hop.
                 rx: config
@@ -552,6 +625,7 @@ mod tests {
     use super::*;
     use crate::routing::{build_routes, route_to_sink};
     use ami_sim::obs::LedgerRecorder;
+    use ami_sim::rng::CounterRng;
 
     /// One run on a fresh session under `faults`, on the calling thread.
     fn faulted_run(
@@ -580,6 +654,79 @@ mod tests {
 
     fn topo() -> Topology {
         Topology::grid(4, Length::from_meters(30.0))
+    }
+
+    /// A generator whose every draw is one raw value: `random::<f64>()`
+    /// through it is the float the channel test compares for that draw.
+    struct RawDraw(u64);
+
+    impl RngExt for RawDraw {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// Asserts that the integer success test at `p` agrees with
+    /// `random::<f64>() < p` on the draw `u`, on the draws whose top 53
+    /// bits sit either side of the threshold (with `u`'s low bits), and
+    /// draw by draw along the counter stream keyed by `u`.
+    fn assert_success_tests_agree(p: f64, u: u64) {
+        let threshold = success_threshold(p);
+        let top = (1u64 << 53) - 1;
+        let edge = threshold.min(top);
+        for x in [u >> 11, edge.saturating_sub(1), edge, (edge + 1).min(top)] {
+            let raw = x << 11 | (u & 0x7ff);
+            let float = RawDraw(raw).random::<f64>() < p;
+            let integer = crosses(&mut RawDraw(raw), threshold);
+            assert_eq!(integer, float, "p = {p:e}, draw {raw:#x}");
+        }
+        let (mut float, mut integer) = (CounterRng::new(u), CounterRng::new(u));
+        for draw in 0..32 {
+            let want = float.random::<f64>() < p;
+            assert_eq!(
+                crosses(&mut integer, threshold),
+                want,
+                "p = {p:e}, draw {draw}"
+            );
+        }
+    }
+
+    #[test]
+    fn success_threshold_spans_never_to_always() {
+        assert_eq!(success_threshold(0.0), 0);
+        assert_eq!(success_threshold(1.0), 1 << 53);
+        assert_eq!(success_threshold(0.5), 1 << 52);
+        assert_eq!(success_threshold(f64::from_bits(1)), 1);
+        for u in [0, 1 << 11, u64::MAX] {
+            assert_success_tests_agree(1.0, u);
+            assert_success_tests_agree(0.0, u);
+        }
+    }
+
+    proptest::proptest! {
+        /// The integer test is the float test: at grid probabilities
+        /// `k · 2^-53` and their neighbours a double apart, at random
+        /// doubles in `[0, 1]` (mostly tiny ones, when drawn by bit
+        /// pattern) and at uniform ones, on random draws and the draws
+        /// beside each threshold.
+        #[test]
+        fn integer_success_test_matches_the_float_draw(
+            k in 0u64..=(1u64 << 53),
+            p_bits in 0u64..=1.0f64.to_bits(),
+            p_uniform in 0.0f64..=1.0,
+            u in 0u64..u64::MAX,
+        ) {
+            let grid = k as f64 / (1u64 << 53) as f64;
+            for p in [
+                grid,
+                grid.next_up().min(1.0),
+                grid.next_down().max(0.0),
+                f64::from_bits(p_bits),
+                p_uniform,
+            ] {
+                assert_success_tests_agree(p, u);
+            }
+        }
     }
 
     #[test]

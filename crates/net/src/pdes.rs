@@ -4,32 +4,36 @@
 //! The seed-partitioned runner parallelizes *across* replications; a
 //! single city-scale run still pinned one core. This module is the one
 //! loop every [`LossySession`](crate::LossySession) round runs through.
-//! It splits each round's sources into one equal contiguous id chunk
-//! per worker, walks the first on the calling thread and the others
-//! under one [`std::thread::scope`] per round, and commits after the
-//! join in a **fixed deterministic reduction order** — chunk, then node
-//! id, which for contiguous id chunks is exactly ascending global node
-//! id. A one-worker run walks each round as a single chunk on the
-//! calling thread and opens no scope.
+//! It splits each round's sources, in the route cache's heavy-path
+//! image order, into one equal contiguous chunk of image positions per
+//! worker, walks the first on the calling thread and the others under
+//! one [`std::thread::scope`] per round, and commits after the join in
+//! a **fixed deterministic reduction order**: ascending node id, read
+//! back through the image. A one-worker run walks each round as a
+//! single chunk on the calling thread and opens no scope.
 //!
 //! [`LossySession::run_faulted_with`](crate::LossySession::run_faulted_with)
 //! picks the worker count per run; the driver is crate-private over
-//! the session's run state, so it has no entry point of its own. Each
-//! chunk walks its sources along the route cache's heavy-path image
-//! into a tally of the run state's own type — attempt counts indexed by
-//! image position. The first chunk walks into the state's tally; the
-//! round commit absorbs every other chunk's into it. On faulted runs
-//! the walks read the round core's hop-fault mask, which `begin_round`
-//! fills on the calling thread before the fan-out, so the workers share
-//! it read-only and query no fault timeline.
+//! the session's run state, so it has no entry point of its own. Every
+//! chunk runs the same walk: it offers the source at each of its
+//! positions in turn, so consecutive packets start on neighbouring
+//! positions and reuse the route the previous packet just walked; it
+//! counts attempts by image position into a tally of the run state's
+//! own type, and writes each packet's energy subtotal into the packet's
+//! slot, one per position. The first chunk walks into the state's
+//! tally; the round commit absorbs every other chunk's into it. On
+//! faulted runs the walks read the round core's hop-fault mask, which
+//! `begin_round` fills on the calling thread before the fan-out, so the
+//! workers share it read-only and query no fault timeline.
 //!
-//! Chunks are equal in ids, not in work: a lossy source costs its route
-//! length times its ARQ attempts, which no cheap per-node weight
-//! predicts. One scoped spawn and join costs 45–51 µs per round on a
-//! 2-vCPU KVM guest, about 30 µs more than a persistent crew's two
-//! barrier crossings: 1.3 % of a forced two-worker round at 10⁴ nodes
-//! (2.3 ms) and 0.04 % at 10⁵ (69 ms), so a crew would buy nothing
-//! measurable.
+//! Chunks are equal in positions, not in work: a lossy source costs its
+//! route length times its ARQ attempts. The positions of a subtree are
+//! contiguous, so a chunk's walks also touch the positions of their
+//! ancestors, which lie before the chunk. One scoped spawn and join
+//! costs 45–51 µs per round on a 2-vCPU KVM guest, about 30 µs more
+//! than a persistent crew's two barrier crossings: about 0.1 % of a
+//! two-worker fault-free round at 10⁵ nodes (35 ms), so a crew would
+//! buy nothing measurable.
 //!
 //! # Why the result is bit-identical
 //!
@@ -38,13 +42,14 @@
 //! to check. Every packet draws
 //! from its own counter stream ([`ami_sim::rng::packet_rng`]) and its
 //! fate depends only on round-constant state, so chunk walks commute
-//! and every round commits. The commit replays the one-chunk folds —
-//! energy subtotals in ascending source order, ledger charges per
-//! `(node, category)` from exactly-merged integer attempt counts, read
-//! back through the image's `pos` in ascending id. The differential
-//! suite pins every worker count at 1/2/5/8 threads across random fault
-//! schedules against the one-worker run, and both against an id-order
-//! reference round.
+//! and every round commits. The commit replays the folds of one walk in
+//! ascending source id: after the join, one pass over the image's `pos`
+//! adds each source's energy slot to the run total in ascending id, and
+//! the ledger charges per `(node, category)` come from exactly merged
+//! integer attempt counts, read back through `pos` the same way. The
+//! differential suite pins every worker count at 1/2/5/8 threads across
+//! random fault schedules against the one-worker run, and both against
+//! an id-order reference round.
 //!
 //! # Why gathering runs stay serial
 //!
@@ -70,7 +75,6 @@
 //! [`par_serial_fallback_count`]/[`par_engaged_count`].
 
 use crate::lossy::{LossyRoundCtx, LossyState, LossyTally};
-use crate::topology::NodeId;
 use ami_sim::obs::Recorder;
 use std::cell::Cell;
 use std::panic::resume_unwind;
@@ -147,20 +151,21 @@ pub(crate) fn engage(n: usize, threads: usize) -> usize {
 /// model has no energy budgets, so a packet's fate depends only on
 /// round-constant state (routes, fault windows) and its own counter
 /// stream ([`ami_sim::rng::packet_rng`]) — never on another packet's
-/// execution. Each round splits the source ids into `workers` equal
-/// contiguous chunks (the last may be shorter, and there are fewer
-/// chunks than workers when `workers` exceeds the node count); each
-/// chunk walks its sources with [`LossyTally::offer`]. The first chunk
-/// walks on the calling thread into the state's own tally and folds
-/// its energy subtotals straight into the run total; every further
-/// chunk walks on a scoped thread into a chunk-local tally (walks from
-/// any chunk can land ARQ attempts on any node, so each tally spans
-/// every node) and a slot per source. The commit then replays the
-/// ascending-id folds exactly: the later chunks' energy subtotals added
-/// in ascending source id, per-node ledger charges committed once per
-/// `(node, category)` from the merged (exact, integer) attempt counts,
-/// packet tallies bulk-committed. A one-chunk round opens no scope and
-/// absorbs nothing, so a warm one-worker round allocates nothing.
+/// execution. Each round splits the heavy-path image's positions into
+/// `workers` equal contiguous chunks (the last may be shorter, and
+/// there are fewer chunks than workers when `workers` exceeds the node
+/// count); each chunk walks the sources at its positions with
+/// [`LossyTally::walk`], writing every position's energy subtotal (zero
+/// when its node offers nothing) into its slot. The first chunk walks on
+/// the calling thread into the state's own tally, every further chunk
+/// on a scoped thread into a chunk-local tally (walks from any chunk can
+/// land ARQ attempts on any position, so each tally spans every
+/// position). The commit then replays the ascending-id folds exactly:
+/// the energy slots added to the run total in ascending source id,
+/// per-node ledger charges committed once per `(node, category)` from
+/// the merged (exact, integer) attempt counts, packet tallies
+/// bulk-committed. A one-chunk round opens no scope and absorbs
+/// nothing, so a warm one-worker round allocates nothing.
 ///
 /// The caller picks `workers` with [`engage`].
 ///
@@ -175,12 +180,10 @@ pub(crate) fn run_rounds<R: Recorder>(
 ) {
     let n = state.core.topology.len();
     let chunk = n.div_ceil(workers);
-    // Energy subtotals of the sources past the first chunk, one slot
-    // per id: the only f64s other threads write.
-    let mut later_energy = vec![0.0f64; n - chunk];
-    let mut tallies: Vec<LossyTally> = (0..later_energy.len().div_ceil(chunk))
-        .map(|_| LossyTally::new(n))
-        .collect();
+    // Each offered packet's energy subtotal, one slot per image
+    // position: the only f64s the chunks write.
+    let mut slots = vec![0.0f64; n];
+    let mut tallies: Vec<LossyTally> = (1..n.div_ceil(chunk)).map(|_| LossyTally::new(n)).collect();
 
     for round in 0..rounds {
         state.core.begin_round(round);
@@ -191,55 +194,41 @@ pub(crate) fn run_rounds<R: Recorder>(
             energy,
         } = &mut *state;
         let (offered, delivered, faulted) = (tally.offered, tally.delivered, tally.dropped_fault);
-        {
-            let ctx = LossyRoundCtx::new(core, *arq);
-            let ctx = &ctx;
-            let mut walk_first = || {
-                for src in (0..chunk).filter(|&src| ctx.offers(src)) {
-                    *energy += tally.offer(ctx, round, NodeId(src));
-                }
-            };
-            if tallies.is_empty() {
-                walk_first();
-            } else {
-                std::thread::scope(|scope| {
-                    let others: Vec<_> = (chunk..)
-                        .step_by(chunk)
-                        .zip(later_energy.chunks_mut(chunk).zip(&mut tallies))
-                        .map(|(start, (slots, tally))| {
-                            scope.spawn(move || {
-                                // Draws come from each packet's own
-                                // stream, so chunks cannot perturb one
-                                // another.
-                                for (src, slot) in (start..).zip(slots) {
-                                    *slot = if ctx.offers(src) {
-                                        tally.offer(ctx, round, NodeId(src))
-                                    } else {
-                                        0.0
-                                    };
-                                }
-                            })
-                        })
-                        .collect();
-                    walk_first();
-                    for handle in others {
-                        // Re-raise the worker's own payload on the
-                        // caller; an unjoined panic would surface only
-                        // as the scope's generic "a scoped thread
-                        // panicked".
-                        if let Err(payload) = handle.join() {
-                            resume_unwind(payload);
-                        }
+        let ctx = LossyRoundCtx::new(core, *arq);
+        let ctx = &ctx;
+        let mut chunks = slots.chunks_mut(chunk);
+        let first = chunks.next().expect("a field holds at least its sink");
+        if tallies.is_empty() {
+            tally.walk(ctx, round, 0, first);
+        } else {
+            std::thread::scope(|scope| {
+                let others: Vec<_> = (chunk..)
+                    .step_by(chunk)
+                    .zip(chunks.zip(&mut tallies))
+                    .map(|(start, (slots, tally))| {
+                        // Draws come from each packet's own stream, so
+                        // chunks cannot perturb one another.
+                        scope.spawn(move || tally.walk(ctx, round, start, slots))
+                    })
+                    .collect();
+                tally.walk(ctx, round, 0, first);
+                for handle in others {
+                    // Re-raise the worker's own payload on the caller;
+                    // an unjoined panic would surface only as the
+                    // scope's generic "a scoped thread panicked".
+                    if let Err(payload) = handle.join() {
+                        resume_unwind(payload);
                     }
-                });
-            }
+                }
+            });
         }
-        // The run-total energy fold continues past the first chunk in
-        // ascending source id. Slots of unoffered sources are exactly
-        // 0.0 and an offered packet always spends (it makes at least
-        // one attempt), so skipping zeros replays the ascending fold
-        // bitwise.
-        for &slot in &later_energy {
+        // The run-total energy fold in ascending source id, read back
+        // through `pos`. Slots of unoffered sources are exactly 0.0,
+        // and adding a zero subtotal (a zero ARQ budget spends nothing)
+        // leaves the nonnegative total unchanged, so skipping zeros
+        // replays the fold of every offered packet bitwise.
+        for &at in &core.cache.image().pos {
+            let slot = slots[at as usize];
             if slot != 0.0 {
                 *energy += slot;
             }

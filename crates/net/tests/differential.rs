@@ -22,7 +22,8 @@
 //! * **every worker count ≡ an id-order reference round** built on the
 //!   public API alone (`common::oracle::lossy_reference_run`), since
 //!   every chunk split shares one image walk and cannot check it for
-//!   another.
+//!   another — across channels from BER 0 to 0.5 and ARQ budgets from
+//!   0 to 40 attempts, fault-free and faulted.
 //!
 //! The lossy fixtures here sit far below the production
 //! nodes-per-worker floor, so every parallel run forces the fan-out
@@ -438,8 +439,8 @@ proptest! {
     /// one-worker run — report, ledger, rendered manifest — under
     /// random fault schedules (downed relays and links burning full
     /// ARQ budgets mid-route), with ddmin minimization on failure.
-    /// Five workers split the 24 nodes into uneven id chunks (5, 5, 5,
-    /// 5 and 4).
+    /// Five workers split the 24 image positions into uneven chunks (5,
+    /// 5, 5, 5 and 4).
     #[test]
     fn region_parallel_lossy_rounds_match_the_serial_kernel(
         seed in 0u64..40,
@@ -472,19 +473,34 @@ proptest! {
     }
 }
 
+/// The channels the lossy reference differential draws from: BERs from
+/// a clean channel to a hopeless one, and ARQ budgets from none (a
+/// packet offered but never sent) to 40 attempts.
+const DIFFERENTIAL_BERS: [f64; 5] = [0.0, 1e-4, 1e-3, 1e-2, 0.5];
+const DIFFERENTIAL_BUDGETS: [u32; 5] = [0, 1, 4, 8, 40];
+
 proptest! {
     /// The lossy walk pinned to something independent of it: one
-    /// worker and two workers must both match
-    /// the id-order reference round — report and ledger — on random
-    /// faulted fields, with ddmin minimization on failure.
+    /// worker and two workers must both match the id-order reference
+    /// round — report and ledger — on random fields under random
+    /// channels, fault-free and under a random fault schedule, with
+    /// ddmin minimization of a faulted failure. The budget is set
+    /// through the public field, so it reaches zero, which
+    /// `StopAndWaitArq::new` refuses; the reference keeps the float
+    /// success test the walk's integer test replaces.
     #[test]
     fn lossy_session_matches_the_id_order_reference_round(
         seed in 0u64..40,
         schedule in fault_schedule(40, 25, 12),
+        ber in 0usize..DIFFERENTIAL_BERS.len(),
+        budget in 0usize..DIFFERENTIAL_BUDGETS.len(),
     ) {
         let _floor = ParFloor::set(Some(0));
         let topo = Topology::random(40, Length::from_meters(150.0), seed);
-        let config = LossyConfig::bruised_channel();
+        let mut config = LossyConfig::bruised_channel();
+        config.ber = DIFFERENTIAL_BERS[ber];
+        config.arq.max_transmissions = DIFFERENTIAL_BUDGETS[budget];
+        let channel = format!("BER {}, {} attempts", config.ber, config.arq.max_transmissions);
         let reference = |s: &FaultSchedule| {
             let mut obs = LedgerRecorder::with_nodes(topo.len());
             let report = lossy_reference_run(&topo, &config, 25, seed, s, &mut obs);
@@ -497,13 +513,23 @@ proptest! {
                 (report, obs) != want
             })
         };
+        let fault_free = FaultSchedule::empty();
+        if diverges(&fault_free) {
+            let (want, _) = reference(&fault_free);
+            let (serial, _, _) = lossy_observed_run(&topo, &config, &fault_free, 25, seed, 1);
+            panic!(
+                "fault-free lossy session diverged from the id-order reference \
+                 (seed {seed}, {channel})\nreference report: {want:?}\n\
+                 serial report: {serial:?}",
+            );
+        }
         if diverges(&schedule) {
             let minimized =
                 minimize_failing_schedule(schedule.events(), |s| diverges(s));
             let (want, _) = reference(&minimized);
             let (serial, _, _) = lossy_observed_run(&topo, &config, &minimized, 25, seed, 1);
             panic!(
-                "lossy session diverged from the id-order reference (seed {seed})\n\
+                "lossy session diverged from the id-order reference (seed {seed}, {channel})\n\
                  minimized schedule: {:?}\nreference report: {want:?}\n\
                  serial report: {serial:?}",
                 minimized.events(),

@@ -128,30 +128,39 @@ fn scale_smoke_lossy_100k_nodes_arq_serial_and_parallel() {
     );
     assert!(short > 0, "the counter must actually be counting");
 
-    // Region-parallel pass: the rollback-free fan-out must reproduce
-    // the one-worker counter-RNG run bit for bit at city scale,
-    // at worker counts whose share of n=100k clears the default
-    // nodes-per-worker floor — each run must engage the engine.
-    let serial =
-        LossySession::new(&topo, &config).run_faulted_with(6, 2003, &faults, 1, &mut NullRecorder);
-    for threads in [2usize, 4] {
-        let engaged = par_engaged_count();
-        let par = LossySession::new(&topo, &config).run_faulted_with(
-            6,
+    // Chunk-parallel passes, fault-free and faulted: the fan-out must
+    // reproduce the one-worker counter-RNG run bit for bit at city
+    // scale, at worker counts whose share of n=100k clears the default
+    // nodes-per-worker floor — each run must engage. The fault-free
+    // and faulted rounds walk separate instances of the packet walk.
+    let fault_free = FaultSchedule::empty();
+    for (schedule, rounds, kind) in [(&fault_free, 2, "fault-free"), (&faults, 6, "faulted")] {
+        let serial = LossySession::new(&topo, &config).run_faulted_with(
+            rounds,
             2003,
-            &faults,
-            threads,
+            schedule,
+            1,
             &mut NullRecorder,
         );
-        assert_eq!(
-            par_engaged_count(),
-            engaged + 1,
-            "the region engine must engage at {threads} threads"
-        );
-        assert_eq!(
-            par, serial,
-            "region-parallel lossy n=100k run diverged at {threads} threads"
-        );
+        for threads in [2usize, 4] {
+            let engaged = par_engaged_count();
+            let par = LossySession::new(&topo, &config).run_faulted_with(
+                rounds,
+                2003,
+                schedule,
+                threads,
+                &mut NullRecorder,
+            );
+            assert_eq!(
+                par_engaged_count(),
+                engaged + 1,
+                "the chunk-parallel rounds must engage at {threads} threads ({kind})"
+            );
+            assert_eq!(
+                par, serial,
+                "chunk-parallel {kind} lossy n=100k run diverged at {threads} threads"
+            );
+        }
     }
 
     let elapsed = wall.elapsed();

@@ -425,15 +425,53 @@ mod tests {
         }
     }
 
+    /// Lowers this thread's lossy nodes-per-worker floor until dropped,
+    /// then restores the previous value, so a failing assertion cannot
+    /// leak the override into later tests on the thread.
+    struct ParFloor(Option<usize>);
+
+    impl ParFloor {
+        fn set(min: Option<usize>) -> Self {
+            Self(ami_net::set_par_min_nodes_per_worker(min))
+        }
+    }
+
+    impl Drop for ParFloor {
+        fn drop(&mut self) {
+            ami_net::set_par_min_nodes_per_worker(self.0);
+        }
+    }
+
     #[test]
     fn thread_choice_does_not_change_the_manifest() {
-        let service = Service::new(4);
-        let mut one = RunRequest::new("one", spec(8));
+        // A single lossy run is the one kind that fans out within a run.
+        // With the floor at zero, the request on the service's three
+        // default workers must fan out, and render what one worker does.
+        let _floor = ParFloor::set(Some(0));
+        let service = Service {
+            default_threads: 3,
+            ..Service::new(4)
+        };
+        let lossy = ScenarioSpec::from_json_str(
+            r#"{
+                "name": "svc-threads",
+                "rounds": 8,
+                "topology": {"kind": "grid", "side": 4, "spacing_m": 30.0},
+                "workload": {"kind": "lossy", "ber": 0.001, "arq_attempts": 4}
+            }"#,
+        )
+        .unwrap();
+        let mut one = RunRequest::new("one", lossy.clone());
         one.threads = Some(1);
-        let mut four = RunRequest::new("four", spec(8));
-        four.threads = Some(4);
+        let default = RunRequest::new("default", lossy);
         let a = service.submit(&one).unwrap();
-        let b = service.submit(&four).unwrap();
+        let engaged = ami_net::par_engaged_count();
+        let b = service.submit(&default).unwrap();
+        assert_eq!(
+            ami_net::par_engaged_count(),
+            engaged + 1,
+            "the three-worker run must fan out"
+        );
         assert_eq!(a.manifest, b.manifest);
     }
 }

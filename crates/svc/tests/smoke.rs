@@ -62,8 +62,10 @@ fn three_requests_two_identical_compile_once() {
     assert_eq!(stats.compiles, 2, "identical specs compile once: {stats:?}");
     assert_eq!(stats.hits, 1);
 
-    // Manifest equality for the identical pair (even at different
-    // thread counts), inequality for the distinct one.
+    // Manifest equality for the identical pair, which a cache hit's
+    // rerun of the same compiled scenario must give (the pair's thread
+    // counts check nothing: a single gathering run takes the serial
+    // kernel at any count), inequality for the distinct one.
     let manifest = doc_manifest;
     assert_eq!(manifest(&first), manifest(&second));
     assert_ne!(manifest(&first), manifest(&third));
