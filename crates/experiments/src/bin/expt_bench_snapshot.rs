@@ -4,9 +4,9 @@
 //! changes. (The end-to-end gate is the separate `perfbench/`
 //! benchmark.) A full run takes a few minutes; `--quick` finishes in
 //! seconds for the CI smoke. Each run writes two snapshots, and every
-//! row and `speedup` in a snapshot comes from that one run. Both record
-//! the run's `threads` (`AMBIENCE_THREADS`) and `cpus` (available
-//! parallelism) next to `mode`.
+//! row in a snapshot comes from that one run. Both record the run's
+//! `threads` (`AMBIENCE_THREADS`, which only the `BENCH_SIM.json` pool
+//! rows use) and `cpus` (available parallelism) next to `mode`.
 //!
 //! `BENCH_NET.json` (schema `ambience-bench-net/v1`) — one entry per
 //! (workload, network size), keyed by commit-stable labels
@@ -44,21 +44,9 @@
 //! prices separately). Each timed iteration is a new session run of 2
 //! rounds (1 at the megacity). Every gathering round re-derives its
 //! charges from its own routes, so a round costs about the same in a
-//! 2-round run as in a longer one.
-//! `lossy_round_par` repeats the city-scale lossy rounds the same way,
-//! on a warm [`LossySession`] at `AMBIENCE_THREADS` workers, timed in
-//! alternating iterations with the serial `lossy_round` row so both see
-//! the same host noise, and carries `threads`/`cpus` fields plus a
-//! `speedup` field (the `lossy_round` median over this row's median —
-//! expect >1× on a multi-core box). The rows force the rollback-free
-//! fan-out past the small-n floor — the snapshot times the engine, not
-//! the dispatch heuristic — but a fan-out needs more than one worker:
-//! at `threads` = 1 the session walks each round as one chunk, so the
-//! row re-times the `lossy_round` run and `speedup` ≈ 1. When `cpus` is 1 a
-//! multi-worker row times engine overhead on a single core, so
-//! `speedup` is advisory and CI treats it that way. Gathering has no
-//! parallel rows: its runs use the serial aggregated kernel at every
-//! thread count.
+//! 2-round run as in a longer one. Every network row runs on the
+//! calling thread: session rounds have no parallel engine, and the
+//! `faulted_replication` rows pin one worker.
 //!
 //! `faulted_gather_round`, `observed_gather_round` and
 //! `faulted_lossy_round` run at the city scales only: each iteration is
@@ -113,12 +101,12 @@ use ami_core::case_studies::cs1_trace::trace_one_day;
 use ami_core::design_space::explore_cs1;
 use ami_experiments::banner;
 use ami_net::{
-    build_routes, replicate_gathering_observed, set_par_min_nodes_per_worker, simulate_gathering,
-    simulate_lossy_gathering, CsrAdjacency, GatherSession, LossyConfig, LossySession,
-    NetworkConfig, RoutingStrategy, Topology,
+    build_routes, replicate_gathering_observed, simulate_gathering, simulate_lossy_gathering,
+    CsrAdjacency, GatherSession, LossyConfig, LossySession, NetworkConfig, RoutingStrategy,
+    Topology,
 };
 use ami_scenario::json::{self, JsonValue};
-use ami_sim::fault::{FaultSchedule, FaultSpec};
+use ami_sim::fault::FaultSpec;
 use ami_sim::obs::{LedgerRecorder, NullRecorder};
 use ami_sim::{replicate, sim_rng, EnergyMeter, EventQueue};
 use ami_tech::{TechnologyNode, VariationModel};
@@ -131,8 +119,7 @@ const SIZES: [usize; 4] = [25, 100, 400, 1600];
 /// City-scale sizes: `csr_build`, `route_build`, `gather_round` and
 /// `lossy_round`
 /// (the faulted-replication workload stays at the classic sizes so the
-/// snapshot keeps finishing in seconds). The `_par` rows stop at 100k —
-/// the megacity row times the serial aggregated kernel.
+/// snapshot keeps finishing in seconds).
 const LARGE_SIZES: [usize; 2] = [10_000, 100_000];
 /// The megacity size: `csr_build` and the serial `route_build` /
 /// `gather_round` / `lossy_round` only, one round per iteration.
@@ -171,16 +158,6 @@ struct Entry {
     wall_ns_median: u128,
     wall_ns_p90: u128,
     ops_per_sec: f64,
-    /// Serial median / this entry's median, for rows that re-run a
-    /// serial workload on the intra-run parallel engine
-    /// (`lossy_round_par`).
-    speedup: Option<f64>,
-    /// Worker threads the `_par` engine ran with (absent on serial rows).
-    threads: Option<usize>,
-    /// CPUs available to this process when the row was measured. A
-    /// `speedup` recorded with `cpus: 1` times engine overhead, not
-    /// parallelism — CI treats it as advisory.
-    cpus: Option<usize>,
 }
 
 impl Entry {
@@ -210,43 +187,14 @@ impl Entry {
             wall_ns_median: quantile(50),
             wall_ns_p90: quantile(90),
             ops_per_sec: ops_per_iter as f64 * 1e9 / wall_ns_mean as f64,
-            speedup: None,
-            threads: None,
-            cpus: None,
         }
     }
-}
-
-/// Times `works` in alternating iterations after one warm-up call each
-/// (populating caches exactly like a long run would): either exactly two
-/// timed calls of each (quick) or rounds until ~0.5 s of measurement
-/// per workload (full). Alternating puts the same stretch of host noise
-/// on every workload, so ratios between them hold. Returns each
-/// workload's samples in nanoseconds.
-fn sample(quick: bool, works: &mut [&mut dyn FnMut()]) -> Vec<Vec<u128>> {
-    for work in works.iter_mut() {
-        work();
-    }
-    let budget_ns = 500_000_000 * works.len() as u128;
-    let (min_iters, max_iters) = if quick { (2, 2) } else { (3, 50) };
-    let mut samples = vec![Vec::new(); works.len()];
-    let mut elapsed: u128 = 0;
-    let mut rounds = 0;
-    while rounds < max_iters && (rounds < min_iters || elapsed < budget_ns) {
-        for (work, out) in works.iter_mut().zip(&mut samples) {
-            let start = Instant::now();
-            work();
-            let ns = start.elapsed().as_nanos();
-            elapsed += ns;
-            out.push(ns);
-        }
-        rounds += 1;
-    }
-    samples
 }
 
 /// Times `work` (which performs `ops_per_iter` logical operations per
-/// call) on its own, as [`sample`] does.
+/// call) after one warm-up call (populating caches exactly like a long
+/// run would): either exactly two timed calls (quick) or calls until
+/// ~0.5 s of measurement (full).
 fn measure(
     label: String,
     group: &'static str,
@@ -255,11 +203,22 @@ fn measure(
     quick: bool,
     mut work: impl FnMut(),
 ) -> Entry {
-    let samples = sample(quick, &mut [&mut work]).remove(0);
+    work();
+    let budget_ns = 500_000_000;
+    let (min_iters, max_iters) = if quick { (2, 2) } else { (3, 50) };
+    let mut samples = Vec::new();
+    let mut elapsed: u128 = 0;
+    while samples.len() < max_iters && (samples.len() < min_iters || elapsed < budget_ns) {
+        let start = Instant::now();
+        work();
+        let ns = start.elapsed().as_nanos();
+        elapsed += ns;
+        samples.push(ns);
+    }
     Entry::new(label, group, n, ops_per_iter, samples)
 }
 
-/// CPUs available to the process (the honesty context for `speedup`).
+/// CPUs available to the process, recorded next to the run's `threads`.
 fn available_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |p| p.get())
 }
@@ -359,13 +318,6 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
         ));
     }
 
-    // The city-scale `_par` rows must time the fan-out itself: at
-    // n = 10 000 the nodes-per-worker floor would put an 8-worker run
-    // back on one worker, turning `speedup`
-    // into a measurement of the dispatch heuristic. Results are
-    // bit-identical either way, so engagement is purely a timing
-    // concern. (Thread-local: restored before returning.)
-    let par_floor = set_par_min_nodes_per_worker(Some(0));
     for &n in &LARGE_SIZES {
         let topo = field(n);
         entries.push(csr_build_row(&topo, &net_config, quick));
@@ -384,8 +336,8 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
                 ));
             },
         ));
-        // Marginal rounds through the session API: the warm-up run
-        // builds routes and sizes the aggregation scratch, so the timed
+        // Marginal rounds through the session API: each warm-up run
+        // builds routes and sizes the round scratch, so the timed
         // iterations price per-round work only (`route_build` above
         // prices the build).
         let mut session = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &net_config);
@@ -399,51 +351,17 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
                 black_box(session.run(GATHER_ROUNDS_LARGE));
             },
         ));
-
-        // The serial rounds and the same marginal rounds on `threads`
-        // workers, each on a warm session, timed in alternating
-        // iterations: `speedup` divides medians measured side by side.
-        let threads = ami_sim::runner::thread_count();
-        let mut lossy_session = LossySession::new(&topo, &lossy_config);
-        let mut par_session = LossySession::new(&topo, &lossy_config);
-        let [serial, par]: [Vec<u128>; 2] = sample(
-            quick,
-            &mut [
-                &mut || {
-                    black_box(lossy_session.run(LOSSY_ROUNDS_LARGE, SEED));
-                },
-                &mut || {
-                    black_box(par_session.run_faulted_with(
-                        LOSSY_ROUNDS_LARGE,
-                        SEED,
-                        &FaultSchedule::empty(),
-                        threads,
-                        &mut NullRecorder,
-                    ));
-                },
-            ],
-        )
-        .try_into()
-        .expect("one sample set per workload");
-        let serial = Entry::new(
+        let mut session = LossySession::new(&topo, &lossy_config);
+        entries.push(measure(
             format!("lossy_round/n{n}"),
             "lossy_round",
             n,
             LOSSY_ROUNDS_LARGE,
-            serial,
-        );
-        let mut lossy_par = Entry::new(
-            format!("lossy_round_par/n{n}"),
-            "lossy_round_par",
-            n,
-            LOSSY_ROUNDS_LARGE,
-            par,
-        );
-        lossy_par.speedup = Some(serial.wall_ns_median as f64 / lossy_par.wall_ns_median as f64);
-        lossy_par.threads = Some(threads);
-        lossy_par.cpus = Some(available_cpus());
-        entries.push(serial);
-        entries.push(lossy_par);
+            quick,
+            || {
+                black_box(session.run(LOSSY_ROUNDS_LARGE, SEED));
+            },
+        ));
 
         // Faulted rounds on warm serial sessions: the warm-up run sizes
         // the fault scratch, and every timed run replays the same
@@ -491,13 +409,11 @@ fn run_net_snapshot(quick: bool) -> Vec<Entry> {
                     FAULTED_ROUNDS_LARGE,
                     SEED,
                     &faults,
-                    1,
                     &mut NullRecorder,
                 ));
             },
         ));
     }
-    set_par_min_nodes_per_worker(par_floor);
 
     // The megacity: serial rows only, one round per iteration. The
     // session warm-up pays the route build (priced by `route_build`
@@ -848,15 +764,6 @@ fn to_json(schema: &str, entries: &[Entry], quick: bool) -> String {
         out.push_str(&format!("\"wall_ns_median\": {}, ", e.wall_ns_median));
         out.push_str(&format!("\"wall_ns_p90\": {}, ", e.wall_ns_p90));
         out.push_str(&format!("\"ops_per_sec\": {:.3}", e.ops_per_sec));
-        if let Some(threads) = e.threads {
-            out.push_str(&format!(", \"threads\": {threads}"));
-        }
-        if let Some(cpus) = e.cpus {
-            out.push_str(&format!(", \"cpus\": {cpus}"));
-        }
-        if let Some(speedup) = e.speedup {
-            out.push_str(&format!(", \"speedup\": {speedup:.3}"));
-        }
         out.push_str(if idx + 1 == entries.len() {
             "}\n"
         } else {

@@ -123,7 +123,6 @@ fn main() {
             rounds,
             seed,
             &faults,
-            1,
             &mut NullRecorder,
         );
         vec![

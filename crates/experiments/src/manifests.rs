@@ -179,7 +179,6 @@ pub fn f13_faulted_manifest_with(spec: &str) -> RunManifest {
         rounds,
         seed,
         &faults,
-        1,
         &mut NullRecorder,
     );
     let channel_losses = report.offered - report.delivered - report.dropped_fault;

@@ -167,9 +167,9 @@ fn f13_scenario_pins_the_manifest_constants() {
     );
 }
 
-/// The lossy `parallel_rounds` field is gone — the region engine alone
-/// decides by size whether a lossy run goes parallel — so a spec that
-/// still carries it is rejected by the unknown-field wall, by name.
+/// The lossy `parallel_rounds` field is gone — every lossy round runs
+/// on the calling thread — so a spec that still carries it is rejected
+/// by the unknown-field wall, by name.
 /// The checked-in F13 scenario never carried it: its canonical form,
 /// and hence its compile-cache hash, is unchanged.
 #[test]

@@ -27,17 +27,15 @@
 //! * [`replicate_gathering`] and [`replicate_gathering_observed`] —
 //!   one fresh gathering session per seeded topology, on the parallel
 //!   runner, merged in seed order;
-//! * [`pdes`] — the one lossy round loop: each round's sources in equal
-//!   chunks of heavy-path image positions, one per worker, the first on
-//!   the calling thread and the rest under one scoped fan-out, folded
-//!   back in ascending id from one energy slot per position
-//!   (rollback-free — the lossy kernel draws per-packet counter
-//!   randomness via [`ami_sim::rng::packet_rng`], so packets commute),
-//!   bit-identical at any thread count; a lossy session run uses its
-//!   `threads` when they cover a nodes-per-worker floor and one worker
-//!   otherwise.
-//!   Gathering runs have one engine, the serial aggregated kernel
-//!   ([`agg`]), at every thread count.
+//! * every round runs on the calling thread, and only replicated
+//!   studies use more than one worker. Gathering rounds run on the
+//!   serial aggregated kernel ([`agg`]). A lossy round is one walk that
+//!   offers its sources in heavy-path image order and folds their
+//!   energy back in ascending id from one slot per position (the lossy
+//!   kernel draws per-packet counter randomness via
+//!   [`ami_sim::rng::packet_rng`], so walk order cannot change a draw);
+//!   [`par_serial_fallback_count`] counts lossy session runs and
+//!   [`par_engaged_count`] reads 0.
 //!
 //! # Example
 //!
@@ -60,7 +58,6 @@ pub mod cluster;
 pub mod csr;
 pub mod gather;
 pub mod lossy;
-pub mod pdes;
 pub mod replicate;
 mod round;
 pub mod routing;
@@ -74,10 +71,9 @@ pub use aggregate::{analyze_aggregation, AggregationReport};
 pub use cluster::{simulate_clustered, ClusterConfig, ClusterReport};
 pub use csr::{CsrAdjacency, HopWeights};
 pub use gather::{simulate_gathering, GatherSession, NetworkConfig, NetworkReport};
-pub use lossy::{simulate_lossy_gathering, LossyConfig, LossyReport, LossySession};
-pub use pdes::{
-    par_engaged_count, par_min_nodes_per_worker, par_serial_fallback_count,
-    reset_par_engagement_counters, set_par_min_nodes_per_worker, PAR_MIN_NODES_PER_WORKER,
+pub use lossy::{
+    par_engaged_count, par_serial_fallback_count, simulate_lossy_gathering, LossyConfig,
+    LossyReport, LossySession,
 };
 pub use replicate::{replicate_gathering, replicate_gathering_observed, summarize_reports};
 pub use routing::{build_routes, RouteCache, RoutingStrategy};

@@ -20,7 +20,7 @@
 //! [`crate::gather`] runs on too; this module adds the ARQ walk and its
 //! tallies.
 //!
-//! # The counter-RNG discipline (why lossy rounds parallelize)
+//! # The counter-RNG discipline (why walk order is free)
 //!
 //! Channel randomness is *addressable*, not sequential: every offered
 //! packet owns an independent counter-based stream keyed by
@@ -28,19 +28,15 @@
 //! attempts consume that stream in walk order — attempt index within
 //! the packet, never a position in some global sequence. A packet's
 //! fate is therefore a pure function of round-constant state (the route
-//! table, fault windows) and its own key, independent of when or where
-//! any *other* packet executes. That is the property the round driver
-//! in [`pdes`] exploits: it cuts the sources into chunks of image
-//! positions that walk on separate workers, and the commit replays
-//! counters and energy in fixed ascending-id order — bit-identical to
-//! one ascending-id walk at any thread count (no rollback machinery is
-//! needed, because unlike the budgeted perfect-link kernel there is no
-//! cross-packet coupling: links are lossy but energy is not finite in
-//! this model).
+//! table, fault windows) and its own key, independent of when any
+//! *other* packet executes (links are lossy but energy is not finite in
+//! this model, so packets never couple through a budget). That is what
+//! lets a round walk its sources in image order rather than id order
+//! and still commit exactly what one ascending-id walk would.
 //!
 //! The float discipline backing that equality: each packet accumulates
 //! its energy in a private subtotal, written to its source's slot (one
-//! per image position), and after the walks the slots fold into the run
+//! per image position), and after the walk the slots fold into the run
 //! total in source-ascending order; per-node ledger charges are
 //! committed once per round per `(node, category)` from integer attempt
 //! counts times the (round-constant) per-attempt cost. An attempt's
@@ -65,8 +61,15 @@
 //! position resolved at the start of the round (`crate::round`): a walk
 //! makes no timeline query and reads no node id. Fault-free runs walk
 //! an instance of the same walk that reads no mask.
+//!
+//! # One worker per round
+//!
+//! Every round is one walk on the calling thread: on the 2-vCPU hosts
+//! measured, splitting a round's image positions over two workers did
+//! not beat one image-order walk (DESIGN.md, "One lossy round loop").
+//! [`par_serial_fallback_count`] counts lossy session runs, and
+//! [`par_engaged_count`] reads 0.
 
-use crate::pdes;
 use crate::round::{HopFault, RoundCore};
 use crate::routing::{RouteImage, RoutingStrategy, NO_HOP, SINK_POS};
 use crate::topology::Topology;
@@ -77,6 +80,7 @@ use ami_sim::rng::packet_rng;
 use ami_units::{Energy, EnergyPerBit, Length};
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 
 /// Parameters of a lossy gathering network.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -167,7 +171,7 @@ enum LossyFate {
 
 /// The per-run ARQ constants of the lossy kernel.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ArqConstants {
+struct ArqConstants {
     seed: u64,
     /// An attempt crosses its hop when the top 53 bits of its draw fall
     /// below this: the per-hop delivery probability at the configured
@@ -207,10 +211,9 @@ fn crosses(rng: &mut impl RngExt, threshold: u64) -> bool {
     rng.next_u64() >> 11 < threshold
 }
 
-/// The round-constant inputs of a packet walk, shared by every chunk
-/// of a round so each executes the *same* code — the bit-exactness
-/// argument reduces to "same inputs, same function, replayed folds".
-pub(crate) struct LossyRoundCtx<'c> {
+/// The round-constant inputs of a packet walk: every packet of a round
+/// reads the same ones, and only its own stream is its own.
+struct LossyRoundCtx<'c> {
     arq: ArqConstants,
     /// The route cache's heavy-path image: the walk reads positions.
     image: &'c RouteImage,
@@ -225,7 +228,7 @@ pub(crate) struct LossyRoundCtx<'c> {
 impl<'c> LossyRoundCtx<'c> {
     /// The context of the round `core` is in: its routes and fault
     /// state after [`RoundCore::begin_round`].
-    pub(crate) fn new(core: &'c RoundCore<'_>, arq: ArqConstants) -> Self {
+    fn new(core: &'c RoundCore<'_>, arq: ArqConstants) -> Self {
         Self {
             arq,
             image: core.cache.image(),
@@ -328,25 +331,22 @@ fn walk_packet<const FAULTED: bool>(
 }
 
 /// The counts the lossy kernel accumulates: per-position attempt counts
-/// for the round and packet tallies for the run. The run state keeps
-/// one, which the first position chunk of every round walks into; the
-/// round driver ([`crate::pdes`]) keeps one per further chunk and
-/// [`absorb`](Self::absorb)s each into the state's at the round commit.
-pub(crate) struct LossyTally {
+/// for the round and packet tallies for the run.
+struct LossyTally {
     /// ARQ attempt counts this round (sender side), indexed by image
     /// position, committed to the recorder once per round in ascending
     /// node id.
     tx_attempts: Vec<u64>,
     /// Listen counts this round (receiver side), indexed by position.
     rx_attempts: Vec<u64>,
-    pub(crate) offered: u64,
-    pub(crate) delivered: u64,
+    offered: u64,
+    delivered: u64,
     transmissions: u64,
-    pub(crate) dropped_fault: u64,
+    dropped_fault: u64,
 }
 
 impl LossyTally {
-    pub(crate) fn new(nodes: usize) -> Self {
+    fn new(nodes: usize) -> Self {
         Self {
             tx_attempts: vec![0; nodes],
             rx_attempts: vec![0; nodes],
@@ -357,21 +357,14 @@ impl LossyTally {
         }
     }
 
-    /// Walks the sources at the image positions `first..first +
-    /// slots.len()` in position order, each an offered packet or
-    /// nothing, and counts their fates. Writes each position's packet
-    /// energy subtotal, or `0.0` when its node offers nothing, into its
-    /// slot.
-    pub(crate) fn walk(
-        &mut self,
-        ctx: &LossyRoundCtx<'_>,
-        round: u64,
-        first: usize,
-        slots: &mut [f64],
-    ) {
+    /// Walks the source at every image position in position order, each
+    /// an offered packet or nothing, and counts their fates. Writes each
+    /// position's packet energy subtotal, or `0.0` when its node offers
+    /// nothing, into its slot.
+    fn walk(&mut self, ctx: &LossyRoundCtx<'_>, round: u64, slots: &mut [f64]) {
         match ctx.hop_faults {
-            None => self.walk_positions::<false>(ctx, &[], round, first, slots),
-            Some(mask) => self.walk_positions::<true>(ctx, mask, round, first, slots),
+            None => self.walk_positions::<false>(ctx, &[], round, slots),
+            Some(mask) => self.walk_positions::<true>(ctx, mask, round, slots),
         }
     }
 
@@ -382,11 +375,9 @@ impl LossyTally {
         ctx: &LossyRoundCtx<'_>,
         mask: &[HopFault],
         round: u64,
-        first: usize,
         slots: &mut [f64],
     ) {
-        let ids = &ctx.image.id[first..first + slots.len()];
-        for ((at, &src), slot) in (first..).zip(ids).zip(slots) {
+        for ((at, &src), slot) in ctx.image.id.iter().enumerate().zip(slots) {
             if !ctx.offers(src as usize) {
                 *slot = 0.0;
                 continue;
@@ -409,43 +400,26 @@ impl LossyTally {
             *slot = energy;
         }
     }
-
-    /// Adds every count of `chunk` into `self` and zeroes `chunk`.
-    /// Integer counts merge exactly, so the merged attempt counts equal
-    /// those of one walk over every source.
-    pub(crate) fn absorb(&mut self, chunk: &mut LossyTally) {
-        for (total, count) in self.tx_attempts.iter_mut().zip(&mut chunk.tx_attempts) {
-            *total += std::mem::take(count);
-        }
-        for (total, count) in self.rx_attempts.iter_mut().zip(&mut chunk.rx_attempts) {
-            *total += std::mem::take(count);
-        }
-        self.offered += std::mem::take(&mut chunk.offered);
-        self.delivered += std::mem::take(&mut chunk.delivered);
-        self.transmissions += std::mem::take(&mut chunk.transmissions);
-        self.dropped_fault += std::mem::take(&mut chunk.dropped_fault);
-    }
 }
 
 /// Run state of the counter-RNG lossy kernel over the session's
-/// [`RoundCore`]: the ARQ constants, the tallies and the energy fold,
-/// which the round driver in [`crate::pdes`] runs. Routing sees fault
-/// state with a one-round lag, as in `gather`; the core's `alive` flags
-/// stay all true, because links are lossy but energy is not finite in
-/// this model.
-pub(crate) struct LossyState<'r, 'a> {
-    pub(crate) core: &'r mut RoundCore<'a>,
-    pub(crate) arq: ArqConstants,
-    pub(crate) tally: LossyTally,
+/// [`RoundCore`]: the ARQ constants, the tallies and the energy fold.
+/// Routing sees fault state with a one-round lag, as in `gather`; the
+/// core's `alive` flags stay all true, because links are lossy but
+/// energy is not finite in this model.
+struct LossyState<'r, 'a> {
+    core: &'r mut RoundCore<'a>,
+    arq: ArqConstants,
+    tally: LossyTally,
     /// Run-total energy, folded per packet in ascending source order.
-    pub(crate) energy: f64,
+    energy: f64,
 }
 
 impl<'r, 'a> LossyState<'r, 'a> {
     /// A fresh run state under `faults` over `core`, whose fault block
     /// it resets; the core's warm route cache skips the first build
     /// when the usable set still matches.
-    pub(crate) fn new(
+    fn new(
         core: &'r mut RoundCore<'a>,
         config: &LossyConfig,
         seed: u64,
@@ -473,13 +447,56 @@ impl<'r, 'a> LossyState<'r, 'a> {
         }
     }
 
+    /// Runs `rounds` rounds, each one walk over every image position on
+    /// the calling thread.
+    ///
+    /// The walk offers the sources in image order and writes each
+    /// packet's energy subtotal into its position's slot; the commit
+    /// then replays the folds of one ascending-id walk exactly: the
+    /// slots added to the run total in ascending source id, per-node
+    /// ledger charges committed once per `(node, category)` from the
+    /// (exact, integer) attempt counts, packet tallies bulk-committed. A
+    /// warm round allocates nothing.
+    fn run_rounds<R: Recorder>(&mut self, rounds: u64, recorder: &mut R) {
+        // Each offered packet's energy subtotal, one slot per image
+        // position.
+        let mut slots = vec![0.0f64; self.core.topology.len()];
+        for round in 0..rounds {
+            self.core.begin_round(round);
+            let LossyTally {
+                offered,
+                delivered,
+                dropped_fault: faulted,
+                ..
+            } = self.tally;
+            let ctx = LossyRoundCtx::new(self.core, self.arq);
+            self.tally.walk(&ctx, round, &mut slots);
+            // The run-total energy fold in ascending source id, read back
+            // through `pos`. Slots of unoffered sources are exactly 0.0,
+            // and adding a zero subtotal (a zero ARQ budget spends
+            // nothing) leaves the nonnegative total unchanged, so
+            // skipping zeros replays the fold of every offered packet
+            // bitwise.
+            for &at in &self.core.cache.image().pos {
+                let slot = slots[at as usize];
+                if slot != 0.0 {
+                    self.energy += slot;
+                }
+            }
+            self.commit_charges(recorder);
+            recorder.packets_offered(self.tally.offered - offered);
+            recorder.packets_delivered(self.tally.delivered - delivered);
+            recorder.packets_dropped_fault(self.tally.dropped_fault - faulted);
+            self.core.end_round();
+        }
+    }
+
     /// Commits the round's attempt counts to the recorder — one charge
     /// per `(node, category)` in ascending node id, read through the
     /// image's `pos`, integer count times the round-constant
-    /// per-attempt cost — and clears them. The round driver merges
-    /// every chunk's counts into the state first, so this is the one
-    /// place the Tx-then-RxRelay charge order is written.
-    pub(crate) fn commit_charges<R: Recorder>(&mut self, recorder: &mut R) {
+    /// per-attempt cost — and clears them. This is the one place the
+    /// Tx-then-RxRelay charge order is written.
+    fn commit_charges<R: Recorder>(&mut self, recorder: &mut R) {
         let RouteImage { pos, tx, .. } = self.core.cache.image();
         let LossyTally {
             tx_attempts,
@@ -503,7 +520,7 @@ impl<'r, 'a> LossyState<'r, 'a> {
     }
 
     /// Final report.
-    pub(crate) fn finish(&self) -> LossyReport {
+    fn finish(&self) -> LossyReport {
         LossyReport {
             offered: self.tally.offered,
             delivered: self.tally.delivered,
@@ -512,6 +529,26 @@ impl<'r, 'a> LossyState<'r, 'a> {
             dropped_fault: self.tally.dropped_fault,
         }
     }
+}
+
+thread_local! {
+    /// Lossy session runs started on this thread.
+    static LOSSY_RUNS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// How many lossy session runs on this thread walked their rounds on
+/// the calling thread: every run, since there is no other way to run
+/// them.
+pub fn par_serial_fallback_count() -> u64 {
+    LOSSY_RUNS.with(Cell::get)
+}
+
+/// How many lossy session runs on this thread fanned their rounds out
+/// to more than one worker: always 0, since every lossy round runs on
+/// the calling thread. Kept, with [`par_serial_fallback_count`], for
+/// callers that report both counts.
+pub fn par_engaged_count() -> u64 {
+    0
 }
 
 /// Runs `rounds` of fault-free minimum-energy gathering over lossy
@@ -556,19 +593,19 @@ impl<'a> LossySession<'a> {
         }
     }
 
-    /// Runs `rounds` fault-free rounds from a fresh run state on the
-    /// calling thread, recording nothing.
+    /// Runs `rounds` fault-free rounds from a fresh run state,
+    /// recording nothing.
     ///
     /// # Panics
     ///
     /// Panics if `rounds` is zero or the BER is outside `[0, 0.5]`.
     pub fn run(&mut self, rounds: u64, seed: u64) -> LossyReport {
-        self.run_faulted_with(rounds, seed, &FaultSchedule::empty(), 1, &mut NullRecorder)
+        self.run_faulted_with(rounds, seed, &FaultSchedule::empty(), &mut NullRecorder)
     }
 
     /// Runs `rounds` rounds from a fresh run state under the exogenous
-    /// `faults` schedule on up to `threads` workers, charging every
-    /// event through `recorder`.
+    /// `faults` schedule on the calling thread, charging every event
+    /// through `recorder`.
     ///
     /// Fault semantics mirror the gather simulator's (one-round routing
     /// lag, `dropped_fault` attribution) with one ARQ-specific twist: a
@@ -587,35 +624,26 @@ impl<'a> LossySession<'a> {
     /// `dropped_fault`; channel losses are the remainder).
     /// [`NullRecorder`] monomorphizes the hooks away.
     ///
-    /// The round driver ([`pdes`]) cuts each round's sources into one id
-    /// chunk per worker. The run uses `threads` workers when it covers
-    /// the nodes-per-worker floor on more than one
-    /// ([`pdes::par_engaged_count`]); every other run walks each round
-    /// as one chunk on the calling thread
-    /// ([`pdes::par_serial_fallback_count`]). The split is
-    /// bit-invisible, so `threads` never changes a result.
+    /// Every run counts one [`par_serial_fallback_count`].
     ///
     /// # Panics
     ///
-    /// Panics if `rounds` or `threads` is zero, or the BER is outside
-    /// `[0, 0.5]`.
+    /// Panics if `rounds` is zero or the BER is outside `[0, 0.5]`.
     pub fn run_faulted_with<R: Recorder>(
         &mut self,
         rounds: u64,
         seed: u64,
         faults: &FaultSchedule,
-        threads: usize,
         recorder: &mut R,
     ) -> LossyReport {
-        assert!(threads > 0, "at least one worker thread");
         assert!(rounds > 0, "simulate at least one round");
         assert!(
             (0.0..=0.5).contains(&self.config.ber),
             "BER must lie in [0, 0.5]"
         );
-        let workers = pdes::engage(self.core.topology.len(), threads);
+        LOSSY_RUNS.with(|runs| runs.set(runs.get() + 1));
         let mut state = LossyState::new(&mut self.core, self.config, seed, faults);
-        pdes::run_rounds(&mut state, rounds, workers, recorder);
+        state.run_rounds(rounds, recorder);
         state.finish()
     }
 }
@@ -627,7 +655,7 @@ mod tests {
     use ami_sim::obs::LedgerRecorder;
     use ami_sim::rng::CounterRng;
 
-    /// One run on a fresh session under `faults`, on the calling thread.
+    /// One run on a fresh session under `faults`.
     fn faulted_run(
         topo: &Topology,
         config: &LossyConfig,
@@ -635,7 +663,7 @@ mod tests {
         seed: u64,
         faults: &FaultSchedule,
     ) -> LossyReport {
-        LossySession::new(topo, config).run_faulted_with(rounds, seed, faults, 1, &mut NullRecorder)
+        LossySession::new(topo, config).run_faulted_with(rounds, seed, faults, &mut NullRecorder)
     }
 
     /// [`faulted_run`] with a ledger attached.
@@ -648,7 +676,7 @@ mod tests {
     ) -> (LossyReport, LedgerRecorder) {
         let mut obs = LedgerRecorder::with_nodes(topo.len());
         let report =
-            LossySession::new(topo, config).run_faulted_with(rounds, seed, faults, 1, &mut obs);
+            LossySession::new(topo, config).run_faulted_with(rounds, seed, faults, &mut obs);
         (report, obs)
     }
 
@@ -740,7 +768,7 @@ mod tests {
             .expect("fault mix parses")
             .schedule_for(5, n, 10);
         let mut session = LossySession::new(&topo, &config);
-        session.run_faulted_with(10, 1, &faults, 1, &mut NullRecorder);
+        session.run_faulted_with(10, 1, &faults, &mut NullRecorder);
         assert!(session.core.cache.repairs() > 0, "the mix must repair");
         assert_eq!(session.core.cache.image().end.capacity(), 0);
     }
@@ -888,6 +916,19 @@ mod tests {
         assert_eq!(obs.packets.offered, report.offered);
         assert_eq!(obs.packets.delivered, report.delivered);
         assert_eq!(obs.packets.dropped_fault, report.dropped_fault);
+    }
+
+    #[test]
+    fn every_run_counts_one_serial_run_and_no_fan_out() {
+        let config = LossyConfig::bruised_channel();
+        let topo = topo();
+        let before = par_serial_fallback_count();
+        let mut session = LossySession::new(&topo, &config);
+        let _ = session.run(3, 1);
+        let _ = session.run_faulted_with(3, 1, &FaultSchedule::empty(), &mut NullRecorder);
+        let _ = simulate_lossy_gathering(&topo, &config, 3, 1);
+        assert_eq!(par_serial_fallback_count(), before + 3);
+        assert_eq!(par_engaged_count(), 0);
     }
 
     #[test]

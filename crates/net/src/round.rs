@@ -13,9 +13,9 @@
 //! per heavy-path image position (the fate of the hop from that
 //! position to its parent), in one O(N) pass over the image. Both
 //! kernels — gathering's aggregated passes (`agg`) and lossy's
-//! `walk_packet`, the latter on every worker of a round — read
-//! `mask[at]` beside `parent[at]`, a sequential byte along the heavy
-//! path, instead of a random down flag and a timeline query per hop.
+//! `walk_packet` — read `mask[at]` beside `parent[at]`, a sequential
+//! byte along the heavy path, instead of a random down flag and a
+//! timeline query per hop.
 //! Fault-free runs neither fill nor read the mask ([`RoundCore::hop_faults`] is `None`),
 //! and a session that never runs faulted never sizes it. The id-space
 //! oracles (`GatherState::idle_and_send` and the tests' lossy reference

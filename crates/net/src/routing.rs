@@ -122,12 +122,13 @@ fn note_route_repair() {
 /// # Thread safety
 ///
 /// The counter is **thread-local**: builds performed by worker threads
-/// are visible only on the thread that performed them (the
-/// lossy round driver resolves routes on the caller's thread,
-/// so its builds count there). When a test needs counts attributable
-/// to one simulation rather than one thread,
-/// prefer the per-cache [`RouteCache::builds`] / [`RouteCache::repairs`]
-/// accessors, which need no global state at all.
+/// are visible only on the thread that performed them. Every session
+/// round runs on the thread that called the session, so a single run's
+/// builds count there, and a replicated study's on its workers. When
+/// a test needs counts attributable to one simulation rather than one
+/// thread, prefer the per-cache [`RouteCache::builds`] /
+/// [`RouteCache::repairs`] accessors, which need no global state at
+/// all.
 pub fn route_build_count() -> u64 {
     ROUTE_BUILDS.with(Cell::get)
 }

@@ -13,22 +13,12 @@
 //!   energy ledgers and rendered manifests, across random topologies ×
 //!   random fault schedules, with failures delta-debugged down to a
 //!   1-minimal schedule before reporting,
-//! * **chunk-parallel lossy rounds ≡ the one-worker counter-RNG run** —
-//!   the rollback-free lossy round driver (`ami_net::pdes`) at 2, 5
-//!   and 8 threads must reproduce the one-worker ARQ run's report,
-//!   ledger and rendered manifest across random fault schedules (the
-//!   per-packet counter streams are what make this possible at all),
-//!   again with ddmin minimization on failure,
-//! * **every worker count ≡ an id-order reference round** built on the
-//!   public API alone (`common::oracle::lossy_reference_run`), since
-//!   every chunk split shares one image walk and cannot check it for
-//!   another — across channels from BER 0 to 0.5 and ARQ budgets from
-//!   0 to 40 attempts, fault-free and faulted.
-//!
-//! The lossy fixtures here sit far below the production
-//! nodes-per-worker floor, so every parallel run forces the fan-out
-//! via `ParFloor::set(Some(0))` — without it the fallback would reduce
-//! these tests to one worker ≡ one worker.
+//! * **the lossy session ≡ an id-order reference round** built on the
+//!   public API alone (`common::oracle::lossy_reference_run`): the
+//!   session walks each round in heavy-path image order, the reference
+//!   walks it by node id — across channels from BER 0 to 0.5 and ARQ
+//!   budgets from 0 to 40 attempts, fault-free and faulted, again with
+//!   ddmin minimization on failure.
 //!
 //! Everything here asserts *bit* equality (ids and float bits), not
 //! approximate equality: the optimizations are only admissible because
@@ -50,7 +40,6 @@ use ami_sim::obs::{LedgerRecorder, NullRecorder, RunManifest};
 use ami_units::{Energy, Length};
 use common::oracle::{dijkstra_reference_scan, lossy_reference_run, rebuild_over_usable};
 use common::schedule::{fault_schedule, minimize_failing_schedule};
-use common::ParFloor;
 use proptest::prelude::*;
 
 fn radio() -> RadioEnergyModel {
@@ -409,68 +398,17 @@ proptest! {
     }
 }
 
-/// One faulted, observed lossy/ARQ run at `threads` workers (1 = the
-/// serial counter-RNG loop), plus its rendered manifest — the three
-/// artifacts the lossy PDES contract pins.
+/// One faulted lossy/ARQ run on a fresh session, with a ledger.
 fn lossy_observed_run(
     topo: &Topology,
     config: &LossyConfig,
     schedule: &FaultSchedule,
     rounds: u64,
     seed: u64,
-    threads: usize,
-) -> (LossyReport, LedgerRecorder, String) {
+) -> (LossyReport, LedgerRecorder) {
     let mut obs = LedgerRecorder::with_nodes(topo.len());
-    let report =
-        LossySession::new(topo, config).run_faulted_with(rounds, seed, schedule, threads, &mut obs);
-    let manifest = RunManifest::new("differential-lossy")
-        .field("rounds", &rounds)
-        .field("report", &report)
-        .ledger(&obs.ledger)
-        .counters(&obs.packets.tree())
-        .runner()
-        .to_json();
-    (report, obs, manifest)
-}
-
-proptest! {
-    /// Lossy PDES contract: the rollback-free chunk-parallel ARQ
-    /// rounds at 2, 5 and 8 threads are byte-identical to the
-    /// one-worker run — report, ledger, rendered manifest — under
-    /// random fault schedules (downed relays and links burning full
-    /// ARQ budgets mid-route), with ddmin minimization on failure.
-    /// Five workers split the 24 image positions into uneven chunks (5,
-    /// 5, 5, 5 and 4).
-    #[test]
-    fn region_parallel_lossy_rounds_match_the_serial_kernel(
-        seed in 0u64..40,
-        schedule in fault_schedule(24, 25, 10),
-    ) {
-        let _floor = ParFloor::set(Some(0));
-        let topo = Topology::random(24, Length::from_meters(110.0), seed);
-        let config = LossyConfig::bruised_channel();
-        let diverges = |s: &FaultSchedule| {
-            let serial = lossy_observed_run(&topo, &config, s, 25, seed, 1);
-            [2usize, 5, 8]
-                .iter()
-                .any(|&t| lossy_observed_run(&topo, &config, s, 25, seed, t) != serial)
-        };
-        if diverges(&schedule) {
-            let minimized =
-                minimize_failing_schedule(schedule.events(), |s| diverges(s));
-            let serial = lossy_observed_run(&topo, &config, &minimized, 25, seed, 1);
-            let par = lossy_observed_run(&topo, &config, &minimized, 25, seed, 8);
-            panic!(
-                "region-parallel lossy run diverged from serial (seed {seed})\n\
-                 minimized schedule: {:?}\nserial report: {:?}\n\
-                 parallel report: {:?}\nmanifests equal: {}",
-                minimized.events(),
-                serial.0,
-                par.0,
-                serial.2 == par.2,
-            );
-        }
-    }
+    let report = LossySession::new(topo, config).run_faulted_with(rounds, seed, schedule, &mut obs);
+    (report, obs)
 }
 
 /// The channels the lossy reference differential draws from: BERs from
@@ -480,14 +418,14 @@ const DIFFERENTIAL_BERS: [f64; 5] = [0.0, 1e-4, 1e-3, 1e-2, 0.5];
 const DIFFERENTIAL_BUDGETS: [u32; 5] = [0, 1, 4, 8, 40];
 
 proptest! {
-    /// The lossy walk pinned to something independent of it: one
-    /// worker and two workers must both match the id-order reference
-    /// round — report and ledger — on random fields under random
-    /// channels, fault-free and under a random fault schedule, with
-    /// ddmin minimization of a faulted failure. The budget is set
-    /// through the public field, so it reaches zero, which
-    /// `StopAndWaitArq::new` refuses; the reference keeps the float
-    /// success test the walk's integer test replaces.
+    /// The lossy walk pinned to something independent of it: the
+    /// session must match the id-order reference round — report and
+    /// ledger — on random fields under random channels, fault-free and
+    /// under a random fault schedule, with ddmin minimization of a
+    /// faulted failure. The budget is set through the public field, so
+    /// it reaches zero, which `StopAndWaitArq::new` refuses; the
+    /// reference keeps the float success test the walk's integer test
+    /// replaces.
     #[test]
     fn lossy_session_matches_the_id_order_reference_round(
         seed in 0u64..40,
@@ -495,7 +433,6 @@ proptest! {
         ber in 0usize..DIFFERENTIAL_BERS.len(),
         budget in 0usize..DIFFERENTIAL_BUDGETS.len(),
     ) {
-        let _floor = ParFloor::set(Some(0));
         let topo = Topology::random(40, Length::from_meters(150.0), seed);
         let mut config = LossyConfig::bruised_channel();
         config.ber = DIFFERENTIAL_BERS[ber];
@@ -506,62 +443,30 @@ proptest! {
             let report = lossy_reference_run(&topo, &config, 25, seed, s, &mut obs);
             (report, obs)
         };
-        let diverges = |s: &FaultSchedule| {
-            let want = reference(s);
-            [1usize, 2].iter().any(|&t| {
-                let (report, obs, _) = lossy_observed_run(&topo, &config, s, 25, seed, t);
-                (report, obs) != want
-            })
-        };
+        let diverges =
+            |s: &FaultSchedule| lossy_observed_run(&topo, &config, s, 25, seed) != reference(s);
         let fault_free = FaultSchedule::empty();
         if diverges(&fault_free) {
             let (want, _) = reference(&fault_free);
-            let (serial, _, _) = lossy_observed_run(&topo, &config, &fault_free, 25, seed, 1);
+            let (session, _) = lossy_observed_run(&topo, &config, &fault_free, 25, seed);
             panic!(
                 "fault-free lossy session diverged from the id-order reference \
                  (seed {seed}, {channel})\nreference report: {want:?}\n\
-                 serial report: {serial:?}",
+                 session report: {session:?}",
             );
         }
         if diverges(&schedule) {
             let minimized =
                 minimize_failing_schedule(schedule.events(), |s| diverges(s));
             let (want, _) = reference(&minimized);
-            let (serial, _, _) = lossy_observed_run(&topo, &config, &minimized, 25, seed, 1);
+            let (session, _) = lossy_observed_run(&topo, &config, &minimized, 25, seed);
             panic!(
                 "lossy session diverged from the id-order reference (seed {seed}, {channel})\n\
                  minimized schedule: {:?}\nreference report: {want:?}\n\
-                 serial report: {serial:?}",
+                 session report: {session:?}",
                 minimized.events(),
             );
         }
-    }
-}
-
-#[test]
-fn region_parallel_lossy_matches_serial_at_n1600_under_the_bench_fault_mix() {
-    // Acceptance-scale spot check for the lossy engine: one n=1600
-    // faulted ARQ run, one worker vs chunk-parallel at 2 and 8
-    // threads, bit-identical reports, ledgers and manifests. (The
-    // n=100k differential lives in `scale_smoke_lossy` behind
-    // `--ignored`.)
-    let _floor = ParFloor::set(Some(0));
-    let n = 1600;
-    let side = Length::from_meters(25.0 * (n as f64).sqrt());
-    let spec = FaultSpec::parse("death=0.1,outage=0.2:10,link=0.1:8").expect("bench fault mix");
-    let config = LossyConfig::bruised_channel();
-    let topo = Topology::random(n, side, 2003);
-    let faults = spec.schedule_for(2003, n, 30);
-    let serial = lossy_observed_run(&topo, &config, &faults, 30, 2003, 1);
-    assert!(
-        serial.0.delivered > 0 && serial.0.delivered < serial.0.offered,
-        "the bruised channel delivers imperfectly"
-    );
-    for threads in [2usize, 8] {
-        let par = lossy_observed_run(&topo, &config, &faults, 30, 2003, threads);
-        assert_eq!(par.0, serial.0, "report at {threads} threads");
-        assert_eq!(par.1, serial.1, "ledger at {threads} threads");
-        assert_eq!(par.2, serial.2, "manifest at {threads} threads");
     }
 }
 

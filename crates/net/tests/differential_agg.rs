@@ -30,7 +30,6 @@ use ami_sim::fault::{FaultEvent, FaultSchedule};
 use ami_sim::obs::{LedgerRecorder, NullRecorder, RunManifest};
 use ami_units::{Energy, Length, Power};
 use common::schedule::{fault_schedule, minimize_failing_schedule};
-use common::ParFloor;
 use proptest::prelude::*;
 
 /// Restores the thread-local aggregation toggle on drop, so a failing
@@ -302,10 +301,9 @@ fn session_faulted_runs_match_the_one_shot_entry_point() {
     // (routing sees faults one round late, and link faults never change
     // the usable set), so any state keyed on the routes alone would
     // carry the healthy run's fates into them.
-    // The warm lossy session rides the same schedules on one and two
-    // workers: its route cache carries over between runs too.
+    // The warm lossy session rides the same schedules: its route cache
+    // carries over between runs too.
     let _mode = AggMode::set(true);
-    let _floor = ParFloor::set(Some(0));
     // 40 m spacing under the 45 m default hop range forces the
     // sink — relay — leaf chain, so both faults sit on a used route.
     let topo = Topology::new(vec![
@@ -353,26 +351,20 @@ fn session_faulted_runs_match_the_one_shot_entry_point() {
         // fault-free run on the same session either.
         assert_eq!(session.run(rounds), clean, "post-fault run ({label})");
 
-        for threads in [1, 2] {
-            let mut warm = LossySession::new(&topo, &lossy);
-            assert_eq!(warm.run(rounds, 5), lossy_clean, "lossy warm-up ({label})");
-            let faulted = |session: &mut LossySession<'_>| {
-                let mut obs = LedgerRecorder::with_nodes(topo.len());
-                let report = session.run_faulted_with(rounds, 5, schedule, threads, &mut obs);
-                (report, obs)
-            };
-            let fresh = faulted(&mut LossySession::new(&topo, &lossy));
-            assert_eq!(
-                faulted(&mut warm),
-                fresh,
-                "lossy ({label}, {threads} threads)"
-            );
-            assert_eq!(
-                warm.run(rounds, 5),
-                lossy_clean,
-                "lossy post-fault run ({label}, {threads} threads)"
-            );
-        }
+        let mut warm = LossySession::new(&topo, &lossy);
+        assert_eq!(warm.run(rounds, 5), lossy_clean, "lossy warm-up ({label})");
+        let faulted = |session: &mut LossySession<'_>| {
+            let mut obs = LedgerRecorder::with_nodes(topo.len());
+            let report = session.run_faulted_with(rounds, 5, schedule, &mut obs);
+            (report, obs)
+        };
+        let fresh = faulted(&mut LossySession::new(&topo, &lossy));
+        assert_eq!(faulted(&mut warm), fresh, "lossy ({label})");
+        assert_eq!(
+            warm.run(rounds, 5),
+            lossy_clean,
+            "lossy post-fault run ({label})"
+        );
     }
 }
 
@@ -382,28 +374,25 @@ const SEQ_NODES: usize = 24;
 const SEQ_CHANNEL_SEED: u64 = 9;
 
 /// One call on a pair of sessions: a plain `run`, or `run_faulted_with`
-/// under `schedule` with a [`LedgerRecorder`] or a [`NullRecorder`]
-/// (lossy runs on `threads` workers).
+/// under `schedule` with a [`LedgerRecorder`] or a [`NullRecorder`].
 #[derive(Debug, Clone)]
 enum SessionOp {
     Run,
     Faulted {
         schedule: FaultSchedule,
         ledger: bool,
-        threads: usize,
     },
 }
 
 fn session_op() -> impl Strategy<Value = SessionOp> {
     prop_oneof![
         Just(SessionOp::Run),
-        (fault_schedule(SEQ_NODES, SEQ_ROUNDS, 10), 0u8..2, 0usize..3).prop_map(
-            |(schedule, ledger, threads)| SessionOp::Faulted {
+        (fault_schedule(SEQ_NODES, SEQ_ROUNDS, 10), 0u8..2).prop_map(|(schedule, ledger)| {
+            SessionOp::Faulted {
                 schedule,
                 ledger: ledger == 1,
-                threads: [1, 2, 8][threads],
             }
-        ),
+        }),
     ]
 }
 
@@ -448,7 +437,6 @@ impl<'a> Sessions<'a> {
             SessionOp::Faulted {
                 schedule,
                 ledger: false,
-                threads,
             } => Outcome {
                 gather: self
                     .gather
@@ -458,7 +446,6 @@ impl<'a> Sessions<'a> {
                     SEQ_ROUNDS,
                     SEQ_CHANNEL_SEED,
                     schedule,
-                    *threads,
                     &mut NullRecorder,
                 ),
                 lossy_ledger: None,
@@ -466,7 +453,6 @@ impl<'a> Sessions<'a> {
             SessionOp::Faulted {
                 schedule,
                 ledger: true,
-                threads,
             } => {
                 let mut gather_obs = LedgerRecorder::with_nodes(SEQ_NODES);
                 let mut lossy_obs = LedgerRecorder::with_nodes(SEQ_NODES);
@@ -479,7 +465,6 @@ impl<'a> Sessions<'a> {
                         SEQ_ROUNDS,
                         SEQ_CHANNEL_SEED,
                         schedule,
-                        *threads,
                         &mut lossy_obs,
                     ),
                     lossy_ledger: Some(lossy_obs),
@@ -506,8 +491,7 @@ fn first_divergence(
 proptest! {
     /// Session contract: a warm session driven through any sequence of
     /// `run` / `run_faulted_with` calls — random fault schedules, with
-    /// or without a ledger, lossy runs on 1, 2 or 8 workers with the
-    /// region engine forced on — returns exactly what a fresh session
+    /// or without a ledger — returns exactly what a fresh session
     /// returns for each call. With default budgets nothing dies, so the
     /// warm routes survive into the next call (where state keyed on the
     /// routes alone would leak); drained budgets (~12 idle rounds) add
@@ -528,7 +512,6 @@ proptest! {
         } else {
             RoutingStrategy::MinimumEnergy
         };
-        let _floor = ParFloor::set(Some(0));
         let topo = Topology::random(SEQ_NODES, Length::from_meters(110.0), seed);
         let mut config = NetworkConfig::sensor_default();
         if drained == 1 {
@@ -538,13 +521,12 @@ proptest! {
         if let Some(k) = first_divergence(&topo, strategy, &config, &lossy, &ops) {
             let minimized = match &ops[k] {
                 SessionOp::Run => None,
-                SessionOp::Faulted { schedule, ledger, threads } => {
+                SessionOp::Faulted { schedule, ledger } => {
                     Some(minimize_failing_schedule(schedule.events(), |s| {
                         let mut prefix = ops[..k].to_vec();
                         prefix.push(SessionOp::Faulted {
                             schedule: s.clone(),
                             ledger: *ledger,
-                            threads: *threads,
                         });
                         first_divergence(&topo, strategy, &config, &lossy, &prefix).is_some()
                     }))

@@ -101,7 +101,7 @@ fn faulted_round_loops_allocate_nothing_per_round() {
         )
     };
     let lossy_run = |rounds| {
-        LossySession::new(&topo, &lossy).run_faulted_with(rounds, 3, &faults, 1, &mut NullRecorder)
+        LossySession::new(&topo, &lossy).run_faulted_with(rounds, 3, &faults, &mut NullRecorder)
     };
 
     // Warm the topology's CSR cache so every measured run starts from
@@ -186,7 +186,7 @@ fn faulted_round_loops_allocate_nothing_per_round() {
 
     let mut lossy_session = LossySession::new(&topo, &lossy);
     let mut warm_lossy = |rounds| {
-        let _ = lossy_session.run_faulted_with(rounds, 3, &faults, 1, &mut NullRecorder);
+        let _ = lossy_session.run_faulted_with(rounds, 3, &faults, &mut NullRecorder);
     };
     warm_lossy(1);
     let warm_lossy_short = steady_allocations(5, || warm_lossy(10));

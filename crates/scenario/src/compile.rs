@@ -172,17 +172,17 @@ impl CompiledScenario {
         self.schedule.as_ref()
     }
 
-    /// Executes the scenario on `threads` workers and returns its
-    /// deterministic [`RunManifest`].
+    /// Executes the scenario and returns its deterministic
+    /// [`RunManifest`]; replicated gathering studies run their
+    /// replications on `threads` workers.
     ///
     /// The manifest embeds the canonical spec and hash, the runner
     /// policy stanza, and the workload's results (ledger, counters,
     /// headline figures). It is **byte-identical at any `threads`**:
-    /// replications merge in seed order, single gathering runs execute
-    /// on the serial aggregated kernel at every thread count, and a
-    /// lossy run is bit-identical at any worker count (it fans out only
-    /// when [`ami_net::pdes`]'s nodes-per-worker floor says the run is
-    /// big enough), so thread count is pure mechanism.
+    /// `threads` reaches only replicated gathering studies, whose
+    /// replications merge in seed order; single gathering and lossy
+    /// runs execute on the calling thread whatever it says. So thread
+    /// count is pure mechanism.
     ///
     /// # Panics
     ///
@@ -256,15 +256,10 @@ impl CompiledScenario {
                     .expect("lossy workloads compile a LossyConfig");
                 let empty = FaultSchedule::empty();
                 let schedule = self.schedule.as_ref().unwrap_or(&empty);
-                // The session decides by size whether the rounds fan out
-                // (below the nodes-per-worker floor they run on one
-                // worker); any split is bit-identical — the counter-RNG
-                // kernel's contract.
                 let report = LossySession::new(topo, config).run_faulted_with(
                     self.spec.rounds,
                     self.spec.seed,
                     schedule,
-                    threads,
                     &mut NullRecorder,
                 );
                 let counters = CounterTree::branch([
@@ -393,60 +388,22 @@ mod tests {
         assert!(one.contains(&compiled.hash().to_string()));
     }
 
-    /// Overrides this thread's lossy nodes-per-worker floor until
-    /// dropped, then restores the previous value, so a failing
-    /// assertion cannot leak the override into later tests on the
-    /// thread.
-    struct ParFloor(Option<usize>);
-
-    impl ParFloor {
-        fn set(min: Option<usize>) -> Self {
-            Self(ami_net::set_par_min_nodes_per_worker(min))
-        }
-    }
-
-    impl Drop for ParFloor {
-        fn drop(&mut self) {
-            ami_net::set_par_min_nodes_per_worker(self.0);
-        }
-    }
-
     #[test]
-    fn only_lossy_runs_engage_the_region_engine() {
-        // With the nodes-per-worker floor forced to zero, every
-        // multi-worker lossy run fans its rounds out over the workers,
-        // while gathering runs stay on the serial aggregated kernel at
-        // any worker count. The manifest is byte-identical either way.
-        let _floor = ParFloor::set(Some(0));
-        let spec = |name: &str, side: u32, workload: &str| {
-            ScenarioSpec::from_json_str(&format!(
-                r#"{{
-                    "name": "{name}",
-                    "rounds": 20,
-                    "topology": {{"kind": "grid", "side": {side}, "spacing_m": 30.0}},
-                    "workload": {workload}
-                }}"#
-            ))
-            .unwrap()
-        };
-        let gathering = r#"{"kind": "gathering", "strategy": "minimum_energy"}"#;
-        let lossy = r#"{"kind": "lossy", "ber": 0.001, "arq_attempts": 4}"#;
-        for (spec, engaged) in [
-            (spec("t-gather", 23, gathering), 0),
-            (spec("t-lossy", 3, lossy), 1),
-        ] {
-            let compiled = CompiledScenario::compile(&spec).unwrap();
-            let before = ami_net::par_engaged_count();
-            let one = compiled.run_threads(1).to_json();
-            let four = compiled.run_threads(4).to_json();
-            assert_eq!(
-                ami_net::par_engaged_count() - before,
-                engaged,
-                "{}: chunk-parallel engagements",
-                spec.name
-            );
-            assert_eq!(one, four, "{}: thread-variant manifest", spec.name);
-        }
+    fn lossy_manifest_is_thread_invariant() {
+        let spec = ScenarioSpec::from_json_str(
+            r#"{
+                "name": "t-lossy",
+                "rounds": 20,
+                "topology": {"kind": "grid", "side": 3, "spacing_m": 30.0},
+                "workload": {"kind": "lossy", "ber": 0.001, "arq_attempts": 4}
+            }"#,
+        )
+        .unwrap();
+        let compiled = CompiledScenario::compile(&spec).unwrap();
+        assert_eq!(
+            compiled.run_threads(1).to_json(),
+            compiled.run_threads(4).to_json()
+        );
     }
 
     #[test]

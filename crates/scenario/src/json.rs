@@ -14,7 +14,11 @@
 //! * no extensions — no comments, no trailing commas, no single quotes;
 //! * arrays and objects nest at most 128 levels deep: the parser
 //!   recurses once per level, and a deeper document would exhaust the
-//!   parsing thread's stack instead of returning an error.
+//!   parsing thread's stack instead of returning an error;
+//! * a document holds at most [`MAX_VALUES`] values: a value takes 32 B
+//!   and an object member 56 B, so without a cap a 16 MiB `[0,0,…]`
+//!   request frame would build about 8.4 M values (over 250 MiB of
+//!   heap) before anything looked at them.
 //!
 //! Objects preserve insertion order so error messages can point at the
 //! offending field in file order.
@@ -36,6 +40,11 @@ use std::fmt;
 /// docs). The deepest checked-in scenario nests 6 levels and a batch
 /// reply about 8.
 const MAX_DEPTH: usize = 128;
+
+/// Most values (scalars, arrays and objects, not object keys) one
+/// document may hold; [`parse`] refuses the first value past it. The
+/// largest documents the workspace reads hold about 10⁵.
+pub const MAX_VALUES: usize = 1 << 20;
 
 /// A parsed JSON document node.
 #[derive(Debug, Clone, PartialEq)]
@@ -119,13 +128,15 @@ impl std::error::Error for JsonError {}
 /// # Errors
 ///
 /// Returns a positioned [`JsonError`] on malformed input, duplicate
-/// object keys, non-finite numbers, trailing content, or arrays and
-/// objects nested more than 128 levels deep.
+/// object keys, non-finite numbers, trailing content, arrays and
+/// objects nested more than 128 levels deep, or more than
+/// [`MAX_VALUES`] values.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
+        values: 0,
     };
     parser.skip_whitespace();
     let value = parser.value()?;
@@ -141,6 +152,8 @@ struct Parser<'a> {
     pos: usize,
     /// Arrays and objects open around the cursor.
     depth: usize,
+    /// Values begun so far.
+    values: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -194,6 +207,10 @@ impl<'a> Parser<'a> {
     }
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
+        if self.values == MAX_VALUES {
+            return Err(self.error(format!("the document holds more than {MAX_VALUES} values")));
+        }
+        self.values += 1;
         match self.peek() {
             Some(open @ (b'{' | b'[')) => {
                 if self.depth == MAX_DEPTH {
@@ -498,6 +515,30 @@ mod tests {
         // Far past the bound: an error, not a stack overflow.
         assert!(parse(&"[".repeat(100_000)).is_err());
         assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn rejects_documents_of_more_values_than_the_bound() {
+        // An array of `values - 1` zeros holds `values` values.
+        let zeros = |values: usize| format!("[{}0]", "0,".repeat(values - 2));
+        let JsonValue::Array(items) = parse(&zeros(MAX_VALUES)).unwrap() else {
+            panic!("expected an array");
+        };
+        assert_eq!(items.len(), MAX_VALUES - 1);
+        // The value past the bound is the last zero, at column 2·MAX_VALUES.
+        let err = parse(&zeros(MAX_VALUES + 1)).unwrap_err();
+        assert!(err.message.contains(&MAX_VALUES.to_string()), "{err}");
+        assert_eq!((err.line, err.column), (1, 2 * MAX_VALUES));
+        // Keys are not values: an object of `MAX_VALUES - 1` members
+        // holds exactly the bound.
+        let body = (1..MAX_VALUES)
+            .map(|k| format!("\"{k}\":0"))
+            .collect::<Vec<_>>()
+            .join(",");
+        assert!(parse(&format!("{{{body}}}")).is_ok());
+        // A 16 MiB request frame of zeros holds 8 M values.
+        let frame = zeros((16 << 20) / 2);
+        assert!(parse(&frame).unwrap_err().message.contains("more than"));
     }
 
     #[test]

@@ -67,9 +67,11 @@ pub struct RunRequest {
     /// The scenario to execute.
     pub spec: ScenarioSpec,
     /// Worker threads for this run; `None` takes the service's default,
-    /// read from `AMBIENCE_THREADS` when the service was built. A count
-    /// above that default runs on the default, so one request cannot
-    /// start more threads than the service has. Results are
+    /// read from `AMBIENCE_THREADS` when the service was built. Only a
+    /// replicated gathering study runs on more than one; every other
+    /// workload runs on the connection's thread whatever this says. A
+    /// count above the default runs on the default, so one request
+    /// cannot start more threads than the service has. Results are
     /// thread-invariant either way.
     pub threads: Option<usize>,
 }
@@ -425,53 +427,32 @@ mod tests {
         }
     }
 
-    /// Lowers this thread's lossy nodes-per-worker floor until dropped,
-    /// then restores the previous value, so a failing assertion cannot
-    /// leak the override into later tests on the thread.
-    struct ParFloor(Option<usize>);
-
-    impl ParFloor {
-        fn set(min: Option<usize>) -> Self {
-            Self(ami_net::set_par_min_nodes_per_worker(min))
-        }
-    }
-
-    impl Drop for ParFloor {
-        fn drop(&mut self) {
-            ami_net::set_par_min_nodes_per_worker(self.0);
-        }
-    }
-
     #[test]
     fn thread_choice_does_not_change_the_manifest() {
-        // A single lossy run is the one kind that fans out within a run.
-        // With the floor at zero, the request on the service's three
-        // default workers must fan out, and render what one worker does.
-        let _floor = ParFloor::set(Some(0));
+        // A request on the service's three default workers must render
+        // what one worker does: a lossy run, which ignores the count,
+        // and a replicated study, which splits its replications.
         let service = Service {
             default_threads: 3,
             ..Service::new(4)
         };
-        let lossy = ScenarioSpec::from_json_str(
-            r#"{
-                "name": "svc-threads",
-                "rounds": 8,
-                "topology": {"kind": "grid", "side": 4, "spacing_m": 30.0},
-                "workload": {"kind": "lossy", "ber": 0.001, "arq_attempts": 4}
-            }"#,
-        )
-        .unwrap();
-        let mut one = RunRequest::new("one", lossy.clone());
-        one.threads = Some(1);
-        let default = RunRequest::new("default", lossy);
-        let a = service.submit(&one).unwrap();
-        let engaged = ami_net::par_engaged_count();
-        let b = service.submit(&default).unwrap();
-        assert_eq!(
-            ami_net::par_engaged_count(),
-            engaged + 1,
-            "the three-worker run must fan out"
-        );
-        assert_eq!(a.manifest, b.manifest);
+        for workload in [
+            r#""topology": {"kind": "grid", "side": 4, "spacing_m": 30.0},
+                "workload": {"kind": "lossy", "ber": 0.001, "arq_attempts": 4}"#,
+            r#""replications": 3,
+                "topology": {"kind": "random", "nodes": 8, "field_m": 80.0},
+                "workload": {"kind": "gathering", "strategy": "minimum_energy"}"#,
+        ] {
+            let spec = ScenarioSpec::from_json_str(&format!(
+                r#"{{"name": "svc-threads", "rounds": 8, {workload}}}"#
+            ))
+            .unwrap();
+            let mut one = RunRequest::new("one", spec.clone());
+            one.threads = Some(1);
+            let default = RunRequest::new("default", spec);
+            let a = service.submit(&one).unwrap();
+            let b = service.submit(&default).unwrap();
+            assert_eq!(a.manifest, b.manifest, "{workload}");
+        }
     }
 }

@@ -1,10 +1,13 @@
-//! Proof that `read_frame` allocates for the bytes that arrive, not for
-//! the length a frame header claims: a counting global allocator tracks
-//! live heap bytes and their high-water mark around each read. (This
-//! binary holds exactly one test so no concurrent test moves the
+//! Proof that a frame costs the heap what it holds, not what it claims:
+//! `read_frame` allocates for the bytes that arrive, not for the length
+//! a frame header claims, and `decode_requests` builds at most
+//! [`MAX_VALUES`] values of a full frame. A counting global allocator
+//! tracks live heap bytes and their high-water mark around each call.
+//! (This binary holds exactly one test so no concurrent test moves the
 //! counters.)
 
-use ami_svc::proto::{read_frame, write_frame, MAX_FRAME};
+use ami_scenario::json::MAX_VALUES;
+use ami_svc::proto::{decode_requests, read_frame, write_frame, MAX_FRAME};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Cursor, ErrorKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -61,7 +64,7 @@ fn peak_growth<T>(work: impl FnOnce() -> T) -> (T, usize) {
 }
 
 #[test]
-fn read_frame_allocates_only_what_arrives() {
+fn reading_and_decoding_a_frame_allocate_within_bounds() {
     const MIB: usize = 1 << 20;
 
     // A header claiming the largest frame, then 10 bytes and EOF.
@@ -90,5 +93,20 @@ fn read_frame_allocates_only_what_arrives() {
     assert!(
         peak < MAX_FRAME + MAX_FRAME / 2 + MIB,
         "a {MAX_FRAME}-byte frame held {peak} bytes at its peak"
+    );
+
+    // The largest `[0,0,…]` frame, about 8.4 M values: the decode stops
+    // at the bound's values and their array's last doubling, and holds
+    // nothing per value past it.
+    let zeros = (MAX_FRAME - 1) / 2;
+    let frame = format!("[{}0]", "0,".repeat(zeros - 1));
+    assert_eq!(frame.len(), MAX_FRAME - 1);
+    let (result, peak) = peak_growth(|| decode_requests(&frame));
+    let err = result.expect_err("a frame past the value bound is refused");
+    assert!(err.to_string().contains(&MAX_VALUES.to_string()), "{err}");
+    assert!(
+        peak < 64 * MIB,
+        "decoding a {}-byte frame held {peak} bytes at its peak",
+        frame.len()
     );
 }
