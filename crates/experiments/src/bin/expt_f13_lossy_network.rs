@@ -19,6 +19,7 @@ use ami_radio::StopAndWaitArq;
 use ami_scenario::ScenarioSpec;
 use ami_sim::fault::{FaultModel, FaultSpec, FAULTS_ENV};
 use ami_sim::obs::NullRecorder;
+use std::env::VarError;
 
 const SCENARIO: &str = "crates/experiments/scenarios/f13_lossy_network.scenario.json";
 
@@ -41,6 +42,19 @@ fn per_bit_cell(report: &LossyReport, config: &LossyConfig) -> String {
 }
 
 fn main() {
+    // With AMBIENCE_FAULTS set, the manifest pins the faulted run (CI
+    // freezes the F13_FAULT_SPEC mix as a golden file); unset, it pins
+    // the plain one. The spec is read and parsed before anything runs,
+    // so a malformed or non-UTF-8 value fails the run even when no
+    // manifest is requested.
+    let fault_spec = match std::env::var(FAULTS_ENV) {
+        Ok(spec) => {
+            FaultSpec::parse(&spec).unwrap_or_else(|err| panic!("bad {FAULTS_ENV}: {err}"));
+            Some(spec)
+        }
+        Err(VarError::NotPresent) => None,
+        Err(VarError::NotUnicode(raw)) => panic!("bad {FAULTS_ENV}: not UTF-8: {raw:?}"),
+    };
     let scenario = ami_scenario::load_for_binary(SCENARIO).unwrap_or_else(|err| panic!("{err}"));
     let compiled =
         ami_scenario::CompiledScenario::compile(&scenario).unwrap_or_else(|err| panic!("{err}"));
@@ -154,15 +168,8 @@ fn main() {
     println!("network degrading gracefully; set AMBIENCE_FAULTS to rerun the");
     println!("manifest under any fault mix.");
 
-    // With AMBIENCE_FAULTS set, the manifest pins the faulted run (CI
-    // freezes the F13_FAULT_SPEC mix as a golden file); unset, it pins
-    // the plain one. The spec is parsed eagerly so a malformed value
-    // fails the run even when no manifest is requested.
-    match std::env::var(FAULTS_ENV) {
-        Ok(spec) => {
-            FaultSpec::parse(&spec).unwrap_or_else(|err| panic!("bad {FAULTS_ENV}: {err}"));
-            emit_when_requested(|| f13_faulted_manifest_with(&spec));
-        }
-        Err(_) => emit_when_requested(f13_manifest),
+    match fault_spec {
+        Some(spec) => emit_when_requested(|| f13_faulted_manifest_with(&spec)),
+        None => emit_when_requested(f13_manifest),
     }
 }

@@ -9,8 +9,8 @@
 use ami_experiments::manifests::{emit_when_requested, f6_manifest};
 use ami_experiments::{banner, print_table, section};
 use ami_net::{
-    replicate_gathering, replicate_gathering_observed, simulate_gathering, summarize_reports,
-    NetworkConfig, RoutingStrategy, Topology,
+    replicate_gathering_observed, simulate_gathering, summarize_reports, NetworkConfig,
+    RoutingStrategy, Topology,
 };
 use ami_scenario::TopologySpec;
 use ami_sim::fault::{FaultSchedule, FaultSpec};
@@ -109,28 +109,20 @@ fn main() {
     // ~45 m single-hop crossover, so the saving is visible.
     let field = Length::from_meters(field_m);
     let n_nodes = nodes as usize;
-    let reports_of = |strategy| {
-        replicate_gathering(
+    let observe = |strategy| {
+        replicate_gathering_observed(
             thread_count(),
             replications,
             base_seed,
             |seed| Topology::random(n_nodes, field, seed),
+            |_| FaultSchedule::empty(),
             strategy,
             &config,
             rounds,
         )
     };
-    let direct = reports_of(RoutingStrategy::DirectToSink);
-    let (multi, obs) = replicate_gathering_observed(
-        thread_count(),
-        replications,
-        base_seed,
-        |seed| Topology::random(n_nodes, field, seed),
-        |_| FaultSchedule::empty(),
-        RoutingStrategy::MinimumEnergy,
-        &config,
-        rounds,
-    );
+    let (direct, _) = observe(RoutingStrategy::DirectToSink);
+    let (multi, obs) = observe(RoutingStrategy::MinimumEnergy);
     let direct_energy = summarize_reports(&direct, |r| r.total_energy.as_joules());
     let multi_energy = summarize_reports(&multi, |r| r.total_energy.as_joules());
     let savings: Vec<f64> = direct

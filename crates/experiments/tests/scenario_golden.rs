@@ -70,6 +70,33 @@ fn f13_stdout_matches_golden() {
     );
 }
 
+/// A fault spec that is not UTF-8 is an error naming the variable, not
+/// an unset variable that silently runs the unfaulted experiment.
+#[cfg(unix)]
+#[test]
+fn f13_rejects_a_non_utf8_fault_spec() {
+    use std::os::unix::ffi::OsStrExt;
+    let output = Command::new(env!("CARGO_BIN_EXE_expt_f13_lossy_network"))
+        .env("AMBIENCE_THREADS", "1")
+        .env(
+            "AMBIENCE_FAULTS",
+            std::ffi::OsStr::from_bytes(b"death=0.1\xff"),
+        )
+        .env_remove("AMBIENCE_MANIFEST")
+        .env_remove("AMBIENCE_SCENARIO")
+        .output()
+        .expect("experiment binary runs");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        !output.status.success(),
+        "F13 accepted a non-UTF-8 AMBIENCE_FAULTS; stderr:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("AMBIENCE_FAULTS"),
+        "stderr does not name AMBIENCE_FAULTS:\n{stderr}"
+    );
+}
+
 #[test]
 #[ignore = "tens of seconds in debug; CI runs it in release with --ignored"]
 fn f6_stdout_matches_golden() {

@@ -51,9 +51,10 @@
 //! 4. **Commit.** Swaps the finals in, stores `spent`, and charges the
 //!    recorder: every idle charge in ascending id, then each cell's tx
 //!    and rx charges as counts through [`Recorder::charge_n`], which
-//!    the ledger and ring recorders fold with the same stepping, so
-//!    observed rounds stay O(N) too (ledger and counter *totals* are
-//!    position-invariant; per-accumulator sequences are preserved).
+//!    the ledger recorder folds with the same stepping, so observed
+//!    rounds stay O(N) too (ledger and counter *totals* are
+//!    position-invariant; per-accumulator sequences are preserved),
+//!    and the round's packet tally through [`Recorder::packets`].
 //!
 //! A round therefore costs O(N) per binade `spent` crosses — one or two
 //! on a fresh megacity round, fewer as `spent` grows over a run — plus
@@ -72,7 +73,7 @@ use crate::gather::GatherState;
 use crate::round::HopFault;
 use crate::routing::{RouteImage, NO_HOP, SINK_POS};
 use ami_sim::exact::{self, Binade};
-use ami_sim::obs::{EnergyCategory, Recorder};
+use ami_sim::obs::{EnergyCategory, PacketCounters, Recorder};
 use std::cell::Cell;
 
 thread_local! {
@@ -136,11 +137,9 @@ pub(crate) struct AggScratch {
     by_pos: Vec<u64>,
     /// Per-cell finals by id; swapped with the live budgets on commit.
     finals: Vec<f64>,
-    // The round's packet tallies.
-    senders: u64,
-    delivered: u64,
-    disconnected: u64,
-    faulted: u64,
+    /// The round's packet tally; an aggregated round drops nothing on a
+    /// dead hop.
+    packets: PacketCounters,
 }
 
 impl AggScratch {
@@ -148,10 +147,7 @@ impl AggScratch {
         Self {
             by_pos: vec![0; nodes],
             finals: vec![0.0; nodes],
-            senders: 0,
-            delivered: 0,
-            disconnected: 0,
-            faulted: 0,
+            packets: PacketCounters::new(),
         }
     }
 }
@@ -199,7 +195,7 @@ impl GatherState<'_, '_> {
                 senders += 1;
             }
         }
-        scratch.senders = senders;
+        scratch.packets.offered = senders;
 
         // The spent fold continues from the live accumulator in serial
         // charge order: the round's idle debits first, then the send
@@ -358,8 +354,8 @@ impl GatherState<'_, '_> {
             for ((at, arrived), &end) in arrivals.iter_mut().enumerate().zip(&end[..n]) {
                 *arrived = u64::from(end) - at as u64 - 1;
             }
-            scratch.delivered = u64::from(end[SINK_POS as usize]) - 1;
-            scratch.faulted = 0;
+            scratch.packets.delivered = u64::from(end[SINK_POS as usize]) - 1;
+            scratch.packets.dropped_fault = 0;
             return;
         };
         arrivals.fill(0);
@@ -381,8 +377,8 @@ impl GatherState<'_, '_> {
                 arrivals[hop as usize] += leaving;
             }
         }
-        scratch.delivered = delivered;
-        scratch.faulted = faulted;
+        scratch.packets.delivered = delivered;
+        scratch.packets.dropped_fault = faulted;
     }
 
     /// Writes every cell's end-of-round budget into the scratch finals —
@@ -434,7 +430,7 @@ impl GatherState<'_, '_> {
                 return false;
             }
         }
-        scratch.disconnected = disconnected;
+        scratch.packets.dropped_disconnected = disconnected;
         true
     }
 
@@ -475,8 +471,7 @@ impl GatherState<'_, '_> {
     /// Commits a validated aggregated round: budgets, the folded `spent`,
     /// the delivered count, then the recorder's charges in a fixed
     /// per-cell order (idle charges ascending, then each cell's Tx and
-    /// RxRelay charges as counts; packet counters as whole-round
-    /// tallies).
+    /// RxRelay charges as counts) and the round's packet tally.
     fn commit_aggregated<R: Recorder>(
         &mut self,
         scratch: &mut AggScratch,
@@ -485,7 +480,7 @@ impl GatherState<'_, '_> {
     ) {
         std::mem::swap(&mut self.budget, &mut scratch.finals);
         self.spent = spent;
-        self.delivered += scratch.delivered;
+        self.delivered += scratch.packets.delivered;
 
         let core = &*self.core;
         let n = core.topology.len();
@@ -517,10 +512,7 @@ impl GatherState<'_, '_> {
             );
             recorder.charge_n(v, EnergyCategory::RxRelay, rx, relayed);
         }
-        recorder.packets_offered(scratch.senders);
-        recorder.packets_dropped_disconnected(scratch.disconnected);
-        recorder.packets_delivered(scratch.delivered);
-        recorder.packets_dropped_fault(scratch.faulted);
+        recorder.packets(&scratch.packets);
     }
 }
 

@@ -30,7 +30,7 @@ use crate::routing::{RouteImage, RoutingStrategy, NO_HOP};
 use crate::topology::{NodeId, Topology};
 use ami_radio::{Packet, RadioEnergyModel};
 use ami_sim::fault::FaultSchedule;
-use ami_sim::obs::{EnergyCategory, NullRecorder, Recorder};
+use ami_sim::obs::{EnergyCategory, NullRecorder, PacketCounters, Recorder};
 use ami_units::{DataVolume, Energy, EnergyPerBit, Length, Power, TimeSpan};
 use serde::{Deserialize, Serialize};
 
@@ -247,13 +247,14 @@ impl<'r, 'a> GatherState<'r, 'a> {
         // Each live, still-funded, powered-on node reports once. (The
         // idle charge above may have emptied a budget; such a node is
         // silent this round and will be buried by the sweep below.)
+        let mut packets = PacketCounters::new();
         for src in core.topology.sensor_ids() {
             if !alive[src.0] || budget[src.0] <= 0.0 || down_now[src.0] {
                 continue;
             }
-            recorder.packet_offered();
+            packets.offered += 1;
             if !connected[src.0] {
-                recorder.packet_dropped_disconnected();
+                packets.dropped_disconnected += 1;
                 continue; // disconnected this round
             }
             // Charge the sender and every relay hop by hop, reading each
@@ -294,14 +295,13 @@ impl<'r, 'a> GatherState<'r, 'a> {
                 (from, at) = (hop, next as usize);
             }
             match fate {
-                PacketFate::Delivered => {
-                    self.delivered += 1;
-                    recorder.packet_delivered();
-                }
-                PacketFate::DeadHop => recorder.packet_dropped_dead_hop(),
-                PacketFate::Fault => recorder.packet_dropped_fault(),
+                PacketFate::Delivered => packets.delivered += 1,
+                PacketFate::DeadHop => packets.dropped_dead_hop += 1,
+                PacketFate::Fault => packets.dropped_fault += 1,
             }
         }
+        self.delivered += packets.delivered;
+        recorder.packets(&packets);
     }
 
     /// End-of-round sweep: bury the budget-dead (marking the route
@@ -407,8 +407,8 @@ impl<'a> GatherSession<'a> {
     }
 
     /// Runs `rounds` reporting rounds from a fresh network state under
-    /// the exogenous `faults` schedule, charging every event through
-    /// `recorder`.
+    /// the exogenous `faults` schedule, charging every joule to
+    /// `recorder` and committing each round's packet tally to it once.
     ///
     /// Routes are re-resolved over the surviving nodes whenever a node
     /// dies. A node participates (sends, relays) only while its budget

@@ -24,9 +24,9 @@
 //!   or nothing at zero cost); [`simulate_gathering`] and
 //!   [`simulate_lossy_gathering`] are one fault-free, unrecorded run on
 //!   a fresh session;
-//! * [`replicate_gathering`] and [`replicate_gathering_observed`] —
-//!   one fresh gathering session per seeded topology, on the parallel
-//!   runner, merged in seed order;
+//! * [`replicate_gathering_observed`] — one fresh gathering session
+//!   per seeded topology under its seed's fault schedule, on the
+//!   parallel runner, merged in seed order;
 //! * every round runs on the calling thread, and only replicated
 //!   studies use more than one worker. Gathering rounds run on the
 //!   serial aggregated kernel ([`agg`]). A lossy round is one walk that
@@ -75,6 +75,6 @@ pub use lossy::{
     par_engaged_count, par_serial_fallback_count, simulate_lossy_gathering, LossyConfig,
     LossyReport, LossySession,
 };
-pub use replicate::{replicate_gathering, replicate_gathering_observed, summarize_reports};
+pub use replicate::{replicate_gathering_observed, summarize_reports};
 pub use routing::{build_routes, RouteCache, RoutingStrategy};
 pub use topology::{NodeId, Position, Topology};

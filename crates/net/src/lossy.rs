@@ -75,7 +75,7 @@ use crate::routing::{RouteImage, RoutingStrategy, NO_HOP, SINK_POS};
 use crate::topology::Topology;
 use ami_radio::{Packet, RadioEnergyModel, StopAndWaitArq};
 use ami_sim::fault::FaultSchedule;
-use ami_sim::obs::{EnergyCategory, NullRecorder, Recorder};
+use ami_sim::obs::{EnergyCategory, NullRecorder, PacketCounters, Recorder};
 use ami_sim::rng::packet_rng;
 use ami_units::{Energy, EnergyPerBit, Length};
 use rand::RngExt;
@@ -339,10 +339,10 @@ struct LossyTally {
     tx_attempts: Vec<u64>,
     /// Listen counts this round (receiver side), indexed by position.
     rx_attempts: Vec<u64>,
-    offered: u64,
-    delivered: u64,
+    /// Offered, delivered and fault-dropped packets; channel losses are
+    /// the remainder.
+    packets: PacketCounters,
     transmissions: u64,
-    dropped_fault: u64,
 }
 
 impl LossyTally {
@@ -350,18 +350,16 @@ impl LossyTally {
         Self {
             tx_attempts: vec![0; nodes],
             rx_attempts: vec![0; nodes],
-            offered: 0,
-            delivered: 0,
+            packets: PacketCounters::new(),
             transmissions: 0,
-            dropped_fault: 0,
         }
     }
 
     /// Walks the source at every image position in position order, each
-    /// an offered packet or nothing, and counts their fates. Writes each
-    /// position's packet energy subtotal, or `0.0` when its node offers
-    /// nothing, into its slot.
-    fn walk(&mut self, ctx: &LossyRoundCtx<'_>, round: u64, slots: &mut [f64]) {
+    /// an offered packet or nothing, and returns the round's packet
+    /// tally. Writes each position's packet energy subtotal, or `0.0`
+    /// when its node offers nothing, into its slot.
+    fn walk(&mut self, ctx: &LossyRoundCtx<'_>, round: u64, slots: &mut [f64]) -> PacketCounters {
         match ctx.hop_faults {
             None => self.walk_positions::<false>(ctx, &[], round, slots),
             Some(mask) => self.walk_positions::<true>(ctx, mask, round, slots),
@@ -376,13 +374,14 @@ impl LossyTally {
         mask: &[HopFault],
         round: u64,
         slots: &mut [f64],
-    ) {
+    ) -> PacketCounters {
+        let mut packets = PacketCounters::new();
         for ((at, &src), slot) in ctx.image.id.iter().enumerate().zip(slots) {
             if !ctx.offers(src as usize) {
                 *slot = 0.0;
                 continue;
             }
-            self.offered += 1;
+            packets.offered += 1;
             let (fate, sent, energy) = walk_packet::<FAULTED>(
                 ctx,
                 mask,
@@ -393,12 +392,13 @@ impl LossyTally {
             );
             self.transmissions += sent;
             match fate {
-                LossyFate::Delivered => self.delivered += 1,
-                LossyFate::Fault => self.dropped_fault += 1,
+                LossyFate::Delivered => packets.delivered += 1,
+                LossyFate::Fault => packets.dropped_fault += 1,
                 LossyFate::Channel => {}
             }
             *slot = energy;
         }
+        packets
     }
 }
 
@@ -455,22 +455,16 @@ impl<'r, 'a> LossyState<'r, 'a> {
     /// then replays the folds of one ascending-id walk exactly: the
     /// slots added to the run total in ascending source id, per-node
     /// ledger charges committed once per `(node, category)` from the
-    /// (exact, integer) attempt counts, packet tallies bulk-committed. A
-    /// warm round allocates nothing.
+    /// (exact, integer) attempt counts, then the round's packet tally.
+    /// A warm round allocates nothing.
     fn run_rounds<R: Recorder>(&mut self, rounds: u64, recorder: &mut R) {
         // Each offered packet's energy subtotal, one slot per image
         // position.
         let mut slots = vec![0.0f64; self.core.topology.len()];
         for round in 0..rounds {
             self.core.begin_round(round);
-            let LossyTally {
-                offered,
-                delivered,
-                dropped_fault: faulted,
-                ..
-            } = self.tally;
             let ctx = LossyRoundCtx::new(self.core, self.arq);
-            self.tally.walk(&ctx, round, &mut slots);
+            let packets = self.tally.walk(&ctx, round, &mut slots);
             // The run-total energy fold in ascending source id, read back
             // through `pos`. Slots of unoffered sources are exactly 0.0,
             // and adding a zero subtotal (a zero ARQ budget spends
@@ -484,9 +478,8 @@ impl<'r, 'a> LossyState<'r, 'a> {
                 }
             }
             self.commit_charges(recorder);
-            recorder.packets_offered(self.tally.offered - offered);
-            recorder.packets_delivered(self.tally.delivered - delivered);
-            recorder.packets_dropped_fault(self.tally.dropped_fault - faulted);
+            recorder.packets(&packets);
+            self.tally.packets.merge(&packets);
             self.core.end_round();
         }
     }
@@ -522,11 +515,11 @@ impl<'r, 'a> LossyState<'r, 'a> {
     /// Final report.
     fn finish(&self) -> LossyReport {
         LossyReport {
-            offered: self.tally.offered,
-            delivered: self.tally.delivered,
+            offered: self.tally.packets.offered,
+            delivered: self.tally.packets.delivered,
             transmissions: self.tally.transmissions,
             total_energy: Energy::from_joules(self.energy),
-            dropped_fault: self.tally.dropped_fault,
+            dropped_fault: self.tally.packets.dropped_fault,
         }
     }
 }

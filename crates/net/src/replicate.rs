@@ -10,9 +10,9 @@
 //! `base_seed + k`, and reports come back in seed order, so the parallel
 //! path is bit-exact with a serial loop at any worker count (enforced by
 //! `tests/determinism.rs`).
-//! [`replicate_gathering`] returns the reports of fault-free runs;
-//! [`replicate_gathering_observed`] adds per-seed fault schedules and a
-//! merged energy ledger.
+//! [`replicate_gathering_observed`] runs each replication under its
+//! seed's fault schedule and returns the reports with a merged energy
+//! ledger.
 //!
 //! Each replication inherits the gather core's hot-path machinery
 //! (CSR adjacency, epoch-cached routing, allocation-free rounds — see
@@ -30,40 +30,19 @@ use ami_sim::fault::FaultSchedule;
 use ami_sim::obs::LedgerRecorder;
 use ami_sim::{replication_seeds, summarize, Summary};
 
-/// Replicates a fault-free gathering study across seeded random
-/// topologies on `threads` workers (1 = serial loop), returning one
-/// report per seed, in seed order. Callers without a reason to pin the
-/// worker count pass [`ami_sim::runner::thread_count`].
+/// Replicates a gathering study across seeded random topologies on
+/// `threads` workers (1 = serial loop) under per-replication fault
+/// schedules, with observation: returns one report per seed, in seed
+/// order, plus one [`LedgerRecorder`] accumulated over all
+/// replications. Callers without a reason to pin the worker count pass
+/// [`ami_sim::runner::thread_count`].
 ///
 /// `topology` builds the field for a given seed — typically
 /// `|seed| Topology::random(n, field, seed)`, but any deterministic
-/// seed-to-field map works (e.g. jittered grids).
-///
-/// # Panics
-///
-/// Panics if `threads`, `replications` or `rounds` is zero.
-pub fn replicate_gathering(
-    threads: usize,
-    replications: usize,
-    base_seed: u64,
-    topology: impl Fn(u64) -> Topology + Sync,
-    strategy: RoutingStrategy,
-    config: &NetworkConfig,
-    rounds: u64,
-) -> Vec<NetworkReport> {
-    let seeds = replication_seeds(replications, base_seed);
-    ami_sim::runner::par_map_indexed_threads(threads, &seeds, |_, &seed| {
-        GatherSession::new(&topology(seed), strategy, config).run(rounds)
-    })
-}
-
-/// [`replicate_gathering`] under per-replication fault schedules, with
-/// observation: returns the per-seed reports plus one
-/// [`LedgerRecorder`] accumulated over all replications.
-///
-/// `faults` maps each replication's seed to its [`FaultSchedule`] —
-/// typically `|seed| spec.schedule_for(seed, nodes, rounds)` so every
-/// topology draw gets a decorrelated but reproducible fault history, or
+/// seed-to-field map works (e.g. jittered grids). `faults` maps each
+/// replication's seed to its [`FaultSchedule`] — typically
+/// `|seed| spec.schedule_for(seed, nodes, rounds)` so every topology
+/// draw gets a decorrelated but reproducible fault history, or
 /// `|_| FaultSchedule::empty()` for a fault-free study. Like
 /// `topology`, it must be a pure function of the seed: the runner may
 /// call it from any worker.
@@ -109,18 +88,20 @@ pub fn replicate_gathering_observed(
 }
 
 /// Summarizes one scalar observable over replicated reports — the
-/// confidence-interval companion to [`replicate_gathering`].
+/// confidence-interval companion to [`replicate_gathering_observed`].
 ///
 /// # Example
 ///
 /// ```
-/// use ami_net::{replicate_gathering, summarize_reports, NetworkConfig,
+/// use ami_net::{replicate_gathering_observed, summarize_reports, NetworkConfig,
 ///     RoutingStrategy, Topology};
+/// use ami_sim::fault::FaultSchedule;
 /// use ami_units::Length;
 ///
-/// let reports = replicate_gathering(
+/// let (reports, _) = replicate_gathering_observed(
 ///     ami_sim::runner::thread_count(), 8, 42,
 ///     |seed| Topology::random(12, Length::from_meters(80.0), seed),
+///     |_| FaultSchedule::empty(),
 ///     RoutingStrategy::MinimumEnergy,
 ///     &NetworkConfig::sensor_default(),
 ///     20,
@@ -151,16 +132,35 @@ mod tests {
         Topology::random(10, Length::from_meters(70.0), seed)
     }
 
+    /// The reports of a fault-free study over [`field`].
+    fn fault_free_reports(
+        threads: usize,
+        replications: usize,
+        base_seed: u64,
+        strategy: RoutingStrategy,
+        rounds: u64,
+    ) -> Vec<NetworkReport> {
+        replicate_gathering_observed(
+            threads,
+            replications,
+            base_seed,
+            field,
+            |_| FaultSchedule::empty(),
+            strategy,
+            &NetworkConfig::sensor_default(),
+            rounds,
+        )
+        .0
+    }
+
     #[test]
     fn reports_come_back_in_seed_order() {
         let config = NetworkConfig::sensor_default();
-        let replicated = replicate_gathering(
+        let replicated = fault_free_reports(
             ami_sim::runner::thread_count(),
             4,
             7,
-            field,
             RoutingStrategy::MinimumEnergy,
-            &config,
             10,
         );
         for (k, report) in replicated.iter().enumerate() {
@@ -176,33 +176,20 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_reports() {
-        let config = NetworkConfig::sensor_default();
-        let serial =
-            replicate_gathering(1, 6, 99, field, RoutingStrategy::MinimumEnergy, &config, 15);
+        let serial = fault_free_reports(1, 6, 99, RoutingStrategy::MinimumEnergy, 15);
         for threads in [2, 4, 8] {
-            let parallel = replicate_gathering(
-                threads,
-                6,
-                99,
-                field,
-                RoutingStrategy::MinimumEnergy,
-                &config,
-                15,
-            );
+            let parallel = fault_free_reports(threads, 6, 99, RoutingStrategy::MinimumEnergy, 15);
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }
 
     #[test]
     fn summary_matches_hand_fold() {
-        let config = NetworkConfig::sensor_default();
-        let reports = replicate_gathering(
+        let reports = fault_free_reports(
             ami_sim::runner::thread_count(),
             5,
             1,
-            field,
             RoutingStrategy::DirectToSink,
-            &config,
             5,
         );
         let summary = summarize_reports(&reports, |r| r.delivered_packets as f64);
@@ -298,13 +285,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one replication")]
     fn zero_replications_rejected() {
-        let _ = replicate_gathering(
+        let _ = fault_free_reports(
             ami_sim::runner::thread_count(),
             0,
             0,
-            field,
             RoutingStrategy::DirectToSink,
-            &NetworkConfig::sensor_default(),
             1,
         );
     }

@@ -22,7 +22,7 @@ use ami_net::routing::{build_routes, RouteCache};
 use ami_net::{LossyConfig, LossyReport, NodeId, RoutingStrategy, Topology};
 use ami_radio::RadioEnergyModel;
 use ami_sim::fault::{FaultSchedule, FaultTimeline};
-use ami_sim::obs::{EnergyCategory, Recorder};
+use ami_sim::obs::{EnergyCategory, PacketCounters, Recorder};
 use ami_sim::rng::packet_rng;
 use ami_units::{Energy, Length};
 use rand::RngExt;
@@ -108,8 +108,9 @@ pub fn rebuild_over_usable(
 /// powered, connected sensor in ascending id and walks it by node id —
 /// a downed receiver burns the sender's whole ARQ budget, a downed link
 /// charges both ends per attempt, neither draws — then charges the
-/// round's attempt counts, Tx then RxRelay, in ascending id. The
-/// recorder sees the charges and packet counts the session shows it.
+/// round's attempt counts, Tx then RxRelay, in ascending id, and commits
+/// the round's packet tally. The recorder sees the charges and packet
+/// tallies the session shows it.
 pub fn lossy_reference_run<R: Recorder>(
     topology: &Topology,
     config: &LossyConfig,
@@ -153,12 +154,12 @@ pub fn lossy_reference_run<R: Recorder>(
             cache.ensure(&usable);
             routes_dirty = false;
         }
+        let mut packets = PacketCounters::new();
         for src in topology.sensor_ids() {
             if down_now[src.0] || !cache.is_connected(src) {
                 continue;
             }
-            report.offered += 1;
-            recorder.packet_offered();
+            packets.offered += 1;
             let mut rng = packet_rng(seed, round, src.0 as u64);
             let mut packet = 0.0f64;
             let mut from = src;
@@ -204,14 +205,8 @@ pub fn lossy_reference_run<R: Recorder>(
             };
             energy += packet;
             match fate {
-                Some(true) => {
-                    report.delivered += 1;
-                    recorder.packet_delivered();
-                }
-                Some(false) => {
-                    report.dropped_fault += 1;
-                    recorder.packet_dropped_fault();
-                }
+                Some(true) => packets.delivered += 1,
+                Some(false) => packets.dropped_fault += 1,
                 None => {}
             }
         }
@@ -228,6 +223,10 @@ pub fn lossy_reference_run<R: Recorder>(
                 *count = 0;
             }
         }
+        recorder.packets(&packets);
+        report.offered += packets.offered;
+        report.delivered += packets.delivered;
+        report.dropped_fault += packets.dropped_fault;
         if down_now != down_prev {
             routes_dirty = true;
         }

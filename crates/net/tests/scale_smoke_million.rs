@@ -3,16 +3,17 @@
 //! memory story — per-node state is a handful of flat arrays, every
 //! aggregated round re-derives its ~3×10⁸ hop charges from O(N)
 //! per-position columns instead of recording them, and observation
-//! goes through the O(active) [`RingRecorder`], not an O(N) ledger. `#[ignore]`d by default; CI
-//! runs it as `cargo test --release -- --ignored scale_smoke`. (Own
-//! binary so nothing else inflates the RSS high-water mark.)
+//! goes through a [`LedgerRecorder`], whose ledger is one more O(N)
+//! table. `#[ignore]`d by default; CI runs it as
+//! `cargo test --release -- --ignored scale_smoke`. (Own binary so
+//! nothing else inflates the RSS high-water mark.)
 
 use ami_net::{
     agg_engaged_count, agg_fallback_count, reset_agg_counters, GatherSession, LossyConfig,
     LossySession, NetworkConfig, RoutingStrategy, Topology,
 };
 use ami_sim::fault::FaultSchedule;
-use ami_sim::obs::RingRecorder;
+use ami_sim::obs::LedgerRecorder;
 use ami_units::Length;
 use std::time::{Duration, Instant};
 
@@ -47,34 +48,30 @@ fn scale_smoke_million_nodes_gather_and_lossy_bounded_memory() {
     let topo = Topology::random(N, side, 2003);
     let config = NetworkConfig::sensor_default();
 
-    // Gathering: two aggregated rounds through the bounded residual
-    // sink. Every healthy round must take the aggregated path, and
-    // every sensor's residual must fold into the ring's running stats
-    // while the ring itself retains only its fixed-capacity tail.
+    // Gathering: two aggregated rounds into a ledger. Every healthy
+    // round must take the aggregated path, and every sensor's residual
+    // must reach the ledger (an unrecorded one reads 0).
     reset_agg_counters();
-    let mut sink = RingRecorder::with_capacity(1024);
+    let mut observed = LedgerRecorder::with_nodes(N);
     let mut session = GatherSession::new(&topo, RoutingStrategy::MinimumEnergy, &config);
-    let report = session.run_faulted_with(2, &FaultSchedule::empty(), &mut sink);
+    let report = session.run_faulted_with(2, &FaultSchedule::empty(), &mut observed);
     assert!(report.delivered_packets > 0, "the megacity must deliver");
     assert_eq!(report.first_death_round, None, "two rounds cannot exhaust");
     assert_eq!(agg_engaged_count(), 2, "both rounds aggregate");
     assert_eq!(agg_fallback_count(), 0, "healthy rounds never fall back");
-    let stats = sink.stats();
-    assert_eq!(
-        stats.count,
-        (N - 1) as u64,
-        "every sensor reports a residual"
-    );
-    assert_eq!(stats.overdrawn, 0, "no overdraft in two rounds");
-    assert!(stats.min > 0.0, "all residuals stay positive");
-    assert_eq!(
-        sink.recent().count(),
-        1024,
-        "the ring holds only its capacity"
+    let residuals = observed.ledger.residuals();
+    assert!(
+        topo.sensor_ids().all(|id| residuals[id.0] > 0.0),
+        "every sensor's residual is recorded and positive"
     );
     assert_eq!(
-        sink.packets.delivered, report.delivered_packets,
-        "ring counters agree with the report"
+        observed.ledger.overdraft().as_joules(),
+        0.0,
+        "no overdraft in two rounds"
+    );
+    assert_eq!(
+        observed.packets.delivered, report.delivered_packets,
+        "ledger counters agree with the report"
     );
 
     // Lossy/ARQ: one counter-RNG round at the same scale.
@@ -91,8 +88,8 @@ fn scale_smoke_million_nodes_gather_and_lossy_bounded_memory() {
     );
 
     // The memory ceiling. Flat per-node state (topology, CSR adjacency,
-    // routes, budgets, scratch) totals ~300 MiB measured at n=10⁶, and
-    // the observer adds O(1024). 768 MiB is ~2.5× that high-water mark:
+    // routes, budgets, scratch, the ledger) totals ~310 MiB measured at
+    // n=10⁶. 768 MiB is ~2.5× that high-water mark:
     // a recording of the round's hop charges (~2.4 GiB at this hop
     // volume) or any new O(N)-per-round allocation blows it immediately.
     let peak = peak_rss_kib();

@@ -14,10 +14,10 @@
 //!   `(seed, nodes, rounds)`, drawn from per-node SplitMix64-decorrelated
 //!   substreams — the same seed-partitioning discipline as the runner, so
 //!   schedules are bit-exact at any `AMBIENCE_THREADS`;
-//! * a [`FaultSpec`] is the operator surface: a compact string (set via
-//!   [`FAULTS_ENV`], i.e. `AMBIENCE_FAULTS`) parsed into a model plus a
-//!   seed-mixing rule, so experiment binaries can be faulted without
-//!   recompiling.
+//! * a [`FaultSpec`] is the operator surface: a compact string (the F13
+//!   binary reads one from [`FAULTS_ENV`], i.e. `AMBIENCE_FAULTS`, and
+//!   scenario files carry one) parsed into a model plus a seed-mixing
+//!   rule, so runs can be faulted without recompiling.
 //!
 //! Consumers query the schedule per round ([`node_down`],
 //! [`link_down`], [`harvest_scale`], [`capacity_factor`]) and attribute
@@ -53,7 +53,7 @@
 use rand::rngs::StdRng;
 use rand::RngExt;
 
-/// Environment variable experiment binaries consult for fault
+/// Environment variable the F13 experiment binary reads for fault
 /// injection: unset → no faults, otherwise a [`FaultSpec`] string such
 /// as `death=0.1,outage=0.2:40`.
 pub const FAULTS_ENV: &str = "AMBIENCE_FAULTS";
@@ -732,21 +732,6 @@ impl FaultSpec {
             return Err(format!("fade factor {} outside (0, 1]", model.fade_factor));
         }
         Ok(Self { model, seed })
-    }
-
-    /// Reads and parses [`FAULTS_ENV`] (`AMBIENCE_FAULTS`).
-    ///
-    /// Returns `None` when the variable is unset.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the variable is set but malformed — like
-    /// `AMBIENCE_THREADS`, a misconfigured knob must fail loudly rather
-    /// than silently run an unfaulted experiment.
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var_os(FAULTS_ENV)?;
-        let raw = raw.to_string_lossy();
-        Some(Self::parse(&raw).unwrap_or_else(|err| panic!("invalid {FAULTS_ENV}: {err}")))
     }
 
     /// The concrete schedule for a run: the model drawn at

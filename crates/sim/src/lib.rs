@@ -10,8 +10,6 @@
 //!   energy exactly between state changes and keeps a per-state
 //!   breakdown, with states interned to [`StateId`]s so the hot path
 //!   never touches a string;
-//! * [`TraceSeries`] — a lightweight time-series recorder with summary
-//!   statistics and an allocation-free summary-only mode;
 //! * [`sim_rng`] — the sanctioned source of *sequential* randomness
 //!   (a seeded [`rand::rngs::StdRng`]);
 //! * [`rng`] — addressable *counter-based* randomness
@@ -57,7 +55,6 @@ pub mod obs;
 pub mod queue;
 pub mod rng;
 pub mod runner;
-pub mod trace;
 
 pub use energy::{EnergyMeter, StateId};
 pub use fault::{FaultEvent, FaultModel, FaultSchedule, FaultSpec, FAULTS_ENV};
@@ -68,7 +65,6 @@ pub use obs::{
 };
 pub use queue::EventQueue;
 pub use runner::{par_map_indexed, par_map_indexed_threads, thread_count};
-pub use trace::TraceSeries;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -9,12 +9,14 @@
 use serde::ser::{SerializeMap, Serializer};
 use serde::Serialize;
 
-/// End-to-end packet accounting for a gathering run.
+/// End-to-end packet accounting for a run, or one round of it.
 ///
-/// Every offered packet ends in exactly one of the other buckets, and
-/// [`is_conserved`](Self::is_conserved) checks that invariant — a
-/// delivery that isn't matched by an offer (or a drop that vanishes) is
-/// an accounting bug.
+/// Every offered packet of a gathering run ends in exactly one of the
+/// other buckets, and [`is_conserved`](Self::is_conserved) checks that
+/// invariant — a delivery that isn't matched by an offer (or a drop
+/// that vanishes) is an accounting bug. A lossy run's channel losses
+/// land in no bucket: they are the remainder, offered less delivered
+/// less [`dropped`](Self::dropped).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PacketCounters {
     /// Packets generated by live, funded nodes.

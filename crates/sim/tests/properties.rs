@@ -328,29 +328,21 @@ proptest! {
         );
     }
 
-    /// `charge_n` equals `count` single charges for the recorders that
-    /// fold charges into f64 accumulators: the ledger's cell and the
-    /// ring's running total, from accumulators the property above
-    /// drives to binade edges and ties.
+    /// `charge_n` equals `count` single charges for the ledger, whose
+    /// cells fold charges into f64 accumulators, from accumulators the
+    /// property above drives to binade edges and ties.
     #[test]
     fn charge_n_equals_repeated_charges(seed in 0u64..u64::MAX) {
-        use ami_sim::obs::{EnergyCategory, LedgerRecorder, Recorder, RingRecorder};
+        use ami_sim::obs::{EnergyCategory, LedgerRecorder, Recorder};
         let (start, v, count) = adversarial_fold(seed);
         let (start, joules, count) = (start.abs(), v.abs(), count.min(50_000));
         let (mut bulk, mut single) = (LedgerRecorder::with_nodes(2), LedgerRecorder::with_nodes(2));
-        let (mut ring_bulk, mut ring_single) =
-            (RingRecorder::with_capacity(1), RingRecorder::with_capacity(1));
         for rec in [&mut bulk, &mut single] {
             rec.charge(1, EnergyCategory::Tx, start);
         }
-        for rec in [&mut ring_bulk, &mut ring_single] {
-            rec.charge(1, EnergyCategory::Tx, start);
-        }
         bulk.charge_n(1, EnergyCategory::Tx, joules, count);
-        ring_bulk.charge_n(1, EnergyCategory::Tx, joules, count);
         for _ in 0..count {
             single.charge(1, EnergyCategory::Tx, joules);
-            ring_single.charge(1, EnergyCategory::Tx, joules);
         }
         prop_assert_eq!(
             bulk.ledger.node_category(1, EnergyCategory::Tx).to_bits(),
@@ -358,8 +350,6 @@ proptest! {
             "ledger: {start:e} + {count} × {joules:e}"
         );
         prop_assert_eq!(bulk, single);
-        prop_assert_eq!(ring_bulk.charged.to_bits(), ring_single.charged.to_bits());
-        prop_assert_eq!(ring_bulk.charges, ring_single.charges);
     }
 }
 

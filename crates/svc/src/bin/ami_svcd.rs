@@ -4,13 +4,18 @@
 
 use ami_svc::server::Server;
 use ami_svc::{Service, DEFAULT_ADDR, SVC_ADDR_ENV};
+use std::env::VarError;
 use std::sync::Arc;
 
 /// Compiled scenarios kept hot in the daemon's cache.
 const CACHE_CAPACITY: usize = 64;
 
 fn main() {
-    let addr = std::env::var(SVC_ADDR_ENV).unwrap_or_else(|_| DEFAULT_ADDR.to_owned());
+    let addr = match std::env::var(SVC_ADDR_ENV) {
+        Ok(addr) => addr,
+        Err(VarError::NotPresent) => DEFAULT_ADDR.to_owned(),
+        Err(VarError::NotUnicode(raw)) => panic!("bad {SVC_ADDR_ENV}: not UTF-8: {raw:?}"),
+    };
     // Resolves `AMBIENCE_THREADS` before the bind: a bad value stops the
     // daemon here, with the runner's message, instead of failing every
     // request that names no `threads`.

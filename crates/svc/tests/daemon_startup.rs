@@ -1,9 +1,11 @@
-//! `ami_svcd` start-up: a set-but-invalid `AMBIENCE_THREADS` must stop
-//! the daemon before it binds, with the runner's message, rather than
-//! leave it listening while every request that names no `threads`
-//! panics its connection.
+//! `ami_svcd` start-up: a set-but-invalid `AMBIENCE_THREADS` or a
+//! non-UTF-8 `AMBIENCE_SVC_ADDR` must stop the daemon before it binds,
+//! with a message naming the variable, rather than leave it listening
+//! (while every request that names no `threads` panics its connection)
+//! or listening on the default address.
 
 use ami_svc::SVC_ADDR_ENV;
+use std::ffi::OsStr;
 use std::io::Read;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -11,11 +13,12 @@ use std::time::{Duration, Instant};
 /// How long the daemon gets to exit.
 const DEADLINE: Duration = Duration::from_secs(10);
 
-#[test]
-fn an_invalid_thread_count_stops_the_daemon_before_it_listens() {
+/// Starts the daemon under `vars` and asserts that it exits non-zero
+/// within the deadline, naming `culprit` on stderr and never reporting
+/// that it listens.
+fn assert_stops_before_listening(vars: &[(&str, &OsStr)], culprit: &str) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_ami_svcd"))
-        .env("AMBIENCE_THREADS", "0")
-        .env(SVC_ADDR_ENV, "127.0.0.1:0")
+        .envs(vars.iter().copied())
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
@@ -27,7 +30,7 @@ fn an_invalid_thread_count_stops_the_daemon_before_it_listens() {
             break Some(status);
         }
         if started.elapsed() >= DEADLINE {
-            // Still running: it got past the thread-count check.
+            // Still running: it got past the start-up checks.
             let _ = child.kill();
             let _ = child.wait();
             break None;
@@ -49,11 +52,35 @@ fn an_invalid_thread_count_stops_the_daemon_before_it_listens() {
         "the daemon exited cleanly; stderr:\n{stderr}"
     );
     assert!(
-        stderr.contains("AMBIENCE_THREADS"),
-        "stderr does not name the variable:\n{stderr}"
+        stderr.contains(culprit),
+        "stderr does not name {culprit}:\n{stderr}"
     );
     assert!(
         !stderr.contains("listening"),
         "the daemon bound before failing:\n{stderr}"
+    );
+}
+
+#[test]
+fn an_invalid_thread_count_stops_the_daemon_before_it_listens() {
+    assert_stops_before_listening(
+        &[
+            ("AMBIENCE_THREADS", OsStr::new("0")),
+            (SVC_ADDR_ENV, OsStr::new("127.0.0.1:0")),
+        ],
+        "AMBIENCE_THREADS",
+    );
+}
+
+#[cfg(unix)]
+#[test]
+fn a_non_utf8_address_stops_the_daemon_before_it_listens() {
+    use std::os::unix::ffi::OsStrExt;
+    assert_stops_before_listening(
+        &[
+            ("AMBIENCE_THREADS", OsStr::new("1")),
+            (SVC_ADDR_ENV, OsStr::from_bytes(b"127.0.0.1:0\xff")),
+        ],
+        SVC_ADDR_ENV,
     );
 }

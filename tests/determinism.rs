@@ -7,7 +7,7 @@ use ambience::core::case_studies::cs1::{run_cs1, Cs1Config};
 use ambience::core::case_studies::cs2::sweep_battery_life_threads;
 use ambience::core::design_space::{explore_cs1_threads, DesignCell};
 use ambience::dvs::{simulate_taskset, DvsPolicy, TaskSet};
-use ambience::net::{replicate_gathering, replicate_gathering_observed};
+use ambience::net::replicate_gathering_observed;
 use ambience::net::{
     simulate_clustered, simulate_gathering, ClusterConfig, NetworkConfig, RoutingStrategy, Topology,
 };
@@ -182,18 +182,22 @@ fn parallel_design_space_is_bit_exact_with_serial() {
 fn parallel_gathering_replication_is_bit_exact_with_serial() {
     let config = NetworkConfig::sensor_default();
     let field = |seed| Topology::random(15, Length::from_meters(90.0), seed);
-    let serial = replicate_gathering(1, 12, 7, field, RoutingStrategy::MinimumEnergy, &config, 50);
-    for threads in [2usize, 8] {
-        let parallel = replicate_gathering(
+    let reports = |threads| {
+        replicate_gathering_observed(
             threads,
             12,
             7,
             field,
+            |_| FaultSchedule::empty(),
             RoutingStrategy::MinimumEnergy,
             &config,
             50,
-        );
-        assert_eq!(serial, parallel, "threads = {threads}");
+        )
+        .0
+    };
+    let serial = reports(1);
+    for threads in [2usize, 8] {
+        assert_eq!(serial, reports(threads), "threads = {threads}");
     }
 }
 
